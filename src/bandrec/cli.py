@@ -86,8 +86,7 @@ def cmd_reconstruct(args) -> int:
     if not scenario:
         raise ValueError("reconstruct needs --scenario")
     cfg = {"scenario": scenario,
-           "grid": int(_merged(args, config, "grid", reconstruct.DEFAULT_GRID)),
-           "jobs": int(_merged(args, config, "jobs", 1))}
+           "grid": int(_merged(args, config, "grid", reconstruct.DEFAULT_GRID))}
     for name in ("m", "n", "dimers_per_side", "index", "k"):
         value = _merged(args, config, name)
         if value is not None:
@@ -163,12 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "detect localized in-gap modes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, sampled=True):
         p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--format", help="comma-separated subset of csv,json,svg")
-        p.add_argument("--grid", type=int, help="quasiperiodicity grid size")
-        p.add_argument("--jobs", type=int, help="parallel workers for per-eigenvector work")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        if sampled:
+            p.add_argument("--format", help="comma-separated subset of csv,json,svg")
+            p.add_argument("--grid", type=int, help="quasiperiodicity grid size")
         p.add_argument("--config", help="JSON config file; flags take precedence")
 
     p_bands = sub.add_parser("bands", help="sample a symbol's band functions")
@@ -199,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transform", help="projection profile of a vector")
     p_tr.add_argument("--vector", help="vector CSV path")
     p_tr.add_argument("--k", type=int, help="block size")
-    add_common(p_tr)
+    add_common(p_tr, sampled=False)
     p_tr.set_defaults(fn=cmd_transform)
 
     p_ver = sub.add_parser("verify", help="run invariant and acceptance checks")
     p_ver.add_argument("--only", help="run only checks whose name contains this string")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a check tolerance, e.g. transform.unitarity.tol=0")
+                       help="override a check tolerance, e.g. acceptance.09_unitarity.tol=0")
     p_ver.set_defaults(fn=cmd_verify)
     return parser
 

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import Symbol, symbol_from_dict
-
-HERMITIAN_TOL = 1e-12
+from .symbols import HERMITIAN_TOL, Symbol, symbol_from_dict
 
 KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
          "dislocated", "perturbed", "external")

@@ -10,7 +10,6 @@ included for validation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ class ReconstructionPoint:
     band_error: float | None = None
 
 
-def reconstruct_bands(M, k: int, jobs: int = 1) -> list[ReconstructionPoint]:
+def reconstruct_bands(M, k: int) -> list[ReconstructionPoint]:
     """Recover (quasiperiodicity, eigenvalue) pairs for every eigenvector of M.
 
     M is a Hermitian FiniteMatrix or a PerturbedPair, in which case the
@@ -56,18 +55,10 @@ def reconstruct_bands(M, k: int, jobs: int = 1) -> list[ReconstructionPoint]:
         eig = hermitian_eigen(M)
         vectors = [eig.vectors[:, i] for i in range(eig.n)]
 
-    def analyse(i):
-        u = zero_pad(vectors[i], k)
-        alpha = discrete_quasiperiodicity(u, k)
-        sup, ipr = localization_metrics(vectors[i])
-        return alpha, sup, ipr
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(analyse, range(eig.n)))
-    else:
-        results = [analyse(i) for i in range(eig.n)]
-
+    results = []
+    for v in vectors:
+        alpha = discrete_quasiperiodicity(zero_pad(v, k), k)
+        results.append((alpha, *localization_metrics(v)))
     iprs = [r[2] for r in results]
     flags = ipr_localized_flags(iprs)
     return [ReconstructionPoint(index=i, alpha_est=results[i][0], lam=float(eig.values[i]),
@@ -333,12 +324,11 @@ def run_scenario(config: dict) -> ScenarioResult:
         raise ValueError("config needs a 'scenario' field")
     params = dict(cfg.pop("params", {}))
     grid = int(cfg.pop("grid", DEFAULT_GRID))
-    jobs = int(cfg.pop("jobs", 1))
     margin = cfg.pop("margin", None)
     params.update(cfg)
 
     built, sym, k, resolved = _scenario_setup(name, params)
-    points = reconstruct_bands(built, k, jobs=jobs)
+    points = reconstruct_bands(built, k)
     matrix = built.bc if isinstance(built, PerturbedPair) else built
 
     bands = gap_report = stats = None

@@ -2,8 +2,8 @@
 
 Each check is a pure function taking its tolerance dictionary and a seeded
 generator, returning (passed, detail).  The registry drives both the CLI
-`verify` subcommand and the acceptance test module, so the two surfaces can
-never drift apart.
+`verify` subcommand and the test suite's check runner, so the two surfaces
+can never drift apart.
 """
 
 from __future__ import annotations
@@ -33,20 +33,6 @@ def _fail_on(bad: list[str], ok_detail: str) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------------------
 # transform group
-
-def check_unitarity(tol, rng):
-    worst = 0.0
-    for _ in range(300):
-        m = int(rng.integers(1, 65))
-        k = int(rng.integers(1, 4))
-        v = rng.normal(size=m * k) + 1j * rng.normal(size=m * k)
-        v /= np.linalg.norm(v)
-        worst = max(worst, abs(np.linalg.norm(transform.dft(v[:m])) - np.linalg.norm(v[:m])))
-        sec = transform.sections(v, k)
-        worst = max(worst, abs(sec.norm() - 1.0))
-        worst = max(worst, abs(transform.tfbt(v, k).norm() - 1.0))
-    return worst <= tol["tol"], f"max norm drift {worst:.2e}"
-
 
 def check_dft_oracle(tol, rng):
     worst = 0.0
@@ -222,40 +208,6 @@ def check_eigen_contract(tol, rng):
         if res > tol["tol"] * scale or gram > tol["tol"] or order:
             bad.append(f"n={n}: residual {res:.1e} gram {gram:.1e} sorted={not order}")
     return _fail_on(bad, f"worst relative residual/gram defect {worst:.2e} (48-column probes)")
-
-
-def check_near_far_lemma(tol, rng):
-    return _near_far_sweep(int(tol["instances"]), rng)
-
-
-def _near_far_sweep(instances, rng):
-    bad = []
-    for trial in range(instances):
-        n = int(rng.integers(6, 51))
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        M = matrices.FiniteMatrix(data=(A + A.conj().T) / 2, hermitian=True)
-        eig = spectra.hermitian_eigen(M)
-        i = int(rng.integers(n))
-        eps = float(rng.uniform(0.05, 0.4))
-        lam_eps = float(eig.values[i] + rng.uniform(-eps ** 2 / 3, eps ** 2 / 3))
-        far = np.flatnonzero(np.abs(eig.values - lam_eps) > eps)
-        if far.size == 0:
-            continue
-        j = int(far[np.argmax(np.abs(eig.values[far] - lam_eps))])
-        c = eps ** 2 / (3.0 * abs(eig.values[j] - lam_eps))
-        u = np.sqrt(1 - c ** 2) * eig.vectors[:, i] + c * eig.vectors[:, j]
-        res = spectra.residual(M, lam_eps, u)
-        if res >= eps ** 2:
-            bad.append(f"trial {trial}: construction broke, residual {res:.1e} >= eps^2")
-            continue
-        split = spectra.near_far_split(eig, lam_eps, eps, u)
-        recon = np.linalg.norm(split.u_parallel + split.u_perp - u)
-        ortho = abs(np.vdot(split.u_parallel, split.u_perp))
-        if split.perp_norm >= eps or split.parallel_norm <= np.sqrt(1 - eps ** 2):
-            bad.append(f"trial {trial}: perp {split.perp_norm:.3e} vs eps {eps:.3e}")
-        if recon > 1e-12 or ortho > 1e-10:
-            bad.append(f"trial {trial}: reconstruction {recon:.1e} orthogonality {ortho:.1e}")
-    return _fail_on(bad[:3], f"{instances} randomized instances satisfy the near/far bounds")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +417,33 @@ def acceptance_07b_compact_defect_positive(tol, rng):
 
 
 def acceptance_08_near_far(tol, rng):
-    return _near_far_sweep(100, rng)
+    bad = []
+    for trial in range(100):
+        n = int(rng.integers(6, 51))
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        M = matrices.FiniteMatrix(data=(A + A.conj().T) / 2, hermitian=True)
+        eig = spectra.hermitian_eigen(M)
+        i = int(rng.integers(n))
+        eps = float(rng.uniform(0.05, 0.4))
+        lam_eps = float(eig.values[i] + rng.uniform(-eps ** 2 / 3, eps ** 2 / 3))
+        far = np.flatnonzero(np.abs(eig.values - lam_eps) > eps)
+        if far.size == 0:
+            continue
+        j = int(far[np.argmax(np.abs(eig.values[far] - lam_eps))])
+        c = eps ** 2 / (3.0 * abs(eig.values[j] - lam_eps))
+        u = np.sqrt(1 - c ** 2) * eig.vectors[:, i] + c * eig.vectors[:, j]
+        res = spectra.residual(M, lam_eps, u)
+        if res >= eps ** 2:
+            bad.append(f"trial {trial}: construction broke, residual {res:.1e} >= eps^2")
+            continue
+        split = spectra.near_far_split(eig, lam_eps, eps, u)
+        recon = np.linalg.norm(split.u_parallel + split.u_perp - u)
+        ortho = abs(np.vdot(split.u_parallel, split.u_perp))
+        if split.perp_norm >= eps or split.parallel_norm <= np.sqrt(1 - eps ** 2):
+            bad.append(f"trial {trial}: perp {split.perp_norm:.3e} vs eps {eps:.3e}")
+        if recon > 1e-12 or ortho > 1e-10:
+            bad.append(f"trial {trial}: reconstruction {recon:.1e} orthogonality {ortho:.1e}")
+    return _fail_on(bad[:3], "100 randomized instances satisfy the near/far bounds")
 
 
 def acceptance_09_unitarity(tol, rng):
@@ -478,10 +456,7 @@ def acceptance_09_unitarity(tol, rng):
         worst = max(worst, abs(np.linalg.norm(transform.dft(v[:m])) - np.linalg.norm(v[:m])))
         worst = max(worst, abs(transform.sections(v, k).norm() - 1.0))
         worst = max(worst, abs(transform.tfbt(v, k).norm() - 1.0))
-    if worst > tol["norm_tol"]:
-        return False, f"norm drift {worst:.2e} exceeds {tol['norm_tol']:g}"
-    ok, detail = check_dft_oracle({"tol": tol["oracle_tol"]}, rng)
-    return ok, f"norm drift {worst:.2e}; {detail}"
+    return worst <= tol["tol"], f"max norm drift {worst:.2e}"
 
 
 def acceptance_10_truncation_bounds(tol, rng):
@@ -522,7 +497,6 @@ def acceptance_11_delocalisation_trend(tol, rng):
 # registry
 
 CHECKS = [
-    ("transform.unitarity", check_unitarity, {"tol": 1e-12}),
     ("transform.dft_oracle", check_dft_oracle, {"tol": 1e-10}),
     ("transform.linearity_phase", check_linearity_phase, {"tol": 1e-12}),
     ("transform.circulant_quasiperiodicity", check_circulant_quasiperiodicity, {"tol": 1e-10}),
@@ -533,7 +507,6 @@ CHECKS = [
     ("matrices.toeplitz_circulant_interior", check_toeplitz_circulant_interior, {}),
     ("matrices.perturbation_similarity", check_perturbation_similarity, {"tol": 1e-9}),
     ("spectra.eigen_contract", check_eigen_contract, {"tol": 1e-9}),
-    ("spectra.near_far_lemma", check_near_far_lemma, {"instances": 30}),
     ("reconstruct.error_trend", check_error_trend, {"slack": 1.1}),
     ("reconstruct.gap_localization_consistency", check_gap_localization_consistency, {}),
     ("reconstruct.rebase_invariance", check_rebase_invariance, {"tol": 1e-10}),
@@ -550,8 +523,7 @@ CHECKS = [
      {"band_err": 1e-1}),
     ("acceptance.07b_compact_defect_positive", acceptance_07b_compact_defect_positive, {}),
     ("acceptance.08_near_far", acceptance_08_near_far, {}),
-    ("acceptance.09_unitarity", acceptance_09_unitarity,
-     {"norm_tol": 1e-12, "oracle_tol": 1e-10}),
+    ("acceptance.09_unitarity", acceptance_09_unitarity, {"tol": 1e-12}),
     ("acceptance.10_truncation_bounds", acceptance_10_truncation_bounds, {"tail_tol": 1e-8}),
     ("acceptance.11_delocalisation_trend", acceptance_11_delocalisation_trend, {"slack": 1.05}),
 ]

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from bandrec import symbols
 from bandrec.cli import main
@@ -102,12 +103,23 @@ def test_reconstruct_byte_identical_reruns(tmp_path):
 
 def test_reconstruct_emitted_csv_reparses(tmp_path):
     out = tmp_path / "run"
-    main(["reconstruct", "--scenario", "dislocated", "--out", str(out), "--jobs", "2"])
+    main(["reconstruct", "--scenario", "dislocated", "--out", str(out)])
     for row in read_csv(out / "points.csv"):
         float(row["alpha_est"]), float(row["lambda"]), float(row["band_error"])
         assert row["localized"] in ("true", "false")
     alphas = [float(r["alpha"]) for r in read_csv(out / "bands.csv")]
     assert min(alphas) >= -np.pi and max(alphas) < np.pi
+
+
+@pytest.mark.parametrize("argv", [["reconstruct", "--scenario", "ssh", "--jobs", "2"],
+                                  ["bands", "--seed", "1"],
+                                  ["transform", "--vector", "v.csv", "--grid", "8"]])
+def test_unread_flags_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_reconstruct_requires_scenario(capsys):
@@ -167,8 +179,8 @@ def test_verify_only_group(capsys):
 
 
 def test_verify_tolerance_injection_fails(capsys):
-    code = main(["verify", "--only", "transform.unitarity",
-                 "--tol", "transform.unitarity.tol=0"])
+    code = main(["verify", "--only", "acceptance.09_unitarity",
+                 "--tol", "acceptance.09_unitarity.tol=0"])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
 

@@ -75,14 +75,6 @@ def test_reconstruct_bands_circulant_exact():
         assert 0.0 <= p.alpha_est <= np.pi
 
 
-def test_reconstruct_bands_jobs_deterministic():
-    C = matrices.circulant_matrix(MONOMER, 12)
-    seq = reconstruct_bands(C, 1, jobs=1)
-    par = reconstruct_bands(C, 1, jobs=4)
-    assert [(p.index, p.alpha_est, p.lam) for p in seq] == \
-           [(p.index, p.alpha_est, p.lam) for p in par]
-
-
 def test_reconstruct_bands_one_by_one_matrix():
     M = FiniteMatrix(data=np.array([[1.5]]), hermitian=True)
     points = reconstruct_bands(M, 1)
