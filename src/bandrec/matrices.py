@@ -4,7 +4,8 @@ Constructors for block Toeplitz sections and their circulant approximants,
 1D capacitance chains (zero row sums, corner-corrected), dimerized chains
 with a central pattern break, dislocated dimer chains, and single-site
 multiplicative perturbations.  Everything is dense; the sizes of interest
-stay in the low thousands.
+stay in the low thousands.  Every FiniteMatrix refuses NaN and inf
+entries, and its Hermitian flag is checked relative to the largest entry.
 
 Indexing in documentation and file formats is 1-based to match the usual
 matrix displays; APIs translate internally.
@@ -40,10 +41,13 @@ class FiniteMatrix:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
         if self.kind in ("toeplitz", "circulant") and data.shape[0] % self.k != 0:
             raise ValueError(f"size {data.shape[0]} is not a multiple of block size {self.k}")
+        scale = _finite_max_abs(data)
         if self.hermitian:
-            defect = float(np.max(np.abs(data - data.conj().T)))
+            defect = _relative_hermitian_defect(data, scale)
             if defect > HERMITIAN_TOL:
-                raise ValueError(f"hermitian flag set but defect is {defect:g}")
+                raise ValueError(f"hermitian flag set but the relative defect "
+                                 f"max|A - A^H| / max(1, max|A|) is {defect:g} "
+                                 f"(tolerance {HERMITIAN_TOL:g})")
         data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -55,6 +59,22 @@ class FiniteMatrix:
     @property
     def blocks(self) -> int:
         return self.n // self.k
+
+
+def _finite_max_abs(data: np.ndarray) -> float:
+    """max |A_ij|, refusing NaN and inf entries with their first (1-based) position."""
+    scale = float(np.max(np.abs(data), initial=0.0))
+    if not math.isfinite(scale):
+        bad = ~np.isfinite(data)
+        i, j = np.argwhere(bad)[0] + 1
+        raise ValueError(f"matrix has {np.count_nonzero(bad)} non-finite (NaN or inf) "
+                         f"entries, the first at row {i}, column {j}")
+    return scale
+
+
+def _relative_hermitian_defect(data: np.ndarray, scale: float) -> float:
+    """max |A - A^H| relative to max(1, max |A_ij|), so the test does not depend on units."""
+    return float(np.max(np.abs(data - data.conj().T), initial=0.0)) / max(1.0, scale)
 
 
 def _as_real_if_possible(a: np.ndarray) -> np.ndarray:
@@ -317,7 +337,7 @@ def load_matrix(path, k: int = 1) -> FiniteMatrix:
         data = _parse_matrix_csv(path)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"{path}: matrix is not square, shape {data.shape}")
-    hermitian = bool(np.max(np.abs(data - data.conj().T)) <= HERMITIAN_TOL)
+    hermitian = _relative_hermitian_defect(data, _finite_max_abs(data)) <= HERMITIAN_TOL
     return FiniteMatrix(data=_as_real_if_possible(data), k=k, kind="external",
                         hermitian=hermitian, provenance=f"loaded from {path}")
 

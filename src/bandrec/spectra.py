@@ -1,5 +1,12 @@
 """Hermitian eigendecompositions and spectral diagnostics.
 
+A real matrix whose nonzeros all lie on its three central diagonals (every
+built-in chain) is solved by LAPACK dstevd on its diagonal and sub-diagonal,
+bound with ctypes from the OpenBLAS that numpy already loads; anything else,
+or a numpy without that library, goes through the dense np.linalg.eigh.
+Both run the same divide-and-conquer kernel (dstedc), so the results agree
+bit for bit once the column signs are polarized.
+
 Beyond the plain decomposition this provides the residual of a candidate
 eigenpair, the orthogonal split of a vector into near/far eigenspace
 components around a reference eigenvalue, the projection-mass concentration
@@ -8,7 +15,10 @@ inside a quasiperiodicity window, and localization measures.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +27,7 @@ from .transform import polarize, projection_profile, _checked_unit
 
 DEGENERACY_REL_TOL = 1e-8
 IPR_LOCALIZATION_FACTOR = 10.0
+LAPACK_COL_MAJOR = 102  # matrix_layout value in lapacke.h
 
 
 @dataclass(frozen=True)
@@ -40,15 +51,66 @@ def _matrix_data(M) -> np.ndarray:
     return M.data if isinstance(M, FiniteMatrix) else np.asarray(M)
 
 
+@functools.cache
+def _bundled_dstevd():
+    """LAPACKE_dstevd of numpy's bundled ILP64 OpenBLAS, or None where there is none.
+
+    numpy has already loaded the library, so binding it loads nothing new.
+    """
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    try:
+        fn = ctypes.CDLL(str(libs[0])).scipy_LAPACKE_dstevd64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    return fn
+
+
+def _tridiagonal_eigh(data: np.ndarray):
+    """(values, F-ordered vectors) of a real symmetric tridiagonal matrix via dstevd.
+
+    The sub-diagonal is the lower one, the triangle np.linalg.eigh reads.
+    """
+    n = data.shape[0]
+    d = np.array(np.diagonal(data), dtype=float)
+    e = np.array(np.diagonal(data, -1), dtype=float)
+    z = np.empty((n, n), order="F")
+    dstevd = _bundled_dstevd()
+    info = dstevd(LAPACK_COL_MAJOR, b"V", n, d.ctypes.data, e.ctypes.data, z.ctypes.data, max(1, n))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed, info={info}")
+    return d, z
+
+
+def _is_tridiagonal(data: np.ndarray) -> bool:
+    """True when every entry off the three central diagonals is zero."""
+    return np.count_nonzero(data) == (np.count_nonzero(np.diagonal(data))
+                                      + np.count_nonzero(np.diagonal(data, -1))
+                                      + np.count_nonzero(np.diagonal(data, 1)))
+
+
 def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
-    """Full decomposition of a Hermitian matrix, values ascending, phases polarized."""
+    """Full decomposition of a Hermitian matrix, values ascending, phases polarized.
+
+    Real tridiagonal matrices go to dstevd, everything else to dense eigh.
+    Each column is polarized in place, so the vectors are one F-ordered
+    array, real for real input and complex otherwise.
+    """
     if isinstance(M, FiniteMatrix) and not M.hermitian:
         raise ValueError("hermitian_eigen needs a matrix with the hermitian flag set")
     data = _matrix_data(M)
-    vals, vecs = np.linalg.eigh(data)
-    vecs = np.array([polarize(vecs[:, i]) for i in range(vals.size)]).T
-    if not np.iscomplexobj(data):
-        vecs = np.real_if_close(vecs, tol=1)
+    real = not np.iscomplexobj(data)
+    if real and _bundled_dstevd() is not None and _is_tridiagonal(data):
+        vals, vecs = _tridiagonal_eigh(data)
+    else:
+        vals, vecs = np.linalg.eigh(data)
+        vecs = np.asfortranarray(vecs)
+    for i in range(vals.size):
+        u = polarize(vecs[:, i])
+        vecs[:, i] = u.real if real else u
     return EigenDecomposition(values=vals, vectors=vecs, source_dim=vals.size)
 
 

@@ -89,6 +89,18 @@ def test_reconstruct_external_matrix(tmp_path):
     assert summary["matrix_kind"] == "external"
 
 
+def test_reconstruct_refuses_non_finite_input(tmp_path, capsys):
+    mat_path = tmp_path / "nan.csv"
+    mat_path.write_text("2,nan\nnan,2\n")
+    for argv in (["--scenario", "ssh", "--s1", "nan"],
+                 ["--scenario", "external_matrix", "--matrix", str(mat_path)]):
+        out = tmp_path / "run"
+        assert main(["reconstruct", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix has ") and "non-finite (NaN or inf) entries" in err
+        assert not out.exists()
+
+
 def test_reconstruct_byte_identical_reruns(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -24,6 +24,24 @@ def test_finite_matrix_validation():
         m.data[0, 0] = 5.0  # immutable after construction
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_finite_matrix_rejects_non_finite_entries(bad):
+    data = np.eye(3, dtype=type(bad))
+    data[1, 2] = bad
+    for hermitian in (False, True):
+        with pytest.raises(ValueError, match=r"1 non-finite \(NaN or inf\) entries, "
+                                             r"the first at row 2, column 3"):
+            FiniteMatrix(data=data, hermitian=hermitian)
+
+
+def test_hermitian_test_is_relative_to_the_largest_entry():
+    FiniteMatrix(data=np.array([[1e6, 1e-11], [0.0, 1e6]]), hermitian=True)
+    with pytest.raises(ValueError, match=r"relative defect .* is 1e-06 \(tolerance 1e-12\)"):
+        FiniteMatrix(data=np.array([[1e6, 1.0], [0.0, 1e6]]), hermitian=True)
+    with pytest.raises(ValueError, match="relative defect"):  # below unit scale it stays absolute
+        FiniteMatrix(data=np.array([[1e-3, 1e-11], [0.0, 1e-3]]), hermitian=True)
+
+
 def test_toeplitz_monomer():
     T = toeplitz_matrix(MONOMER, 3)
     assert np.array_equal(T.data, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
@@ -262,6 +280,21 @@ def test_load_matrix_rejects_non_square(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,3\n4,5,6\n")
     with pytest.raises(ValueError):
+        load_matrix(path)
+
+
+def test_load_matrix_hermitian_flag_is_relative(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1000000.0,1e-11\n0,1000000.0\n")
+    assert load_matrix(path).hermitian
+    path.write_text("1000000.0,1.0\n0,1000000.0\n")
+    assert not load_matrix(path).hermitian
+
+
+def test_load_matrix_rejects_non_finite(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("2,nan\nnan,2\n")
+    with pytest.raises(ValueError, match=r"2 non-finite \(NaN or inf\) entries"):
         load_matrix(path)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bandrec import matrices, symbols, transform
+from bandrec import matrices, spectra, symbols, transform
 from bandrec.spectra import (concentration_check, degenerate_clusters, hermitian_eigen,
                              ipr_localized_flags, localization_metrics, near_far_split,
                              residual)
@@ -32,6 +32,88 @@ def test_hermitian_eigen_tridiagonal_closed_form():
         sine = sine / np.linalg.norm(sine)
         overlap = abs(np.vdot(sine, eig.vectors[:, i]))
         assert abs(overlap - 1.0) < 1e-12
+
+
+def _dense_reference(data):
+    """Dense eigh, then polarize every column: what the dstevd path must match bit for bit."""
+    vals, vecs = np.linalg.eigh(data)
+    vecs = np.array([transform.polarize(vecs[:, i]) for i in range(vals.size)]).T
+    return vals, (vecs if np.iscomplexobj(data) else vecs.real)
+
+
+def _dimer_chain(n):
+    """n sites with spacings alternating 1, 2 (the compact_defect scenario's base)."""
+    return matrices.chain_capacitance([1.0 if i % 2 else 2.0 for i in range(1, n)])
+
+
+def _compact_symmetrized(n):
+    return matrices.compact_perturbation(_dimer_chain(n), matrices.center_index(n),
+                                         -0.3).symmetrized
+
+
+def _chain_with_a_cut(n):
+    data = _dimer_chain(n).data.copy()
+    data[n // 2, n // 2 - 1] = data[n // 2 - 1, n // 2] = 0.0
+    return FiniteMatrix(data=data, hermitian=True)
+
+
+SSH = matrices.ssh_params_from_spacings(1.0, 2.0)
+TRIDIAGONAL = {
+    "single_site": lambda n: FiniteMatrix(data=np.array([[3.0]]), hermitian=True),
+    "ssh": lambda n: matrices.ssh_matrix(m=(n - 1) // 4, **SSH),
+    "dislocated": lambda n: matrices.dislocated_chain(1.0, 2.0, 4.0, n // 4),
+    "compact_symmetrized": _compact_symmetrized,
+    "capacitance_1d": lambda n: matrices.capacitance_1d(2.0, -1.0, -1.0, n),
+    "reducible": _chain_with_a_cut,
+}
+
+
+@pytest.mark.parametrize("family,n", [
+    ("single_site", 1),
+    *[("ssh", n) for n in (25, 161, 2001)],
+    *[("dislocated", n) for n in (24, 160, 2000)],
+    *[("compact_symmetrized", n) for n in (2, 25, 26, 161, 2001)],
+    *[("capacitance_1d", n) for n in (2, 25, 26, 161, 2001)],
+    ("reducible", 26),
+])
+def test_hermitian_eigen_tridiagonal_matches_dense_bitwise(family, n):
+    M = TRIDIAGONAL[family](n)
+    assert M.n == n
+    eig = hermitian_eigen(M)
+    vals, vecs = _dense_reference(M.data)
+    assert np.array_equal(eig.values, vals)
+    assert np.array_equal(eig.vectors, vecs)
+    assert eig.vectors.dtype == np.float64 and eig.vectors.flags.f_contiguous
+    assert eig.vectors.base is None or not np.iscomplexobj(eig.vectors.base)
+
+
+def test_hermitian_eigen_tridiagonal_skips_dense_eigh(monkeypatch):
+    if spectra._bundled_dstevd() is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no LAPACKE_dstevd")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigh called for a tridiagonal matrix")
+    M = TRIDIAGONAL["ssh"](161)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    eig = hermitian_eigen(M)
+    assert residual(M, float(eig.values[80]), eig.vectors[:, 80]) < 1e-12
+
+
+@pytest.mark.parametrize("M", [
+    matrices.toeplitz_matrix(symbols.banded_truncation(symbols.exponential_symbol(), 2), 20),
+    FiniteMatrix(data=np.diag([2.0, 2.0, 2.0]) + np.diag([1j, -0.5j], -1)
+                 + np.diag([-1j, 0.5j], 1), hermitian=True),
+], ids=["toeplitz_r_max_2", "complex_tridiagonal"])
+def test_hermitian_eigen_dense_path(monkeypatch, M):
+    def refuse(data):
+        raise AssertionError("dstevd called for a matrix it cannot solve")
+    monkeypatch.setattr(spectra, "_tridiagonal_eigh", refuse)
+    eig = hermitian_eigen(M)
+    vals, vecs = _dense_reference(M.data)
+    assert np.array_equal(eig.values, vals) and np.array_equal(eig.vectors, vecs)
+    assert eig.vectors.flags.f_contiguous
+    recon = (eig.vectors * eig.values) @ eig.vectors.conj().T
+    assert np.max(np.abs(recon - M.data)) < 1e-12
 
 
 def test_hermitian_eigen_reconstruction():
