@@ -34,6 +34,13 @@ def _merged(args, config, name, default=None):
     return config.get(name, default)
 
 
+def _number(name, value, kind):
+    try:  # a config file can hold any JSON value
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from exc
+
+
 def _parse_symbol_arg(arg: str) -> symbols.Symbol:
     builtin = {
         "monomer": lambda: symbols.nearest_neighbour_symbol(2.0, -1.0),
@@ -58,7 +65,7 @@ def _parse_formats(raw: str) -> tuple[str, ...]:
 def cmd_bands(args) -> int:
     config = _load_config(args.config)
     sym = _parse_symbol_arg(_merged(args, config, "symbol", "monomer"))
-    grid = int(_merged(args, config, "grid", 256))
+    grid = _number("grid", _merged(args, config, "grid", 256), int)
     outdir = Path(_merged(args, config, "out", "."))
     formats = _parse_formats(_merged(args, config, "format", "csv"))
     bs = symbols.band_functions(sym, grid)
@@ -86,19 +93,14 @@ def cmd_reconstruct(args) -> int:
     if not scenario:
         raise ValueError("reconstruct needs --scenario")
     cfg = {"scenario": scenario,
-           "grid": int(_merged(args, config, "grid", reconstruct.DEFAULT_GRID))}
-    for name in ("m", "n", "dimers_per_side", "index", "k"):
-        value = _merged(args, config, name)
-        if value is not None:
-            cfg[name] = int(value)
-    for name in ("a0", "a1", "am1", "s1", "s2", "d", "delta", "margin"):
-        value = _merged(args, config, name)
-        if value is not None:
-            cfg[name] = float(value)
-    for name in ("matrix", "symbol"):
-        value = _merged(args, config, name)
-        if value is not None:
-            cfg[name] = value
+           "grid": _number("grid", _merged(args, config, "grid", reconstruct.DEFAULT_GRID), int)}
+    for names, kind in ((("m", "n", "dimers_per_side", "index", "k"), int),
+                        (("a0", "a1", "am1", "s1", "s2", "d", "delta", "margin"), float),
+                        (("matrix", "symbol"), None)):
+        for name in names:
+            value = _merged(args, config, name)
+            if value is not None:
+                cfg[name] = value if kind is None else _number(name, value, kind)
     result = reconstruct.run_scenario(cfg)
     outdir = Path(_merged(args, config, "out", "."))
     formats = _parse_formats(_merged(args, config, "format", "csv,json"))

@@ -3,9 +3,10 @@
 Constructors for block Toeplitz sections and their circulant approximants,
 1D capacitance chains (zero row sums, corner-corrected), dimerized chains
 with a central pattern break, dislocated dimer chains, and single-site
-multiplicative perturbations.  Everything is dense; the sizes of interest
-stay in the low thousands.  Every FiniteMatrix refuses NaN and inf
-entries, and its Hermitian flag is checked relative to the largest entry.
+multiplicative perturbations.  Each is written once from whole arrays (its
+diagonals, or one block placement per symbol offset) into a dense matrix of
+low-thousands size, which FiniteMatrix validates once: no NaN or inf entries
+and a Hermitian flag checked relative to the largest entry.
 
 Indexing in documentation and file formats is 1-based to match the usual
 matrix displays; APIs translate internally.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import HERMITIAN_TOL, Symbol, symbol_from_dict
+from .symbols import HERMITIAN_TOL, Symbol, complex_from_parts, symbol_from_dict
 
 KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
          "dislocated", "perturbed", "external")
@@ -31,7 +32,6 @@ class FiniteMatrix:
     k: int = 1
     kind: str = "external"
     hermitian: bool = False
-    provenance: str = ""
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -56,10 +56,6 @@ class FiniteMatrix:
     def n(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def blocks(self) -> int:
-        return self.n // self.k
-
 
 def _finite_max_abs(data: np.ndarray) -> float:
     """max |A_ij|, refusing NaN and inf entries with their first (1-based) position."""
@@ -83,19 +79,37 @@ def _as_real_if_possible(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _tridiagonal(diag, upper, lower) -> np.ndarray:
+    """Dense real matrix with the given main, upper and lower diagonals, zero elsewhere."""
+    n = len(diag)
+    data = np.zeros((n, n))
+    flat = data.reshape(-1)  # a view: stepping n + 1 walks along a diagonal
+    flat[::n + 1] = diag
+    flat[1::n + 1] = upper
+    flat[n::n + 1] = lower
+    return data
+
+
+def _block_section(sym: Symbol, m: int, cyclic: bool) -> np.ndarray:
+    """mk x mk array with block (i, j) = a_s for j = i - s, taken mod m when cyclic."""
+    k = sym.k
+    data = np.zeros((m, k, m, k), dtype=complex)
+    rows = np.arange(m)
+    for s, block in sym.coeffs.items():
+        cols = rows - s
+        if cyclic:
+            data[rows, :, cols % m, :] = block
+        else:
+            inside = (cols >= 0) & (cols < m)
+            data[rows[inside], :, cols[inside], :] = block
+    return _as_real_if_possible(data.reshape(m * k, m * k))
+
+
 def toeplitz_matrix(sym: Symbol, m: int) -> FiniteMatrix:
     """mk x mk section with block (i, j) = a_{i-j}, zero outside the support."""
     if m < 1:
         raise ValueError(f"block count must be positive, got {m}")
-    k = sym.k
-    data = np.zeros((m * k, m * k), dtype=complex)
-    for s, block in sym.coeffs.items():
-        for i in range(m):
-            j = i - s
-            if 0 <= j < m:
-                data[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
-    return FiniteMatrix(data=_as_real_if_possible(data), k=k, kind="toeplitz",
-                        hermitian=True, provenance=f"toeplitz m={m} r_max={sym.r_max}")
+    return FiniteMatrix(data=_block_section(sym, m, cyclic=False), k=sym.k, kind="toeplitz", hermitian=True)
 
 
 def circulant_matrix(sym: Symbol, m: int) -> FiniteMatrix:
@@ -106,14 +120,7 @@ def circulant_matrix(sym: Symbol, m: int) -> FiniteMatrix:
     """
     if m <= 2 * sym.r_max:
         raise ValueError(f"circulant wraparound is ambiguous: need m > 2*r_max = {2 * sym.r_max}, got {m}")
-    k = sym.k
-    data = np.zeros((m * k, m * k), dtype=complex)
-    for s, block in sym.coeffs.items():
-        for i in range(m):
-            j = (i - s) % m
-            data[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
-    return FiniteMatrix(data=_as_real_if_possible(data), k=k, kind="circulant",
-                        hermitian=True, provenance=f"circulant m={m} r_max={sym.r_max}")
+    return FiniteMatrix(data=_block_section(sym, m, cyclic=True), k=sym.k, kind="circulant", hermitian=True)
 
 
 def capacitance_1d(a0: float, a1: float, am1: float, m: int) -> FiniteMatrix:
@@ -124,15 +131,21 @@ def capacitance_1d(a0: float, a1: float, am1: float, m: int) -> FiniteMatrix:
     """
     if m < 2:
         raise ValueError(f"chain needs at least 2 sites, got {m}")
-    data = np.zeros((m, m))
-    np.fill_diagonal(data, a0)
-    for i in range(m - 1):
-        data[i, i + 1] = a1
-        data[i + 1, i] = am1
-    data[0, 0] = a0 + am1
-    data[m - 1, m - 1] = a0 + a1
-    return FiniteMatrix(data=data, k=1, kind="capacitance1d", hermitian=(a1 == am1),
-                        provenance=f"capacitance1d a0={a0} a1={a1} am1={am1} m={m}")
+    diag = np.concatenate([[a0 + am1], np.full(m - 2, a0), [a0 + a1]])
+    return FiniteMatrix(data=_tridiagonal(diag, a1, am1), k=1, kind="capacitance1d",
+                        hermitian=(a1 == am1))
+
+
+def _chain_data(spacings) -> np.ndarray:
+    """Tridiagonal capacitance matrix of a spacing sequence (see chain_capacitance)."""
+    s = np.asarray(spacings, dtype=float)
+    if s.ndim != 1 or s.size < 1:
+        raise ValueError("need at least one spacing")
+    if np.any(s <= 0):
+        raise ValueError("spacings must be positive")
+    inv = 1.0 / s
+    diag = np.concatenate([inv[:1], inv[:-1] + inv[1:], inv[-1:]])
+    return _tridiagonal(diag, -inv, -inv)
 
 
 def chain_capacitance(spacings) -> FiniteMatrix:
@@ -142,22 +155,18 @@ def chain_capacitance(spacings) -> FiniteMatrix:
     existing neighbours, so row sums are exactly zero and the constant
     vector spans the kernel.
     """
-    s = np.asarray(spacings, dtype=float)
-    if s.ndim != 1 or s.size < 1:
-        raise ValueError("need at least one spacing")
-    if np.any(s <= 0):
-        raise ValueError("spacings must be positive")
-    n = s.size + 1
-    inv = 1.0 / s
-    data = np.zeros((n, n))
-    for i in range(n - 1):
-        data[i, i + 1] = data[i + 1, i] = -inv[i]
-    data[0, 0] = inv[0]
-    data[n - 1, n - 1] = inv[-1]
-    for i in range(1, n - 1):
-        data[i, i] = inv[i - 1] + inv[i]
-    return FiniteMatrix(data=data, k=1, kind="chain", hermitian=True,
-                        provenance=f"chain n={n}")
+    return FiniteMatrix(data=_chain_data(spacings), k=1, kind="chain", hermitian=True)
+
+
+def dimer_alternation(first: float, second: float, count: int) -> np.ndarray:
+    """first, second, first, ...: entry i (1-based) is first for odd i and second for even i."""
+    return np.where(np.arange(count) % 2 == 0, float(first), float(second))
+
+
+def _mirrored_alternation(first: float, second: float, m: int) -> np.ndarray:
+    """2m alternating entries from the left edge, then the same read back from the right."""
+    half = dimer_alternation(first, second, 2 * m)
+    return np.concatenate([half, half[::-1]])
 
 
 def ssh_spacing_sequence(s1: float, s2: float, m: int) -> list[float]:
@@ -168,11 +177,7 @@ def ssh_spacing_sequence(s1: float, s2: float, m: int) -> list[float]:
     """
     if s1 <= 0 or s2 <= 0:
         raise ValueError("spacings must be positive")
-    out = []
-    for i in range(1, 4 * m + 1):
-        ii = i if i <= 2 * m else 4 * m + 1 - i
-        out.append(s1 if ii % 2 == 1 else s2)
-    return out
+    return _mirrored_alternation(s1, s2, m).tolist()
 
 
 def ssh_params_from_spacings(s1: float, s2: float) -> dict[str, float]:
@@ -196,17 +201,12 @@ def ssh_matrix(alpha: float, alpha_tilde: float, eta: float,
     """
     if m < 1:
         raise ValueError(f"need at least one dimer per side, got {m}")
-    n = 4 * m + 1
-    data = np.zeros((n, n))
-    np.fill_diagonal(data, alpha)
-    data[0, 0] = data[n - 1, n - 1] = alpha_tilde
-    data[2 * m, 2 * m] = eta
-    for i in range(1, n):  # coupling i joins sites i, i+1 (1-based)
-        ii = i if i <= 2 * m else n - i
-        b = beta1 if ii % 2 == 1 else beta2
-        data[i - 1, i] = data[i, i - 1] = b
-    return FiniteMatrix(data=data, k=2, kind="ssh", hermitian=True,
-                        provenance=f"ssh m={m} alpha={alpha} eta={eta} beta1={beta1} beta2={beta2}")
+    diag = np.full(4 * m + 1, alpha, dtype=float)
+    diag[[0, -1]] = alpha_tilde
+    diag[2 * m] = eta
+    couplings = _mirrored_alternation(beta1, beta2, m)
+    return FiniteMatrix(data=_tridiagonal(diag, couplings, couplings), k=2, kind="ssh",
+                        hermitian=True)
 
 
 def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side: int) -> list[float]:
@@ -221,16 +221,14 @@ def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side:
         raise ValueError("spacings must be positive")
     if dimers_per_side < 1:
         raise ValueError("need at least one dimer per side")
-    n = 4 * dimers_per_side
-    out = [s1 if i % 2 == 1 else s2 for i in range(1, n)]
+    out = dimer_alternation(s1, s2, 4 * dimers_per_side - 1)
     out[2 * dimers_per_side] = d
-    return out
+    return out.tolist()
 
 
 def dislocated_chain(s1: float, s2: float, d: float, dimers_per_side: int) -> FiniteMatrix:
-    base = chain_capacitance(dislocated_spacing_sequence(s1, s2, d, dimers_per_side))
-    return FiniteMatrix(data=base.data, k=2, kind="dislocated", hermitian=True,
-                        provenance=f"dislocated s1={s1} s2={s2} d={d} dps={dimers_per_side}")
+    data = _chain_data(dislocated_spacing_sequence(s1, s2, d, dimers_per_side))
+    return FiniteMatrix(data=data, k=2, kind="dislocated", hermitian=True)
 
 
 def center_index(n: int) -> int:
@@ -278,17 +276,17 @@ def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> Perturbed
         raise ValueError(f"index {index} out of range 1..{n}")
     if 1.0 + delta <= 0.0:
         raise ValueError(f"need 1 + delta > 0, got delta = {delta}")
-    b = np.ones(n)
-    b[index - 1] = 1.0 + delta
-    bc = b[:, None] * C.data
-    half = np.sqrt(b)
-    sym = half[:, None] * C.data * half[None, :]
-    sym = (sym + sym.conj().T) / 2.0  # kill rounding asymmetry
-    prov = f"perturbed base=({C.provenance}) index={index} delta={delta}"
+    row, root = index - 1, math.sqrt(1.0 + delta)
+    bc = np.array(C.data, dtype=np.result_type(C.data.dtype, np.float64))
+    sym = bc.copy()
+    bc[row] *= 1.0 + delta
+    sym[row] *= root
+    sym[:, row] *= root
+    if not np.array_equal(sym, sym.conj().T):  # a base that is Hermitian only to tolerance
+        sym = (sym + sym.conj().T) / 2.0
     return PerturbedPair(
-        bc=FiniteMatrix(data=bc, k=C.k, kind="perturbed", hermitian=False, provenance=prov),
-        symmetrized=FiniteMatrix(data=sym, k=C.k, kind="perturbed", hermitian=C.hermitian,
-                                 provenance=prov + " symmetrized"),
+        bc=FiniteMatrix(data=bc, k=C.k, kind="perturbed", hermitian=False),
+        symmetrized=FiniteMatrix(data=sym, k=C.k, kind="perturbed", hermitian=C.hermitian),
         index=index, delta=delta)
 
 
@@ -307,39 +305,23 @@ def save_matrix(mat: FiniteMatrix, path) -> None:
             fh.write("\n")
 
 
-def _parse_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([complex(tok.strip()) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
-    return np.asarray(rows, dtype=complex)
-
-
 def load_matrix(path, k: int = 1) -> FiniteMatrix:
     """Read a dense matrix from CSV or from a JSON {"re": ..., "im": ...} object."""
     with open(path, encoding="utf-8") as fh:
-        head = fh.read(64).lstrip()
-    if head.startswith("{"):
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-        data = re + 1j * im
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        data = complex_from_parts(json.loads(text), str(path))
     else:
-        data = _parse_matrix_csv(path)
+        rows = [[complex(tok.strip()) for tok in line.split(",")] for line in text.split("\n") if line.strip()]
+        if not rows:
+            raise ValueError(f"{path}: empty matrix file")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError(f"{path}: ragged rows")
+        data = np.asarray(rows, dtype=complex)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"{path}: matrix is not square, shape {data.shape}")
     hermitian = _relative_hermitian_defect(data, _finite_max_abs(data)) <= HERMITIAN_TOL
-    return FiniteMatrix(data=_as_real_if_possible(data), k=k, kind="external",
-                        hermitian=hermitian, provenance=f"loaded from {path}")
+    return FiniteMatrix(data=_as_real_if_possible(data), k=k, kind="external", hermitian=hermitian)
 
 
 def build_matrix(descriptor: dict) -> FiniteMatrix | PerturbedPair:

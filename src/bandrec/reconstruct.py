@@ -189,7 +189,7 @@ def tridiagonal_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
     q = np.arange(1, m + 1)
     vecs = np.sin(np.outer(q, theta)) * np.sqrt(2.0 / (m + 1))
     order = np.argsort(vals, kind="stable")
-    return EigenDecomposition(values=vals[order], vectors=vecs[:, order], source_dim=m)
+    return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
 
 
 def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecomposition:
@@ -207,7 +207,7 @@ def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
     vecs = np.cos(np.outer(q - 0.5, s * np.pi / m))
     vecs /= np.linalg.norm(vecs, axis=0)
     order = np.argsort(vals, kind="stable")
-    return EigenDecomposition(values=vals[order], vectors=vecs[:, order], source_dim=m)
+    return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +294,7 @@ def _scenario_setup(name: str, params: dict):
         s2 = float(p.setdefault("s2", 2.0))
         n = int(p.setdefault("n", 80))
         delta = float(p.setdefault("delta", 0.5))
-        spacings = [s1 if i % 2 == 1 else s2 for i in range(1, n)]
-        base = matrices.chain_capacitance(spacings)
+        base = matrices.chain_capacitance(matrices.dimer_alternation(s1, s2, n - 1))
         index = int(p.setdefault("index", matrices.center_index(n)))
         pair = matrices.compact_perturbation(base, index, delta)
         return pair, symbols.dimer_symbol(s1, s2), 2, p

@@ -36,7 +36,6 @@ class EigenDecomposition:
 
     values: np.ndarray    # (n,) real, ascending
     vectors: np.ndarray   # (n, n) complex or real, column i pairs with values[i]
-    source_dim: int
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -111,7 +110,7 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     for i in range(vals.size):
         u = polarize(vecs[:, i])
         vecs[:, i] = u.real if real else u
-    return EigenDecomposition(values=vals, vectors=vecs, source_dim=vals.size)
+    return EigenDecomposition(values=vals, vectors=vecs)
 
 
 def residual(M, lam: float, u) -> float:

@@ -57,13 +57,18 @@ class Symbol:
             block = np.asarray(block, dtype=complex)
             if block.shape != (self.k, self.k):
                 raise ValueError(f"coefficient block at offset {s} has shape {block.shape}, expected {(self.k, self.k)}")
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"coefficient block at offset {s} has non-finite (NaN or inf) entries")
             block.setflags(write=False)
             clean[int(s)] = block
+        scale = max((float(np.max(np.abs(b))) for b in clean.values()), default=0.0)
         for s, block in clean.items():
             if -s not in clean:
                 raise ValueError(f"support is not symmetric: offset {s} present but {-s} missing")
-            if np.max(np.abs(clean[-s] - block.conj().T)) > HERMITIAN_TOL:
-                raise ValueError(f"non-Hermitian symbol: a_{-s} != a_{s}^* beyond tolerance")
+            defect = float(np.max(np.abs(clean[-s] - block.conj().T))) / max(1.0, scale)
+            if defect > HERMITIAN_TOL:
+                raise ValueError(f"non-Hermitian symbol: a_{-s} != a_{s}^* with relative defect "
+                                 f"{defect:g} (tolerance {HERMITIAN_TOL:g})")
         object.__setattr__(self, "coeffs", clean)
 
     @property
@@ -107,8 +112,9 @@ class BandStructure:
     def values_at(self, alpha) -> np.ndarray:
         """Piecewise-linear interpolation of every band at |alpha| in [0, pi].
 
-        Uses the symmetry lambda_p(alpha) = lambda_p(-alpha) and closes the
-        grid at pi with the value at -pi.
+        Uses lambda_p(alpha) = lambda_p(-alpha) and closes the grid at pi with
+        the value at alphas[0] (-pi for even m, -(m-1)pi/m for odd m): either
+        way this is the 2 pi-periodic linear interpolant of the grid at |alpha|.
         """
         a = np.abs(np.atleast_1d(np.asarray(alpha, dtype=float)))
         nonneg = self.alphas >= 0.0
@@ -253,12 +259,8 @@ def cell_chain_symbol(spacings) -> Symbol:
     s = [float(x) for x in spacings]
     if not s or any(x <= 0 for x in s):
         raise ValueError("need a nonempty list of positive spacings")
-    k = len(s)
-    a0 = np.zeros((k, k))
-    for i in range(k):
-        a0[i, i] = 1.0 / s[i - 1] + 1.0 / s[i % k]
-    for i in range(k - 1):
-        a0[i, i + 1] = a0[i + 1, i] = -1.0 / s[i]
+    k, inv = len(s), 1.0 / np.array(s)
+    a0 = np.diag(np.roll(inv, 1) + inv) - np.diag(inv[:-1], 1) - np.diag(inv[:-1], -1)
     am1 = np.zeros((k, k))
     am1[k - 1, 0] = -1.0 / s[-1]  # last cell site couples into the next cell
     return Symbol(k=k, coeffs={0: a0, 1: am1.T.copy(), -1: am1})
@@ -291,16 +293,31 @@ def symbol_to_dict(sym: Symbol) -> dict:
     return {"k": sym.k, "coeffs": entries}
 
 
+def complex_from_parts(obj, where: str) -> np.ndarray:
+    """re + 1j im from a {"re": ..., "im": ...} object; im defaults to zero, else must match re."""
+    if not isinstance(obj, dict) or "re" not in obj:
+        raise ValueError(f"{where}: expected an object with an 're' array")
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    if im.shape != re.shape:
+        raise ValueError(f"{where}: 'im' has shape {im.shape} but 're' has shape {re.shape}")
+    return re + 1j * im
+
+
 def symbol_from_dict(data: dict) -> Symbol:
     try:
         k = int(data["k"])
         coeffs = {}
         for entry in data["coeffs"]:
-            re = np.asarray(entry["re"], dtype=float)
-            im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=float)
-            coeffs[int(entry["s"])] = re + 1j * im
-    except (KeyError, TypeError) as exc:
+            s = int(entry["s"])
+            coeffs[s] = complex_from_parts(entry, f"coefficient block at offset {s}")
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed symbol description: {exc}") from exc
+    if not coeffs:  # k alone would size every later array
+        raise ValueError("malformed symbol description: no coefficient blocks")
     return Symbol(k=k, coeffs=coeffs)
 
 

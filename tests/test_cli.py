@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandrec import symbols
 from bandrec.cli import main
@@ -48,6 +53,84 @@ def test_bands_malformed_symbol(tmp_path, capsys):
     code = main(["bands", "--symbol", str(bad), "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bands_refuses_non_finite_symbol(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["bands", "--symbol", '{"k":1,"coeffs":[{"s":0,"re":[[NaN]]}]}',
+                 "--grid", "16", "--out", str(out)])
+    assert code == 1
+    assert "offset 0 has non-finite (NaN or inf) entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_refuses_json_matrix_without_re(tmp_path, capsys):
+    mat_path = tmp_path / "m.json"
+    mat_path.write_text('{"im": [[0.0]]}')
+    out = tmp_path / "run"
+    code = main(["reconstruct", "--scenario", "external_matrix", "--matrix", str(mat_path),
+                 "--out", str(out)])
+    assert code == 1
+    assert "expected an object with an 're' array" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mismatched_imaginary_part_is_refused(tmp_path, capsys):
+    mat_path = tmp_path / "m.json"
+    mat_path.write_text('{"re": [[1, 0], [0, 1]], "im": [[0.0]]}')
+    out = tmp_path / "run"
+    code = main(["reconstruct", "--scenario", "external_matrix", "--matrix", str(mat_path),
+                 "--out", str(out)])
+    assert code == 1
+    assert "'im' has shape (1, 1) but 're' has shape (2, 2)" in capsys.readouterr().err
+    code = main(["bands", "--symbol", '{"k": 1, "coeffs": [{"s": 0, "re": [[2]], "im": [0, 0]}]}',
+                 "--out", str(out)])
+    assert code == 1
+    assert "'im' has shape (2,) but 're' has shape (1, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_refuses_non_integer_config_value(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "ssh", "dimers_per_side": [3]}))
+    out = tmp_path / "run"
+    code = main(["reconstruct", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert "dimers_per_side must be an integer, got [3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _exit_code_of(argv):
+    """Run the CLI quietly; an exception other than the handled ones fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["re", "im", "k", "s", "coeffs"]), inner, max_size=4),
+    max_leaves=12)
+INPUT_TEXT = st.text(max_size=80) | JSON_VALUES.map(json.dumps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(INPUT_TEXT)
+def test_arbitrary_matrix_file_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matrix.txt"
+        path.write_text(text, encoding="utf-8")
+        code = _exit_code_of(["reconstruct", "--scenario", "external_matrix",
+                              "--matrix", str(path), "--out", str(Path(tmp) / "run")])
+    assert code in (0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(INPUT_TEXT)
+def test_arbitrary_symbol_argument_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _exit_code_of(["bands", f"--symbol={text}", "--grid", "16", "--out", tmp])
+    assert code in (0, 1)
 
 
 def test_reconstruct_periodic_nn(tmp_path):

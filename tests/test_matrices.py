@@ -48,12 +48,33 @@ def test_toeplitz_monomer():
     assert T.hermitian and T.kind == "toeplitz"
 
 
+def _complex_k2_symbol():
+    rng = np.random.default_rng(11)
+    coeffs = {}
+    for s in range(3):
+        block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        coeffs[s] = (block + block.conj().T) / 2 if s == 0 else block
+        coeffs[-s] = coeffs[s].conj().T
+    return symbols.Symbol(k=2, coeffs=coeffs)
+
+
 def test_toeplitz_dimer_block_fill():
     T = toeplitz_matrix(DIMER, 2)
     assert T.data.shape == (4, 4)
     assert np.allclose(T.data[0:2, 0:2], DIMER.coeffs[0])
     assert np.allclose(T.data[0:2, 2:4], DIMER.coeffs[-1])
     assert np.allclose(T.data[2:4, 0:2], DIMER.coeffs[1])
+
+    sym, m = _complex_k2_symbol(), 7  # k = 2, r_max = 2
+    zero = np.zeros((2, 2))
+    T, C = toeplitz_matrix(sym, m).data, circulant_matrix(sym, m).data
+    for i in range(m):
+        for j in range(m):
+            rows, cols = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
+            assert np.array_equal(T[rows, cols], sym.coeffs.get(i - j, zero))
+            wrapped = (i - j) % m
+            offset = wrapped if wrapped <= sym.r_max else wrapped - m
+            assert np.array_equal(C[rows, cols], sym.coeffs.get(offset, zero))
 
 
 def test_toeplitz_tridiagonal_eigenvalues():
@@ -113,6 +134,13 @@ def test_chain_capacitance_uniform_matches_capacitance_1d():
 def test_chain_capacitance_spacings():
     M = chain_capacitance([1.0, 2.0])
     assert np.allclose(M.data, [[1, -1, 0], [-1, 1.5, -0.5], [0, -0.5, 0.5]])
+    spacings = np.random.default_rng(24).uniform(0.3, 3.0, size=25)
+    ref = np.zeros((26, 26))
+    for i, inv in enumerate(1.0 / spacings):  # site loop as the reference
+        ref[i, i + 1] = ref[i + 1, i] = -inv
+        ref[i, i] += inv
+        ref[i + 1, i + 1] += inv
+    assert np.array_equal(chain_capacitance(spacings).data, ref)
     with pytest.raises(ValueError):
         chain_capacitance([1.0, -2.0])
 
@@ -151,11 +179,20 @@ def test_ssh_matrix_persymmetric():
         assert np.array_equal(M, M[::-1, ::-1].T)
 
 
+def _alternating_spacings(s1, s2, count):
+    return [s1 if i % 2 == 1 else s2 for i in range(1, count + 1)]
+
+
 def test_ssh_matrix_matches_spacing_construction():
-    params = ssh_params_from_spacings(1.0, 2.0)
-    M = ssh_matrix(m=6, **params)
-    C = chain_capacitance(ssh_spacing_sequence(1.0, 2.0, 6))
-    assert np.allclose(M.data, C.data)
+    rng = np.random.default_rng(21)
+    cases = [(1.0, 2.0, 6)] + [(*rng.uniform(0.2, 5.0, size=2), int(rng.integers(1, 40)))
+                               for _ in range(8)]
+    for s1, s2, m in cases:
+        M = ssh_matrix(m=m, **ssh_params_from_spacings(s1, s2))
+        seq = ssh_spacing_sequence(s1, s2, m)
+        half = _alternating_spacings(s1, s2, 2 * m)
+        assert np.array_equal(seq, half + half[::-1])
+        assert np.array_equal(M.data, chain_capacitance(seq).data)
 
 
 def test_ssh_dimerized_has_one_gap_eigenvalue():
@@ -166,9 +203,14 @@ def test_ssh_dimerized_has_one_gap_eigenvalue():
 
 
 def test_dislocated_chain_reduces_at_d_equals_s1():
-    base = chain_capacitance([1.0 if i % 2 == 1 else 2.0 for i in range(1, 12)])
-    M = dislocated_chain(1.0, 2.0, 1.0, 3)
-    assert np.allclose(M.data, base.data)
+    rng = np.random.default_rng(22)
+    cases = [(1.0, 2.0, 3)] + [(*rng.uniform(0.2, 5.0, size=2), int(rng.integers(1, 40)))
+                               for _ in range(8)]
+    for s1, s2, dps in cases:
+        base = chain_capacitance(_alternating_spacings(s1, s2, 4 * dps - 1))
+        M = dislocated_chain(s1, s2, s1, dps)
+        assert np.array_equal(M.data, base.data)
+        assert M.kind == "dislocated" and M.k == 2
 
 
 def test_dislocated_chain_counts():
@@ -205,6 +247,26 @@ def test_compact_perturbation_similar_spectra():
     s_sym = np.sort(np.linalg.eigvalsh(pair.symmetrized.data))
     assert np.max(np.abs(s_bc - s_sym)) < 1e-10
     assert not pair.bc.hermitian and pair.symmetrized.hermitian
+
+
+@pytest.mark.parametrize("base", ["chain", "real", "complex", "hermitian_to_tolerance"])
+def test_compact_perturbation_touches_only_the_defect_row(base):
+    rng = np.random.default_rng(23)
+    n, index, delta = 30, 11, 0.7
+    if base == "chain":
+        C = chain_capacitance(rng.uniform(0.5, 2.0, size=n - 1))
+    else:
+        A = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if base != "real" else 0.0)
+        H = (A + A.conj().T) / 2
+        if base == "hermitian_to_tolerance":
+            H = H + 1e-14 * rng.normal(size=(n, n))
+        C = FiniteMatrix(data=H, hermitian=True)
+    pair = compact_perturbation(C, index, delta)
+    sym = pair.symmetrized.data
+    assert np.array_equal(sym, sym.conj().T)
+    others = np.arange(n) != index - 1
+    assert np.array_equal(pair.bc.data[others], C.data[others])
+    assert np.array_equal(pair.bc.data[index - 1], (1.0 + delta) * C.data[index - 1])
 
 
 def test_compact_perturbation_eigenvector_map():

@@ -45,6 +45,20 @@ def test_symbol_rejects_non_hermitian():
         Symbol(k=1, coeffs={0: [[1.0]], 1: [[1.0]], -1: [[2.0]]})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_symbol_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="offset -1 has non-finite"):
+        Symbol(k=1, coeffs={0: [[2.0]], 1: [[-1.0]], -1: [[bad]]})
+
+
+def test_symbol_hermitian_test_is_relative_to_the_largest_coefficient():
+    Symbol(k=1, coeffs={0: [[1e6]], 1: [[1.0 + 1e-11]], -1: [[1.0]]})
+    with pytest.raises(ValueError, match=r"relative defect 1e-06 \(tolerance 1e-12\)"):
+        Symbol(k=1, coeffs={0: [[1e6]], 1: [[2.0]], -1: [[1.0]]})
+    with pytest.raises(ValueError, match="relative defect"):  # below unit scale it stays absolute
+        Symbol(k=1, coeffs={0: [[1e-3]], 1: [[1e-11]], -1: [[0.0]]})
+
+
 def test_symbol_rejects_asymmetric_support():
     with pytest.raises(ValueError):
         Symbol(k=1, coeffs={0: [[1.0]], 1: [[1.0]]})
@@ -97,6 +111,16 @@ def test_band_functions_eigenvectors_unit_and_polarized():
             assert abs(np.linalg.norm(u) - 1.0) < 1e-12
             pivot = u[0] if abs(u[0]) >= 1e-8 else u[np.argmax(np.abs(u))]
             assert pivot.real > 0 and abs(pivot.imag) < 1e-10
+
+
+@pytest.mark.parametrize("m", [5, 17, 33, 64])
+@pytest.mark.parametrize("spacings", [[1.0], [1.0, 2.0], [1.0, 2.0, 0.5]])
+def test_values_at_is_the_periodic_interpolant_of_the_grid(m, spacings):
+    bs = band_functions(cell_chain_symbol(spacings), m)
+    rng = np.random.default_rng(m)
+    alphas = np.concatenate([rng.uniform(-np.pi, np.pi, 200), bs.alphas, [-np.pi, 0.0, np.pi]])
+    expect = [np.interp(np.abs(alphas), bs.alphas, band, period=2.0 * np.pi) for band in bs.values]
+    assert np.array_equal(bs.values_at(alphas), expect)
 
 
 def test_band_derivative_matches_analytic():
@@ -201,6 +225,10 @@ def test_symbol_dict_format():
 def test_symbol_from_dict_rejects_garbage():
     with pytest.raises(ValueError):
         symbol_from_dict({"coeffs": "nope"})
+    with pytest.raises(ValueError, match=r"'im' has shape \(1, 1\) but 're' has shape \(2, 2\)"):
+        symbol_from_dict({"k": 2, "coeffs": [{"s": 0, "re": [[1, 0], [0, 1]], "im": [[0.0]]}]})
+    with pytest.raises(ValueError, match="no coefficient blocks"):
+        symbol_from_dict({"k": 10 ** 6, "coeffs": []})
 
 
 def test_exponential_tail_model():
