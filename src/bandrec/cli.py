@@ -41,21 +41,15 @@ def _number(name, value, kind):
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from exc
 
 
-def _parse_symbol_arg(arg: str) -> symbols.Symbol:
-    builtin = {
-        "monomer": lambda: symbols.nearest_neighbour_symbol(2.0, -1.0),
-        "dimer": lambda: symbols.dimer_symbol(1.0, 2.0),
-        "exponential": symbols.exponential_symbol,
-    }
-    if arg in builtin:
-        return builtin[arg]()
-    if arg.lstrip().startswith("{"):
-        return symbols.symbol_from_dict(json.loads(arg))
-    return symbols.load_symbol(arg)
+def _text(name, value, inline=False):
+    """A string from a flag or a config file (any JSON value); with inline=True also an object."""
+    if isinstance(value, str) or (inline and isinstance(value, dict)):
+        return value
+    raise ValueError(f"{name} must be a string{' or an object' if inline else ''}, got {value!r}")
 
 
-def _parse_formats(raw: str) -> tuple[str, ...]:
-    formats = tuple(f.strip() for f in raw.split(",") if f.strip())
+def _parse_formats(raw) -> tuple[str, ...]:
+    formats = tuple(f.strip() for f in _text("format", raw).split(",") if f.strip())
     unknown = set(formats) - {"csv", "json", "svg"}
     if unknown:
         raise ValueError(f"unknown output formats: {sorted(unknown)}")
@@ -64,9 +58,9 @@ def _parse_formats(raw: str) -> tuple[str, ...]:
 
 def cmd_bands(args) -> int:
     config = _load_config(args.config)
-    sym = _parse_symbol_arg(_merged(args, config, "symbol", "monomer"))
+    sym = symbols.symbol_from_source(_text("symbol", _merged(args, config, "symbol", "monomer"), inline=True))
     grid = _number("grid", _merged(args, config, "grid", 256), int)
-    outdir = Path(_merged(args, config, "out", "."))
+    outdir = Path(_text("out", _merged(args, config, "out", ".")))
     formats = _parse_formats(_merged(args, config, "format", "csv"))
     bs = symbols.band_functions(sym, grid)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -95,15 +89,18 @@ def cmd_reconstruct(args) -> int:
     cfg = {"scenario": scenario,
            "grid": _number("grid", _merged(args, config, "grid", reconstruct.DEFAULT_GRID), int)}
     for names, kind in ((("m", "n", "dimers_per_side", "index", "k"), int),
-                        (("a0", "a1", "am1", "s1", "s2", "d", "delta", "margin"), float),
-                        (("matrix", "symbol"), None)):
+                        (("a0", "a1", "am1", "s1", "s2", "d", "delta", "margin"), float)):
         for name in names:
             value = _merged(args, config, name)
             if value is not None:
-                cfg[name] = value if kind is None else _number(name, value, kind)
-    result = reconstruct.run_scenario(cfg)
-    outdir = Path(_merged(args, config, "out", "."))
+                cfg[name] = _number(name, value, kind)
+    for name in ("matrix", "symbol"):
+        value = _merged(args, config, name)
+        if value is not None:
+            cfg[name] = _text(name, value, inline=(name == "symbol"))
+    outdir = Path(_text("out", _merged(args, config, "out", ".")))
     formats = _parse_formats(_merged(args, config, "format", "csv,json"))
+    result = reconstruct.run_scenario(cfg)
     written = outputs.write_bundle(result, outdir, formats)
     for path in written:
         print(f"wrote {path}")
@@ -119,14 +116,16 @@ def cmd_transform(args) -> int:
     vec_path = _merged(args, config, "vector")
     if not vec_path:
         raise ValueError("transform needs --vector")
-    k = int(_merged(args, config, "k", 1))
-    u = outputs.read_vector_csv(vec_path)
+    k = _number("k", _merged(args, config, "k", 1), int)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    u = outputs.read_vector_csv(_text("vector", vec_path))
     norm = np.linalg.norm(u)
     if norm == 0:
         raise ValueError("vector is zero")
     u = transform.zero_pad(u / norm, k)
     alphas, masses = transform.projection_profile(u, k)
-    outdir = Path(_merged(args, config, "out", "."))
+    outdir = Path(_text("out", _merged(args, config, "out", ".")))
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "transform.csv"
     outputs.write_transform_csv(alphas, masses, out_path)
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--delta", type=float, help="compact defect strength")
     p_rec.add_argument("--margin", type=float, help="gap detection margin")
     p_rec.add_argument("--matrix", help="matrix CSV/JSON path (external_matrix)")
-    p_rec.add_argument("--symbol", help="reference symbol JSON path")
+    p_rec.add_argument("--symbol", help="reference symbol JSON file, inline JSON, or builtin name")
     add_common(p_rec)
     p_rec.set_defaults(fn=cmd_reconstruct)
 

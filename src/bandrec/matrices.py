@@ -3,10 +3,13 @@
 Constructors for block Toeplitz sections and their circulant approximants,
 1D capacitance chains (zero row sums, corner-corrected), dimerized chains
 with a central pattern break, dislocated dimer chains, and single-site
-multiplicative perturbations.  Each is written once from whole arrays (its
-diagonals, or one block placement per symbol offset) into a dense matrix of
-low-thousands size, which FiniteMatrix validates once: no NaN or inf entries
-and a Hermitian flag checked relative to the largest entry.
+multiplicative perturbations.  The chains are tridiagonal and are kept as
+their three diagonals, validated on those O(n) entries; the Toeplitz and
+circulant sections (one block placement per symbol offset) and external
+files are dense and validated over all n^2 entries.  Either way FiniteMatrix
+validates once: no NaN or inf entries and a Hermitian flag checked relative
+to the largest entry.  Which form a matrix has decides its eigensolver (see
+spectra); a chain writes its dense array only when something reads `data`.
 
 Indexing in documentation and file formats is 1-based to match the usual
 matrix displays; APIs translate internally.
@@ -14,63 +17,94 @@ matrix displays; APIs translate internally.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import HERMITIAN_TOL, Symbol, complex_from_parts, symbol_from_dict
+from .symbols import HERMITIAN_TOL, Symbol, complex_from_parts
 
 KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
          "dislocated", "perturbed", "external")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteMatrix:
-    data: np.ndarray
-    k: int = 1
-    kind: str = "external"
-    hermitian: bool = False
+    """A validated square matrix with its block size, kind and Hermitian flag.
 
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {data.shape}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
-        if self.kind in ("toeplitz", "circulant") and data.shape[0] % self.k != 0:
-            raise ValueError(f"size {data.shape[0]} is not a multiple of block size {self.k}")
-        scale = _finite_max_abs(data)
-        if self.hermitian:
-            defect = _relative_hermitian_defect(data, scale)
-            if defect > HERMITIAN_TOL:
-                raise ValueError(f"hermitian flag set but the relative defect "
-                                 f"max|A - A^H| / max(1, max|A|) is {defect:g} "
-                                 f"(tolerance {HERMITIAN_TOL:g})")
-        data = data.copy()
+    Built dense, FiniteMatrix(data=A, ...), or from its three diagonals,
+    FiniteMatrix(diagonals=(diag, upper, lower), ...), with upper[i] the
+    entry (i, i+1) and lower[i] the entry (i+1, i).  `diagonals` is set
+    exactly when the matrix is real and tridiagonal: a dense real matrix
+    whose nonzeros all lie on its three central diagonals records them.  A
+    matrix built from its diagonals writes `data` on first read.  All arrays
+    are read-only.
+    """
+
+    n: int
+    k: int
+    kind: str
+    hermitian: bool
+    diagonals: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+    def __init__(self, data=None, k=1, kind="external", hermitian=False, *, diagonals=None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown matrix kind {kind!r}")
+        if diagonals is None:
+            data = np.array(data)
+            if data.ndim != 2 or data.shape[0] != data.shape[1]:
+                raise ValueError(f"matrix must be square, got shape {data.shape}")
+            scale, asym = _finite_max_abs(data), (data - data.conj().T if hermitian else None)
+            self.__dict__["data"] = data
+            if not np.iscomplexobj(data) and np.count_nonzero(data) == sum(
+                    np.count_nonzero(np.diagonal(data, o)) for o in (-1, 0, 1)):  # tridiagonal
+                diagonals = tuple(np.diagonal(data, o) for o in (0, 1, -1))
+        else:
+            diag, upper, lower = diagonals = tuple(np.array(x, dtype=float) for x in diagonals)
+            band = np.zeros((diag.size, 3))  # row i holds the entries (i, i-1), (i, i), (i, i+1)
+            band[1:, 0], band[:, 1], band[:-1, 2] = lower, diag, upper
+            scale, asym = _finite_max_abs(band, band=True), upper - lower
+        if hermitian and (defect := _relative_defect(asym, scale)) > HERMITIAN_TOL:
+            raise ValueError(f"hermitian flag set but the relative defect "
+                             f"max|A - A^H| / max(1, max|A|) is {defect:g} "
+                             f"(tolerance {HERMITIAN_TOL:g})")
+        n = data.shape[0] if data is not None else diagonals[0].size
+        if kind in ("toeplitz", "circulant") and n % k != 0:
+            raise ValueError(f"size {n} is not a multiple of block size {k}")
+        for x in (data, *(diagonals or ())):
+            if x is not None:
+                x.setflags(write=False)
+        self.__dict__.update(n=n, k=k, kind=kind, hermitian=hermitian, diagonals=diagonals)
+
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        """The dense array, written from the diagonals on first read when built from them."""
+        data = _tridiagonal(*self.diagonals)
         data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
+        return data
 
 
-def _finite_max_abs(data: np.ndarray) -> float:
-    """max |A_ij|, refusing NaN and inf entries with their first (1-based) position."""
-    scale = float(np.max(np.abs(data), initial=0.0))
+def _finite_max_abs(entries: np.ndarray, band: bool = False) -> float:
+    """max |A_ij|, refusing NaN and inf entries with their first (1-based) position.
+
+    entries is A itself or, with band=True, its n x 3 band layout (see
+    FiniteMatrix); either way row-major order is A's.
+    """
+    scale = float(np.max(np.abs(entries), initial=0.0))
     if not math.isfinite(scale):
-        bad = ~np.isfinite(data)
-        i, j = np.argwhere(bad)[0] + 1
+        bad = ~np.isfinite(entries)
+        i, j = np.argwhere(bad)[0]
+        j += i - 1 if band else 0
         raise ValueError(f"matrix has {np.count_nonzero(bad)} non-finite (NaN or inf) "
-                         f"entries, the first at row {i}, column {j}")
+                         f"entries, the first at row {i + 1}, column {j + 1}")
     return scale
 
 
-def _relative_hermitian_defect(data: np.ndarray, scale: float) -> float:
+def _relative_defect(asym: np.ndarray, scale: float) -> float:
     """max |A - A^H| relative to max(1, max |A_ij|), so the test does not depend on units."""
-    return float(np.max(np.abs(data - data.conj().T), initial=0.0)) / max(1.0, scale)
+    return float(np.max(np.abs(asym), initial=0.0)) / max(1.0, scale)
 
 
 def _as_real_if_possible(a: np.ndarray) -> np.ndarray:
@@ -132,12 +166,12 @@ def capacitance_1d(a0: float, a1: float, am1: float, m: int) -> FiniteMatrix:
     if m < 2:
         raise ValueError(f"chain needs at least 2 sites, got {m}")
     diag = np.concatenate([[a0 + am1], np.full(m - 2, a0), [a0 + a1]])
-    return FiniteMatrix(data=_tridiagonal(diag, a1, am1), k=1, kind="capacitance1d",
-                        hermitian=(a1 == am1))
+    return FiniteMatrix(diagonals=(diag, np.full(m - 1, a1), np.full(m - 1, am1)), k=1,
+                        kind="capacitance1d", hermitian=(a1 == am1))
 
 
-def _chain_data(spacings) -> np.ndarray:
-    """Tridiagonal capacitance matrix of a spacing sequence (see chain_capacitance)."""
+def _chain_diagonals(spacings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals of the capacitance matrix of a spacing sequence (see chain_capacitance)."""
     s = np.asarray(spacings, dtype=float)
     if s.ndim != 1 or s.size < 1:
         raise ValueError("need at least one spacing")
@@ -145,7 +179,7 @@ def _chain_data(spacings) -> np.ndarray:
         raise ValueError("spacings must be positive")
     inv = 1.0 / s
     diag = np.concatenate([inv[:1], inv[:-1] + inv[1:], inv[-1:]])
-    return _tridiagonal(diag, -inv, -inv)
+    return diag, -inv, -inv
 
 
 def chain_capacitance(spacings) -> FiniteMatrix:
@@ -155,29 +189,12 @@ def chain_capacitance(spacings) -> FiniteMatrix:
     existing neighbours, so row sums are exactly zero and the constant
     vector spans the kernel.
     """
-    return FiniteMatrix(data=_chain_data(spacings), k=1, kind="chain", hermitian=True)
+    return FiniteMatrix(diagonals=_chain_diagonals(spacings), k=1, kind="chain", hermitian=True)
 
 
 def dimer_alternation(first: float, second: float, count: int) -> np.ndarray:
     """first, second, first, ...: entry i (1-based) is first for odd i and second for even i."""
     return np.where(np.arange(count) % 2 == 0, float(first), float(second))
-
-
-def _mirrored_alternation(first: float, second: float, m: int) -> np.ndarray:
-    """2m alternating entries from the left edge, then the same read back from the right."""
-    half = dimer_alternation(first, second, 2 * m)
-    return np.concatenate([half, half[::-1]])
-
-
-def ssh_spacing_sequence(s1: float, s2: float, m: int) -> list[float]:
-    """Spacings of a dimerized chain of 4m+1 sites with the central pattern break.
-
-    From either edge the gaps alternate s1, s2, ...; the two gaps adjacent
-    to the central site are both s2, so the centre has no dimer partner.
-    """
-    if s1 <= 0 or s2 <= 0:
-        raise ValueError("spacings must be positive")
-    return _mirrored_alternation(s1, s2, m).tolist()
 
 
 def ssh_params_from_spacings(s1: float, s2: float) -> dict[str, float]:
@@ -204,9 +221,9 @@ def ssh_matrix(alpha: float, alpha_tilde: float, eta: float,
     diag = np.full(4 * m + 1, alpha, dtype=float)
     diag[[0, -1]] = alpha_tilde
     diag[2 * m] = eta
-    couplings = _mirrored_alternation(beta1, beta2, m)
-    return FiniteMatrix(data=_tridiagonal(diag, couplings, couplings), k=2, kind="ssh",
-                        hermitian=True)
+    half = dimer_alternation(beta1, beta2, 2 * m)
+    couplings = np.concatenate([half, half[::-1]])
+    return FiniteMatrix(diagonals=(diag, couplings, couplings), k=2, kind="ssh", hermitian=True)
 
 
 def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side: int) -> list[float]:
@@ -227,8 +244,8 @@ def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side:
 
 
 def dislocated_chain(s1: float, s2: float, d: float, dimers_per_side: int) -> FiniteMatrix:
-    data = _chain_data(dislocated_spacing_sequence(s1, s2, d, dimers_per_side))
-    return FiniteMatrix(data=data, k=2, kind="dislocated", hermitian=True)
+    diagonals = _chain_diagonals(dislocated_spacing_sequence(s1, s2, d, dimers_per_side))
+    return FiniteMatrix(diagonals=diagonals, k=2, kind="dislocated", hermitian=True)
 
 
 def center_index(n: int) -> int:
@@ -250,10 +267,6 @@ class PerturbedPair:
     index: int
     delta: float
 
-    @property
-    def k(self) -> int:
-        return self.bc.k
-
     def bc_eigenvector(self, v: np.ndarray) -> np.ndarray:
         """Map an eigenvector of the symmetrized form to one of B C, unit norm.
 
@@ -270,24 +283,30 @@ def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> Perturbed
     """Scale row `index` (1-based) of C by 1 + delta.
 
     Requires 1 + delta > 0 so the square-root similarity transform exists.
+    A tridiagonal C gives a tridiagonal pair, scaled on its diagonals.
     """
     n = C.n
     if not 1 <= index <= n:
         raise ValueError(f"index {index} out of range 1..{n}")
     if 1.0 + delta <= 0.0:
         raise ValueError(f"need 1 + delta > 0, got delta = {delta}")
-    row, root = index - 1, math.sqrt(1.0 + delta)
-    bc = np.array(C.data, dtype=np.result_type(C.data.dtype, np.float64))
-    sym = bc.copy()
-    bc[row] *= 1.0 + delta
-    sym[row] *= root
-    sym[:, row] *= root
-    if not np.array_equal(sym, sym.conj().T):  # a base that is Hermitian only to tolerance
-        sym = (sym + sym.conj().T) / 2.0
-    return PerturbedPair(
-        bc=FiniteMatrix(data=bc, k=C.k, kind="perturbed", hermitian=False),
-        symmetrized=FiniteMatrix(data=sym, k=C.k, kind="perturbed", hermitian=C.hermitian),
-        index=index, delta=delta)
+    r, s = np.ones(n), np.ones(n)  # the row scaling of B C and the two-sided one of B^1/2 C B^1/2
+    r[index - 1], s[index - 1] = 1.0 + delta, math.sqrt(1.0 + delta)
+    if C.diagonals is not None:
+        diag, upper, lower = C.diagonals
+        bc = {"diagonals": (diag * r, upper * r[:-1], lower * r[1:])}
+        upper, lower = upper * s[:-1] * s[1:], lower * s[1:] * s[:-1]
+        if not np.array_equal(upper, lower):  # a base that is Hermitian only to tolerance
+            upper = lower = (upper + lower) / 2.0
+        sym = {"diagonals": (diag * s * s, upper, lower)}
+    else:
+        bc = {"data": C.data * r[:, None]}
+        sym = C.data * s[:, None] * s
+        if not np.array_equal(sym, sym.conj().T):
+            sym = (sym + sym.conj().T) / 2.0
+        sym = {"data": sym}
+    return PerturbedPair(bc=FiniteMatrix(**bc, k=C.k, kind="perturbed"), index=index, delta=delta,
+                         symmetrized=FiniteMatrix(**sym, k=C.k, kind="perturbed", hermitian=C.hermitian))
 
 
 # ---------------------------------------------------------------------------
@@ -320,41 +339,6 @@ def load_matrix(path, k: int = 1) -> FiniteMatrix:
         data = np.asarray(rows, dtype=complex)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"{path}: matrix is not square, shape {data.shape}")
-    hermitian = _relative_hermitian_defect(data, _finite_max_abs(data)) <= HERMITIAN_TOL
+    hermitian = _relative_defect(data - data.conj().T, _finite_max_abs(data)) <= HERMITIAN_TOL
     return FiniteMatrix(data=_as_real_if_possible(data), k=k, kind="external", hermitian=hermitian)
 
-
-def build_matrix(descriptor: dict) -> FiniteMatrix | PerturbedPair:
-    """Construct a matrix from a JSON structure descriptor, e.g. {"type": "ssh", "m": 20, ...}."""
-    try:
-        kind = descriptor["type"]
-    except KeyError as exc:
-        raise ValueError("matrix descriptor needs a 'type' field") from exc
-    d = {key: v for key, v in descriptor.items() if key != "type"}
-    try:
-        if kind == "toeplitz":
-            return toeplitz_matrix(symbol_from_dict(d["symbol"]), int(d["m"]))
-        if kind == "circulant":
-            return circulant_matrix(symbol_from_dict(d["symbol"]), int(d["m"]))
-        if kind == "capacitance1d":
-            return capacitance_1d(float(d["a0"]), float(d["a1"]), float(d["am1"]), int(d["m"]))
-        if kind == "chain":
-            return chain_capacitance(d["spacings"])
-        if kind == "ssh":
-            if "alpha" in d:
-                return ssh_matrix(float(d["alpha"]), float(d["alpha_tilde"]), float(d["eta"]),
-                                  float(d["beta1"]), float(d["beta2"]), int(d["m"]))
-            params = ssh_params_from_spacings(float(d.get("s1", 1.0)), float(d.get("s2", 2.0)))
-            return ssh_matrix(m=int(d["m"]), **params)
-        if kind == "dislocated":
-            return dislocated_chain(float(d["s1"]), float(d["s2"]), float(d["d"]),
-                                    int(d["dimers_per_side"]))
-        if kind == "perturbed":
-            base = build_matrix(d["base"])
-            index = int(d.get("index", center_index(base.n)))
-            return compact_perturbation(base, index, float(d["delta"]))
-        if kind == "external":
-            return load_matrix(d["path"], k=int(d.get("k", 1)))
-    except KeyError as exc:
-        raise ValueError(f"matrix descriptor for {kind!r} is missing {exc}") from exc
-    raise ValueError(f"unknown matrix type {kind!r}")

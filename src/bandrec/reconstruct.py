@@ -262,13 +262,7 @@ def _scenario_setup(name: str, params: dict):
         return mat, sym, 1, p
     if name == "periodic_symbol":
         m = int(p.setdefault("m", 30))
-        source = p.get("symbol", "exponential")
-        if source == "exponential":
-            sym = symbols.exponential_symbol()
-        elif isinstance(source, dict):
-            sym = symbols.symbol_from_dict(source)
-        else:
-            sym = symbols.load_symbol(source)
+        sym = symbols.symbol_from_source(p.get("symbol", "exponential"))
         if sym.tail_model is not None:
             p["truncation_tail_bound"] = sym.tail_model.tail_bound(sym.r_max)
         mat = matrices.toeplitz_matrix(sym, m)
@@ -303,9 +297,7 @@ def _scenario_setup(name: str, params: dict):
             raise ValueError("external_matrix scenario needs a 'matrix' path")
         k = int(p.setdefault("k", 1))
         mat = matrices.load_matrix(p["matrix"], k=k)
-        sym = None
-        if p.get("symbol"):
-            sym = symbols.load_symbol(p["symbol"])
+        sym = symbols.symbol_from_source(p["symbol"]) if p.get("symbol") else None
         return mat, sym, k, p
     raise ValueError(f"unknown scenario {name!r}; choose one of {SCENARIOS}")
 
@@ -315,7 +307,8 @@ def run_scenario(config: dict) -> ScenarioResult:
 
     config holds at least {"scenario": name}; scenario parameters may sit
     either at the top level or under "params".  The reference bands come
-    from the scenario's underlying periodic symbol where one exists.
+    from the scenario's underlying periodic symbol where one exists; bands
+    that are not even in alpha are refused, since only |alpha| is recovered.
     """
     cfg = dict(config)
     name = cfg.pop("scenario", None)
@@ -333,6 +326,10 @@ def run_scenario(config: dict) -> ScenarioResult:
     bands = gap_report = stats = None
     if sym is not None:
         bands = symbols.band_functions(sym, grid)
+        odd, even = symbols.evenness(bands)
+        if not even:
+            raise ValueError(f"the reference bands are not even in alpha: max|lambda(alpha) - "
+                             f"lambda(-alpha)| = {odd:g}, and only |alpha| is recovered")
         m_dft = math.ceil(matrix.n / k)  # DFT length after zero padding
         edge = 2.0 * np.pi * EDGE_EXCLUSION_BINS / m_dft
         if margin is None:

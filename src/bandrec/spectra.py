@@ -1,11 +1,12 @@
 """Hermitian eigendecompositions and spectral diagnostics.
 
-A real matrix whose nonzeros all lie on its three central diagonals (every
-built-in chain) is solved by LAPACK dstevd on its diagonal and sub-diagonal,
-bound with ctypes from the OpenBLAS that numpy already loads; anything else,
-or a numpy without that library, goes through the dense np.linalg.eigh.
-Both run the same divide-and-conquer kernel (dstedc), so the results agree
-bit for bit once the column signs are polarized.
+The solver follows the matrix's form, settled when it was made (see
+matrices.FiniteMatrix): a real tridiagonal matrix carries its diagonals and
+is solved by LAPACK dstevd on its diagonal and sub-diagonal, bound with
+ctypes from the OpenBLAS that numpy already loads; anything else, or a numpy
+without that library, goes through the dense np.linalg.eigh.  No n^2 data
+is read to choose.  Both run the same divide-and-conquer kernel (dstedc), so
+the results agree bit for bit once the column signs are polarized.
 
 Beyond the plain decomposition this provides the residual of a candidate
 eigenpair, the orthogonal split of a vector into near/far eigenspace
@@ -46,10 +47,6 @@ class EigenDecomposition:
         return self.values.size
 
 
-def _matrix_data(M) -> np.ndarray:
-    return M.data if isinstance(M, FiniteMatrix) else np.asarray(M)
-
-
 @functools.cache
 def _bundled_dstevd():
     """LAPACKE_dstevd of numpy's bundled ILP64 OpenBLAS, or None where there is none.
@@ -68,14 +65,14 @@ def _bundled_dstevd():
     return fn
 
 
-def _tridiagonal_eigh(data: np.ndarray):
+def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
     """(values, F-ordered vectors) of a real symmetric tridiagonal matrix via dstevd.
 
     The sub-diagonal is the lower one, the triangle np.linalg.eigh reads.
+    dstevd overwrites both diagonals, so it works on copies.
     """
-    n = data.shape[0]
-    d = np.array(np.diagonal(data), dtype=float)
-    e = np.array(np.diagonal(data, -1), dtype=float)
+    n = diag.size
+    d, e = np.array(diag, dtype=float), np.array(lower, dtype=float)
     z = np.empty((n, n), order="F")
     dstevd = _bundled_dstevd()
     info = dstevd(LAPACK_COL_MAJOR, b"V", n, d.ctypes.data, e.ctypes.data, z.ctypes.data, max(1, n))
@@ -84,29 +81,23 @@ def _tridiagonal_eigh(data: np.ndarray):
     return d, z
 
 
-def _is_tridiagonal(data: np.ndarray) -> bool:
-    """True when every entry off the three central diagonals is zero."""
-    return np.count_nonzero(data) == (np.count_nonzero(np.diagonal(data))
-                                      + np.count_nonzero(np.diagonal(data, -1))
-                                      + np.count_nonzero(np.diagonal(data, 1)))
-
-
 def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     """Full decomposition of a Hermitian matrix, values ascending, phases polarized.
 
-    Real tridiagonal matrices go to dstevd, everything else to dense eigh.
-    Each column is polarized in place, so the vectors are one F-ordered
-    array, real for real input and complex otherwise.
+    A matrix that carries its diagonals (real tridiagonal) goes to dstevd,
+    everything else to dense eigh.  Each column is polarized in place, so
+    the vectors are one F-ordered array, real for real input and complex
+    otherwise.
     """
-    if isinstance(M, FiniteMatrix) and not M.hermitian:
+    if not M.hermitian:
         raise ValueError("hermitian_eigen needs a matrix with the hermitian flag set")
-    data = _matrix_data(M)
-    real = not np.iscomplexobj(data)
-    if real and _bundled_dstevd() is not None and _is_tridiagonal(data):
-        vals, vecs = _tridiagonal_eigh(data)
+    if M.diagonals is not None and _bundled_dstevd() is not None:
+        diag, _, lower = M.diagonals
+        vals, vecs = _tridiagonal_eigh(diag, lower)
     else:
-        vals, vecs = np.linalg.eigh(data)
+        vals, vecs = np.linalg.eigh(M.data)
         vecs = np.asfortranarray(vecs)
+    real = not np.iscomplexobj(vecs)
     for i in range(vals.size):
         u = polarize(vecs[:, i])
         vecs[:, i] = u.real if real else u
@@ -115,7 +106,7 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
 
 def residual(M, lam: float, u) -> float:
     """||M u - lam u|| for a unit vector u."""
-    data = _matrix_data(M)
+    data = M.data if isinstance(M, FiniteMatrix) else np.asarray(M)
     u = np.asarray(u, dtype=complex)
     if u.size != data.shape[0]:
         raise ValueError(f"vector length {u.size} does not match matrix size {data.shape[0]}")

@@ -18,6 +18,7 @@ from .transform import brillouin_sample, polarize
 
 HERMITIAN_TOL = 1e-12
 CROSSING_TOL = 1e-8
+EVENNESS_TOL = 1e-8
 VAN_DER_HOVE_TOL = 1e-6
 
 
@@ -96,7 +97,7 @@ class BandStructure:
     values: np.ndarray        # (k, m) real
     vectors: np.ndarray       # (m, k, k) complex, column p is u_{p+1}(alpha_j)
     derivatives: np.ndarray   # (k, m) finite-difference lambda'
-    hermitian_defect: float = 0.0
+    hermitian_defect: float = 0.0  # max|f - f^H| / max(1, max|f|) over the grid
 
     @property
     def k(self) -> int:
@@ -131,7 +132,8 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
 
     Eigenvalues are sorted ascending per grid point, eigenvectors are unit
     and phase-polarized, and derivatives come from central differences
-    (one-sided at the grid ends).
+    (one-sided at the grid ends).  Evaluations must be Hermitian to 1e-10
+    relative to max(1, max|f|).
     """
     if m < 2:
         raise ValueError(f"grid size must be at least 2, got {m}")
@@ -139,24 +141,20 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     k = sym.k
     values = np.empty((k, m))
     vectors = np.empty((m, k, k), dtype=complex)
-    defect = 0.0
+    evaluations = np.empty((m, k, k), dtype=complex)
     for j, a in enumerate(alphas):
-        f = evaluate_symbol(sym, a)
-        defect = max(defect, float(np.max(np.abs(f - f.conj().T))))
-        if defect > 1e-10:
-            raise ValueError(f"symbol evaluation departs from Hermitian by {defect:g}")
+        evaluations[j] = f = evaluate_symbol(sym, a)
         vals, vecs = np.linalg.eigh(f)
         values[:, j] = vals
         for p in range(k):
             vectors[j, :, p] = polarize(vecs[:, p])
-    derivatives = np.empty((k, m))
-    h = 2.0 * np.pi / m
-    for p in range(k):
-        derivatives[p, 1:-1] = (values[p, 2:] - values[p, :-2]) / (2.0 * h)
-        derivatives[p, 0] = (values[p, 1] - values[p, 0]) / h
-        derivatives[p, -1] = (values[p, -1] - values[p, -2]) / h
+    asym = np.max(np.abs(evaluations - evaluations.conj().transpose(0, 2, 1)))
+    defect = float(asym) / max(1.0, float(np.max(np.abs(evaluations))))
+    if defect > 1e-10:
+        raise ValueError(f"symbol evaluation departs from Hermitian by {defect:g} relative to max(1, max|f|)")
     return BandStructure(alphas=alphas, values=values, vectors=vectors,
-                         derivatives=derivatives, hermitian_defect=defect)
+                         derivatives=np.gradient(values, 2.0 * np.pi / m, axis=1),
+                         hermitian_defect=defect)
 
 
 @dataclass(frozen=True)
@@ -166,17 +164,31 @@ class AssumptionReport:
     bands_disjoint: bool
     no_van_der_hove: bool
     hermitian: bool
+    even: bool
     min_band_separation: float
     min_interior_slope: float
+    evenness_defect: float
     details: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.bands_disjoint and self.no_van_der_hove and self.hermitian
+        return self.bands_disjoint and self.no_van_der_hove and self.hermitian and self.even
+
+
+def evenness(bs: BandStructure) -> tuple[float, bool]:
+    """(max_p max_j |lambda_p(alpha_j) - lambda_p(-alpha_j)|, whether it is within tolerance).
+
+    The tolerance is EVENNESS_TOL * max(1, max|lambda|).  The transform
+    recovers |alpha| only, so bands that are not even in alpha cannot be
+    reconstructed.  -alpha_j is grid point (2 (m // 2) - j) mod m.
+    """
+    mirror = (2 * (bs.m // 2) - np.arange(bs.m)) % bs.m
+    defect = float(np.max(np.abs(bs.values - bs.values[:, mirror])))
+    return defect, defect <= EVENNESS_TOL * max(1.0, float(np.max(np.abs(bs.values))))
 
 
 def check_assumptions(bs: BandStructure, tol: float = VAN_DER_HOVE_TOL) -> AssumptionReport:
-    """Check band-range disjointness, nonvanishing interior slopes, and Hermitianness.
+    """Check band-range disjointness, nonvanishing interior slopes, Hermitianness and evenness.
 
     Slopes are checked on interior grid points only, excluding the symmetry
     points alpha in {0, -pi} where the derivative vanishes for any even band.
@@ -193,6 +205,7 @@ def check_assumptions(bs: BandStructure, tol: float = VAN_DER_HOVE_TOL) -> Assum
     no_vdh = min_slope > tol
 
     hermitian = bs.hermitian_defect <= HERMITIAN_TOL
+    even_defect, even = evenness(bs)
     notes = []
     if not bands_disjoint:
         notes.append(f"band ranges separated by only {min_sep:g}")
@@ -200,9 +213,12 @@ def check_assumptions(bs: BandStructure, tol: float = VAN_DER_HOVE_TOL) -> Assum
         notes.append(f"interior slope as small as {min_slope:g}")
     if not hermitian:
         notes.append(f"hermitian defect {bs.hermitian_defect:g}")
+    if not even:
+        notes.append(f"bands not even in alpha, max|lambda(alpha) - lambda(-alpha)| = {even_defect:g}")
     return AssumptionReport(bands_disjoint=bands_disjoint, no_van_der_hove=no_vdh,
-                            hermitian=hermitian, min_band_separation=min_sep,
-                            min_interior_slope=min_slope, details="; ".join(notes))
+                            hermitian=hermitian, even=even, min_band_separation=min_sep,
+                            min_interior_slope=min_slope, evenness_defect=even_defect,
+                            details="; ".join(notes))
 
 
 def banded_truncation(sym: Symbol, r: int) -> Symbol:
@@ -330,3 +346,16 @@ def save_symbol(sym: Symbol, path) -> None:
 def load_symbol(path) -> Symbol:
     with open(path, encoding="utf-8") as fh:
         return symbol_from_dict(json.load(fh))
+
+
+def symbol_from_source(source) -> Symbol:
+    """A builtin name (monomer, dimer, exponential), a symbol object or its JSON text, or a JSON path."""
+    builtin = {"monomer": lambda: nearest_neighbour_symbol(2.0, -1.0),
+               "dimer": lambda: dimer_symbol(1.0, 2.0), "exponential": exponential_symbol}
+    if isinstance(source, dict):
+        return symbol_from_dict(source)
+    if source in builtin:
+        return builtin[source]()
+    if source.lstrip().startswith("{"):
+        return symbol_from_dict(json.loads(source))
+    return load_symbol(source)

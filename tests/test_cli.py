@@ -100,6 +100,67 @@ def test_reconstruct_refuses_non_integer_config_value(tmp_path, capsys):
     assert not out.exists()
 
 
+SCALED_SYMBOL = '{"k":1,"coeffs":[{"s":0,"re":[[1e6]]},{"s":1,"re":[[1.0000005]]},{"s":-1,"re":[[1.0]]}]}'
+MONOMER_OBJECT = symbols.symbol_to_dict(symbols.nearest_neighbour_symbol(2.0, -1.0))
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("reconstruct", {"scenario": "ssh", "out": 5}, "out must be a string, got 5"),
+    ("reconstruct", {"scenario": "ssh", "format": 5}, "format must be a string, got 5"),
+    ("reconstruct", {"scenario": "external_matrix", "matrix": 7}, "matrix must be a string, got 7"),
+    ("reconstruct", {"scenario": "periodic_symbol", "symbol": 0},
+     "symbol must be a string or an object, got 0"),
+    ("bands", {"symbol": 0}, "symbol must be a string or an object, got 0"),
+    ("transform", {"vector": "v.csv", "k": [2]}, "k must be an integer, got [2]"),
+])
+def test_config_values_of_the_wrong_type_are_refused(tmp_path, monkeypatch, capsys, command,
+                                                     config, message):
+    (tmp_path / "v.csv").write_text("1\n0\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    code = main([command, "--config", "cfg.json"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "v.csv"]
+
+
+def test_transform_k_zero_flag_is_refused(tmp_path, capsys):
+    (tmp_path / "v.csv").write_text("1\n0\n")
+    code = main(["transform", "--vector", str(tmp_path / "v.csv"), "--k", "0",
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "k must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_inline_symbol_object_in_a_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"symbol": MONOMER_OBJECT, "grid": 16, "out": str(tmp_path / "b")}))
+    assert main(["bands", "--config", str(cfg)]) == 0
+    assert len(read_csv(tmp_path / "b" / "bands.csv")) == 16
+    from bandrec import matrices
+    matrices.save_matrix(matrices.capacitance_1d(2.0, -1.0, -1.0, 12), tmp_path / "m.csv")
+    cfg.write_text(json.dumps({"scenario": "external_matrix", "matrix": str(tmp_path / "m.csv"),
+                               "symbol": MONOMER_OBJECT, "out": str(tmp_path / "r")}))
+    assert main(["reconstruct", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "r" / "summary.json").read_text())["n_gaps"] == 0
+
+
+def test_bands_accepts_a_large_scale_hermitian_symbol(tmp_path):
+    assert main(["bands", "--symbol", SCALED_SYMBOL, "--grid", "16", "--out", str(tmp_path)]) == 0
+
+
+def test_reconstruct_refuses_bands_that_are_not_even(tmp_path, capsys):
+    sym_path = tmp_path / "odd.json"
+    symbols.save_symbol(symbols.Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]}), sym_path)
+    out = tmp_path / "run"
+    code = main(["reconstruct", "--scenario", "periodic_symbol", "--m", "100",
+                 "--symbol", str(sym_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: the reference bands are not even in alpha")
+    assert not out.exists()
+
+
 def _exit_code_of(argv):
     """Run the CLI quietly; an exception other than the handled ones fails the test."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

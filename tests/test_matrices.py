@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from bandrec import symbols
-from bandrec.matrices import (FiniteMatrix, build_matrix, capacitance_1d, center_index,
+from bandrec.matrices import (FiniteMatrix, capacitance_1d, center_index,
                               chain_capacitance, circulant_matrix, compact_perturbation,
                               dislocated_chain, dislocated_spacing_sequence, load_matrix,
                               save_matrix, ssh_matrix, ssh_params_from_spacings,
-                              ssh_spacing_sequence, toeplitz_matrix)
+                              toeplitz_matrix)
 
 MONOMER = symbols.nearest_neighbour_symbol(2.0, -1.0)
 DIMER = symbols.dimer_symbol(1.0, 2.0)
@@ -40,6 +40,43 @@ def test_hermitian_test_is_relative_to_the_largest_entry():
         FiniteMatrix(data=np.array([[1e6, 1.0], [0.0, 1e6]]), hermitian=True)
     with pytest.raises(ValueError, match="relative defect"):  # below unit scale it stays absolute
         FiniteMatrix(data=np.array([[1e-3, 1e-11], [0.0, 1e-3]]), hermitian=True)
+
+
+@pytest.mark.parametrize("diagonal,i,where", [(0, 2, "row 3, column 3"), (1, 1, "row 2, column 3"),
+                                              (2, 0, "row 2, column 1")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tridiagonal_form_rejects_non_finite_entries(diagonal, i, where, bad):
+    diagonals = [np.full(4, 2.0), np.full(3, -1.0), np.full(3, -1.0)]
+    diagonals[diagonal][i] = bad
+    for hermitian in (False, True):
+        with pytest.raises(ValueError, match=r"1 non-finite \(NaN or inf\) entries, "
+                                             r"the first at " + where):
+            FiniteMatrix(diagonals=diagonals, hermitian=hermitian)
+
+
+def test_tridiagonal_form_hermitian_test_is_relative():
+    FiniteMatrix(diagonals=([1e6, 1e6], [1e-11], [0.0]), hermitian=True)
+    with pytest.raises(ValueError, match=r"relative defect .* is 1e-06 \(tolerance 1e-12\)"):
+        FiniteMatrix(diagonals=([1e6, 1e6], [1.0], [0.0]), hermitian=True)
+
+
+def test_dense_matrix_records_its_diagonals_when_real_tridiagonal():
+    data = np.diag([2.0, 2.0, 2.0]) + np.diag([-1.0, 0.0], 1) + np.diag([-1.0, 0.0], -1)
+    diag, upper, lower = FiniteMatrix(data=data, hermitian=True).diagonals
+    assert np.array_equal(diag, [2, 2, 2]) and np.array_equal(upper, [-1, 0])
+    assert np.array_equal(lower, [-1, 0])
+    data[0, 2] = data[2, 0] = 0.5
+    assert FiniteMatrix(data=data, hermitian=True).diagonals is None
+    assert FiniteMatrix(data=np.diag([1j, 1.0])).diagonals is None
+
+
+def test_chain_keeps_read_only_diagonals_and_writes_data_once():
+    M = ssh_matrix(m=3, **ssh_params_from_spacings(1.0, 2.0))
+    assert "data" not in vars(M)  # nothing has read the dense array yet
+    assert all(not x.flags.writeable for x in M.diagonals)
+    assert M.data is M.data and not M.data.flags.writeable
+    with pytest.raises(ValueError):
+        M.data[0, 0] = 5.0
 
 
 def test_toeplitz_monomer():
@@ -189,10 +226,8 @@ def test_ssh_matrix_matches_spacing_construction():
                                for _ in range(8)]
     for s1, s2, m in cases:
         M = ssh_matrix(m=m, **ssh_params_from_spacings(s1, s2))
-        seq = ssh_spacing_sequence(s1, s2, m)
-        half = _alternating_spacings(s1, s2, 2 * m)
-        assert np.array_equal(seq, half + half[::-1])
-        assert np.array_equal(M.data, chain_capacitance(seq).data)
+        half = _alternating_spacings(s1, s2, 2 * m)  # gaps from the edge, mirrored at the centre
+        assert np.array_equal(M.data, chain_capacitance(half + half[::-1]).data)
 
 
 def test_ssh_dimerized_has_one_gap_eigenvalue():
@@ -249,12 +284,17 @@ def test_compact_perturbation_similar_spectra():
     assert not pair.bc.hermitian and pair.symmetrized.hermitian
 
 
-@pytest.mark.parametrize("base", ["chain", "real", "complex", "hermitian_to_tolerance"])
+@pytest.mark.parametrize("base", ["chain", "tridiagonal_to_tolerance", "real", "complex",
+                                  "hermitian_to_tolerance"])
 def test_compact_perturbation_touches_only_the_defect_row(base):
     rng = np.random.default_rng(23)
     n, index, delta = 30, 11, 0.7
     if base == "chain":
         C = chain_capacitance(rng.uniform(0.5, 2.0, size=n - 1))
+    elif base == "tridiagonal_to_tolerance":
+        off = rng.uniform(-2.0, -0.5, size=n - 1)
+        C = FiniteMatrix(data=np.diag(rng.uniform(1.0, 3.0, size=n)) + np.diag(off, 1)
+                         + np.diag(off * (1.0 + 1e-14), -1), hermitian=True)
     else:
         A = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if base != "real" else 0.0)
         H = (A + A.conj().T) / 2
@@ -262,6 +302,7 @@ def test_compact_perturbation_touches_only_the_defect_row(base):
             H = H + 1e-14 * rng.normal(size=(n, n))
         C = FiniteMatrix(data=H, hermitian=True)
     pair = compact_perturbation(C, index, delta)
+    assert (pair.symmetrized.diagonals is not None) == base.startswith(("chain", "tridiagonal"))
     sym = pair.symmetrized.data
     assert np.array_equal(sym, sym.conj().T)
     others = np.arange(n) != index - 1
@@ -367,19 +408,3 @@ def test_load_matrix_json(tmp_path):
     assert M.hermitian
     assert M.data[0, 1] == 1 - 1j
 
-
-def test_build_matrix_descriptors():
-    desc = {"type": "ssh", "m": 3, "s1": 1.0, "s2": 2.0}
-    M = build_matrix(desc)
-    assert M.kind == "ssh" and M.data.shape == (13, 13)
-    M2 = build_matrix({"type": "capacitance1d", "a0": 2, "a1": -1, "am1": -1, "m": 4})
-    assert np.array_equal(M2.data, capacitance_1d(2, -1, -1, 4).data)
-    M3 = build_matrix({"type": "chain", "spacings": [1.0, 2.0]})
-    assert M3.kind == "chain"
-    pair = build_matrix({"type": "perturbed", "delta": 0.5,
-                         "base": {"type": "chain", "spacings": [1.0, 2.0, 1.0]}})
-    assert pair.index == 2 and pair.bc.kind == "perturbed"
-    with pytest.raises(ValueError):
-        build_matrix({"type": "nonsense"})
-    with pytest.raises(ValueError):
-        build_matrix({"m": 3})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bandrec import matrices, spectra, symbols, transform
+from bandrec import matrices, outputs, spectra, symbols, transform
 from bandrec.matrices import FiniteMatrix
 from bandrec.reconstruct import (capacitance_eigenpairs_oracle, compare_to_symbol,
                                  detect_gaps, reconstruct_bands, run_scenario,
@@ -254,3 +254,23 @@ def test_scenario_error_stats_exclude_localized():
     gi = result.gap_report.gap_modes[0].index
     assert result.stats.localized_count >= 1
     assert result.points[gi].band_error > result.stats.bulk_max
+
+
+@pytest.mark.parametrize("scenario", ["ssh", "dislocated", "compact_defect", "periodic_nn"])
+def test_chain_scenarios_never_write_a_dense_matrix(monkeypatch, tmp_path, scenario):
+    if spectra._bundled_dstevd() is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no LAPACKE_dstevd")
+    solved = []
+
+    def solve(M):
+        solved.append((M, [x.copy() for x in M.diagonals]))
+        return spectra.hermitian_eigen(M)
+
+    def refuse(*args):
+        raise AssertionError("dense array written for a tridiagonal chain")
+    monkeypatch.setattr(matrices, "_tridiagonal", refuse)
+    monkeypatch.setattr("bandrec.reconstruct.hermitian_eigen", solve)
+    result = run_scenario({"scenario": scenario})
+    outputs.write_bundle(result, tmp_path, ("csv", "json", "svg"))
+    (M, before), = solved
+    assert all(np.array_equal(x, y) for x, y in zip(M.diagonals, before))

@@ -5,7 +5,7 @@ import pytest
 
 
 from bandrec.symbols import (Symbol, band_functions, banded_truncation, cell_chain_symbol,
-                             check_assumptions, dimer_symbol, evaluate_symbol,
+                             check_assumptions, dimer_symbol, evaluate_symbol, evenness,
                              exponential_symbol, load_symbol, nearest_neighbour_symbol,
                              save_symbol, symbol_difference_sup_norm, symbol_from_dict,
                              symbol_sup_norm, symbol_to_dict)
@@ -151,6 +151,26 @@ def test_check_assumptions_identical_bands_fail():
         0: np.diag([2.0, 2.0]), 1: np.diag([-1.0, -1.0]), -1: np.diag([-1.0, -1.0])})
     report = check_assumptions(band_functions(sym, 64))
     assert not report.bands_disjoint
+
+
+# lambda(alpha) = 2 - 2 sin(alpha): Hermitian, but not even in alpha
+ODD = Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]})
+
+
+@pytest.mark.parametrize("m", [16, 17, 512])
+def test_evenness(m):
+    for sym in (MONOMER, dimer_symbol(1.0, 2.0), exponential_symbol(), cell_chain_symbol([1.0, 2.0, 0.5])):
+        assert evenness(band_functions(sym, m)) == (0.0, True)
+    defect, even = evenness(band_functions(ODD, m))
+    assert defect > 3.9 and not even  # max_j |4 sin alpha_j|
+    report = check_assumptions(band_functions(ODD, m))
+    assert not report.even and not report.passed and "not even" in report.details
+
+
+def test_hermitian_tests_are_relative_to_the_symbol_scale():
+    sym = Symbol(k=1, coeffs={0: [[1e6]], 1: [[1.0000005]], -1: [[1.0]]})  # relative defect 5e-13
+    report = check_assumptions(band_functions(sym, 16))
+    assert report.hermitian and report.even
 
 
 def test_banded_truncation():

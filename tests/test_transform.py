@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bandrec import matrices, symbols
+from bandrec import matrices, spectra, symbols
 from bandrec.transform import (bin_alphas, brillouin_sample, dft,
                                discrete_quasiperiodicity, polarize, projection_profile,
                                quasiperiodic_extension, sections, tfb_projection, tfbt,
@@ -171,3 +172,41 @@ def test_polarize_pivot_rules():
     v = polarize(np.array([1e-12, 0.0, -2.0]))
     assert v[2].real > 0 and abs(v[2].imag) < 1e-15
     assert np.allclose(np.abs(v), [1e-12, 0, 2])
+
+
+PROPERTY = settings(max_examples=40, deadline=None)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _unit_vector(seed, size):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return u / np.linalg.norm(u)
+
+
+@PROPERTY
+@given(m=st.integers(1, 24), k=st.integers(1, 3), seed=SEEDS)
+def test_tfbt_keeps_unit_vectors_unit(m, k, seed):
+    assert abs(tfbt(_unit_vector(seed, m * k), k).norm() - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(m=st.integers(1, 24), k=st.integers(1, 3), seed=SEEDS, phase=st.floats(0.0, 2.0 * np.pi))
+def test_quasiperiodicity_ignores_a_global_phase(m, k, seed, phase):
+    u = _unit_vector(seed, m * k)
+    q = discrete_quasiperiodicity(u, k)
+    assert abs(discrete_quasiperiodicity(np.exp(1j * phase) * u, k) - q) < 1e-12
+
+
+@PROPERTY
+@given(m=st.integers(3, 40), dimer=st.booleans(), seed=SEEDS)
+def test_quasiperiodicity_ignores_rebasing_inside_a_degenerate_cluster(m, dimer, seed):
+    sym = symbols.dimer_symbol(1.0, 2.0) if dimer else symbols.nearest_neighbour_symbol(2.0, -1.0)
+    eig = spectra.hermitian_eigen(matrices.circulant_matrix(sym, m))
+    rng = np.random.default_rng(seed)
+    for cluster in spectra.degenerate_clusters(eig.values, float(np.abs(eig.values).max())):
+        q = discrete_quasiperiodicity(eig.vectors[:, cluster[0]], sym.k)
+        z = rng.normal(size=(len(cluster),) * 2) + 1j * rng.normal(size=(len(cluster),) * 2)
+        rebased = eig.vectors[:, cluster] @ np.linalg.qr(z)[0]
+        for c in range(len(cluster)):
+            assert abs(discrete_quasiperiodicity(rebased[:, c], sym.k) - q) < 1e-10
