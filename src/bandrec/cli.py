@@ -10,42 +10,27 @@ from pathlib import Path
 import numpy as np
 
 from . import outputs, reconstruct, symbols, transform, verify
+from .reconstruct import _number, _text
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CHECK_FAILED = 2
 
 
-def _load_config(path):
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return cfg
-
-
-def _merged(args, config, name, default=None):
-    """CLI flag > config file value > default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
-
-
-def _number(name, value, kind):
-    try:  # a config file can hold any JSON value
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from exc
-
-
-def _text(name, value, inline=False):
-    """A string from a flag or a config file (any JSON value); with inline=True also an object."""
-    if isinstance(value, str) or (inline and isinstance(value, dict)):
-        return value
-    raise ValueError(f"{name} must be a string{' or an object' if inline else ''}, got {value!r}")
+def _load_config(args, check=True):
+    """The --config JSON object under the given flags; with check, a key that no flag names is refused."""
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "fn", "config")}
+    cfg = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        unread = [key for key in cfg if check and key not in flags]
+        if unread:
+            raise ValueError(f"{args.config}: {args.command} does not read {', '.join(unread)}; "
+                             f"it takes {', '.join(flags)}")
+    return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
 
 
 def _parse_formats(raw) -> tuple[str, ...]:
@@ -57,11 +42,11 @@ def _parse_formats(raw) -> tuple[str, ...]:
 
 
 def cmd_bands(args) -> int:
-    config = _load_config(args.config)
-    sym = symbols.symbol_from_source(_text("symbol", _merged(args, config, "symbol", "monomer"), inline=True))
-    grid = _number("grid", _merged(args, config, "grid", 256), int)
-    outdir = Path(_text("out", _merged(args, config, "out", ".")))
-    formats = _parse_formats(_merged(args, config, "format", "csv"))
+    cfg = _load_config(args)
+    sym = symbols.symbol_from_source(_text("symbol", cfg.get("symbol", "monomer"), inline=True))
+    grid = _number("grid", cfg.get("grid", 256), int)
+    outdir = Path(_text("out", cfg.get("out", ".")))
+    formats = _parse_formats(cfg.get("format", "csv"))
     bs = symbols.band_functions(sym, grid)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs.write_bands_csv(bs, outdir / "bands.csv")
@@ -82,41 +67,26 @@ def cmd_bands(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    config = _load_config(args.config)
-    scenario = _merged(args, config, "scenario")
-    if not scenario:
-        raise ValueError("reconstruct needs --scenario")
-    cfg = {"scenario": scenario,
-           "grid": _number("grid", _merged(args, config, "grid", reconstruct.DEFAULT_GRID), int)}
-    for names, kind in ((("m", "n", "dimers_per_side", "index", "k"), int),
-                        (("a0", "a1", "am1", "s1", "s2", "d", "delta", "margin"), float)):
-        for name in names:
-            value = _merged(args, config, name)
-            if value is not None:
-                cfg[name] = _number(name, value, kind)
-    for name in ("matrix", "symbol"):
-        value = _merged(args, config, name)
-        if value is not None:
-            cfg[name] = _text(name, value, inline=(name == "symbol"))
-    outdir = Path(_text("out", _merged(args, config, "out", ".")))
-    formats = _parse_formats(_merged(args, config, "format", "csv,json"))
+    cfg = _load_config(args, check=False)  # run_scenario refuses what its scenario does not read
+    outdir = Path(_text("out", cfg.pop("out", ".")))
+    formats = _parse_formats(cfg.pop("format", "csv,json"))
     result = reconstruct.run_scenario(cfg)
     written = outputs.write_bundle(result, outdir, formats)
     for path in written:
         print(f"wrote {path}")
     summary = result.summary()
-    print(f"{scenario}: {summary['n_points']} points, "
+    print(f"{result.scenario}: {summary['n_points']} points, "
           f"{summary.get('n_gap_modes', 0)} gap mode(s), "
           f"{summary['n_localized']} localized")
     return EXIT_OK
 
 
 def cmd_transform(args) -> int:
-    config = _load_config(args.config)
-    vec_path = _merged(args, config, "vector")
+    cfg = _load_config(args)
+    vec_path = cfg.get("vector")
     if not vec_path:
         raise ValueError("transform needs --vector")
-    k = _number("k", _merged(args, config, "k", 1), int)
+    k = _number("k", cfg.get("k", 1), int)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     u = outputs.read_vector_csv(_text("vector", vec_path))
@@ -125,7 +95,7 @@ def cmd_transform(args) -> int:
         raise ValueError("vector is zero")
     u = transform.zero_pad(u / norm, k)
     alphas, masses = transform.projection_profile(u, k)
-    outdir = Path(_text("out", _merged(args, config, "out", ".")))
+    outdir = Path(_text("out", cfg.get("out", ".")))
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "transform.csv"
     outputs.write_transform_csv(alphas, masses, out_path)
@@ -174,21 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("reconstruct", help="run a reconstruction scenario")
     p_rec.add_argument("--scenario", choices=reconstruct.SCENARIOS)
-    p_rec.add_argument("--m", type=int, help="system size in blocks/sites")
-    p_rec.add_argument("--n", type=int, help="site count (compact_defect)")
-    p_rec.add_argument("--dimers-per-side", dest="dimers_per_side", type=int)
-    p_rec.add_argument("--index", type=int, help="1-based defect site")
-    p_rec.add_argument("--k", type=int, help="block size (external_matrix)")
-    p_rec.add_argument("--a0", type=float)
-    p_rec.add_argument("--a1", type=float)
-    p_rec.add_argument("--am1", type=float)
-    p_rec.add_argument("--s1", type=float)
-    p_rec.add_argument("--s2", type=float)
-    p_rec.add_argument("--d", type=float, help="dislocated spacing")
-    p_rec.add_argument("--delta", type=float, help="compact defect strength")
-    p_rec.add_argument("--margin", type=float, help="gap detection margin")
-    p_rec.add_argument("--matrix", help="matrix CSV/JSON path (external_matrix)")
-    p_rec.add_argument("--symbol", help="reference symbol JSON file, inline JSON, or builtin name")
+    for name, (kind, text) in reconstruct.PARAMS.items():
+        p_rec.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, help=text)
     add_common(p_rec)
     p_rec.set_defaults(fn=cmd_reconstruct)
 

@@ -199,6 +199,8 @@ def dimer_alternation(first: float, second: float, count: int) -> np.ndarray:
 
 def ssh_params_from_spacings(s1: float, s2: float) -> dict[str, float]:
     """Matrix entries implied by the capacitance rule on the SSH spacing sequence."""
+    if s1 <= 0 or s2 <= 0:
+        raise ValueError("spacings must be positive")
     return {
         "alpha": 1.0 / s1 + 1.0 / s2,
         "alpha_tilde": 1.0 / s1,

@@ -3,6 +3,10 @@
 Take a finite chain matrix, eigendecompose it, recover a quasiperiodicity
 for every eigenvector from its projection masses, and assemble the
 reconstructed band diagram together with gap and localization reports.
+SCENARIOS declares the parameters each named scenario reads, with their
+defaults, and PARAMS the type of each (the CLI's flags come from it);
+run_scenario refuses a key its scenario does not read and converts each
+value once, so summary.json records exactly the parameters used.
 Closed-form eigenpair oracles for the two nearest-neighbour families are
 included for validation.
 """
@@ -155,8 +159,8 @@ def detect_gaps(bs: symbols.BandStructure, eig, margin: float = 0.0,
     eig may be an EigenDecomposition or a plain eigenvalue array; when the
     reconstruction points are supplied, gap modes carry their alpha_est.
     """
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    if not 0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
     ranges = bs.band_ranges()
     gaps = []
     for p in range(len(ranges) - 1):
@@ -213,8 +217,47 @@ def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
 # ---------------------------------------------------------------------------
 # scenarios
 
-SCENARIOS = ("periodic_nn", "periodic_symbol", "ssh", "dislocated",
-             "compact_defect", "external_matrix")
+# None marks a parameter derived from others (am1, index), optional (symbol) or
+# required (matrix).  grid and margin are run-level keys every scenario takes.
+SCENARIOS = {
+    "periodic_nn": {"a0": 2.0, "a1": -1.0, "am1": None, "m": 80},
+    "periodic_symbol": {"m": 30, "symbol": None},
+    "ssh": {"s1": 1.0, "s2": 2.0, "dimers_per_side": 20},
+    "dislocated": {"s1": 1.0, "s2": 2.0, "d": 4.0, "dimers_per_side": 10},
+    "compact_defect": {"s1": 1.0, "s2": 2.0, "n": 80, "delta": 0.5, "index": None},
+    "external_matrix": {"matrix": None, "k": 1, "symbol": None},
+}
+# name -> (type, help) of every scenario parameter and of margin, in CLI flag order.
+PARAMS = {
+    "m": (int, "system size in blocks/sites"),
+    "n": (int, "site count (compact_defect)"),
+    "dimers_per_side": (int, None),
+    "index": (int, "1-based defect site"),
+    "k": (int, "block size (external_matrix)"),
+    "a0": (float, None), "a1": (float, None), "am1": (float, None), "s1": (float, None), "s2": (float, None),
+    "d": (float, "dislocated spacing"),
+    "delta": (float, "compact defect strength"),
+    "margin": (float, "gap detection margin"),
+    "matrix": (str, "matrix CSV/JSON path (external_matrix)"),
+    "symbol": (str, "reference symbol JSON file, inline JSON, or builtin name"),
+}
+
+
+def _number(name, value, kind):
+    """An int or float from a flag or a config file (any JSON value); no bools, no fractional ints."""
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from exc
+
+
+def _text(name, value, inline=False):
+    """A string from a flag or a config file (any JSON value); with inline=True also an object."""
+    if isinstance(value, str) or (inline and isinstance(value, dict)):
+        return value
+    raise ValueError(f"{name} must be a string{' or an object' if inline else ''}, got {value!r}")
 
 
 @dataclass
@@ -249,77 +292,69 @@ class ScenarioResult:
         return out
 
 
-def _scenario_setup(name: str, params: dict):
-    """Build (matrix-or-pair, reference symbol, k) for a named scenario."""
-    p = dict(params)
+def _scenario_setup(name: str, p: dict):
+    """Build (matrix-or-pair, reference symbol, k) from the scenario's parameters p, adding the derived ones.
+
+    Each matrix is built before its symbol, so a bad spacing is refused by the matrix's own check.
+    """
     if name == "periodic_nn":
-        a0 = float(p.setdefault("a0", 2.0))
-        a1 = float(p.setdefault("a1", -1.0))
-        am1 = float(p.setdefault("am1", a1))
-        m = int(p.setdefault("m", 80))
-        mat = matrices.capacitance_1d(a0, a1, am1, m)
-        sym = symbols.nearest_neighbour_symbol(a0, a1, am1)
-        return mat, sym, 1, p
+        p.setdefault("am1", p["a1"])
+        mat = matrices.capacitance_1d(p["a0"], p["a1"], p["am1"], p["m"])
+        return mat, symbols.nearest_neighbour_symbol(p["a0"], p["a1"], p["am1"]), 1
     if name == "periodic_symbol":
-        m = int(p.setdefault("m", 30))
         sym = symbols.symbol_from_source(p.get("symbol", "exponential"))
         if sym.tail_model is not None:
             p["truncation_tail_bound"] = sym.tail_model.tail_bound(sym.r_max)
-        mat = matrices.toeplitz_matrix(sym, m)
-        return mat, sym, sym.k, p
+        return matrices.toeplitz_matrix(sym, p["m"]), sym, sym.k
     if name == "ssh":
-        s1 = float(p.setdefault("s1", 1.0))
-        s2 = float(p.setdefault("s2", 2.0))
-        m = int(p.setdefault("dimers_per_side", 20))
-        if "alpha" in p:
-            mat = matrices.ssh_matrix(float(p["alpha"]), float(p["alpha_tilde"]), float(p["eta"]),
-                                      float(p["beta1"]), float(p["beta2"]), m)
-        else:
-            mat = matrices.ssh_matrix(m=m, **matrices.ssh_params_from_spacings(s1, s2))
-        return mat, symbols.dimer_symbol(s1, s2), 2, p
-    if name == "dislocated":
-        s1 = float(p.setdefault("s1", 1.0))
-        s2 = float(p.setdefault("s2", 2.0))
-        d = float(p.setdefault("d", 4.0))
-        dps = int(p.setdefault("dimers_per_side", 10))
-        return matrices.dislocated_chain(s1, s2, d, dps), symbols.dimer_symbol(s1, s2), 2, p
-    if name == "compact_defect":
-        s1 = float(p.setdefault("s1", 1.0))
-        s2 = float(p.setdefault("s2", 2.0))
-        n = int(p.setdefault("n", 80))
-        delta = float(p.setdefault("delta", 0.5))
-        base = matrices.chain_capacitance(matrices.dimer_alternation(s1, s2, n - 1))
-        index = int(p.setdefault("index", matrices.center_index(n)))
-        pair = matrices.compact_perturbation(base, index, delta)
-        return pair, symbols.dimer_symbol(s1, s2), 2, p
-    if name == "external_matrix":
+        mat = matrices.ssh_matrix(m=p["dimers_per_side"], **matrices.ssh_params_from_spacings(p["s1"], p["s2"]))
+    elif name == "dislocated":
+        mat = matrices.dislocated_chain(p["s1"], p["s2"], p["d"], p["dimers_per_side"])
+    elif name == "compact_defect":
+        base = matrices.chain_capacitance(matrices.dimer_alternation(p["s1"], p["s2"], p["n"] - 1))
+        p.setdefault("index", matrices.center_index(p["n"]))
+        mat = matrices.compact_perturbation(base, p["index"], p["delta"])
+    else:  # external_matrix
         if "matrix" not in p:
             raise ValueError("external_matrix scenario needs a 'matrix' path")
-        k = int(p.setdefault("k", 1))
-        mat = matrices.load_matrix(p["matrix"], k=k)
-        sym = symbols.symbol_from_source(p["symbol"]) if p.get("symbol") else None
-        return mat, sym, k, p
-    raise ValueError(f"unknown scenario {name!r}; choose one of {SCENARIOS}")
+        mat = matrices.load_matrix(p["matrix"], k=p["k"])
+        return mat, symbols.symbol_from_source(p["symbol"]) if p.get("symbol") else None, p["k"]
+    return mat, symbols.dimer_symbol(p["s1"], p["s2"]), 2
 
 
 def run_scenario(config: dict) -> ScenarioResult:
     """Build the scenario matrix, reconstruct, and attach gap and error reports.
 
     config holds at least {"scenario": name}; scenario parameters may sit
-    either at the top level or under "params".  The reference bands come
-    from the scenario's underlying periodic symbol where one exists; bands
-    that are not even in alpha are refused, since only |alpha| is recovered.
+    either at the top level or under "params".  A key the scenario does not
+    read (see SCENARIOS) is refused, and each value is converted once to its
+    type in PARAMS, so the recorded params are the ones used.  The reference
+    bands come from the scenario's underlying periodic symbol where one
+    exists; bands that are not even in alpha are refused, since only |alpha|
+    is recovered.
     """
     cfg = dict(config)
     name = cfg.pop("scenario", None)
-    if name is None:
-        raise ValueError("config needs a 'scenario' field")
-    params = dict(cfg.pop("params", {}))
-    grid = int(cfg.pop("grid", DEFAULT_GRID))
-    margin = cfg.pop("margin", None)
-    params.update(cfg)
+    if not isinstance(name, str) or name not in SCENARIOS:
+        raise ValueError(f"scenario must be one of {', '.join(SCENARIOS)}, got {name!r}")
+    nested = cfg.pop("params", {})
+    if not isinstance(nested, dict):
+        raise ValueError(f"params must be an object, got {nested!r}")
+    given = {**nested, **cfg}
+    grid = _number("grid", given.pop("grid", DEFAULT_GRID), int)
+    reads = SCENARIOS[name]
+    unread = [key for key in given if key not in reads and key != "margin"]
+    if unread:
+        raise ValueError(f"scenario {name!r} does not read {', '.join(map(str, unread))}; "
+                         f"it takes {', '.join(reads)}")
+    params = {key: value for key, value in reads.items() if value is not None}
+    for key, value in given.items():
+        kind = PARAMS[key][0]
+        if value is not None:  # null counts as not given, as an unset flag does
+            params[key] = _text(key, value, inline=(key == "symbol")) if kind is str else _number(key, value, kind)
+    margin = params.pop("margin", None)
 
-    built, sym, k, resolved = _scenario_setup(name, params)
+    built, sym, k = _scenario_setup(name, params)
     points = reconstruct_bands(built, k)
     matrix = built.bc if isinstance(built, PerturbedPair) else built
 
@@ -335,10 +370,10 @@ def run_scenario(config: dict) -> ScenarioResult:
         if margin is None:
             margin = default_gap_margin(bands)
         values = np.array([p.lam for p in points])
-        gap_report = detect_gaps(bands, values, margin=float(margin), points=points)
+        gap_report = detect_gaps(bands, values, margin=margin, points=points)
         in_gap = {g.index for g in gap_report.gap_modes}
         for p in points:
             p.localized = p.localized or (p.index in in_gap)
         stats = compare_to_symbol(points, bands, edge_margin=edge)
-    return ScenarioResult(scenario=name, params=resolved, k=k, matrix=matrix,
+    return ScenarioResult(scenario=name, params=params, k=k, matrix=matrix,
                           points=points, bands=bands, gap_report=gap_report, stats=stats)

@@ -104,14 +104,19 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     return EigenDecomposition(values=vals, vectors=vecs)
 
 
-def residual(M, lam: float, u) -> float:
-    """||M u - lam u|| for a unit vector u."""
-    data = M.data if isinstance(M, FiniteMatrix) else np.asarray(M)
-    u = np.asarray(u, dtype=complex)
-    if u.size != data.shape[0]:
-        raise ValueError(f"vector length {u.size} does not match matrix size {data.shape[0]}")
+def residual(M: FiniteMatrix, lam: float, u) -> float:
+    """||M u - lam u|| for a unit vector u; a matrix that carries its diagonals is applied in O(n)."""
     u = _checked_unit(u, "residual")
-    return float(np.linalg.norm(data @ u - lam * u))
+    if u.size != M.n:
+        raise ValueError(f"vector length {u.size} does not match matrix size {M.n}")
+    if M.diagonals is None:
+        Mu = M.data @ u
+    else:
+        diag, upper, lower = M.diagonals
+        Mu = diag * u
+        Mu[:-1] += upper * u[1:]
+        Mu[1:] += lower * u[:-1]
+    return float(np.linalg.norm(Mu - lam * u))
 
 
 @dataclass(frozen=True)

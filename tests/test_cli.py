@@ -112,6 +112,13 @@ MONOMER_OBJECT = symbols.symbol_to_dict(symbols.nearest_neighbour_symbol(2.0, -1
      "symbol must be a string or an object, got 0"),
     ("bands", {"symbol": 0}, "symbol must be a string or an object, got 0"),
     ("transform", {"vector": "v.csv", "k": [2]}, "k must be an integer, got [2]"),
+    ("reconstruct", {"scenario": "periodic_nn", "m": 24.7}, "m must be an integer, got 24.7"),
+    ("reconstruct", {"scenario": "ssh", "dimers_per_side": True},
+     "dimers_per_side must be an integer, got True"),
+    ("reconstruct", {"scenario": "ssh", "s1": False}, "s1 must be a number, got False"),
+    ("reconstruct", {"scenario": "ssh", "params": 5}, "params must be an object, got 5"),
+    ("reconstruct", {"scenario": ["ssh"]}, "scenario must be one of periodic_nn, periodic_symbol, "
+                                           "ssh, dislocated, compact_defect, external_matrix, got ['ssh']"),
 ])
 def test_config_values_of_the_wrong_type_are_refused(tmp_path, monkeypatch, capsys, command,
                                                      config, message):
@@ -122,6 +129,41 @@ def test_config_values_of_the_wrong_type_are_refused(tmp_path, monkeypatch, caps
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "v.csv"]
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["reconstruct", "--scenario", "ssh", "--m", "7", "--delta", "0.3"], None,
+     "scenario 'ssh' does not read m, delta; it takes s1, s2, dimers_per_side"),
+    (["reconstruct"], {"scenario": "ssh", "dimers_per_sid": 500},
+     "scenario 'ssh' does not read dimers_per_sid; it takes s1, s2, dimers_per_side"),
+    (["reconstruct", "--scenario", "compact_defect"], {"params": {"d": 3.0}},
+     "scenario 'compact_defect' does not read d; it takes s1, s2, n, delta, index"),
+    (["bands"], {"symbol": "dimer", "grdi": 8},
+     "cfg.json: bands does not read grdi; it takes symbol, out, format, grid"),
+    (["transform", "--vector", "v.csv"], {"grid": 8},
+     "cfg.json: transform does not read grid; it takes vector, k, out"),
+])
+def test_keys_nothing_reads_are_refused(tmp_path, monkeypatch, capsys, argv, config, message):
+    (tmp_path / "v.csv").write_text("1\n0\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(config or {}))
+    monkeypatch.chdir(tmp_path)
+    code = main(argv + (["--config", "cfg.json"] if config else []))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "v.csv"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--margin", "nan"], "margin must be finite and nonnegative, got nan"),
+    (["--margin", "inf"], "margin must be finite and nonnegative, got inf"),
+    (["--s1", "0"], "spacings must be positive"),
+    (["--s2", "0"], "spacings must be positive"),
+])
+def test_reconstruct_refuses_values_the_method_cannot_use(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert main(["reconstruct", "--scenario", "ssh", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_transform_k_zero_flag_is_refused(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from bandrec import matrices, outputs, spectra, symbols, transform
 from bandrec.matrices import FiniteMatrix
-from bandrec.reconstruct import (capacitance_eigenpairs_oracle, compare_to_symbol,
-                                 detect_gaps, reconstruct_bands, run_scenario,
+from bandrec.reconstruct import (PARAMS, SCENARIOS, capacitance_eigenpairs_oracle,
+                                 compare_to_symbol, detect_gaps, reconstruct_bands, run_scenario,
                                  tridiagonal_eigenpairs_oracle)
 
 MONOMER = symbols.nearest_neighbour_symbol(2.0, -1.0)
@@ -169,8 +169,9 @@ def test_detect_gaps_margin_shrinks():
     bands = symbols.band_functions(DIMER, 256)
     report = detect_gaps(bands, np.array([1.05, 1.5]), margin=0.1)
     assert len(report.gap_modes) == 1  # 1.05 now outside the shrunk gap
-    with pytest.raises(ValueError):
-        detect_gaps(bands, np.array([]), margin=-1.0)
+    for margin in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="margin must be finite and nonnegative"):
+            detect_gaps(bands, np.array([]), margin=margin)
 
 
 def test_run_scenario_periodic_nn():
@@ -247,6 +248,59 @@ def test_run_scenario_rejects_unknown():
         run_scenario({"scenario": "warp_drive"})
     with pytest.raises(ValueError):
         run_scenario({})
+    with pytest.raises(ValueError, match=r"^dimers_per_side must be an integer, got \[3\]$"):
+        run_scenario({"scenario": "ssh", "dimers_per_side": [3]})
+    with pytest.raises(ValueError, match="^scenario 'ssh' does not read alpha, alpha_tilde, eta"):
+        run_scenario({"scenario": "ssh", "alpha": 1.5, "alpha_tilde": 1.0, "eta": 1.0,
+                      "beta1": -1.0, "beta2": -0.5})
+
+
+# A second value for every scenario parameter, each one the method can use
+# except am1 != a1, which makes periodic_nn non-Hermitian and is refused.
+OTHER_VALUE = {"a0": 2.5, "a1": -1.2, "am1": -0.8, "m": 24, "s1": 1.1, "s2": 1.9, "d": 3.0,
+               "dimers_per_side": 6, "n": 40, "delta": -0.3, "index": 7, "k": 2, "symbol": "dimer"}
+
+
+def _outcome(config):
+    """What a run produced, without the params it records; or the message it was refused with."""
+    try:
+        result = run_scenario(config)
+    except ValueError as exc:
+        return str(exc)
+    summary = result.summary()
+    del summary["params"]
+    return summary, [(p.alpha_est, p.lam, p.band_error) for p in result.points]
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_every_scenario_parameter_is_declared_and_read(tmp_path, scenario):
+    """SCENARIOS and _scenario_setup agree: each declared parameter is read, nothing else is."""
+    reads = SCENARIOS[scenario]
+    foreign = next(name for name in PARAMS if name not in reads and name != "margin")
+    with pytest.raises(ValueError, match=f"^scenario '{scenario}' does not read {foreign}; "
+                                         f"it takes {', '.join(reads)}$"):
+        run_scenario({"scenario": scenario, foreign: OTHER_VALUE[foreign]})
+
+    for name, a0 in (("m.csv", 2.0), ("other.csv", 2.5)):
+        matrices.save_matrix(matrices.capacitance_1d(a0, -1.0, -1.0, 12), tmp_path / name)
+    required = {"matrix": str(tmp_path / "m.csv")} if scenario == "external_matrix" else {}
+    defaults = run_scenario({"scenario": scenario, **required})
+    # every parameter given explicitly, at the value the default run used
+    explicit = {key: value for key, value in defaults.params.items() if key != "truncation_tail_bound"}
+    if "symbol" in reads:  # optional, so not recorded when not given
+        explicit["symbol"] = "exponential" if scenario == "periodic_symbol" else "monomer"
+    assert set(explicit) == set(reads)
+    result = run_scenario({"scenario": scenario, **explicit})
+    assert result.params.items() >= explicit.items()
+    assert [p.lam for p in result.points] == [p.lam for p in defaults.points]
+    baseline = _outcome({"scenario": scenario, **explicit})
+    if scenario != "external_matrix":  # where the default run has no reference symbol
+        assert baseline == _outcome({"scenario": scenario, **required})
+
+    others = dict(OTHER_VALUE, matrix=str(tmp_path / "other.csv"))
+    for name in reads:
+        assert _outcome({"scenario": scenario, **explicit, name: others[name]}) != baseline, \
+            f"{name} is not read"
 
 
 def test_scenario_error_stats_exclude_localized():

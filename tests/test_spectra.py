@@ -147,6 +147,21 @@ def test_residual_dimension_mismatch():
         residual(M, 0.0, np.ones(4) / 2.0)
 
 
+@pytest.mark.parametrize("family", ["ssh", "compact_symmetrized"])
+def test_residual_of_a_chain_reads_its_diagonals(monkeypatch, family):
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=161) + 1j * rng.normal(size=161)
+    u /= np.linalg.norm(u)
+    M = TRIDIAGONAL[family](161)
+
+    def refuse(*args):
+        raise AssertionError("dense array written for a residual of a chain")
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "_tridiagonal", refuse)
+        banded = residual(M, 1.3, u)
+    assert abs(banded - np.linalg.norm(M.data @ u - 1.3 * u)) <= 1e-14
+
+
 def test_residual_banded_truncation_bound():
     sym = symbols.exponential_symbol()
     m = 40
