@@ -11,7 +11,7 @@ from .matrices import (FiniteMatrix, PerturbedPair, capacitance_1d, chain_capaci
                        circulant_matrix, compact_perturbation, dislocated_chain,
                        load_matrix, save_matrix, ssh_matrix, ssh_params_from_spacings,
                        toeplitz_matrix)
-from .reconstruct import (GapReport, ReconstructionPoint, ScenarioResult,
+from .reconstruct import (GapReport, Points, ScenarioResult,
                           capacitance_eigenpairs_oracle, compare_to_symbol, detect_gaps,
                           reconstruct_bands, run_scenario, tridiagonal_eigenpairs_oracle)
 from .spectra import (EigenDecomposition, NearFarSplit, concentration_check,
@@ -20,8 +20,7 @@ from .symbols import (BandStructure, Symbol, band_functions, banded_truncation,
                       cell_chain_symbol, check_assumptions, dimer_symbol, evaluate_symbol,
                       exponential_symbol, load_symbol, nearest_neighbour_symbol,
                       save_symbol, symbol_sup_norm)
-from .transform import (BrillouinSample, SectionedVector, brillouin_sample, dft,
-                        discrete_quasiperiodicity, projection_profile,
+from .transform import (brillouin_sample, dft, discrete_quasiperiodicity, projection_profile,
                         quasiperiodic_extension, sections, tfb_projection, tfbt, zero_pad)
 
 __version__ = "0.1.0"

@@ -269,16 +269,16 @@ class PerturbedPair:
     index: int
     delta: float
 
-    def bc_eigenvector(self, v: np.ndarray) -> np.ndarray:
-        """Map an eigenvector of the symmetrized form to one of B C, unit norm.
+    def bc_eigenvectors(self, V: np.ndarray) -> np.ndarray:
+        """Map eigenvectors of the symmetrized form (columns of V) to unit eigenvectors of B C.
 
         B C = B^{1/2} (B^{1/2} C B^{1/2}) B^{-1/2}, so the map is left
-        multiplication by B^{1/2}.
+        multiplication by B^{1/2}: one row scaled, then every column normalised.
         """
-        scale = np.ones(self.bc.n)
-        scale[self.index - 1] = np.sqrt(1.0 + self.delta)
-        w = scale * np.asarray(v)
-        return w / np.linalg.norm(w)
+        W = np.array(V)
+        W[self.index - 1] *= math.sqrt(1.0 + self.delta)
+        W /= np.linalg.norm(W, axis=0)
+        return W
 
 
 def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> PerturbedPair:
@@ -333,12 +333,13 @@ def load_matrix(path, k: int = 1) -> FiniteMatrix:
     if text.lstrip().startswith("{"):
         data = complex_from_parts(json.loads(text), str(path))
     else:
-        rows = [[complex(tok.strip()) for tok in line.split(",")] for line in text.split("\n") if line.strip()]
-        if not rows:
+        lines = [line for line in text.split("\n") if line.strip()]
+        if not lines:  # loadtxt only warns on empty input
             raise ValueError(f"{path}: empty matrix file")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError(f"{path}: ragged rows")
-        data = np.asarray(rows, dtype=complex)
+        try:
+            data = np.loadtxt(lines, delimiter=",", dtype=complex, ndmin=2, comments=None)
+        except ValueError as exc:  # ragged rows or a token that is not a number
+            raise ValueError(f"{path}: {exc}") from None
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"{path}: matrix is not square, shape {data.shape}")
     hermitian = _relative_defect(data - data.conj().T, _finite_max_abs(data)) <= HERMITIAN_TOL

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .reconstruct import ScenarioResult
+from .reconstruct import Points, ScenarioResult
 from .symbols import BandStructure
 
 
@@ -48,13 +48,15 @@ def write_bands_csv(bs: BandStructure, path) -> None:
                 fh.write(f"{fmt(bs.alphas[j])},{p + 1},{fmt(bs.values[p, j])},{fmt(bs.derivatives[p, j])}\n")
 
 
-def write_points_csv(points, path) -> None:
+def write_points_csv(points: Points, path) -> None:
+    """One row per eigenpair; index is the row number, band_error is empty until compared."""
+    errors = [""] * len(points) if points.band_error is None else map(fmt, points.band_error)
+    rows = zip(map(fmt, points.alpha_est), map(fmt, points.lam), map(fmt, points.sup_ratio),
+               map(fmt, points.ipr), np.where(points.localized, "true", "false"), errors)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,alpha_est,lambda,sup_ratio,ipr,localized,band_error\n")
-        for p in points:
-            err = "" if p.band_error is None else fmt(p.band_error)
-            fh.write(f"{p.index},{fmt(p.alpha_est)},{fmt(p.lam)},{fmt(p.sup_ratio)},"
-                     f"{fmt(p.ipr)},{str(p.localized).lower()},{err}\n")
+        for i, row in enumerate(rows):
+            fh.write(f"{i},{','.join(row)}\n")
 
 
 def write_transform_csv(alphas, masses, path) -> None:
@@ -110,7 +112,7 @@ def _svg_open(x_range, y_range, title):
     return lines, to_px
 
 
-def write_bands_svg(bs: BandStructure, path, points=None, title="band structure") -> None:
+def write_bands_svg(bs: BandStructure, path, points: Points | None = None, title="band structure") -> None:
     """Band curves as polylines; optional reconstructed points as circles.
 
     When points are given the plot covers [0, pi] (recovered values are
@@ -127,7 +129,7 @@ def write_bands_svg(bs: BandStructure, path, points=None, title="band structure"
         x_range = (0.0, float(np.pi))
     y_all = np.concatenate([np.asarray(c) for c in curves])
     if points:
-        y_all = np.concatenate([y_all, [p.lam for p in points]])
+        y_all = np.concatenate([y_all, points.lam])
     spread = max(float(y_all.max() - y_all.min()), 1e-12)
     y_range = (float(y_all.min()) - 0.05 * spread, float(y_all.max()) + 0.05 * spread)
 
@@ -136,9 +138,9 @@ def write_bands_svg(bs: BandStructure, path, points=None, title="band structure"
         pts = " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}" for x, y in zip(xs, curve))
         lines.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
     if points:
-        for p in points:
-            px, py = to_px(p.alpha_est, p.lam)
-            if p.localized:
+        for alpha, lam, localized in zip(points.alpha_est, points.lam, points.localized):
+            px, py = to_px(alpha, lam)
+            if localized:
                 lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="none" '
                              f'stroke="#d62728" stroke-width="1.5"/>')
             else:

@@ -28,19 +28,26 @@ EDGE_EXCLUSION_BINS = 4
 
 
 @dataclass
-class ReconstructionPoint:
-    """One eigenpair's recovered quasiperiodicity plus localization diagnostics."""
+class Points:
+    """Per-eigenpair results as columns; row i is eigenpair i, ascending in lam.
 
-    index: int
-    alpha_est: float
-    lam: float
-    sup_ratio: float
-    ipr: float
-    localized: bool
-    band_error: float | None = None
+    alpha_est is the recovered quasiperiodicity, sup_ratio and ipr the
+    localization measures, and band_error stays None until compare_to_symbol
+    fills it.
+    """
+
+    alpha_est: np.ndarray
+    lam: np.ndarray
+    sup_ratio: np.ndarray
+    ipr: np.ndarray
+    localized: np.ndarray  # bool
+    band_error: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.lam.size
 
 
-def reconstruct_bands(M, k: int) -> list[ReconstructionPoint]:
+def reconstruct_bands(M, k: int) -> Points:
     """Recover (quasiperiodicity, eigenvalue) pairs for every eigenvector of M.
 
     M is a Hermitian FiniteMatrix or a PerturbedPair, in which case the
@@ -54,21 +61,14 @@ def reconstruct_bands(M, k: int) -> list[ReconstructionPoint]:
         raise ValueError(f"block size must be positive, got {k}")
     if isinstance(M, PerturbedPair):
         eig = hermitian_eigen(M.symmetrized)
-        vectors = [M.bc_eigenvector(eig.vectors[:, i]) for i in range(eig.n)]
+        V = M.bc_eigenvectors(eig.vectors)
     else:
         eig = hermitian_eigen(M)
-        vectors = [eig.vectors[:, i] for i in range(eig.n)]
-
-    results = []
-    for v in vectors:
-        alpha = discrete_quasiperiodicity(zero_pad(v, k), k)
-        results.append((alpha, *localization_metrics(v)))
-    iprs = [r[2] for r in results]
-    flags = ipr_localized_flags(iprs)
-    return [ReconstructionPoint(index=i, alpha_est=results[i][0], lam=float(eig.values[i]),
-                                sup_ratio=results[i][1], ipr=results[i][2],
-                                localized=bool(flags[i]))
-            for i in range(eig.n)]
+        V = eig.vectors
+    alpha = np.array([discrete_quasiperiodicity(zero_pad(V[:, i], k), k) for i in range(eig.n)])
+    sup, ipr = localization_metrics(V)
+    return Points(alpha_est=alpha, lam=eig.values, sup_ratio=sup, ipr=ipr,
+                  localized=ipr_localized_flags(ipr))
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class ErrorStats:
         }
 
 
-def compare_to_symbol(points: list[ReconstructionPoint], bs: symbols.BandStructure,
+def compare_to_symbol(points: Points, bs: symbols.BandStructure,
                       edge_margin: float = 0.0) -> ErrorStats:
     """Fill in band_error = min_p |lam - lambda_p(alpha_est)| and summarise.
 
@@ -102,24 +102,21 @@ def compare_to_symbol(points: list[ReconstructionPoint], bs: symbols.BandStructu
     least edge_margin away from both 0 and pi; localized statistics run
     over all localized points.
     """
-    if not points:
+    if not len(points):
         raise ValueError("no points to compare")
-    alphas = np.array([p.alpha_est for p in points])
-    band_vals = bs.values_at(alphas)          # (k, npts)
-    errors = np.min(np.abs(band_vals - np.array([p.lam for p in points])[None, :]), axis=0)
-    for p, e in zip(points, errors):
-        p.band_error = float(e)
-    bulk = [p.band_error for p in points
-            if not p.localized and edge_margin <= p.alpha_est <= np.pi - edge_margin]
-    loc = [p.band_error for p in points if p.localized]
+    band_vals = bs.values_at(points.alpha_est)          # (k, npts)
+    points.band_error = np.min(np.abs(band_vals - points.lam[None, :]), axis=0)
+    a = points.alpha_est
+    bulk = points.band_error[~points.localized & (edge_margin <= a) & (a <= np.pi - edge_margin)]
+    loc = points.band_error[points.localized]
     return ErrorStats(
-        bulk_max=float(np.max(bulk)) if bulk else 0.0,
-        bulk_mean=float(np.mean(bulk)) if bulk else 0.0,
-        bulk_q90=float(np.quantile(bulk, 0.9)) if bulk else 0.0,
-        bulk_count=len(bulk),
-        localized_max=float(np.max(loc)) if loc else 0.0,
-        localized_mean=float(np.mean(loc)) if loc else 0.0,
-        localized_count=len(loc),
+        bulk_max=float(np.max(bulk)) if bulk.size else 0.0,
+        bulk_mean=float(np.mean(bulk)) if bulk.size else 0.0,
+        bulk_q90=float(np.quantile(bulk, 0.9)) if bulk.size else 0.0,
+        bulk_count=bulk.size,
+        localized_max=float(np.max(loc)) if loc.size else 0.0,
+        localized_mean=float(np.mean(loc)) if loc.size else 0.0,
+        localized_count=loc.size,
         edge_margin=edge_margin)
 
 
@@ -152,12 +149,12 @@ def default_gap_margin(bs: symbols.BandStructure) -> float:
     return 1e-6 * span
 
 
-def detect_gaps(bs: symbols.BandStructure, eig, margin: float = 0.0,
-                points: list[ReconstructionPoint] | None = None) -> GapReport:
+def detect_gaps(bs: symbols.BandStructure, values, margin: float = 0.0,
+                alphas=None) -> GapReport:
     """Find band gaps (shrunk by margin on each side) and the eigenvalues inside.
 
-    eig may be an EigenDecomposition or a plain eigenvalue array; when the
-    reconstruction points are supplied, gap modes carry their alpha_est.
+    values is an eigenvalue array; when the matching recovered
+    quasiperiodicities are supplied, gap modes carry their alpha_est.
     """
     if not 0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
@@ -167,12 +164,12 @@ def detect_gaps(bs: symbols.BandStructure, eig, margin: float = 0.0,
         lo, hi = ranges[p][1] + margin, ranges[p + 1][0] - margin
         if lo < hi:
             gaps.append((lo, hi))
-    values = eig.values if isinstance(eig, EigenDecomposition) else np.asarray(eig, dtype=float)
-    modes = []
-    for i, v in enumerate(values):
-        if any(lo < v < hi for lo, hi in gaps):
-            alpha = points[i].alpha_est if points is not None else float("nan")
-            modes.append(GapMode(index=i, lam=float(v), alpha_est=alpha))
+    values = np.asarray(values, dtype=float)
+    bounds = np.array(gaps, dtype=float).reshape(-1, 2)
+    inside = np.any((bounds[:, 0] < values[:, None]) & (values[:, None] < bounds[:, 1]), axis=1)
+    modes = [GapMode(index=int(i), lam=float(values[i]),
+                     alpha_est=float(alphas[i]) if alphas is not None else float("nan"))
+             for i in np.flatnonzero(inside)]
     return GapReport(gaps=gaps, gap_modes=modes, margin=margin)
 
 
@@ -217,10 +214,10 @@ def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
 # ---------------------------------------------------------------------------
 # scenarios
 
-# None marks a parameter derived from others (am1, index), optional (symbol) or
+# None marks a parameter derived from others (index), optional (symbol) or
 # required (matrix).  grid and margin are run-level keys every scenario takes.
 SCENARIOS = {
-    "periodic_nn": {"a0": 2.0, "a1": -1.0, "am1": None, "m": 80},
+    "periodic_nn": {"a0": 2.0, "a1": -1.0, "m": 80},
     "periodic_symbol": {"m": 30, "symbol": None},
     "ssh": {"s1": 1.0, "s2": 2.0, "dimers_per_side": 20},
     "dislocated": {"s1": 1.0, "s2": 2.0, "d": 4.0, "dimers_per_side": 10},
@@ -234,7 +231,7 @@ PARAMS = {
     "dimers_per_side": (int, None),
     "index": (int, "1-based defect site"),
     "k": (int, "block size (external_matrix)"),
-    "a0": (float, None), "a1": (float, None), "am1": (float, None), "s1": (float, None), "s2": (float, None),
+    "a0": (float, None), "a1": (float, None), "s1": (float, None), "s2": (float, None),
     "d": (float, "dislocated spacing"),
     "delta": (float, "compact defect strength"),
     "margin": (float, "gap detection margin"),
@@ -268,7 +265,7 @@ class ScenarioResult:
     params: dict
     k: int
     matrix: FiniteMatrix
-    points: list[ReconstructionPoint]
+    points: Points
     bands: symbols.BandStructure | None
     gap_report: GapReport | None
     stats: ErrorStats | None
@@ -281,7 +278,7 @@ class ScenarioResult:
             "matrix_size": self.matrix.n,
             "matrix_kind": self.matrix.kind,
             "n_points": len(self.points),
-            "n_localized": sum(p.localized for p in self.points),
+            "n_localized": int(np.count_nonzero(self.points.localized)),
         }
         if self.gap_report is not None:
             out["n_gaps"] = len(self.gap_report.gaps)
@@ -298,9 +295,8 @@ def _scenario_setup(name: str, p: dict):
     Each matrix is built before its symbol, so a bad spacing is refused by the matrix's own check.
     """
     if name == "periodic_nn":
-        p.setdefault("am1", p["a1"])
-        mat = matrices.capacitance_1d(p["a0"], p["a1"], p["am1"], p["m"])
-        return mat, symbols.nearest_neighbour_symbol(p["a0"], p["a1"], p["am1"]), 1
+        mat = matrices.capacitance_1d(p["a0"], p["a1"], p["a1"], p["m"])
+        return mat, symbols.nearest_neighbour_symbol(p["a0"], p["a1"]), 1
     if name == "periodic_symbol":
         sym = symbols.symbol_from_source(p.get("symbol", "exponential"))
         if sym.tail_model is not None:
@@ -331,7 +327,9 @@ def run_scenario(config: dict) -> ScenarioResult:
     type in PARAMS, so the recorded params are the ones used.  The reference
     bands come from the scenario's underlying periodic symbol where one
     exists; bands that are not even in alpha are refused, since only |alpha|
-    is recovered.
+    is recovered.  So is a grid that is odd or below MIN_CHECK_GRID: the gap
+    edges come from the band samples, and an odd grid never samples alpha =
+    pi, where every band that is even in alpha has a critical point.
     """
     cfg = dict(config)
     name = cfg.pop("scenario", None)
@@ -342,6 +340,8 @@ def run_scenario(config: dict) -> ScenarioResult:
         raise ValueError(f"params must be an object, got {nested!r}")
     given = {**nested, **cfg}
     grid = _number("grid", given.pop("grid", DEFAULT_GRID), int)
+    if grid < symbols.MIN_CHECK_GRID or grid % 2:
+        raise ValueError(f"grid must be an even number of at least {symbols.MIN_CHECK_GRID}, got {grid}")
     reads = SCENARIOS[name]
     unread = [key for key in given if key not in reads and key != "margin"]
     if unread:
@@ -369,11 +369,8 @@ def run_scenario(config: dict) -> ScenarioResult:
         edge = 2.0 * np.pi * EDGE_EXCLUSION_BINS / m_dft
         if margin is None:
             margin = default_gap_margin(bands)
-        values = np.array([p.lam for p in points])
-        gap_report = detect_gaps(bands, values, margin=margin, points=points)
-        in_gap = {g.index for g in gap_report.gap_modes}
-        for p in points:
-            p.localized = p.localized or (p.index in in_gap)
+        gap_report = detect_gaps(bands, points.lam, margin=margin, alphas=points.alpha_est)
+        points.localized[[g.index for g in gap_report.gap_modes]] = True
         stats = compare_to_symbol(points, bands, edge_margin=edge)
     return ScenarioResult(scenario=name, params=params, k=k, matrix=matrix,
                           points=points, bands=bands, gap_report=gap_report, stats=stats)

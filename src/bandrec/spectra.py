@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrices import FiniteMatrix
-from .transform import polarize, projection_profile, _checked_unit
+from .transform import UNIT_NORM_TOL, polarize, projection_profile, _checked_unit
 
 DEGENERACY_REL_TOL = 1e-8
 IPR_LOCALIZATION_FACTOR = 10.0
@@ -164,11 +164,25 @@ def concentration_check(u, k: int, alpha0: float, delta: float) -> tuple[float, 
     return mass_in, mass_out
 
 
-def localization_metrics(u) -> tuple[float, float]:
-    """(sup-norm, inverse participation ratio) of a unit vector."""
-    u = _checked_unit(u, "localization_metrics")
-    mags = np.abs(u)
-    return float(mags.max()), float(np.sum(mags ** 4))
+def localization_metrics(u):
+    """(sup-norm, inverse participation ratio) of a unit vector, as floats.
+
+    For a matrix of unit columns both are arrays with one entry per column.
+    Each vector is renormalised first; its norm must be within UNIT_NORM_TOL
+    of one.  One real temporary the size of u holds the squared moduli.
+    """
+    sq = np.abs(u)
+    sq *= sq
+    norm2 = sq.sum(axis=0)
+    off = np.abs(np.sqrt(norm2) - 1.0)
+    if np.any(off > UNIT_NORM_TOL):
+        worst = float(np.sqrt(np.ravel(norm2)[np.argmax(off)]))
+        raise ValueError(f"localization_metrics expects unit vectors, got norm {worst!r}")
+    sup = np.sqrt(sq.max(axis=0) / norm2)
+    ipr = np.einsum("i...,i...->...", sq, sq) / (norm2 * norm2)
+    if sq.ndim == 1:
+        return float(sup), float(ipr)
+    return sup, ipr
 
 
 def ipr_localized_flags(iprs) -> np.ndarray:

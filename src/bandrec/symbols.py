@@ -20,6 +20,7 @@ HERMITIAN_TOL = 1e-12
 CROSSING_TOL = 1e-8
 EVENNESS_TOL = 1e-8
 VAN_DER_HOVE_TOL = 1e-6
+MIN_CHECK_GRID = 16  # smallest grid check_assumptions (and a scenario run) accepts
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     """
     if m < 2:
         raise ValueError(f"grid size must be at least 2, got {m}")
-    alphas = brillouin_sample(m).alphas
+    alphas = brillouin_sample(m)
     k = sym.k
     values = np.empty((k, m))
     vectors = np.empty((m, k, k), dtype=complex)
@@ -193,8 +194,8 @@ def check_assumptions(bs: BandStructure, tol: float = VAN_DER_HOVE_TOL) -> Assum
     Slopes are checked on interior grid points only, excluding the symmetry
     points alpha in {0, -pi} where the derivative vanishes for any even band.
     """
-    if bs.m < 16:
-        raise ValueError(f"assumption checks need a grid of size >= 16, got {bs.m}")
+    if bs.m < MIN_CHECK_GRID:
+        raise ValueError(f"assumption checks need a grid of size >= {MIN_CHECK_GRID}, got {bs.m}")
     ranges = bs.band_ranges()
     separations = [ranges[p + 1][0] - ranges[p][1] for p in range(len(ranges) - 1)]
     min_sep = min(separations) if separations else float("inf")
@@ -238,7 +239,7 @@ def symbol_sup_norm(sym: Symbol, samples: int = 4096) -> float:
     if samples < 64:
         raise ValueError(f"need at least 64 samples, got {samples}")
     best = 0.0
-    for a in brillouin_sample(samples).alphas:
+    for a in brillouin_sample(samples):
         best = max(best, float(np.linalg.norm(evaluate_symbol(sym, a), 2)))
     return best
 

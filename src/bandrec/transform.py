@@ -8,29 +8,17 @@ resonance strength at each sampled quasiperiodicity.  The weighted mean of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 UNIT_NORM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class BrillouinSample:
+def brillouin_sample(m: int) -> np.ndarray:
     """Uniform quasiperiodicity grid 2*pi*j/m, j = -floor(m/2) .. m-1-floor(m/2)."""
-
-    m: int
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        self.alphas.setflags(write=False)
-
-
-def brillouin_sample(m: int) -> BrillouinSample:
     if m < 1:
         raise ValueError(f"grid size must be positive, got {m}")
     j = np.arange(-(m // 2), m - m // 2)
-    return BrillouinSample(m=m, alphas=2.0 * np.pi * j / m)
+    return 2.0 * np.pi * j / m
 
 
 def bin_alphas(m: int) -> np.ndarray:
@@ -48,35 +36,17 @@ def dft(v) -> np.ndarray:
     return np.fft.fft(v) / np.sqrt(v.size)
 
 
-@dataclass(frozen=True)
-class SectionedVector:
-    """The k sections of a length-mk vector; section p holds entries p, p+k, p+2k, ..."""
+def sections(u, k: int) -> np.ndarray:
+    """The k sections of a length-mk vector as a (k, m) array; section p holds entries p, p+k, p+2k, ...
 
-    k: int
-    sections: np.ndarray  # shape (k, m)
-
-    def __post_init__(self):
-        self.sections.setflags(write=False)
-
-    @property
-    def m(self) -> int:
-        return self.sections.shape[1]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.sections))
-
-    def flatten(self) -> np.ndarray:
-        """Inverse of the section map: interleave the sections back into one vector."""
-        return self.sections.T.reshape(-1)
-
-
-def sections(u, k: int) -> SectionedVector:
+    The transpose's flattening, sections(u, k).T.reshape(-1), gives u back.
+    """
     u = np.asarray(u, dtype=complex)
     if k < 1:
         raise ValueError(f"block size must be positive, got {k}")
     if u.size % k != 0:
         raise ValueError(f"vector length {u.size} not divisible by block size {k}")
-    return SectionedVector(k=k, sections=u.reshape(-1, k).T.copy())
+    return u.reshape(-1, k).T.copy()
 
 
 def zero_pad(u, k: int) -> np.ndarray:
@@ -88,23 +58,23 @@ def zero_pad(u, k: int) -> np.ndarray:
     return np.concatenate([u, np.zeros(k - r, dtype=complex)])
 
 
-def tfbt(u, k: int) -> SectionedVector:
-    """Section-wise DFT; a unitary map on length-mk vectors."""
-    sec = u if isinstance(u, SectionedVector) else sections(u, k)
-    return SectionedVector(k=sec.k, sections=np.fft.fft(sec.sections, axis=1) / np.sqrt(sec.m))
+def tfbt(u, k: int) -> np.ndarray:
+    """Section-wise DFT as a (k, m) array; a unitary map on length-mk vectors."""
+    sec = sections(u, k)
+    return np.fft.fft(sec, axis=1) / np.sqrt(sec.shape[1])
 
 
 def tfb_projection(u, k: int, j: int) -> np.ndarray:
     """Bin j across all k section transforms; j is interpreted modulo m."""
     t = tfbt(u, k)
-    return t.sections[:, j % t.m].copy()
+    return t[:, j % t.shape[1]].copy()
 
 
 def projection_profile(u, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin alphas and projection masses ||T^j(u)||^2, in DFT bin order."""
     t = tfbt(u, k)
-    masses = np.sum(np.abs(t.sections) ** 2, axis=0)
-    return bin_alphas(t.m), masses
+    masses = np.sum(np.abs(t) ** 2, axis=0)
+    return bin_alphas(t.shape[1]), masses
 
 
 def quasiperiodic_extension(cell, alpha: float, m: int) -> np.ndarray:

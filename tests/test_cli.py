@@ -90,6 +90,37 @@ def test_mismatched_imaginary_part_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty matrix file"),
+    ("2,-1\n-1\n", "the number of columns changed from 2 to 1"),
+    ("2,x\n-1,2\n", "could not convert string 'x'"),
+    ("1,2,3\n4,5,6\n", "matrix is not square, shape (2, 3)"),
+])
+def test_reconstruct_refuses_a_malformed_matrix_csv(tmp_path, capsys, text, message):
+    mat_path = tmp_path / "m.csv"
+    mat_path.write_text(text)
+    out = tmp_path / "run"
+    code = main(["reconstruct", "--scenario", "external_matrix", "--matrix", str(mat_path),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mat_path}: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [3, 15, 16, 33])
+def test_reconstruct_refuses_a_grid_that_misses_the_band_edges(tmp_path, capsys, grid):
+    out = tmp_path / "run"
+    code = main(["reconstruct", "--scenario", "ssh", "--grid", str(grid), "--out", str(out)])
+    if grid == 16:
+        assert code == 0
+        assert len(json.loads((out / "gaps.json").read_text())["gap_modes"]) == 1
+    else:
+        assert code == 1
+        assert capsys.readouterr().err == f"error: grid must be an even number of at least 16, got {grid}\n"
+        assert not out.exists()
+
+
 def test_reconstruct_refuses_non_integer_config_value(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "ssh", "dimers_per_side": [3]}))

@@ -66,20 +66,19 @@ def test_capacitance_oracle_even_index_exact():
 def test_reconstruct_bands_circulant_exact():
     C = matrices.circulant_matrix(MONOMER, 16)
     points = reconstruct_bands(C, 1)
-    assert [p.index for p in points] == list(range(16))
-    assert all(p1.lam <= p2.lam for p1, p2 in zip(points, points[1:]))
-    targets = np.abs(transform.brillouin_sample(16).alphas)
-    for p in points:
-        assert abs(p.lam - (2.0 - 2.0 * np.cos(p.alpha_est))) < 1e-10
-        assert np.min(np.abs(targets - p.alpha_est)) < 1e-10
-        assert 0.0 <= p.alpha_est <= np.pi
+    assert len(points) == 16
+    assert np.all(np.diff(points.lam) >= 0)
+    targets = np.abs(transform.brillouin_sample(16))
+    assert np.max(np.abs(points.lam - (2.0 - 2.0 * np.cos(points.alpha_est)))) < 1e-10
+    assert np.max(np.min(np.abs(targets[:, None] - points.alpha_est), axis=0)) < 1e-10
+    assert np.all((0.0 <= points.alpha_est) & (points.alpha_est <= np.pi))
 
 
 def test_reconstruct_bands_one_by_one_matrix():
     M = FiniteMatrix(data=np.array([[1.5]]), hermitian=True)
     points = reconstruct_bands(M, 1)
     assert len(points) == 1
-    assert points[0].alpha_est == 0.0 and points[0].lam == 1.5
+    assert points.alpha_est[0] == 0.0 and points.lam[0] == 1.5
 
 
 def test_reconstruct_bands_rejects_bad_k():
@@ -92,7 +91,7 @@ def test_compare_to_symbol_circulant():
     points = reconstruct_bands(matrices.circulant_matrix(MONOMER, 16), 1)
     stats = compare_to_symbol(points, bands)
     assert stats.bulk_max < 1e-10
-    assert all(p.band_error is not None for p in points)
+    assert points.band_error.shape == (16,) and np.all(np.isfinite(points.band_error))
 
 
 def test_compare_to_symbol_capacitance_m80():
@@ -103,8 +102,7 @@ def test_compare_to_symbol_capacitance_m80():
     # even-index eigenvectors are recovered exactly; the odd-index fold
     # leakage contributes ~3.5/m in alpha, measured 7.0e-2 here
     assert stats.bulk_max < 7.5e-2
-    even_errors = [p.band_error for p in points if p.index % 2 == 0]
-    assert max(even_errors) < 1e-4
+    assert np.max(points.band_error[::2]) < 1e-4
 
 
 def test_compare_to_symbol_empty_points():
@@ -135,11 +133,11 @@ def test_detect_gaps_ssh_single_mode():
     bands = symbols.band_functions(DIMER, 256)
     M = matrices.ssh_matrix(m=20, **matrices.ssh_params_from_spacings(1.0, 2.0))
     points = reconstruct_bands(M, 2)
-    report = detect_gaps(bands, np.array([p.lam for p in points]), margin=1e-6, points=points)
+    report = detect_gaps(bands, points.lam, margin=1e-6, alphas=points.alpha_est)
     assert len(report.gap_modes) == 1
     mode = report.gap_modes[0]
     assert report.gaps[0][0] < mode.lam < report.gaps[0][1]
-    assert mode.alpha_est == points[mode.index].alpha_est
+    assert mode.alpha_est == points.alpha_est[mode.index]
 
 
 def test_detect_gaps_trimer_two_gaps():
@@ -195,22 +193,21 @@ def test_run_scenario_ssh_defaults():
     assert result.matrix.n == 81
     assert len(result.gap_report.gap_modes) == 1
     gi = result.gap_report.gap_modes[0].index
-    assert result.points[gi].localized
-    others = [p.band_error for p in result.points if p.index != gi]
-    assert max(others) < 0.1
+    assert result.points.localized[gi]
+    assert np.delete(result.points.band_error, gi).max() < 0.1
 
 
 def test_run_scenario_dislocated_localized_equals_gap():
     result = run_scenario({"scenario": "dislocated"})
     gap_set = {g.index for g in result.gap_report.gap_modes}
-    loc_set = {p.index for p in result.points if p.localized}
+    loc_set = set(np.flatnonzero(result.points.localized).tolist())
     assert gap_set == loc_set and len(gap_set) == 1
 
 
 def test_run_scenario_compact_defect_positive():
     result = run_scenario({"scenario": "compact_defect", "delta": 0.5})
     assert len(result.gap_report.gap_modes) >= 1
-    assert all(result.points[g.index].localized for g in result.gap_report.gap_modes)
+    assert result.points.localized[[g.index for g in result.gap_report.gap_modes]].all()
 
 
 def test_run_scenario_compact_defect_negative_detaches_one_state():
@@ -255,9 +252,8 @@ def test_run_scenario_rejects_unknown():
                       "beta1": -1.0, "beta2": -0.5})
 
 
-# A second value for every scenario parameter, each one the method can use
-# except am1 != a1, which makes periodic_nn non-Hermitian and is refused.
-OTHER_VALUE = {"a0": 2.5, "a1": -1.2, "am1": -0.8, "m": 24, "s1": 1.1, "s2": 1.9, "d": 3.0,
+# A second value for every scenario parameter, each one the method can use.
+OTHER_VALUE = {"a0": 2.5, "a1": -1.2, "m": 24, "s1": 1.1, "s2": 1.9, "d": 3.0,
                "dimers_per_side": 6, "n": 40, "delta": -0.3, "index": 7, "k": 2, "symbol": "dimer"}
 
 
@@ -269,7 +265,8 @@ def _outcome(config):
         return str(exc)
     summary = result.summary()
     del summary["params"]
-    return summary, [(p.alpha_est, p.lam, p.band_error) for p in result.points]
+    p = result.points
+    return summary, (p.alpha_est.tolist(), p.lam.tolist(), None if p.band_error is None else p.band_error.tolist())
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
@@ -292,7 +289,7 @@ def test_every_scenario_parameter_is_declared_and_read(tmp_path, scenario):
     assert set(explicit) == set(reads)
     result = run_scenario({"scenario": scenario, **explicit})
     assert result.params.items() >= explicit.items()
-    assert [p.lam for p in result.points] == [p.lam for p in defaults.points]
+    assert np.array_equal(result.points.lam, defaults.points.lam)
     baseline = _outcome({"scenario": scenario, **explicit})
     if scenario != "external_matrix":  # where the default run has no reference symbol
         assert baseline == _outcome({"scenario": scenario, **required})
@@ -307,7 +304,7 @@ def test_scenario_error_stats_exclude_localized():
     result = run_scenario({"scenario": "ssh"})
     gi = result.gap_report.gap_modes[0].index
     assert result.stats.localized_count >= 1
-    assert result.points[gi].band_error > result.stats.bulk_max
+    assert result.points.band_error[gi] > result.stats.bulk_max
 
 
 @pytest.mark.parametrize("scenario", ["ssh", "dislocated", "compact_defect", "periodic_nn"])

@@ -282,6 +282,22 @@ def test_localization_metrics_basis_and_uniform():
     assert abs(ipr - 1 / m) < 1e-14
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_localization_metrics_of_a_matrix_match_its_columns(dtype):
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(30, 30)) + (1j * rng.normal(size=(30, 30)) if dtype is complex else 0)
+    V, _ = np.linalg.qr(A)
+    sups, iprs = localization_metrics(V)
+    units = V / np.linalg.norm(V, axis=0)
+    for i in range(V.shape[1]):  # the per-vector formulas
+        mags = np.abs(units[:, i])
+        assert abs(sups[i] - mags.max()) <= 1e-15
+        assert abs(iprs[i] - np.sum(mags ** 4)) <= 1e-15
+    V[:, 4] *= 1.1
+    with pytest.raises(ValueError, match=r"expects unit vectors, got norm 1\.1"):
+        localization_metrics(V)
+
+
 def test_localization_ssh_gap_mode_stands_out():
     M = matrices.ssh_matrix(m=20, **matrices.ssh_params_from_spacings(1.0, 2.0))
     eig = hermitian_eigen(M)
