@@ -44,7 +44,7 @@ def _parse_formats(raw) -> tuple[str, ...]:
 def cmd_bands(args) -> int:
     cfg = _load_config(args)
     sym = symbols.symbol_from_source(_text("symbol", cfg.get("symbol", "monomer"), inline=True))
-    grid = _number("grid", cfg.get("grid", 256), int)
+    grid = symbols.checked_grid(_number("grid", cfg.get("grid", 256), int))
     outdir = Path(_text("out", cfg.get("out", ".")))
     formats = _parse_formats(cfg.get("format", "csv"))
     bs = symbols.band_functions(sym, grid)
@@ -54,14 +54,14 @@ def cmd_bands(args) -> int:
     if "svg" in formats:
         outputs.write_bands_svg(bs, outdir / "bands.svg")
         print(f"wrote {outdir / 'bands.svg'}")
-    report = symbols.check_assumptions(bs) if grid >= 16 else None
+    report = symbols.check_assumptions(bs)
     gaps = reconstruct.detect_gaps(bs, np.empty(0)).gaps
     if gaps:
         pretty = ", ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in gaps)
         print(f"band gaps: {pretty}")
     else:
         print("band gaps: none")
-    if report is not None and not report.passed:
+    if not report.passed:
         print(f"warning: assumption checks failed: {report.details}")
     return EXIT_OK
 
@@ -90,6 +90,10 @@ def cmd_transform(args) -> int:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     u = outputs.read_vector_csv(_text("vector", vec_path))
+    bad = ~np.isfinite(u)
+    if bad.any():
+        raise ValueError(f"vector has {np.count_nonzero(bad)} non-finite (NaN or inf) entries, "
+                         f"the first at entry {np.argmax(bad) + 1}")
     norm = np.linalg.norm(u)
     if norm == 0:
         raise ValueError("vector is zero")

@@ -157,17 +157,17 @@ def circulant_matrix(sym: Symbol, m: int) -> FiniteMatrix:
     return FiniteMatrix(data=_block_section(sym, m, cyclic=True), k=sym.k, kind="circulant", hermitian=True)
 
 
-def capacitance_1d(a0: float, a1: float, am1: float, m: int) -> FiniteMatrix:
-    """Tridiagonal chain with the corner entries a0+am1 and a0+a1.
+def capacitance_1d(a0: float, a1: float, m: int) -> FiniteMatrix:
+    """Symmetric tridiagonal chain with couplings a1 and the corner entries a0+a1.
 
-    The corner correction makes row sums vanish whenever a0 = -a1 - am1,
-    the signature of a nearest-neighbour capacitance chain.
+    The corner correction makes row sums vanish whenever a0 = -2 a1, the
+    signature of a nearest-neighbour capacitance chain.
     """
     if m < 2:
         raise ValueError(f"chain needs at least 2 sites, got {m}")
-    diag = np.concatenate([[a0 + am1], np.full(m - 2, a0), [a0 + a1]])
-    return FiniteMatrix(diagonals=(diag, np.full(m - 1, a1), np.full(m - 1, am1)), k=1,
-                        kind="capacitance1d", hermitian=(a1 == am1))
+    diag = np.concatenate([[a0 + a1], np.full(m - 2, a0), [a0 + a1]])
+    off = np.full(m - 1, a1)
+    return FiniteMatrix(diagonals=(diag, off, off), k=1, kind="capacitance1d", hermitian=True)
 
 
 def _chain_diagonals(spacings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,43 +192,34 @@ def chain_capacitance(spacings) -> FiniteMatrix:
     return FiniteMatrix(diagonals=_chain_diagonals(spacings), k=1, kind="chain", hermitian=True)
 
 
+def _dimer_chain(spacings, kind: str) -> FiniteMatrix:
+    """The capacitance chain of a dimer spacing sequence, kept with block size 2."""
+    return FiniteMatrix(diagonals=_chain_diagonals(spacings), k=2, kind=kind, hermitian=True)
+
+
+def _check_dimers(dimers_per_side: int) -> None:
+    if dimers_per_side < 1:
+        raise ValueError(f"need at least one dimer per side, got {dimers_per_side}")
+
+
 def dimer_alternation(first: float, second: float, count: int) -> np.ndarray:
     """first, second, first, ...: entry i (1-based) is first for odd i and second for even i."""
     return np.where(np.arange(count) % 2 == 0, float(first), float(second))
 
 
-def ssh_params_from_spacings(s1: float, s2: float) -> dict[str, float]:
-    """Matrix entries implied by the capacitance rule on the SSH spacing sequence."""
-    if s1 <= 0 or s2 <= 0:
-        raise ValueError("spacings must be positive")
-    return {
-        "alpha": 1.0 / s1 + 1.0 / s2,
-        "alpha_tilde": 1.0 / s1,
-        "eta": 2.0 / s2,
-        "beta1": -1.0 / s1,
-        "beta2": -1.0 / s2,
-    }
+def ssh_matrix(s1: float, s2: float, dimers_per_side: int) -> FiniteMatrix:
+    """Dimer chain of 4*dimers_per_side + 1 sites with a single central defect site.
 
-
-def ssh_matrix(alpha: float, alpha_tilde: float, eta: float,
-               beta1: float, beta2: float, m: int) -> FiniteMatrix:
-    """(4m+1) x (4m+1) dimerized chain with a single central defect site.
-
-    Diagonal: alpha_tilde at both ends, eta at the centre, alpha elsewhere.
-    Couplings from the edge alternate beta1, beta2 and mirror at the centre,
-    so beta2 sits on both sides of the defect and the matrix is persymmetric.
+    From each edge the spacings alternate s1, s2 and mirror at the centre,
+    so s2 sits on both sides of the defect site and the matrix is
+    persymmetric.
     """
-    if m < 1:
-        raise ValueError(f"need at least one dimer per side, got {m}")
-    diag = np.full(4 * m + 1, alpha, dtype=float)
-    diag[[0, -1]] = alpha_tilde
-    diag[2 * m] = eta
-    half = dimer_alternation(beta1, beta2, 2 * m)
-    couplings = np.concatenate([half, half[::-1]])
-    return FiniteMatrix(diagonals=(diag, couplings, couplings), k=2, kind="ssh", hermitian=True)
+    _check_dimers(dimers_per_side)
+    half = dimer_alternation(s1, s2, 2 * dimers_per_side)
+    return _dimer_chain(np.concatenate([half, half[::-1]]), "ssh")
 
 
-def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side: int) -> list[float]:
+def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side: int) -> np.ndarray:
     """Dimer-chain spacings with one intra-dimer gap stretched to d.
 
     The chain has 2*dimers_per_side dimers (4*dimers_per_side sites); the
@@ -236,18 +227,14 @@ def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side:
     half (1-based spacing index 2*dimers_per_side + 1), the intra gap nearest
     the centre.  d = s1 recovers the unperturbed chain.
     """
-    if s1 <= 0 or s2 <= 0 or d <= 0:
-        raise ValueError("spacings must be positive")
-    if dimers_per_side < 1:
-        raise ValueError("need at least one dimer per side")
+    _check_dimers(dimers_per_side)
     out = dimer_alternation(s1, s2, 4 * dimers_per_side - 1)
     out[2 * dimers_per_side] = d
-    return out.tolist()
+    return out
 
 
 def dislocated_chain(s1: float, s2: float, d: float, dimers_per_side: int) -> FiniteMatrix:
-    diagonals = _chain_diagonals(dislocated_spacing_sequence(s1, s2, d, dimers_per_side))
-    return FiniteMatrix(diagonals=diagonals, k=2, kind="dislocated", hermitian=True)
+    return _dimer_chain(dislocated_spacing_sequence(s1, s2, d, dimers_per_side), "dislocated")
 
 
 def center_index(n: int) -> int:

@@ -194,7 +194,7 @@ def tridiagonal_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
 
 
 def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecomposition:
-    """Eigenpairs of the corner-corrected chain capacitance_1d(a0, a1, a1, m).
+    """Eigenpairs of the corner-corrected chain capacitance_1d(a0, a1, m).
 
     lambda_s = a0 + 2 a1 cos(s pi / m), s = 0..m-1, with cosine eigenvectors
     u_s^(q) = kappa_s cos((q - 1/2) s pi / m); here the even-index vectors
@@ -295,7 +295,7 @@ def _scenario_setup(name: str, p: dict):
     Each matrix is built before its symbol, so a bad spacing is refused by the matrix's own check.
     """
     if name == "periodic_nn":
-        mat = matrices.capacitance_1d(p["a0"], p["a1"], p["a1"], p["m"])
+        mat = matrices.capacitance_1d(p["a0"], p["a1"], p["m"])
         return mat, symbols.nearest_neighbour_symbol(p["a0"], p["a1"]), 1
     if name == "periodic_symbol":
         sym = symbols.symbol_from_source(p.get("symbol", "exponential"))
@@ -303,7 +303,7 @@ def _scenario_setup(name: str, p: dict):
             p["truncation_tail_bound"] = sym.tail_model.tail_bound(sym.r_max)
         return matrices.toeplitz_matrix(sym, p["m"]), sym, sym.k
     if name == "ssh":
-        mat = matrices.ssh_matrix(m=p["dimers_per_side"], **matrices.ssh_params_from_spacings(p["s1"], p["s2"]))
+        mat = matrices.ssh_matrix(p["s1"], p["s2"], p["dimers_per_side"])
     elif name == "dislocated":
         mat = matrices.dislocated_chain(p["s1"], p["s2"], p["d"], p["dimers_per_side"])
     elif name == "compact_defect":
@@ -327,9 +327,8 @@ def run_scenario(config: dict) -> ScenarioResult:
     type in PARAMS, so the recorded params are the ones used.  The reference
     bands come from the scenario's underlying periodic symbol where one
     exists; bands that are not even in alpha are refused, since only |alpha|
-    is recovered.  So is a grid that is odd or below MIN_CHECK_GRID: the gap
-    edges come from the band samples, and an odd grid never samples alpha =
-    pi, where every band that is even in alpha has a critical point.
+    is recovered.  So is a grid that is odd or below MIN_CHECK_GRID (see
+    symbols.checked_grid).
     """
     cfg = dict(config)
     name = cfg.pop("scenario", None)
@@ -339,9 +338,7 @@ def run_scenario(config: dict) -> ScenarioResult:
     if not isinstance(nested, dict):
         raise ValueError(f"params must be an object, got {nested!r}")
     given = {**nested, **cfg}
-    grid = _number("grid", given.pop("grid", DEFAULT_GRID), int)
-    if grid < symbols.MIN_CHECK_GRID or grid % 2:
-        raise ValueError(f"grid must be an even number of at least {symbols.MIN_CHECK_GRID}, got {grid}")
+    grid = symbols.checked_grid(_number("grid", given.pop("grid", DEFAULT_GRID), int))
     reads = SCENARIOS[name]
     unread = [key for key in given if key not in reads and key != "margin"]
     if unread:

@@ -175,7 +175,7 @@ def localization_metrics(u):
     sq *= sq
     norm2 = sq.sum(axis=0)
     off = np.abs(np.sqrt(norm2) - 1.0)
-    if np.any(off > UNIT_NORM_TOL):
+    if not np.all(off <= UNIT_NORM_TOL):  # written so that a NaN norm fails too
         worst = float(np.sqrt(np.ravel(norm2)[np.argmax(off)]))
         raise ValueError(f"localization_metrics expects unit vectors, got norm {worst!r}")
     sup = np.sqrt(sq.max(axis=0) / norm2)

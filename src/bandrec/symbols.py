@@ -20,29 +20,31 @@ HERMITIAN_TOL = 1e-12
 CROSSING_TOL = 1e-8
 EVENNESS_TOL = 1e-8
 VAN_DER_HOVE_TOL = 1e-6
-MIN_CHECK_GRID = 16  # smallest grid check_assumptions (and a scenario run) accepts
+MIN_CHECK_GRID = 16  # smallest grid check_assumptions, bands and a scenario run accept
+
+
+def checked_grid(grid: int) -> int:
+    """grid itself when it is even and at least MIN_CHECK_GRID, else ValueError.
+
+    Gap edges come from the band samples, and an odd grid never samples
+    alpha = pi, where every band that is even in alpha has a critical point.
+    """
+    if grid < MIN_CHECK_GRID or grid % 2:
+        raise ValueError(f"grid must be an even number of at least {MIN_CHECK_GRID}, got {grid}")
+    return grid
 
 
 @dataclass(frozen=True)
 class TailModel:
-    """Decay descriptor for symbols truncated from an infinite series.
+    """Geometric coefficient decay ||a_s|| <= constant * geometric_ratio^|s| of a truncated series."""
 
-    Power-law coefficients use (exponent, constant); geometric decay sets
-    geometric_ratio, which gives the exact dropped-tail sum.
-    """
-
-    exponent: float
     constant: float
-    geometric_ratio: float | None = None
+    geometric_ratio: float
 
     def tail_bound(self, r: int) -> float:
-        """Upper bound on sum_{|s|>r} ||a_s|| implied by the decay model."""
-        if self.geometric_ratio is not None:
-            q = self.geometric_ratio
-            return 2.0 * self.constant * q ** (r + 1) / (1.0 - q)
-        if self.exponent <= 1.0:
-            return float("inf")
-        return 2.0 * self.constant * (r ** (1.0 - self.exponent)) / (self.exponent - 1.0)
+        """The dropped-tail sum sum_{|s|>r} constant * geometric_ratio^|s|."""
+        q = self.geometric_ratio
+        return 2.0 * self.constant * q ** (r + 1) / (1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ def evenness(bs: BandStructure) -> tuple[float, bool]:
     return defect, defect <= EVENNESS_TOL * max(1.0, float(np.max(np.abs(bs.values))))
 
 
-def check_assumptions(bs: BandStructure, tol: float = VAN_DER_HOVE_TOL) -> AssumptionReport:
+def check_assumptions(bs: BandStructure) -> AssumptionReport:
     """Check band-range disjointness, nonvanishing interior slopes, Hermitianness and evenness.
 
     Slopes are checked on interior grid points only, excluding the symmetry
@@ -203,7 +205,7 @@ def check_assumptions(bs: BandStructure, tol: float = VAN_DER_HOVE_TOL) -> Assum
 
     interior = ~(np.isclose(bs.alphas, 0.0) | np.isclose(bs.alphas, -np.pi) | np.isclose(bs.alphas, np.pi))
     min_slope = float(np.min(np.abs(bs.derivatives[:, interior])))
-    no_vdh = min_slope > tol
+    no_vdh = min_slope > VAN_DER_HOVE_TOL
 
     hermitian = bs.hermitian_defect <= HERMITIAN_TOL
     even_defect, even = evenness(bs)
@@ -258,11 +260,9 @@ def symbol_difference_sup_norm(sym_a: Symbol, sym_b: Symbol, samples: int = 4096
 # ---------------------------------------------------------------------------
 # builders
 
-def nearest_neighbour_symbol(a0: float, a1: float, am1: float | None = None) -> Symbol:
-    """Scalar symbol a_0 + a_1 z + a_{-1} z^{-1} of a monomer chain."""
-    if am1 is None:
-        am1 = a1
-    return Symbol(k=1, coeffs={0: [[a0]], 1: [[a1]], -1: [[am1]]})
+def nearest_neighbour_symbol(a0: float, a1: float) -> Symbol:
+    """Scalar symbol a_0 + a_1 (z + z^{-1}) of a monomer chain."""
+    return Symbol(k=1, coeffs={0: [[a0]], 1: [[a1]], -1: [[a1]]})
 
 
 def cell_chain_symbol(spacings) -> Symbol:
@@ -295,7 +295,7 @@ def exponential_symbol(r_max: int = 40) -> Symbol:
     recorded in the tail model.
     """
     coeffs = {p: [[-(2.0 ** -abs(p))]] for p in range(-r_max, r_max + 1)}
-    tail = TailModel(exponent=float("inf"), constant=1.0, geometric_ratio=0.5)
+    tail = TailModel(constant=1.0, geometric_ratio=0.5)
     return Symbol(k=1, coeffs=coeffs, tail_model=tail)
 
 

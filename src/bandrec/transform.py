@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 UNIT_NORM_TOL = 1e-8
+PIVOT_TOL = 1e-8  # smallest first component polarize takes as its pivot
 
 
 def brillouin_sample(m: int) -> np.ndarray:
@@ -89,7 +90,7 @@ def quasiperiodic_extension(cell, alpha: float, m: int) -> np.ndarray:
 def _checked_unit(u, what: str) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     nrm = np.linalg.norm(u)
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+    if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # written so that a NaN norm fails too
         raise ValueError(f"{what} expects a unit vector, got norm {nrm!r}")
     return u / nrm
 
@@ -107,14 +108,14 @@ def discrete_quasiperiodicity(u, k: int) -> float:
     return min(max(q, 0.0), np.pi)  # clamp 1-ulp rounding excursions
 
 
-def polarize(u, tol: float = 1e-8) -> np.ndarray:
+def polarize(u) -> np.ndarray:
     """Rotate the global phase so a pivot component is real positive.
 
-    The pivot is the first component unless its magnitude is below tol, in
-    which case the largest-magnitude component is used instead.
+    The pivot is the first component unless its magnitude is below
+    PIVOT_TOL, in which case the largest-magnitude component is used instead.
     """
     u = np.asarray(u, dtype=complex)
-    pivot = u[0] if abs(u[0]) >= tol else u[np.argmax(np.abs(u))]
+    pivot = u[0] if abs(u[0]) >= PIVOT_TOL else u[np.argmax(np.abs(u))]
     if abs(pivot) == 0.0:
         return u.copy()
     return u * (pivot.conjugate() / abs(pivot))

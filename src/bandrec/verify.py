@@ -19,7 +19,6 @@ from . import matrices, reconstruct, spectra, symbols, transform
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    group: str
     passed: bool
     detail: str
     seconds: float
@@ -148,7 +147,7 @@ def check_chain_invariants(tol, rng):
         const = vecs[:, i0] / vecs[0, i0]
         if abs(vals[i0]) > 1e-10 or np.max(np.abs(const - const[0])) > 1e-6:
             bad.append(f"n={n}: kernel not constant (lam={vals[i0]:.1e})")
-    M = matrices.ssh_matrix(1.5, 1.0, 1.0, -1.0, -0.5, 6)
+    M = matrices.ssh_matrix(1.0, 2.0, 6)
     A = M.data
     if np.max(np.abs(A - A.T)) > 0 or np.max(np.abs(A - A[::-1, ::-1].T)) > 0:
         bad.append("ssh matrix not symmetric/persymmetric")
@@ -540,13 +539,18 @@ CHECKS = [
 ]
 
 
+def _overridden(key: str, check_name: str, tols: dict) -> str | None:
+    """The tolerance of check_name that override key (NAME or CHECK.NAME) sets, or None."""
+    prefix, _, tol_key = key.rpartition(".")
+    return tol_key if prefix in ("", check_name) and tol_key in tols else None
+
+
 def run_check(name: str, seed: int = 0, overrides: dict | None = None) -> CheckResult:
     for check_name, fn, tols in CHECKS:
         if check_name == name:
             merged = dict(tols)
             for key, value in (overrides or {}).items():
-                prefix, _, tol_key = key.rpartition(".")
-                if prefix in ("", check_name) and tol_key in merged:
+                if tol_key := _overridden(key, check_name, tols):
                     merged[tol_key] = value
             rng = np.random.default_rng(seed)
             start = time.perf_counter()
@@ -554,14 +558,19 @@ def run_check(name: str, seed: int = 0, overrides: dict | None = None) -> CheckR
                 passed, detail = fn(merged, rng)
             except Exception as exc:  # a crashing check is a failing check
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-            return CheckResult(name=check_name, group=check_name.split(".")[0],
-                               passed=passed, detail=detail,
+            return CheckResult(name=check_name, passed=passed, detail=detail,
                                seconds=time.perf_counter() - start)
     raise ValueError(f"unknown check {name!r}")
 
 
 def run_checks(only: str | None = None, seed: int = 0,
                overrides: dict | None = None) -> list[CheckResult]:
+    """Run every check whose name contains only; an override that no check reads is refused."""
+    unread = [key for key in overrides or {}
+              if not any(_overridden(key, name, tols) for name, _, tols in CHECKS)]
+    if unread:
+        raise ValueError(f"no check reads the tolerance {', '.join(unread)}; "
+                         f"give NAME or CHECK.NAME with NAME one of the check's tolerances")
     results = []
     for name, _, _ in CHECKS:
         if only and only not in name:

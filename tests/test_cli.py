@@ -121,6 +121,20 @@ def test_reconstruct_refuses_a_grid_that_misses_the_band_edges(tmp_path, capsys,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [3, 15, 16])
+def test_bands_refuses_a_grid_that_misses_the_band_edges(tmp_path, capsys, grid):
+    out = tmp_path / "run"
+    code = main(["bands", "--symbol", "dimer", "--grid", str(grid), "--out", str(out)])
+    captured = capsys.readouterr()
+    if grid == 16:
+        assert code == 0
+        assert "band gaps: (1, 2)" in captured.out
+    else:
+        assert code == 1
+        assert captured.err == f"error: grid must be an even number of at least 16, got {grid}\n"
+        assert not (out / "bands.csv").exists()
+
+
 def test_reconstruct_refuses_non_integer_config_value(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "ssh", "dimers_per_side": [3]}))
@@ -212,7 +226,7 @@ def test_inline_symbol_object_in_a_config_file(tmp_path):
     assert main(["bands", "--config", str(cfg)]) == 0
     assert len(read_csv(tmp_path / "b" / "bands.csv")) == 16
     from bandrec import matrices
-    matrices.save_matrix(matrices.capacitance_1d(2.0, -1.0, -1.0, 12), tmp_path / "m.csv")
+    matrices.save_matrix(matrices.capacitance_1d(2.0, -1.0, 12), tmp_path / "m.csv")
     cfg.write_text(json.dumps({"scenario": "external_matrix", "matrix": str(tmp_path / "m.csv"),
                                "symbol": MONOMER_OBJECT, "out": str(tmp_path / "r")}))
     assert main(["reconstruct", "--config", str(cfg)]) == 0
@@ -294,7 +308,7 @@ def test_reconstruct_compact_defect_gap_mode(tmp_path):
 
 def test_reconstruct_external_matrix(tmp_path):
     from bandrec import matrices
-    mat = matrices.ssh_matrix(m=5, **matrices.ssh_params_from_spacings(1.0, 2.0))
+    mat = matrices.ssh_matrix(1.0, 2.0, 5)
     mat_path = tmp_path / "ext.csv"
     matrices.save_matrix(mat, mat_path)
     out = tmp_path / "ext_run"
@@ -396,6 +410,21 @@ def test_transform_pads_odd_length(tmp_path):
     assert abs(sum(float(r["mass"]) for r in rows) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("entries,message", [
+    (["0.6", "nan", "0.8"], "1 non-finite (NaN or inf) entries, the first at entry 2"),
+    (["1", "0", "inf", "-inf+1j"], "2 non-finite (NaN or inf) entries, the first at entry 3"),
+])
+def test_transform_refuses_non_finite_entries(tmp_path, capsys, entries, message):
+    vec = tmp_path / "v.csv"
+    vec.write_text("\n".join(entries) + "\n")
+    out = tmp_path / "run"
+    code = main(["transform", "--vector", str(vec), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: vector has {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_transform_missing_vector():
     assert main(["transform"]) == 1
 
@@ -412,6 +441,13 @@ def test_verify_tolerance_injection_fails(capsys):
                  "--tol", "acceptance.09_unitarity.tol=0"])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_refuses_a_tolerance_no_check_reads(capsys):
+    code = main(["verify", "--only", "acceptance.09", "--tol", "acceptance.09_unitarity.tool=0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "no check reads the tolerance acceptance.09_unitarity.tool" in captured.err
 
 
 def test_verify_unknown_filter():

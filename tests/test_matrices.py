@@ -5,8 +5,7 @@ from bandrec import symbols
 from bandrec.matrices import (FiniteMatrix, capacitance_1d, center_index,
                               chain_capacitance, circulant_matrix, compact_perturbation,
                               dislocated_chain, dislocated_spacing_sequence, load_matrix,
-                              save_matrix, ssh_matrix, ssh_params_from_spacings,
-                              toeplitz_matrix)
+                              save_matrix, ssh_matrix, toeplitz_matrix)
 
 MONOMER = symbols.nearest_neighbour_symbol(2.0, -1.0)
 DIMER = symbols.dimer_symbol(1.0, 2.0)
@@ -71,7 +70,7 @@ def test_dense_matrix_records_its_diagonals_when_real_tridiagonal():
 
 
 def test_chain_keeps_read_only_diagonals_and_writes_data_once():
-    M = ssh_matrix(m=3, **ssh_params_from_spacings(1.0, 2.0))
+    M = ssh_matrix(1.0, 2.0, 3)
     assert "data" not in vars(M)  # nothing has read the dense array yet
     assert all(not x.flags.writeable for x in M.diagonals)
     assert M.data is M.data and not M.data.flags.writeable
@@ -154,7 +153,7 @@ def test_toeplitz_circulant_interior_agreement():
 
 
 def test_capacitance_1d():
-    M = capacitance_1d(2.0, -1.0, -1.0, 3)
+    M = capacitance_1d(2.0, -1.0, 3)
     assert np.array_equal(M.data, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
     assert np.max(np.abs(M.data.sum(axis=1))) == 0.0
     vals, vecs = np.linalg.eigh(M.data)
@@ -164,7 +163,7 @@ def test_capacitance_1d():
 
 def test_chain_capacitance_uniform_matches_capacitance_1d():
     A = chain_capacitance([1.0, 1.0])
-    B = capacitance_1d(2.0, -1.0, -1.0, 3)
+    B = capacitance_1d(2.0, -1.0, 3)
     assert np.allclose(A.data, B.data)
 
 
@@ -198,22 +197,36 @@ def test_alternating_chain_shows_dimer_gap():
 
 
 def test_ssh_matrix_explicit_5x5():
-    M = ssh_matrix(2.0, 1.0, 3.0, -1.0, -0.5, 1)
+    M = ssh_matrix(1.0, 2.0, 1)  # spacings 1, 2, 2, 1
     expect = [[1, -1, 0, 0, 0],
-              [-1, 2, -0.5, 0, 0],
-              [0, -0.5, 3, -0.5, 0],
-              [0, 0, -0.5, 2, -1],
+              [-1, 1.5, -0.5, 0, 0],
+              [0, -0.5, 1, -0.5, 0],
+              [0, 0, -0.5, 1.5, -1],
               [0, 0, 0, -1, 1]]
     assert np.array_equal(M.data, expect)
+    assert M.kind == "ssh" and M.k == 2 and M.hermitian
 
 
 def test_ssh_matrix_persymmetric():
     rng = np.random.default_rng(4)
     for m in (1, 3, 7):
-        vals = rng.normal(size=5)
-        M = ssh_matrix(*vals, m).data
+        s1, s2 = rng.uniform(0.2, 5.0, size=2)
+        M = ssh_matrix(s1, s2, m).data
         assert np.array_equal(M, M.T)
         assert np.array_equal(M, M[::-1, ::-1].T)
+
+
+@pytest.mark.parametrize("build,args,message", [
+    (ssh_matrix, (0.0, 2.0, 3), "spacings must be positive"),
+    (ssh_matrix, (1.0, -2.0, 3), "spacings must be positive"),
+    (ssh_matrix, (1.0, 2.0, 0), "need at least one dimer per side, got 0"),
+    (dislocated_chain, (0.0, 2.0, 4.0, 3), "spacings must be positive"),
+    (dislocated_chain, (1.0, 2.0, 0.0, 3), "spacings must be positive"),
+    (dislocated_chain, (1.0, 2.0, 4.0, -1), "need at least one dimer per side, got -1"),
+])
+def test_dimer_builders_refuse_bad_input(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
 
 
 def _alternating_spacings(s1, s2, count):
@@ -225,13 +238,13 @@ def test_ssh_matrix_matches_spacing_construction():
     cases = [(1.0, 2.0, 6)] + [(*rng.uniform(0.2, 5.0, size=2), int(rng.integers(1, 40)))
                                for _ in range(8)]
     for s1, s2, m in cases:
-        M = ssh_matrix(m=m, **ssh_params_from_spacings(s1, s2))
+        M = ssh_matrix(s1, s2, m)
         half = _alternating_spacings(s1, s2, 2 * m)  # gaps from the edge, mirrored at the centre
         assert np.array_equal(M.data, chain_capacitance(half + half[::-1]).data)
 
 
 def test_ssh_dimerized_has_one_gap_eigenvalue():
-    M = ssh_matrix(m=20, **ssh_params_from_spacings(1.0, 2.0))
+    M = ssh_matrix(1.0, 2.0, 20)
     vals = np.linalg.eigvalsh(M.data)
     in_gap = np.sum((vals > 1.0 + 1e-6) & (vals < 2.0 - 1e-6))
     assert in_gap == 1
@@ -353,7 +366,7 @@ def test_center_index():
 
 
 def test_matrix_csv_round_trip(tmp_path):
-    M = ssh_matrix(m=4, **ssh_params_from_spacings(1.0, 2.0))
+    M = ssh_matrix(1.0, 2.0, 4)
     path = tmp_path / "mat.csv"
     save_matrix(M, path)
     back = load_matrix(path, k=2)

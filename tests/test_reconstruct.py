@@ -46,7 +46,7 @@ def test_tridiagonal_oracle_even_index_quasiperiodicity_drift():
 def test_capacitance_oracle_matches_eigh():
     for m in (5, 12, 33):
         oracle = capacitance_eigenpairs_oracle(2.0, -1.0, m)
-        M = matrices.capacitance_1d(2.0, -1.0, -1.0, m)
+        M = matrices.capacitance_1d(2.0, -1.0, m)
         eig = spectra.hermitian_eigen(M)
         assert np.max(np.abs(oracle.values - eig.values)) < 1e-10
         for i in range(m):
@@ -97,7 +97,7 @@ def test_compare_to_symbol_circulant():
 def test_compare_to_symbol_capacitance_m80():
     bands = symbols.band_functions(MONOMER, 512)
     m = 80
-    points = reconstruct_bands(matrices.capacitance_1d(2.0, -1.0, -1.0, m), 1)
+    points = reconstruct_bands(matrices.capacitance_1d(2.0, -1.0, m), 1)
     stats = compare_to_symbol(points, bands, edge_margin=2 * np.pi * 4 / m)
     # even-index eigenvectors are recovered exactly; the odd-index fold
     # leakage contributes ~3.5/m in alpha, measured 7.0e-2 here
@@ -131,7 +131,7 @@ def test_detect_gaps_dimer():
 
 def test_detect_gaps_ssh_single_mode():
     bands = symbols.band_functions(DIMER, 256)
-    M = matrices.ssh_matrix(m=20, **matrices.ssh_params_from_spacings(1.0, 2.0))
+    M = matrices.ssh_matrix(1.0, 2.0, 20)
     points = reconstruct_bands(M, 2)
     report = detect_gaps(bands, points.lam, margin=1e-6, alphas=points.alpha_est)
     assert len(report.gap_modes) == 1
@@ -220,7 +220,7 @@ def test_run_scenario_compact_defect_negative_detaches_one_state():
 
 
 def test_run_scenario_external_matrix(tmp_path):
-    M = matrices.ssh_matrix(m=5, **matrices.ssh_params_from_spacings(1.0, 2.0))
+    M = matrices.ssh_matrix(1.0, 2.0, 5)
     path = tmp_path / "ext.csv"
     matrices.save_matrix(M, path)
     result = run_scenario({"scenario": "external_matrix", "matrix": str(path), "k": 2})
@@ -279,7 +279,7 @@ def test_every_scenario_parameter_is_declared_and_read(tmp_path, scenario):
         run_scenario({"scenario": scenario, foreign: OTHER_VALUE[foreign]})
 
     for name, a0 in (("m.csv", 2.0), ("other.csv", 2.5)):
-        matrices.save_matrix(matrices.capacitance_1d(a0, -1.0, -1.0, 12), tmp_path / name)
+        matrices.save_matrix(matrices.capacitance_1d(a0, -1.0, 12), tmp_path / name)
     required = {"matrix": str(tmp_path / "m.csv")} if scenario == "external_matrix" else {}
     defaults = run_scenario({"scenario": scenario, **required})
     # every parameter given explicitly, at the value the default run used

@@ -57,13 +57,12 @@ def _chain_with_a_cut(n):
     return FiniteMatrix(data=data, hermitian=True)
 
 
-SSH = matrices.ssh_params_from_spacings(1.0, 2.0)
 TRIDIAGONAL = {
     "single_site": lambda n: FiniteMatrix(data=np.array([[3.0]]), hermitian=True),
-    "ssh": lambda n: matrices.ssh_matrix(m=(n - 1) // 4, **SSH),
+    "ssh": lambda n: matrices.ssh_matrix(1.0, 2.0, (n - 1) // 4),
     "dislocated": lambda n: matrices.dislocated_chain(1.0, 2.0, 4.0, n // 4),
     "compact_symmetrized": _compact_symmetrized,
-    "capacitance_1d": lambda n: matrices.capacitance_1d(2.0, -1.0, -1.0, n),
+    "capacitance_1d": lambda n: matrices.capacitance_1d(2.0, -1.0, n),
     "reducible": _chain_with_a_cut,
 }
 
@@ -299,7 +298,7 @@ def test_localization_metrics_of_a_matrix_match_its_columns(dtype):
 
 
 def test_localization_ssh_gap_mode_stands_out():
-    M = matrices.ssh_matrix(m=20, **matrices.ssh_params_from_spacings(1.0, 2.0))
+    M = matrices.ssh_matrix(1.0, 2.0, 20)
     eig = hermitian_eigen(M)
     sups = np.array([localization_metrics(eig.vectors[:, i])[0] for i in range(eig.n)])
     gap = [i for i, v in enumerate(eig.values) if 1.0 + 1e-6 < v < 2.0 - 1e-6]

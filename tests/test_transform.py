@@ -156,6 +156,18 @@ def test_discrete_quasiperiodicity_rejects_non_unit():
         discrete_quasiperiodicity(np.ones(4), 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_unit_norm_tests_refuse_non_finite_vectors(bad):
+    u = np.array([0.6, 0.0, 0.8], dtype=complex)
+    u[1] = bad
+    with pytest.raises(ValueError, match="expects a unit vector, got norm"):
+        discrete_quasiperiodicity(u, 1)
+    V = np.eye(3, dtype=complex)
+    V[:, 2] = u
+    with pytest.raises(ValueError, match="expects unit vectors, got norm"):
+        spectra.localization_metrics(V)
+
+
 def test_projection_profile_sums_to_one():
     rng = np.random.default_rng(13)
     u = rng.normal(size=18) + 1j * rng.normal(size=18)
