@@ -15,6 +15,7 @@ from .reconstruct import _number, _text
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CHECK_FAILED = 2
+FORMATS = {"bands": ("csv", "svg"), "reconstruct": ("csv", "json", "svg")}  # what each command writes
 
 
 def _load_config(args, check=True):
@@ -33,11 +34,13 @@ def _load_config(args, check=True):
     return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
 
 
-def _parse_formats(raw) -> tuple[str, ...]:
+def _parse_formats(raw, command: str) -> tuple[str, ...]:
+    """The comma-separated formats of raw, refusing any that the command has no writer for."""
     formats = tuple(f.strip() for f in _text("format", raw).split(",") if f.strip())
-    unknown = set(formats) - {"csv", "json", "svg"}
+    unknown = set(formats) - set(FORMATS[command])
     if unknown:
-        raise ValueError(f"unknown output formats: {sorted(unknown)}")
+        raise ValueError(f"unknown output formats: {sorted(unknown)}; {command} writes "
+                         f"{', '.join(FORMATS[command])}")
     return formats
 
 
@@ -46,11 +49,12 @@ def cmd_bands(args) -> int:
     sym = symbols.symbol_from_source(_text("symbol", cfg.get("symbol", "monomer"), inline=True))
     grid = symbols.checked_grid(_number("grid", cfg.get("grid", 256), int))
     outdir = Path(_text("out", cfg.get("out", ".")))
-    formats = _parse_formats(cfg.get("format", "csv"))
+    formats = _parse_formats(cfg.get("format", "csv"), "bands")
     bs = symbols.band_functions(sym, grid)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs.write_bands_csv(bs, outdir / "bands.csv")
-    print(f"wrote {outdir / 'bands.csv'} ({bs.k} band(s), grid {grid})")
+    if "csv" in formats:
+        outputs.write_bands_csv(bs, outdir / "bands.csv")
+        print(f"wrote {outdir / 'bands.csv'} ({bs.k} band(s), grid {grid})")
     if "svg" in formats:
         outputs.write_bands_svg(bs, outdir / "bands.svg")
         print(f"wrote {outdir / 'bands.svg'}")
@@ -69,7 +73,7 @@ def cmd_bands(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args, check=False)  # run_scenario refuses what its scenario does not read
     outdir = Path(_text("out", cfg.pop("out", ".")))
-    formats = _parse_formats(cfg.pop("format", "csv,json"))
+    formats = _parse_formats(cfg.pop("format", "csv,json"), "reconstruct")
     result = reconstruct.run_scenario(cfg)
     written = outputs.write_bundle(result, outdir, formats)
     for path in written:
@@ -134,29 +138,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "detect localized in-gap modes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, sampled=True):
+    def add_common(p, formats=None):
+        """--out and --config; for a command with a choice of formats, also --format and --grid."""
         p.add_argument("--out", help="output directory (default: current)")
-        if sampled:
-            p.add_argument("--format", help="comma-separated subset of csv,json,svg")
+        if formats:
+            p.add_argument("--format", help=f"comma-separated subset of {','.join(formats)}")
             p.add_argument("--grid", type=int, help="quasiperiodicity grid size")
         p.add_argument("--config", help="JSON config file; flags take precedence")
 
     p_bands = sub.add_parser("bands", help="sample a symbol's band functions")
     p_bands.add_argument("--symbol", help="symbol JSON file, inline JSON, or builtin name")
-    add_common(p_bands)
+    add_common(p_bands, FORMATS["bands"])
     p_bands.set_defaults(fn=cmd_bands)
 
     p_rec = sub.add_parser("reconstruct", help="run a reconstruction scenario")
     p_rec.add_argument("--scenario", choices=reconstruct.SCENARIOS)
     for name, (kind, text) in reconstruct.PARAMS.items():
         p_rec.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, help=text)
-    add_common(p_rec)
+    add_common(p_rec, FORMATS["reconstruct"])
     p_rec.set_defaults(fn=cmd_reconstruct)
 
     p_tr = sub.add_parser("transform", help="projection profile of a vector")
     p_tr.add_argument("--vector", help="vector CSV path")
     p_tr.add_argument("--k", type=int, help="block size")
-    add_common(p_tr, sampled=False)
+    add_common(p_tr)
     p_tr.set_defaults(fn=cmd_transform)
 
     p_ver = sub.add_parser("verify", help="run invariant and acceptance checks")

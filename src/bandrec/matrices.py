@@ -6,10 +6,13 @@ with a central pattern break, dislocated dimer chains, and single-site
 multiplicative perturbations.  The chains are tridiagonal and are kept as
 their three diagonals, validated on those O(n) entries; the Toeplitz and
 circulant sections (one block placement per symbol offset) and external
-files are dense and validated over all n^2 entries.  Either way FiniteMatrix
-validates once: no NaN or inf entries and a Hermitian flag checked relative
-to the largest entry.  Which form a matrix has decides its eigensolver (see
-spectra); a chain writes its dense array only when something reads `data`.
+files are dense and validated over all n^2 entries.  Either way a
+FiniteMatrix is its entries and its kind: it refuses NaN and inf entries
+once and works out from the entries whether it is Hermitian (relative to
+the largest entry), real and tridiagonal.  Which form a matrix has decides
+its eigensolver (see spectra); a chain writes its dense array only when
+something reads `data`.  The block size through which a matrix is read
+belongs to the reference periodic structure, not to the matrix.
 
 Indexing in documentation and file formats is 1-based to match the usual
 matrix displays; APIs translate internally.
@@ -32,31 +35,34 @@ KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
 
 @dataclass(frozen=True, eq=False, init=False)
 class FiniteMatrix:
-    """A validated square matrix with its block size, kind and Hermitian flag.
+    """A validated square matrix: its entries and its kind.
 
-    Built dense, FiniteMatrix(data=A, ...), or from its three diagonals,
-    FiniteMatrix(diagonals=(diag, upper, lower), ...), with upper[i] the
-    entry (i, i+1) and lower[i] the entry (i+1, i).  `diagonals` is set
-    exactly when the matrix is real and tridiagonal: a dense real matrix
-    whose nonzeros all lie on its three central diagonals records them.  A
-    matrix built from its diagonals writes `data` on first read.  All arrays
-    are read-only.
+    Built dense, FiniteMatrix(data=A, kind=...), or from its three
+    diagonals, FiniteMatrix(diagonals=(diag, upper, lower), kind=...), with
+    upper[i] the entry (i, i+1) and lower[i] the entry (i+1, i).  The rest is
+    worked out from the entries: complex entries whose imaginary parts are
+    all zero are stored real; `hermitian` is max|A - A^H| <= HERMITIAN_TOL *
+    max(1, max|A|); and `diagonals` is set exactly when the matrix is real
+    and tridiagonal, so a dense real matrix whose nonzeros all lie on its
+    three central diagonals records them.  A matrix built from its diagonals
+    writes `data` on first read.  All arrays are read-only.
     """
 
     n: int
-    k: int
     kind: str
     hermitian: bool
     diagonals: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
-    def __init__(self, data=None, k=1, kind="external", hermitian=False, *, diagonals=None):
+    def __init__(self, data=None, kind="external", *, diagonals=None):
         if kind not in KINDS:
             raise ValueError(f"unknown matrix kind {kind!r}")
         if diagonals is None:
             data = np.array(data)
+            if np.iscomplexobj(data) and not np.any(data.imag):
+                data = data.real.copy()
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise ValueError(f"matrix must be square, got shape {data.shape}")
-            scale, asym = _finite_max_abs(data), (data - data.conj().T if hermitian else None)
+            scale, asym = _finite_max_abs(data), data - data.conj().T
             self.__dict__["data"] = data
             if not np.iscomplexobj(data) and np.count_nonzero(data) == sum(
                     np.count_nonzero(np.diagonal(data, o)) for o in (-1, 0, 1)):  # tridiagonal
@@ -66,17 +72,12 @@ class FiniteMatrix:
             band = np.zeros((diag.size, 3))  # row i holds the entries (i, i-1), (i, i), (i, i+1)
             band[1:, 0], band[:, 1], band[:-1, 2] = lower, diag, upper
             scale, asym = _finite_max_abs(band, band=True), upper - lower
-        if hermitian and (defect := _relative_defect(asym, scale)) > HERMITIAN_TOL:
-            raise ValueError(f"hermitian flag set but the relative defect "
-                             f"max|A - A^H| / max(1, max|A|) is {defect:g} "
-                             f"(tolerance {HERMITIAN_TOL:g})")
+        hermitian = float(np.max(np.abs(asym), initial=0.0)) <= HERMITIAN_TOL * max(1.0, scale)
         n = data.shape[0] if data is not None else diagonals[0].size
-        if kind in ("toeplitz", "circulant") and n % k != 0:
-            raise ValueError(f"size {n} is not a multiple of block size {k}")
         for x in (data, *(diagonals or ())):
             if x is not None:
                 x.setflags(write=False)
-        self.__dict__.update(n=n, k=k, kind=kind, hermitian=hermitian, diagonals=diagonals)
+        self.__dict__.update(n=n, kind=kind, hermitian=hermitian, diagonals=diagonals)
 
     @functools.cached_property
     def data(self) -> np.ndarray:
@@ -102,17 +103,6 @@ def _finite_max_abs(entries: np.ndarray, band: bool = False) -> float:
     return scale
 
 
-def _relative_defect(asym: np.ndarray, scale: float) -> float:
-    """max |A - A^H| relative to max(1, max |A_ij|), so the test does not depend on units."""
-    return float(np.max(np.abs(asym), initial=0.0)) / max(1.0, scale)
-
-
-def _as_real_if_possible(a: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(a) and np.max(np.abs(a.imag)) == 0.0:
-        return a.real.copy()
-    return a
-
-
 def _tridiagonal(diag, upper, lower) -> np.ndarray:
     """Dense real matrix with the given main, upper and lower diagonals, zero elsewhere."""
     n = len(diag)
@@ -136,14 +126,14 @@ def _block_section(sym: Symbol, m: int, cyclic: bool) -> np.ndarray:
         else:
             inside = (cols >= 0) & (cols < m)
             data[rows[inside], :, cols[inside], :] = block
-    return _as_real_if_possible(data.reshape(m * k, m * k))
+    return data.reshape(m * k, m * k)
 
 
 def toeplitz_matrix(sym: Symbol, m: int) -> FiniteMatrix:
     """mk x mk section with block (i, j) = a_{i-j}, zero outside the support."""
     if m < 1:
         raise ValueError(f"block count must be positive, got {m}")
-    return FiniteMatrix(data=_block_section(sym, m, cyclic=False), k=sym.k, kind="toeplitz", hermitian=True)
+    return FiniteMatrix(data=_block_section(sym, m, cyclic=False), kind="toeplitz")
 
 
 def circulant_matrix(sym: Symbol, m: int) -> FiniteMatrix:
@@ -154,7 +144,7 @@ def circulant_matrix(sym: Symbol, m: int) -> FiniteMatrix:
     """
     if m <= 2 * sym.r_max:
         raise ValueError(f"circulant wraparound is ambiguous: need m > 2*r_max = {2 * sym.r_max}, got {m}")
-    return FiniteMatrix(data=_block_section(sym, m, cyclic=True), k=sym.k, kind="circulant", hermitian=True)
+    return FiniteMatrix(data=_block_section(sym, m, cyclic=True), kind="circulant")
 
 
 def capacitance_1d(a0: float, a1: float, m: int) -> FiniteMatrix:
@@ -167,7 +157,7 @@ def capacitance_1d(a0: float, a1: float, m: int) -> FiniteMatrix:
         raise ValueError(f"chain needs at least 2 sites, got {m}")
     diag = np.concatenate([[a0 + a1], np.full(m - 2, a0), [a0 + a1]])
     off = np.full(m - 1, a1)
-    return FiniteMatrix(diagonals=(diag, off, off), k=1, kind="capacitance1d", hermitian=True)
+    return FiniteMatrix(diagonals=(diag, off, off), kind="capacitance1d")
 
 
 def _chain_diagonals(spacings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,12 +179,7 @@ def chain_capacitance(spacings) -> FiniteMatrix:
     existing neighbours, so row sums are exactly zero and the constant
     vector spans the kernel.
     """
-    return FiniteMatrix(diagonals=_chain_diagonals(spacings), k=1, kind="chain", hermitian=True)
-
-
-def _dimer_chain(spacings, kind: str) -> FiniteMatrix:
-    """The capacitance chain of a dimer spacing sequence, kept with block size 2."""
-    return FiniteMatrix(diagonals=_chain_diagonals(spacings), k=2, kind=kind, hermitian=True)
+    return FiniteMatrix(diagonals=_chain_diagonals(spacings), kind="chain")
 
 
 def _check_dimers(dimers_per_side: int) -> None:
@@ -216,7 +201,7 @@ def ssh_matrix(s1: float, s2: float, dimers_per_side: int) -> FiniteMatrix:
     """
     _check_dimers(dimers_per_side)
     half = dimer_alternation(s1, s2, 2 * dimers_per_side)
-    return _dimer_chain(np.concatenate([half, half[::-1]]), "ssh")
+    return FiniteMatrix(diagonals=_chain_diagonals(np.concatenate([half, half[::-1]])), kind="ssh")
 
 
 def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side: int) -> np.ndarray:
@@ -234,7 +219,8 @@ def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side:
 
 
 def dislocated_chain(s1: float, s2: float, d: float, dimers_per_side: int) -> FiniteMatrix:
-    return _dimer_chain(dislocated_spacing_sequence(s1, s2, d, dimers_per_side), "dislocated")
+    spacings = dislocated_spacing_sequence(s1, s2, d, dimers_per_side)
+    return FiniteMatrix(diagonals=_chain_diagonals(spacings), kind="dislocated")
 
 
 def center_index(n: int) -> int:
@@ -271,9 +257,14 @@ class PerturbedPair:
 def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> PerturbedPair:
     """Scale row `index` (1-based) of C by 1 + delta.
 
-    Requires 1 + delta > 0 so the square-root similarity transform exists.
-    A tridiagonal C gives a tridiagonal pair, scaled on its diagonals.
+    Requires a Hermitian C, since the symmetrized form averages away what
+    asymmetry is left, and 1 + delta > 0 so the square-root similarity
+    transform exists.  A tridiagonal C gives a tridiagonal pair, scaled on
+    its diagonals.
     """
+    if not C.hermitian:
+        raise ValueError(f"compact_perturbation needs a Hermitian base matrix, one with "
+                         f"max|C - C^H| <= {HERMITIAN_TOL:g} * max(1, max|C|)")
     n = C.n
     if not 1 <= index <= n:
         raise ValueError(f"index {index} out of range 1..{n}")
@@ -294,8 +285,8 @@ def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> Perturbed
         if not np.array_equal(sym, sym.conj().T):
             sym = (sym + sym.conj().T) / 2.0
         sym = {"data": sym}
-    return PerturbedPair(bc=FiniteMatrix(**bc, k=C.k, kind="perturbed"), index=index, delta=delta,
-                         symmetrized=FiniteMatrix(**sym, k=C.k, kind="perturbed", hermitian=C.hermitian))
+    return PerturbedPair(bc=FiniteMatrix(**bc, kind="perturbed"), index=index, delta=delta,
+                         symmetrized=FiniteMatrix(**sym, kind="perturbed"))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +304,7 @@ def save_matrix(mat: FiniteMatrix, path) -> None:
             fh.write("\n")
 
 
-def load_matrix(path, k: int = 1) -> FiniteMatrix:
+def load_matrix(path) -> FiniteMatrix:
     """Read a dense matrix from CSV or from a JSON {"re": ..., "im": ...} object."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -329,6 +320,5 @@ def load_matrix(path, k: int = 1) -> FiniteMatrix:
             raise ValueError(f"{path}: {exc}") from None
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"{path}: matrix is not square, shape {data.shape}")
-    hermitian = _relative_defect(data - data.conj().T, _finite_max_abs(data)) <= HERMITIAN_TOL
-    return FiniteMatrix(data=_as_real_if_possible(data), k=k, kind="external", hermitian=hermitian)
+    return FiniteMatrix(data=data, kind="external")
 

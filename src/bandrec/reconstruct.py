@@ -214,15 +214,16 @@ def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
 # ---------------------------------------------------------------------------
 # scenarios
 
-# None marks a parameter derived from others (index), optional (symbol) or
-# required (matrix).  grid and margin are run-level keys every scenario takes.
+# None marks a parameter derived from others (index; k, from the symbol),
+# optional (symbol) or required (matrix).  grid and margin are run-level
+# keys every scenario takes.
 SCENARIOS = {
     "periodic_nn": {"a0": 2.0, "a1": -1.0, "m": 80},
     "periodic_symbol": {"m": 30, "symbol": None},
     "ssh": {"s1": 1.0, "s2": 2.0, "dimers_per_side": 20},
     "dislocated": {"s1": 1.0, "s2": 2.0, "d": 4.0, "dimers_per_side": 10},
     "compact_defect": {"s1": 1.0, "s2": 2.0, "n": 80, "delta": 0.5, "index": None},
-    "external_matrix": {"matrix": None, "k": 1, "symbol": None},
+    "external_matrix": {"matrix": None, "k": None, "symbol": None},
 }
 # name -> (type, help) of every scenario parameter and of margin, in CLI flag order.
 PARAMS = {
@@ -230,7 +231,7 @@ PARAMS = {
     "n": (int, "site count (compact_defect)"),
     "dimers_per_side": (int, None),
     "index": (int, "1-based defect site"),
-    "k": (int, "block size (external_matrix)"),
+    "k": (int, "block size (external_matrix; default: the symbol's, or 1 without one)"),
     "a0": (float, None), "a1": (float, None), "s1": (float, None), "s2": (float, None),
     "d": (float, "dislocated spacing"),
     "delta": (float, "compact defect strength"),
@@ -310,42 +311,41 @@ def _scenario_setup(name: str, p: dict):
         base = matrices.chain_capacitance(matrices.dimer_alternation(p["s1"], p["s2"], p["n"] - 1))
         p.setdefault("index", matrices.center_index(p["n"]))
         mat = matrices.compact_perturbation(base, p["index"], p["delta"])
-    else:  # external_matrix
+    else:  # external_matrix: read through the symbol's block size, or 1 without a symbol
         if "matrix" not in p:
             raise ValueError("external_matrix scenario needs a 'matrix' path")
-        mat = matrices.load_matrix(p["matrix"], k=p["k"])
-        return mat, symbols.symbol_from_source(p["symbol"]) if p.get("symbol") else None, p["k"]
+        mat = matrices.load_matrix(p["matrix"])
+        sym = symbols.symbol_from_source(p["symbol"]) if p.get("symbol") else None
+        k = p.setdefault("k", sym.k if sym is not None else 1)
+        if sym is not None and k != sym.k:
+            raise ValueError(f"k = {k} differs from the block size {sym.k} of the reference symbol")
+        return mat, sym, k
     return mat, symbols.dimer_symbol(p["s1"], p["s2"]), 2
 
 
 def run_scenario(config: dict) -> ScenarioResult:
     """Build the scenario matrix, reconstruct, and attach gap and error reports.
 
-    config holds at least {"scenario": name}; scenario parameters may sit
-    either at the top level or under "params".  A key the scenario does not
-    read (see SCENARIOS) is refused, and each value is converted once to its
-    type in PARAMS, so the recorded params are the ones used.  The reference
-    bands come from the scenario's underlying periodic symbol where one
-    exists; bands that are not even in alpha are refused, since only |alpha|
-    is recovered.  So is a grid that is odd or below MIN_CHECK_GRID (see
-    symbols.checked_grid).
+    config holds {"scenario": name} and the scenario's parameters.  A key
+    the scenario does not read (see SCENARIOS) is refused, and each value is
+    converted once to its type in PARAMS, so the recorded params are the
+    ones used, derived ones included.  The reference bands come from the
+    scenario's underlying periodic symbol where one exists; bands that are
+    not even in alpha are refused, since only |alpha| is recovered.  So is
+    a grid that is odd or below MIN_CHECK_GRID (see symbols.checked_grid).
     """
     cfg = dict(config)
     name = cfg.pop("scenario", None)
     if not isinstance(name, str) or name not in SCENARIOS:
         raise ValueError(f"scenario must be one of {', '.join(SCENARIOS)}, got {name!r}")
-    nested = cfg.pop("params", {})
-    if not isinstance(nested, dict):
-        raise ValueError(f"params must be an object, got {nested!r}")
-    given = {**nested, **cfg}
-    grid = symbols.checked_grid(_number("grid", given.pop("grid", DEFAULT_GRID), int))
+    grid = symbols.checked_grid(_number("grid", cfg.pop("grid", DEFAULT_GRID), int))
     reads = SCENARIOS[name]
-    unread = [key for key in given if key not in reads and key != "margin"]
+    unread = [key for key in cfg if key not in reads and key != "margin"]
     if unread:
         raise ValueError(f"scenario {name!r} does not read {', '.join(map(str, unread))}; "
                          f"it takes {', '.join(reads)}")
     params = {key: value for key, value in reads.items() if value is not None}
-    for key, value in given.items():
+    for key, value in cfg.items():
         kind = PARAMS[key][0]
         if value is not None:  # null counts as not given, as an unset flag does
             params[key] = _text(key, value, inline=(key == "symbol")) if kind is str else _number(key, value, kind)

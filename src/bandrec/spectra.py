@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrices import FiniteMatrix
+from .symbols import HERMITIAN_TOL
 from .transform import UNIT_NORM_TOL, polarize, projection_profile, _checked_unit
 
 DEGENERACY_REL_TOL = 1e-8
@@ -90,7 +91,8 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     otherwise.
     """
     if not M.hermitian:
-        raise ValueError("hermitian_eigen needs a matrix with the hermitian flag set")
+        raise ValueError(f"hermitian_eigen needs a Hermitian matrix, one with "
+                         f"max|A - A^H| <= {HERMITIAN_TOL:g} * max(1, max|A|)")
     if M.diagonals is not None and _bundled_dstevd() is not None:
         diag, _, lower = M.diagonals
         vals, vecs = _tridiagonal_eigh(diag, lower)

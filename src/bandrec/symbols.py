@@ -288,13 +288,13 @@ def dimer_symbol(s1: float, s2: float) -> Symbol:
     return cell_chain_symbol([s1, s2])
 
 
-def exponential_symbol(r_max: int = 40) -> Symbol:
-    """Scalar long-range symbol with coefficients -2^{-|p|}, truncated at r_max.
+def exponential_symbol() -> Symbol:
+    """Scalar long-range symbol with coefficients -2^{-|p|}, truncated at |p| = 40.
 
-    The dropped tail is bounded by 2^{1-r_max} (< 1e-10 for the default),
-    recorded in the tail model.
+    The dropped tail is bounded by 2^{1-40} < 1e-10, recorded in the tail
+    model; banded_truncation(exponential_symbol(), r) gives a shorter range.
     """
-    coeffs = {p: [[-(2.0 ** -abs(p))]] for p in range(-r_max, r_max + 1)}
+    coeffs = {p: [[-(2.0 ** -abs(p))]] for p in range(-40, 41)}
     tail = TailModel(constant=1.0, geometric_ratio=0.5)
     return Symbol(k=1, coeffs=coeffs, tail_model=tail)
 

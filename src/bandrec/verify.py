@@ -174,7 +174,7 @@ def check_perturbation_similarity(tol, rng):
     worst = 0.0
     for n in (10, 37):
         A = rng.normal(size=(n, n))
-        C = matrices.FiniteMatrix(data=(A + A.T) / 2, hermitian=True)
+        C = matrices.FiniteMatrix(data=(A + A.T) / 2)
         pair = matrices.compact_perturbation(C, index=n // 2, delta=0.5)
         s_bc = np.sort(np.linalg.eigvals(pair.bc.data).real)
         s_sym = np.sort(np.linalg.eigvalsh(pair.symmetrized.data))
@@ -190,7 +190,7 @@ def check_eigen_contract(tol, rng):
     worst = 0.0
     for n in (60, 400, 2000):
         A = rng.normal(size=(n, n))
-        M = matrices.FiniteMatrix(data=(A + A.T) / 2, hermitian=True)
+        M = matrices.FiniteMatrix(data=(A + A.T) / 2)
         eig = spectra.hermitian_eigen(M)
         scale = float(np.max(np.abs(eig.values)))  # spectral norm of a Hermitian matrix
         # full n^3 products are too slow at n=2000 on this BLAS; probe columns
@@ -431,7 +431,7 @@ def acceptance_08_near_far(tol, rng):
     for trial in range(100):
         n = int(rng.integers(6, 51))
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        M = matrices.FiniteMatrix(data=(A + A.conj().T) / 2, hermitian=True)
+        M = matrices.FiniteMatrix(data=(A + A.conj().T) / 2)
         eig = spectra.hermitian_eigen(M)
         i = int(rng.integers(n))
         eps = float(rng.uniform(0.05, 0.4))

@@ -47,6 +47,22 @@ def test_bands_inline_json_and_svg(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+@pytest.mark.parametrize("formats,written", [(None, ["bands.csv"]), ("svg", ["bands.svg"]),
+                                             ("csv,svg", ["bands.csv", "bands.svg"]), ("json", None),
+                                             ("csv,json", None)])
+def test_bands_writes_exactly_the_formats_it_is_given(tmp_path, capsys, formats, written):
+    out = tmp_path / "run"
+    code = main(["bands", "--symbol", "dimer", "--out", str(out)]
+                + (["--format", formats] if formats else []))
+    if written is None:
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown output formats: ['json']; bands writes csv, svg\n"
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == written
+
+
 def test_bands_malformed_symbol(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -161,7 +177,6 @@ MONOMER_OBJECT = symbols.symbol_to_dict(symbols.nearest_neighbour_symbol(2.0, -1
     ("reconstruct", {"scenario": "ssh", "dimers_per_side": True},
      "dimers_per_side must be an integer, got True"),
     ("reconstruct", {"scenario": "ssh", "s1": False}, "s1 must be a number, got False"),
-    ("reconstruct", {"scenario": "ssh", "params": 5}, "params must be an object, got 5"),
     ("reconstruct", {"scenario": ["ssh"]}, "scenario must be one of periodic_nn, periodic_symbol, "
                                            "ssh, dislocated, compact_defect, external_matrix, got ['ssh']"),
 ])
@@ -181,7 +196,7 @@ def test_config_values_of_the_wrong_type_are_refused(tmp_path, monkeypatch, caps
      "scenario 'ssh' does not read m, delta; it takes s1, s2, dimers_per_side"),
     (["reconstruct"], {"scenario": "ssh", "dimers_per_sid": 500},
      "scenario 'ssh' does not read dimers_per_sid; it takes s1, s2, dimers_per_side"),
-    (["reconstruct", "--scenario", "compact_defect"], {"params": {"d": 3.0}},
+    (["reconstruct", "--scenario", "compact_defect"], {"d": 3.0},
      "scenario 'compact_defect' does not read d; it takes s1, s2, n, delta, index"),
     (["bands"], {"symbol": "dimer", "grdi": 8},
      "cfg.json: bands does not read grdi; it takes symbol, out, format, grid"),
@@ -318,6 +333,42 @@ def test_reconstruct_external_matrix(tmp_path):
     assert len(read_csv(out / "points.csv")) == 21
     summary = json.loads((out / "summary.json").read_text())
     assert summary["matrix_kind"] == "external"
+
+
+@pytest.mark.parametrize("flags,k,n_gap_modes", [
+    ([], 1, None),
+    (["--symbol", "monomer"], 1, 0),
+    (["--symbol", "monomer", "--k", "1"], 1, 0),
+    (["--symbol", "dimer"], 2, 0),
+    (["--k", "2"], 2, None),
+])
+def test_external_matrix_takes_its_block_size_from_its_symbol(tmp_path, flags, k, n_gap_modes):
+    from bandrec import matrices
+    chain = (matrices.chain_capacitance(matrices.dimer_alternation(1.0, 2.0, 79)) if k == 2
+             else matrices.capacitance_1d(2.0, -1.0, 80))
+    matrices.save_matrix(chain, tmp_path / "m.csv")
+    out = tmp_path / "run"
+    code = main(["reconstruct", "--scenario", "external_matrix", "--matrix", str(tmp_path / "m.csv"),
+                 *flags, "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["params"]["k"] == summary["k"] == k
+    assert summary.get("n_gap_modes") == n_gap_modes
+    if n_gap_modes is not None:
+        assert summary["errors"]["bulk"]["max"] < 0.1
+
+
+@pytest.mark.parametrize("symbol,k", [("monomer", 2), ("dimer", 1), ("dimer", 3)])
+def test_external_matrix_refuses_a_block_size_other_than_its_symbols(tmp_path, capsys, symbol, k):
+    from bandrec import matrices
+    matrices.save_matrix(matrices.capacitance_1d(2.0, -1.0, 80), tmp_path / "m.csv")
+    out = tmp_path / "run"
+    code = main(["reconstruct", "--scenario", "external_matrix", "--matrix", str(tmp_path / "m.csv"),
+                 "--symbol", symbol, "--k", str(k), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: k = {k} differs from the block size "
+                                       f"{2 if symbol == 'dimer' else 1} of the reference symbol\n")
+    assert not out.exists()
 
 
 def test_reconstruct_refuses_non_finite_input(tmp_path, capsys):

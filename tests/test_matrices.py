@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bandrec import symbols
+from bandrec.spectra import hermitian_eigen
 from bandrec.matrices import (FiniteMatrix, capacitance_1d, center_index,
                               chain_capacitance, circulant_matrix, compact_perturbation,
                               dislocated_chain, dislocated_spacing_sequence, load_matrix,
@@ -14,11 +15,12 @@ DIMER = symbols.dimer_symbol(1.0, 2.0)
 def test_finite_matrix_validation():
     with pytest.raises(ValueError):
         FiniteMatrix(data=np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
-    with pytest.raises(ValueError):
-        FiniteMatrix(data=np.zeros((3, 3)), k=2, kind="toeplitz")
-    m = FiniteMatrix(data=np.eye(2), hermitian=True)
+    with pytest.raises(ValueError, match="unknown matrix kind 'dense'"):
+        FiniteMatrix(data=np.eye(2), kind="dense")
+    with pytest.raises(ValueError, match=r"hermitian_eigen needs a Hermitian matrix, one with "
+                                         r"max\|A - A\^H\| <= 1e-12 \* max\(1, max\|A\|\)"):
+        hermitian_eigen(FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]])))
+    m = FiniteMatrix(data=np.eye(2))
     with pytest.raises(ValueError):
         m.data[0, 0] = 5.0  # immutable after construction
 
@@ -27,18 +29,15 @@ def test_finite_matrix_validation():
 def test_finite_matrix_rejects_non_finite_entries(bad):
     data = np.eye(3, dtype=type(bad))
     data[1, 2] = bad
-    for hermitian in (False, True):
-        with pytest.raises(ValueError, match=r"1 non-finite \(NaN or inf\) entries, "
-                                             r"the first at row 2, column 3"):
-            FiniteMatrix(data=data, hermitian=hermitian)
+    with pytest.raises(ValueError, match=r"1 non-finite \(NaN or inf\) entries, "
+                                         r"the first at row 2, column 3"):
+        FiniteMatrix(data=data)
 
 
 def test_hermitian_test_is_relative_to_the_largest_entry():
-    FiniteMatrix(data=np.array([[1e6, 1e-11], [0.0, 1e6]]), hermitian=True)
-    with pytest.raises(ValueError, match=r"relative defect .* is 1e-06 \(tolerance 1e-12\)"):
-        FiniteMatrix(data=np.array([[1e6, 1.0], [0.0, 1e6]]), hermitian=True)
-    with pytest.raises(ValueError, match="relative defect"):  # below unit scale it stays absolute
-        FiniteMatrix(data=np.array([[1e-3, 1e-11], [0.0, 1e-3]]), hermitian=True)
+    assert FiniteMatrix(data=np.array([[1e6, 1e-11], [0.0, 1e6]])).hermitian
+    assert not FiniteMatrix(data=np.array([[1e6, 1.0], [0.0, 1e6]])).hermitian
+    assert not FiniteMatrix(data=np.array([[1e-3, 1e-11], [0.0, 1e-3]])).hermitian  # below unit scale it stays absolute
 
 
 @pytest.mark.parametrize("diagonal,i,where", [(0, 2, "row 3, column 3"), (1, 1, "row 2, column 3"),
@@ -47,26 +46,33 @@ def test_hermitian_test_is_relative_to_the_largest_entry():
 def test_tridiagonal_form_rejects_non_finite_entries(diagonal, i, where, bad):
     diagonals = [np.full(4, 2.0), np.full(3, -1.0), np.full(3, -1.0)]
     diagonals[diagonal][i] = bad
-    for hermitian in (False, True):
-        with pytest.raises(ValueError, match=r"1 non-finite \(NaN or inf\) entries, "
-                                             r"the first at " + where):
-            FiniteMatrix(diagonals=diagonals, hermitian=hermitian)
+    with pytest.raises(ValueError, match=r"1 non-finite \(NaN or inf\) entries, "
+                                         r"the first at " + where):
+        FiniteMatrix(diagonals=diagonals)
 
 
 def test_tridiagonal_form_hermitian_test_is_relative():
-    FiniteMatrix(diagonals=([1e6, 1e6], [1e-11], [0.0]), hermitian=True)
-    with pytest.raises(ValueError, match=r"relative defect .* is 1e-06 \(tolerance 1e-12\)"):
-        FiniteMatrix(diagonals=([1e6, 1e6], [1.0], [0.0]), hermitian=True)
+    assert FiniteMatrix(diagonals=([1e6, 1e6], [1e-11], [0.0])).hermitian
+    assert not FiniteMatrix(diagonals=([1e6, 1e6], [1.0], [0.0])).hermitian
+    assert not FiniteMatrix(diagonals=([1e-3, 1e-3], [1e-11], [0.0])).hermitian
 
 
 def test_dense_matrix_records_its_diagonals_when_real_tridiagonal():
     data = np.diag([2.0, 2.0, 2.0]) + np.diag([-1.0, 0.0], 1) + np.diag([-1.0, 0.0], -1)
-    diag, upper, lower = FiniteMatrix(data=data, hermitian=True).diagonals
+    diag, upper, lower = FiniteMatrix(data=data).diagonals
     assert np.array_equal(diag, [2, 2, 2]) and np.array_equal(upper, [-1, 0])
     assert np.array_equal(lower, [-1, 0])
     data[0, 2] = data[2, 0] = 0.5
-    assert FiniteMatrix(data=data, hermitian=True).diagonals is None
+    assert FiniteMatrix(data=data).diagonals is None
     assert FiniteMatrix(data=np.diag([1j, 1.0])).diagonals is None
+
+
+def test_complex_entries_with_zero_imaginary_parts_are_stored_real():
+    data = (np.diag([2.0, 2.0, 2.0]) + np.diag([-1.0, -1.0], 1) + np.diag([-1.0, -1.0], -1)).astype(complex)
+    M = FiniteMatrix(data=data)
+    assert not np.iscomplexobj(M.data) and np.array_equal(M.data, data.real)
+    assert M.hermitian and M.diagonals is not None
+    assert np.array_equal(M.diagonals[1], [-1.0, -1.0])
 
 
 def test_chain_keeps_read_only_diagonals_and_writes_data_once():
@@ -136,7 +142,7 @@ def test_circulant_eigenvector_direct():
 def test_circulant_rejects_wraparound():
     with pytest.raises(ValueError):
         circulant_matrix(MONOMER, 2)
-    sym = symbols.exponential_symbol(r_max=5)
+    sym = symbols.banded_truncation(symbols.exponential_symbol(), 5)
     with pytest.raises(ValueError):
         circulant_matrix(sym, 10)
     circulant_matrix(sym, 11)  # smallest legal size
@@ -204,7 +210,7 @@ def test_ssh_matrix_explicit_5x5():
               [0, 0, -0.5, 1.5, -1],
               [0, 0, 0, -1, 1]]
     assert np.array_equal(M.data, expect)
-    assert M.kind == "ssh" and M.k == 2 and M.hermitian
+    assert M.kind == "ssh" and M.hermitian
 
 
 def test_ssh_matrix_persymmetric():
@@ -258,7 +264,7 @@ def test_dislocated_chain_reduces_at_d_equals_s1():
         base = chain_capacitance(_alternating_spacings(s1, s2, 4 * dps - 1))
         M = dislocated_chain(s1, s2, s1, dps)
         assert np.array_equal(M.data, base.data)
-        assert M.kind == "dislocated" and M.k == 2
+        assert M.kind == "dislocated"
 
 
 def test_dislocated_chain_counts():
@@ -289,7 +295,7 @@ def test_compact_perturbation_identity():
 def test_compact_perturbation_similar_spectra():
     rng = np.random.default_rng(9)
     A = rng.normal(size=(10, 10))
-    C = FiniteMatrix(data=(A + A.T) / 2, hermitian=True)
+    C = FiniteMatrix(data=(A + A.T) / 2)
     pair = compact_perturbation(C, 5, 0.5)
     s_bc = np.sort(np.linalg.eigvals(pair.bc.data).real)
     s_sym = np.sort(np.linalg.eigvalsh(pair.symmetrized.data))
@@ -307,13 +313,13 @@ def test_compact_perturbation_touches_only_the_defect_row(base):
     elif base == "tridiagonal_to_tolerance":
         off = rng.uniform(-2.0, -0.5, size=n - 1)
         C = FiniteMatrix(data=np.diag(rng.uniform(1.0, 3.0, size=n)) + np.diag(off, 1)
-                         + np.diag(off * (1.0 + 1e-14), -1), hermitian=True)
+                         + np.diag(off * (1.0 + 1e-14), -1))
     else:
         A = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if base != "real" else 0.0)
         H = (A + A.conj().T) / 2
         if base == "hermitian_to_tolerance":
             H = H + 1e-14 * rng.normal(size=(n, n))
-        C = FiniteMatrix(data=H, hermitian=True)
+        C = FiniteMatrix(data=H)
     pair = compact_perturbation(C, index, delta)
     assert (pair.symmetrized.diagonals is not None) == base.startswith(("chain", "tridiagonal"))
     sym = pair.symmetrized.data
@@ -350,6 +356,15 @@ def test_compact_perturbation_gap_behaviour():
     assert negative.size == 1 and 1.9 < negative[0] < 2.0
 
 
+@pytest.mark.parametrize("base", [
+    FiniteMatrix(data=np.array([[2.0, -1.0], [-0.5, 2.0]])),
+    FiniteMatrix(diagonals=([2.0, 2.0], [-1.0], [-0.5])),
+], ids=["dense", "diagonals"])
+def test_compact_perturbation_refuses_a_base_that_is_not_hermitian(base):
+    with pytest.raises(ValueError, match="compact_perturbation needs a Hermitian base matrix"):
+        compact_perturbation(base, 1, 0.5)
+
+
 def test_compact_perturbation_errors():
     C = chain_capacitance([1.0, 1.0])
     with pytest.raises(ValueError):
@@ -369,14 +384,14 @@ def test_matrix_csv_round_trip(tmp_path):
     M = ssh_matrix(1.0, 2.0, 4)
     path = tmp_path / "mat.csv"
     save_matrix(M, path)
-    back = load_matrix(path, k=2)
+    back = load_matrix(path)
     assert np.array_equal(back.data, M.data)
     assert back.hermitian and back.kind == "external"
 
 
 def test_matrix_csv_complex_round_trip(tmp_path):
     data = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]])
-    M = FiniteMatrix(data=data, hermitian=True)
+    M = FiniteMatrix(data=data)
     path = tmp_path / "cmat.csv"
     save_matrix(M, path)
     back = load_matrix(path)

@@ -1,10 +1,17 @@
-"""The README's Python quick start runs as written and gives the result it states."""
+"""The README's quick start and CLI examples run as written and give the results they state."""
 
 import math
 import re
+import shlex
 from pathlib import Path
 
+import numpy as np
+
+from bandrec import matrices
+from bandrec.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+OUTPUT_FILE = re.compile(r"[\w-]+\.(?:csv|json|svg)\b")
 
 
 def test_readme_quick_start_runs_and_finds_the_stated_gap_mode():
@@ -18,3 +25,36 @@ def test_readme_quick_start_runs_and_finds_the_stated_gap_mode():
     stated = re.search(r"# -> (\[GapMode\(.*?)\.\.\.", block.group(1))  # the printed prefix
     assert stated and repr(modes).startswith(stated.group(1))
     assert 0.0 <= namespace["alpha"] <= math.pi
+
+
+def _cli_examples():
+    """(argv, files its comment names) for each command of the README's CLI block.
+
+    A line that is only a comment continues the comment of the command above it.
+    """
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert block, "README.md has no CLI code block"
+    examples = []
+    for line in block.group(1).splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            argv = shlex.split(command)
+            assert argv[0] == "bandrec", line
+            examples.append((argv[1:], []))
+        examples[-1][1].extend(OUTPUT_FILE.findall(comment))
+    return examples
+
+
+def test_readme_cli_examples_write_the_files_they_name(tmp_path, monkeypatch):
+    examples = [(argv, files) for argv, files in _cli_examples() if argv[0] != "verify"]
+    assert examples
+    for i, (argv, files) in enumerate(examples):
+        workdir = tmp_path / str(i)
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        matrices.save_matrix(matrices.chain_capacitance(matrices.dimer_alternation(1.0, 2.0, 39)),
+                             "mat.csv")
+        np.savetxt("vec.csv", np.cos(0.4 * np.arange(12)))
+        assert main(argv) == 0, argv
+        assert files, f"the comment of {argv} names no file"
+        assert sorted(p.name for p in Path("out").iterdir()) == sorted(files), argv

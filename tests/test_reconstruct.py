@@ -75,7 +75,7 @@ def test_reconstruct_bands_circulant_exact():
 
 
 def test_reconstruct_bands_one_by_one_matrix():
-    M = FiniteMatrix(data=np.array([[1.5]]), hermitian=True)
+    M = FiniteMatrix(data=np.array([[1.5]]))
     points = reconstruct_bands(M, 1)
     assert len(points) == 1
     assert points.alpha_est[0] == 0.0 and points.lam[0] == 1.5
@@ -153,7 +153,7 @@ def test_detect_gaps_trimer_two_gaps():
 
 
 def test_reconstruct_bands_propagates_eigensolver_error():
-    M = FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=False)
+    M = FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         reconstruct_bands(M, 1)
 
@@ -233,11 +233,6 @@ def test_run_scenario_external_matrix(tmp_path):
                             "symbol": str(sym_path)})
     assert result2.bands is not None
     assert len(result2.gap_report.gap_modes) == 1
-
-
-def test_run_scenario_accepts_nested_params():
-    result = run_scenario({"scenario": "periodic_nn", "params": {"m": 24}})
-    assert result.matrix.n == 24
 
 
 def test_run_scenario_rejects_unknown():

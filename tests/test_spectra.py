@@ -11,11 +11,11 @@ from bandrec.matrices import FiniteMatrix
 def _random_hermitian(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return FiniteMatrix(data=(A + A.conj().T) / 2, hermitian=True)
+    return FiniteMatrix(data=(A + A.conj().T) / 2)
 
 
 def test_hermitian_eigen_diagonal():
-    eig = hermitian_eigen(FiniteMatrix(data=np.diag([3.0, 1.0, 2.0]), hermitian=True))
+    eig = hermitian_eigen(FiniteMatrix(data=np.diag([3.0, 1.0, 2.0])))
     assert np.allclose(eig.values, [1, 2, 3])
     perm = np.abs(eig.vectors)
     assert np.allclose(perm, np.eye(3)[:, [1, 2, 0]])
@@ -54,11 +54,11 @@ def _compact_symmetrized(n):
 def _chain_with_a_cut(n):
     data = _dimer_chain(n).data.copy()
     data[n // 2, n // 2 - 1] = data[n // 2 - 1, n // 2] = 0.0
-    return FiniteMatrix(data=data, hermitian=True)
+    return FiniteMatrix(data=data)
 
 
 TRIDIAGONAL = {
-    "single_site": lambda n: FiniteMatrix(data=np.array([[3.0]]), hermitian=True),
+    "single_site": lambda n: FiniteMatrix(data=np.array([[3.0]])),
     "ssh": lambda n: matrices.ssh_matrix(1.0, 2.0, (n - 1) // 4),
     "dislocated": lambda n: matrices.dislocated_chain(1.0, 2.0, 4.0, n // 4),
     "compact_symmetrized": _compact_symmetrized,
@@ -101,7 +101,7 @@ def test_hermitian_eigen_tridiagonal_skips_dense_eigh(monkeypatch):
 @pytest.mark.parametrize("M", [
     matrices.toeplitz_matrix(symbols.banded_truncation(symbols.exponential_symbol(), 2), 20),
     FiniteMatrix(data=np.diag([2.0, 2.0, 2.0]) + np.diag([1j, -0.5j], -1)
-                 + np.diag([-1j, 0.5j], 1), hermitian=True),
+                 + np.diag([-1j, 0.5j], 1)),
 ], ids=["toeplitz_r_max_2", "complex_tridiagonal"])
 def test_hermitian_eigen_dense_path(monkeypatch, M):
     def refuse(data):
@@ -126,7 +126,7 @@ def test_hermitian_eigen_reconstruction():
 
 
 def test_hermitian_eigen_rejects_non_hermitian():
-    M = FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=False)
+    M = FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         hermitian_eigen(M)
 
@@ -175,7 +175,7 @@ def test_residual_banded_truncation_bound():
 
 
 def test_near_far_split_two_level():
-    eig = hermitian_eigen(FiniteMatrix(data=np.diag([0.0, 1.0]), hermitian=True))
+    eig = hermitian_eigen(FiniteMatrix(data=np.diag([0.0, 1.0])))
     u = np.array([np.sqrt(0.9999), 0.01])
     split = near_far_split(eig, 0.0, 0.2, u)
     assert abs(split.perp_norm - 0.01) < 1e-12
@@ -220,7 +220,7 @@ def test_near_far_split_norm_identity():
 
 
 def test_near_far_split_requires_positive_eps():
-    eig = hermitian_eigen(FiniteMatrix(data=np.eye(2), hermitian=True))
+    eig = hermitian_eigen(FiniteMatrix(data=np.eye(2)))
     with pytest.raises(ValueError):
         near_far_split(eig, 1.0, 0.0, np.array([1.0, 0.0]))
 

@@ -26,7 +26,7 @@ def test_evaluate_monomer():
 
 
 def test_evaluate_exponential_at_zero():
-    sym = exponential_symbol(r_max=40)
+    sym = exponential_symbol()
     total = evaluate_symbol(sym, 0.0)[0, 0]
     # geometric series sums to -3, truncation leaves a 2^-39 tail
     assert abs(total - (-3.0)) < 1e-10
@@ -174,7 +174,7 @@ def test_hermitian_tests_are_relative_to_the_symbol_scale():
 
 
 def test_banded_truncation():
-    sym = exponential_symbol(r_max=40)
+    sym = exponential_symbol()
     assert banded_truncation(sym, 40).support == sym.support
     assert banded_truncation(sym, 100).support == sym.support
     t3 = banded_truncation(sym, 3)
@@ -185,7 +185,7 @@ def test_banded_truncation():
 
 
 def test_truncation_triangle_bound():
-    sym = exponential_symbol(r_max=20)
+    sym = banded_truncation(exponential_symbol(), 20)
     for r in (1, 4, 7):
         trunc = banded_truncation(sym, r)
         measured = symbol_difference_sup_norm(sym, trunc, samples=256)
@@ -226,7 +226,7 @@ def test_cell_chain_symbol_matches_dimer():
 
 
 def test_serialization_round_trip(tmp_path):
-    for sym in (SPEC_DIMER, exponential_symbol(r_max=5)):
+    for sym in (SPEC_DIMER, banded_truncation(exponential_symbol(), 5)):
         path = tmp_path / "sym.json"
         save_symbol(sym, path)
         back = load_symbol(path)
@@ -252,7 +252,7 @@ def test_symbol_from_dict_rejects_garbage():
 
 
 def test_exponential_tail_model():
-    sym = exponential_symbol(r_max=40)
+    sym = exponential_symbol()
     bound = sym.tail_model.tail_bound(40)
     assert abs(bound - 2.0 ** -39) < 1e-25
     assert bound < 1e-10  # truncation radius keeps the dropped tail negligible
