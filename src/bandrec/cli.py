@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import outputs, reconstruct, symbols, transform, verify
+from . import matrices, outputs, reconstruct, symbols, transform, verify
 from .reconstruct import _number, _text
 
 EXIT_OK = 0
@@ -35,8 +35,10 @@ def _load_config(args, check=True):
 
 
 def _parse_formats(raw, command: str) -> tuple[str, ...]:
-    """The comma-separated formats of raw, refusing any that the command has no writer for."""
+    """The comma-separated formats of raw, refusing none at all and any that the command has no writer for."""
     formats = tuple(f.strip() for f in _text("format", raw).split(",") if f.strip())
+    if not formats:
+        raise ValueError(f"no output format given; {command} writes {', '.join(FORMATS[command])}")
     unknown = set(formats) - set(FORMATS[command])
     if unknown:
         raise ValueError(f"unknown output formats: {sorted(unknown)}; {command} writes "
@@ -78,10 +80,13 @@ def cmd_reconstruct(args) -> int:
     written = outputs.write_bundle(result, outdir, formats)
     for path in written:
         print(f"wrote {path}")
+    if result.bands is None:  # external_matrix without a symbol: no gap search ran
+        skipped = [name for f, name, needs_bands, _ in outputs.BUNDLE if needs_bands and f in formats]
+        if skipped:
+            print(f"not written without a reference symbol (--symbol): {', '.join(skipped)}")
     summary = result.summary()
-    print(f"{result.scenario}: {summary['n_points']} points, "
-          f"{summary.get('n_gap_modes', 0)} gap mode(s), "
-          f"{summary['n_localized']} localized")
+    gap_modes = f"{summary['n_gap_modes']} gap mode(s), " if "n_gap_modes" in summary else ""
+    print(f"{result.scenario}: {summary['n_points']} points, {gap_modes}{summary['n_localized']} localized")
     return EXIT_OK
 
 
@@ -93,7 +98,10 @@ def cmd_transform(args) -> int:
     k = _number("k", cfg.get("k", 1), int)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    u = outputs.read_vector_csv(_text("vector", vec_path))
+    u = matrices.read_entries(_text("vector", vec_path))
+    if u.ndim > 2 or u.ndim == 2 and min(u.shape) > 1:
+        raise ValueError(f"{vec_path}: a vector file holds one row or one column, got shape {u.shape}")
+    u = u.ravel()
     bad = ~np.isfinite(u)
     if bad.any():
         raise ValueError(f"vector has {np.count_nonzero(bad)} non-finite (NaN or inf) entries, "

@@ -304,21 +304,28 @@ def save_matrix(mat: FiniteMatrix, path) -> None:
             fh.write("\n")
 
 
-def load_matrix(path) -> FiniteMatrix:
-    """Read a dense matrix from CSV or from a JSON {"re": ..., "im": ...} object."""
+def read_entries(path) -> np.ndarray:
+    """The complex entries of a matrix or vector file, as an array of the file's shape.
+
+    Dense CSV (one row per line, comma-separated, `a+bj`, blank lines
+    skipped) gives a 2-D array; a JSON {"re": ..., "im": ...} object gives the shape of 're'.
+    """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        data = complex_from_parts(json.loads(text), str(path))
-    else:
-        lines = [line for line in text.split("\n") if line.strip()]
-        if not lines:  # loadtxt only warns on empty input
-            raise ValueError(f"{path}: empty matrix file")
-        try:
-            data = np.loadtxt(lines, delimiter=",", dtype=complex, ndmin=2, comments=None)
-        except ValueError as exc:  # ragged rows or a token that is not a number
-            raise ValueError(f"{path}: {exc}") from None
+        return complex_from_parts(json.loads(text), str(path))
+    lines = [line for line in text.split("\n") if line.strip()]
+    if not lines:  # loadtxt only warns on empty input
+        raise ValueError(f"{path}: empty matrix file")
+    try:
+        return np.loadtxt(lines, delimiter=",", dtype=complex, ndmin=2, comments=None)
+    except ValueError as exc:  # ragged rows or a token that is not a number
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def load_matrix(path) -> FiniteMatrix:
+    """Read a dense square matrix from CSV or from a JSON {"re": ..., "im": ...} object (see read_entries)."""
+    data = read_entries(path)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"{path}: matrix is not square, shape {data.shape}")
     return FiniteMatrix(data=data, kind="external")
-

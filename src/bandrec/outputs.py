@@ -1,13 +1,16 @@
 """Deterministic file emission for reconstruction runs.
 
-All numeric fields are printed as 15-significant-digit scientific notation
-so identical inputs produce byte-identical CSV/JSON output; files are UTF-8
-with LF line endings.  SVG plots are written directly (polylines for bands,
-circles for points) with no plotting dependency.
+Every CSV file is a table of whole columns, formatted by write_csv in one
+operation: floats at 15 significant digits in scientific notation (fmt),
+as are JSON floats, so identical inputs produce byte-identical CSV/JSON
+output; files are UTF-8 with LF line endings.  SVG plots are written
+directly (polylines for bands, circles for points), each coordinate array
+mapped to pixels once.  Matrix and vector files are read by matrices.read_entries.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -17,9 +20,12 @@ from .reconstruct import Points, ScenarioResult
 from .symbols import BandStructure
 
 
+FLOAT_FORMAT = "%.14e"  # 15 significant digits, scientific notation
+
+
 def fmt(x) -> str:
-    """15 significant digits, scientific notation."""
-    return format(float(x), ".14e")
+    """x with 15 significant digits, in scientific notation."""
+    return FLOAT_FORMAT % float(x)
 
 
 def _round15(obj):
@@ -39,56 +45,72 @@ def write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
+def write_csv(columns: dict, path) -> None:
+    """A header of the column names, then one comma-joined row per entry.
+
+    Float columns take fmt's 15-digit rule, the others (row numbers, flags, empty cells) str.
+    """
+    cols = [np.asarray(c) for c in columns.values()]
+    row = ",".join(FLOAT_FORMAT if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    cells = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))  # row by row
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.write(row * len(cols[0]) % tuple(cells))
+
+
 def write_bands_csv(bs: BandStructure, path) -> None:
     """Columns alpha, band_index, lambda, dlambda; one row per grid point per band."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,band_index,lambda,dlambda\n")
-        for p in range(bs.k):
-            for j in range(bs.m):
-                fh.write(f"{fmt(bs.alphas[j])},{p + 1},{fmt(bs.values[p, j])},{fmt(bs.derivatives[p, j])}\n")
+    write_csv({"alpha": np.tile(bs.alphas, bs.k), "band_index": np.repeat(np.arange(1, bs.k + 1), bs.m),
+               "lambda": bs.values.ravel(), "dlambda": bs.derivatives.ravel()}, path)
 
 
 def write_points_csv(points: Points, path) -> None:
     """One row per eigenpair; index is the row number, band_error is empty until compared."""
-    errors = [""] * len(points) if points.band_error is None else map(fmt, points.band_error)
-    rows = zip(map(fmt, points.alpha_est), map(fmt, points.lam), map(fmt, points.sup_ratio),
-               map(fmt, points.ipr), np.where(points.localized, "true", "false"), errors)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,alpha_est,lambda,sup_ratio,ipr,localized,band_error\n")
-        for i, row in enumerate(rows):
-            fh.write(f"{i},{','.join(row)}\n")
+    n = len(points)
+    write_csv({"index": np.arange(n), "alpha_est": points.alpha_est, "lambda": points.lam,
+               "sup_ratio": points.sup_ratio, "ipr": points.ipr,
+               "localized": np.where(points.localized, "true", "false"),
+               "band_error": [""] * n if points.band_error is None else points.band_error}, path)
 
 
 def write_transform_csv(alphas, masses, path) -> None:
     """Per-bin (alpha_j, projection mass) pairs, in ascending alpha order."""
-    order = np.argsort(np.asarray(alphas), kind="stable")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,mass\n")
-        for i in order:
-            fh.write(f"{fmt(alphas[i])},{fmt(masses[i])}\n")
-
-
-def read_vector_csv(path) -> np.ndarray:
-    """One entry per line (complex as `a+bj`); a single comma-separated row also works."""
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.lower().startswith(("re", "value", "entry")):
-                continue
-            entries.extend(complex(tok.strip()) for tok in line.split(",") if tok.strip())
-    if not entries:
-        raise ValueError(f"{path}: no vector entries found")
-    return np.asarray(entries, dtype=complex)
+    order = np.argsort(alphas, kind="stable")
+    write_csv({"alpha": alphas[order], "mass": masses[order]}, path)
 
 
 # ---------------------------------------------------------------------------
 # svg
 
 _SVG_W, _SVG_H, _SVG_PAD = 720, 480, 56
+_CIRCLE = {True: 'r="4" fill="none" stroke="#d62728" stroke-width="1.5"',  # localized
+           False: 'r="2.5" fill="none" stroke="#2ca02c" stroke-width="1"'}
 
 
-def _svg_open(x_range, y_range, title):
+def _pixels(v, lo, hi, start, length) -> list:
+    """start + length * f, f running from 0 to 1 as v runs from lo to hi (0.5 if a constant band gives lo == hi)."""
+    f = (v - lo) / (hi - lo) if hi > lo else np.full(np.shape(v), 0.5)
+    return (start + f * length).tolist()
+
+
+def write_bands_svg(bs: BandStructure, path, points: Points | None = None, title="band structure") -> None:
+    """Band curves as polylines; optional reconstructed points as circles.
+
+    When points are given the plot covers [0, pi] (recovered values are
+    folded there); otherwise the full grid range is shown.  Localized
+    points are drawn in a distinct series.  Each x and y array is mapped to
+    pixels once.
+    """
+    if points is None:
+        xs, curves, lam = bs.alphas, bs.values, np.empty(0)
+    else:
+        xs = np.linspace(0.0, np.pi, 257)
+        curves, lam = bs.values_at(xs), points.lam
+    y_all = np.concatenate([curves.ravel(), lam])
+    spread = max(float(y_all.max() - y_all.min()), 1e-12)
+    to_x = (float(xs.min()), float(xs.max()), _SVG_PAD, _SVG_W - 2 * _SVG_PAD)
+    to_y = (float(y_all.min()) - 0.05 * spread, float(y_all.max()) + 0.05 * spread,
+            _SVG_H - _SVG_PAD, -(_SVG_H - 2 * _SVG_PAD))  # pixel rows grow downwards
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
@@ -100,81 +122,38 @@ def _svg_open(x_range, y_range, title):
         f'<text x="{_SVG_W // 2}" y="{_SVG_H - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">quasiperiodicity</text>',
     ]
-    x0, x1 = x_range
-    y0, y1 = y_range
-
-    def to_px(x, y):
-        fx = (x - x0) / (x1 - x0) if x1 > x0 else 0.5
-        fy = (y - y0) / (y1 - y0) if y1 > y0 else 0.5
-        return (_SVG_PAD + fx * (_SVG_W - 2 * _SVG_PAD),
-                _SVG_H - _SVG_PAD - fy * (_SVG_H - 2 * _SVG_PAD))
-
-    return lines, to_px
-
-
-def write_bands_svg(bs: BandStructure, path, points: Points | None = None, title="band structure") -> None:
-    """Band curves as polylines; optional reconstructed points as circles.
-
-    When points are given the plot covers [0, pi] (recovered values are
-    folded there); otherwise the full grid range is shown.  Localized
-    points are drawn in a distinct series.
-    """
-    if points is None:
-        xs = bs.alphas
-        curves = [bs.values[p] for p in range(bs.k)]
-        x_range = (float(xs.min()), float(xs.max()))
-    else:
-        xs = np.linspace(0.0, np.pi, 257)
-        curves = bs.values_at(xs)
-        x_range = (0.0, float(np.pi))
-    y_all = np.concatenate([np.asarray(c) for c in curves])
-    if points:
-        y_all = np.concatenate([y_all, points.lam])
-    spread = max(float(y_all.max() - y_all.min()), 1e-12)
-    y_range = (float(y_all.min()) - 0.05 * spread, float(y_all.max()) + 0.05 * spread)
-
-    lines, to_px = _svg_open(x_range, y_range, title)
-    for curve in curves:
-        pts = " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}" for x, y in zip(xs, curve))
+    curve_x = _pixels(xs, *to_x)
+    for curve_y in _pixels(curves, *to_y):
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(curve_x, curve_y))
         lines.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
-    if points:
-        for alpha, lam, localized in zip(points.alpha_est, points.lam, points.localized):
-            px, py = to_px(alpha, lam)
-            if localized:
-                lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="none" '
-                             f'stroke="#d62728" stroke-width="1.5"/>')
-            else:
-                lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="none" '
-                             f'stroke="#2ca02c" stroke-width="1"/>')
+    if points is not None:
+        lines += [f'<circle cx="{x:.2f}" cy="{y:.2f}" {_CIRCLE[loc]}/>'
+                  for x, y, loc in zip(_pixels(points.alpha_est, *to_x), _pixels(lam, *to_y),
+                                        points.localized.tolist())]
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+# (format, file name, whether it needs the reference bands, writer) of each file
+# write_bundle writes, in order; external_matrix has no bands without a symbol.
+BUNDLE = (
+    ("csv", "points.csv", False, lambda r, path: write_points_csv(r.points, path)),
+    ("csv", "bands.csv", True, lambda r, path: write_bands_csv(r.bands, path)),
+    ("json", "gaps.json", True, lambda r, path: write_json(r.gap_report.as_dict(), path)),
+    ("json", "summary.json", False, lambda r, path: write_json(r.summary(), path)),
+    ("svg", "reconstruction.svg", True, lambda r, path: write_bands_svg(
+        r.bands, path, points=r.points, title=f"{r.scenario}: reconstructed bands")),
+)
+
+
 def write_bundle(result: ScenarioResult, outdir, formats=("csv", "json")) -> list[Path]:
-    """Write points.csv, bands.csv, gaps.json, summary.json, and the overlay SVG."""
+    """Write the BUNDLE files of the given formats; those that need reference bands only when the run has them."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    if "csv" in formats:
-        path = outdir / "points.csv"
-        write_points_csv(result.points, path)
-        written.append(path)
-        if result.bands is not None:
-            path = outdir / "bands.csv"
-            write_bands_csv(result.bands, path)
-            written.append(path)
-    if "json" in formats:
-        if result.gap_report is not None:
-            path = outdir / "gaps.json"
-            write_json(result.gap_report.as_dict(), path)
-            written.append(path)
-        path = outdir / "summary.json"
-        write_json(result.summary(), path)
-        written.append(path)
-    if "svg" in formats and result.bands is not None:
-        path = outdir / "reconstruction.svg"
-        write_bands_svg(result.bands, path, points=result.points,
-                        title=f"{result.scenario}: reconstructed bands")
-        written.append(path)
+    for fmt_name, name, needs_bands, write in BUNDLE:
+        if fmt_name in formats and (result.bands is not None or not needs_bands):
+            write(result, outdir / name)
+            written.append(outdir / name)
     return written

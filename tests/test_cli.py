@@ -63,6 +63,18 @@ def test_bands_writes_exactly_the_formats_it_is_given(tmp_path, capsys, formats,
         assert sorted(p.name for p in out.iterdir()) == written
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["reconstruct", "--scenario", "ssh", "--format", ""], "reconstruct writes csv, json, svg"),
+    (["bands", "--symbol", "dimer", "--format", ","], "bands writes csv, svg"),
+])
+def test_an_empty_format_list_is_refused(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no output format given; {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_bands_malformed_symbol(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -371,6 +383,23 @@ def test_external_matrix_refuses_a_block_size_other_than_its_symbols(tmp_path, c
     assert not out.exists()
 
 
+def test_external_matrix_without_a_symbol_reports_no_gap_count(tmp_path, capsys):
+    from bandrec import matrices
+    matrices.save_matrix(matrices.ssh_matrix(1.0, 2.0, 5), tmp_path / "m.csv")
+    out = tmp_path / "run"
+    argv = ["reconstruct", "--scenario", "external_matrix", "--matrix", str(tmp_path / "m.csv"),
+            "--out", str(out), "--format", "csv,json,svg"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out / 'points.csv'}", f"wrote {out / 'summary.json'}",
+        "not written without a reference symbol (--symbol): bands.csv, gaps.json, reconstruction.svg",
+        "external_matrix: 21 points, 0 localized"]
+    assert sorted(p.name for p in out.iterdir()) == ["points.csv", "summary.json"]
+    assert main(argv + ["--symbol", "dimer"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "external_matrix: 21 points, 1 gap mode(s), 1 localized"
+    assert len(list(out.iterdir())) == 5
+
+
 def test_reconstruct_refuses_non_finite_input(tmp_path, capsys):
     mat_path = tmp_path / "nan.csv"
     mat_path.write_text("2,nan\nnan,2\n")
@@ -474,6 +503,16 @@ def test_transform_refuses_non_finite_entries(tmp_path, capsys, entries, message
     assert code == 1
     assert captured.err == f"error: vector has {message}\n" and captured.out == ""
     assert not out.exists()
+
+
+def test_transform_refuses_a_matrix_file(tmp_path, capsys):
+    vec = tmp_path / "eye.csv"
+    vec.write_text("1,0,0\n0,1,0\n0,0,1\n")
+    out = tmp_path / "run"
+    assert main(["transform", "--vector", str(vec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {vec}: a vector file holds one row or one column, got shape (3, 3)\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_transform_missing_vector():

@@ -1,0 +1,95 @@
+"""The files the writers emit hold exactly the arrays they are given."""
+
+import csv
+import xml.etree.ElementTree as ET
+
+import numpy as np
+import pytest
+
+from bandrec import matrices, outputs, symbols
+from bandrec.reconstruct import run_scenario
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def e14(x):
+    return format(float(x), ".14e")
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture(params=["ssh", "external_matrix"])
+def run(request, tmp_path):
+    """A small ssh run, and an external_matrix run without a symbol, written in every format."""
+    if request.param == "ssh":
+        result = run_scenario({"scenario": "ssh", "dimers_per_side": 5, "grid": 32})
+    else:
+        matrices.save_matrix(matrices.ssh_matrix(1.0, 2.0, 5), tmp_path / "m.csv")
+        result = run_scenario({"scenario": "external_matrix", "matrix": str(tmp_path / "m.csv")})
+    outputs.write_bundle(result, tmp_path / "out", ("csv", "json", "svg"))
+    return result, tmp_path / "out"
+
+
+def test_points_csv_holds_every_entry_at_15_digits(run):
+    result, out = run
+    p = result.points
+    rows = read_rows(out / "points.csv")
+    assert len(rows) == len(p) == 21
+    assert [r["index"] for r in rows] == [str(i) for i in range(len(p))]
+    for column, values in (("alpha_est", p.alpha_est), ("lambda", p.lam),
+                           ("sup_ratio", p.sup_ratio), ("ipr", p.ipr)):
+        assert [r[column] for r in rows] == [e14(x) for x in values], column
+    assert [r["localized"] for r in rows] == ["true" if f else "false" for f in p.localized]
+    if result.bands is None:
+        assert p.band_error is None and all(r["band_error"] == "" for r in rows)
+    else:
+        assert [r["band_error"] for r in rows] == [e14(x) for x in p.band_error]
+
+
+def test_bands_csv_holds_every_grid_value_at_15_digits(run):
+    result, out = run
+    bs = result.bands
+    if bs is None:
+        assert sorted(f.name for f in out.iterdir()) == ["points.csv", "summary.json"]
+        return
+    rows = read_rows(out / "bands.csv")
+    assert len(rows) == bs.k * bs.m == 64
+    for i, r in enumerate(rows):
+        p, j = divmod(i, bs.m)
+        assert r == {"alpha": e14(bs.alphas[j]), "band_index": str(p + 1),
+                     "lambda": e14(bs.values[p, j]), "dlambda": e14(bs.derivatives[p, j])}
+
+
+def test_reconstruction_svg_draws_each_band_and_each_point(run):
+    result, out = run
+    if result.bands is None:
+        assert not (out / "reconstruction.svg").exists()
+        return
+    root = ET.parse(out / "reconstruction.svg").getroot()
+    polylines = root.findall(f"{SVG}polyline")
+    assert len(polylines) == result.bands.k == 2
+    assert all(len(pl.get("points").split()) == 257 for pl in polylines)
+    circles = root.findall(f"{SVG}circle")
+    assert len(circles) == len(result.points)
+    assert [c.get("r") == "4" for c in circles] == result.points.localized.tolist()
+    assert 0 < np.count_nonzero(result.points.localized) < len(result.points)
+
+
+def test_a_constant_band_is_drawn_across_the_middle(tmp_path):
+    bs = symbols.band_functions(symbols.nearest_neighbour_symbol(1e6, 0.0), 16)
+    outputs.write_bands_svg(bs, tmp_path / "b.svg")
+    (polyline,) = ET.parse(tmp_path / "b.svg").getroot().findall(f"{SVG}polyline")
+    points = [xy.split(",") for xy in polyline.get("points").split()]
+    assert [x for x, _ in points[::15]] == ["56.00", "664.00"]
+    assert {y for _, y in points} == {"240.00"}
+
+
+def test_transform_csv_is_sorted_by_alpha(tmp_path):
+    alphas, masses = np.array([0.0, 2.5, -2.5, 1.0]), np.array([0.1, 0.2, 0.3, 0.4])
+    outputs.write_transform_csv(alphas, masses, tmp_path / "transform.csv")
+    rows = read_rows(tmp_path / "transform.csv")
+    assert [(r["alpha"], r["mass"]) for r in rows] == [(e14(a), e14(m)) for a, m in
+                                                       ((-2.5, 0.3), (0.0, 0.1), (1.0, 0.4), (2.5, 0.2))]
