@@ -10,7 +10,7 @@ show up as outliers.
 from .matrices import (FiniteMatrix, PerturbedPair, capacitance_1d, chain_capacitance,
                        circulant_matrix, compact_perturbation, dislocated_chain,
                        load_matrix, save_matrix, ssh_matrix, toeplitz_matrix)
-from .reconstruct import (GapReport, Points, ScenarioResult,
+from .reconstruct import (Points, ScenarioResult,
                           capacitance_eigenpairs_oracle, compare_to_symbol, detect_gaps,
                           reconstruct_bands, run_scenario, tridiagonal_eigenpairs_oracle)
 from .spectra import (EigenDecomposition, NearFarSplit, concentration_check,

@@ -294,14 +294,11 @@ def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> Perturbed
 
 def save_matrix(mat: FiniteMatrix, path) -> None:
     """Dense CSV, one row per line, complex entries as `a+bj`."""
-    data = mat.data
+    complex_entries = np.iscomplexobj(mat.data)
+    cell = (lambda c: str(c).strip("()")) if complex_entries else repr  # repr: shortest round-trip digits
+    rows = mat.data.astype(complex if complex_entries else float, copy=False).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in data:
-            if np.iscomplexobj(data):
-                fh.write(",".join(str(complex(x)).strip("()") for x in row))
-            else:
-                fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")
+        fh.write("".join(",".join(map(cell, row)) + "\n" for row in rows))
 
 
 def read_entries(path) -> np.ndarray:

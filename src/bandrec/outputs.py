@@ -140,7 +140,7 @@ def write_bands_svg(bs: BandStructure, path, points: Points | None = None, title
 BUNDLE = (
     ("csv", "points.csv", False, lambda r, path: write_points_csv(r.points, path)),
     ("csv", "bands.csv", True, lambda r, path: write_bands_csv(r.bands, path)),
-    ("json", "gaps.json", True, lambda r, path: write_json(r.gap_report.as_dict(), path)),
+    ("json", "gaps.json", True, lambda r, path: write_json(r.gap_report, path)),
     ("json", "summary.json", False, lambda r, path: write_json(r.summary(), path)),
     ("svg", "reconstruction.svg", True, lambda r, path: write_bands_svg(
         r.bands, path, points=r.points, title=f"{r.scenario}: reconstructed bands")),

@@ -3,6 +3,10 @@
 Take a finite chain matrix, eigendecompose it, recover a quasiperiodicity
 for every eigenvector from its projection masses, and assemble the
 reconstructed band diagram together with gap and localization reports.
+Each report is the JSON object the run writes, built where it is
+computed: compare_to_symbol returns the errors block of summary.json
+(the statistics of an empty set are None, JSON null) and detect_gaps the
+gaps.json object.
 SCENARIOS declares the parameters each named scenario reads, with their
 defaults, and PARAMS the type of each (the CLI's flags come from it);
 run_scenario refuses a key its scenario does not read and converts each
@@ -71,36 +75,18 @@ def reconstruct_bands(M, k: int) -> Points:
                   localized=ipr_localized_flags(ipr))
 
 
-@dataclass(frozen=True)
-class ErrorStats:
-    """Band-error statistics split into bulk (delocalised) and localized points."""
-
-    bulk_max: float
-    bulk_mean: float
-    bulk_q90: float
-    bulk_count: int
-    localized_max: float
-    localized_mean: float
-    localized_count: int
-    edge_margin: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "bulk": {"max": self.bulk_max, "mean": self.bulk_mean,
-                     "q90": self.bulk_q90, "count": self.bulk_count},
-            "localized": {"max": self.localized_max, "mean": self.localized_mean,
-                          "count": self.localized_count},
-            "edge_margin": self.edge_margin,
-        }
+def _statistics(errors: np.ndarray, **stats) -> dict:
+    """{"count": errors.size} and each named statistic of errors; a statistic of an empty set is None."""
+    return {"count": errors.size, **{name: float(f(errors)) if errors.size else None for name, f in stats.items()}}
 
 
-def compare_to_symbol(points: Points, bs: symbols.BandStructure,
-                      edge_margin: float = 0.0) -> ErrorStats:
-    """Fill in band_error = min_p |lam - lambda_p(alpha_est)| and summarise.
+def compare_to_symbol(points: Points, bs: symbols.BandStructure, edge_margin: float = 0.0) -> dict:
+    """Fill in band_error = min_p |lam - lambda_p(alpha_est)| and return the errors block of summary.json.
 
-    Bulk statistics run over non-localized points whose alpha_est is at
-    least edge_margin away from both 0 and pi; localized statistics run
-    over all localized points.
+    That is {"bulk": {count, max, mean, q90}, "localized": {count, max,
+    mean}, "edge_margin"}: bulk statistics run over non-localized points
+    whose alpha_est is at least edge_margin away from both 0 and pi,
+    localized statistics over all localized points.
     """
     if not len(points):
         raise ValueError("no points to compare")
@@ -108,53 +94,18 @@ def compare_to_symbol(points: Points, bs: symbols.BandStructure,
     points.band_error = np.min(np.abs(band_vals - points.lam[None, :]), axis=0)
     a = points.alpha_est
     bulk = points.band_error[~points.localized & (edge_margin <= a) & (a <= np.pi - edge_margin)]
-    loc = points.band_error[points.localized]
-    return ErrorStats(
-        bulk_max=float(np.max(bulk)) if bulk.size else 0.0,
-        bulk_mean=float(np.mean(bulk)) if bulk.size else 0.0,
-        bulk_q90=float(np.quantile(bulk, 0.9)) if bulk.size else 0.0,
-        bulk_count=bulk.size,
-        localized_max=float(np.max(loc)) if loc.size else 0.0,
-        localized_mean=float(np.mean(loc)) if loc.size else 0.0,
-        localized_count=loc.size,
-        edge_margin=edge_margin)
+    return {"bulk": _statistics(bulk, max=np.max, mean=np.mean, q90=lambda e: np.quantile(e, 0.9)),
+            "localized": _statistics(points.band_error[points.localized], max=np.max, mean=np.mean),
+            "edge_margin": edge_margin}
 
 
-@dataclass(frozen=True)
-class GapMode:
-    index: int
-    lam: float
-    alpha_est: float
+def detect_gaps(bs: symbols.BandStructure, values, margin: float = 0.0, alphas=None) -> dict:
+    """Find band gaps (shrunk by margin on each side) and the eigenvalues inside; return gaps.json.
 
-
-@dataclass(frozen=True)
-class GapReport:
-    """Open intervals between consecutive band ranges and the eigenvalues inside."""
-
-    gaps: list[tuple[float, float]]
-    gap_modes: list[GapMode]
-    margin: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "gaps": [[lo, hi] for lo, hi in self.gaps],
-            "gap_modes": [{"index": g.index, "lambda": g.lam, "alpha_est": g.alpha_est}
-                          for g in self.gap_modes],
-            "margin": self.margin,
-        }
-
-
-def default_gap_margin(bs: symbols.BandStructure) -> float:
-    span = float(bs.values.max() - bs.values.min())
-    return 1e-6 * span
-
-
-def detect_gaps(bs: symbols.BandStructure, values, margin: float = 0.0,
-                alphas=None) -> GapReport:
-    """Find band gaps (shrunk by margin on each side) and the eigenvalues inside.
-
-    values is an eigenvalue array; when the matching recovered
-    quasiperiodicities are supplied, gap modes carry their alpha_est.
+    That is {"gaps": [[lo, hi], ...], "gap_modes": [{index, lambda,
+    alpha_est}, ...], "margin"}, gaps in ascending order.  values is an
+    eigenvalue array; when the matching recovered quasiperiodicities are
+    supplied, gap modes carry their alpha_est (NaN otherwise).
     """
     if not 0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
@@ -163,14 +114,14 @@ def detect_gaps(bs: symbols.BandStructure, values, margin: float = 0.0,
     for p in range(len(ranges) - 1):
         lo, hi = ranges[p][1] + margin, ranges[p + 1][0] - margin
         if lo < hi:
-            gaps.append((lo, hi))
+            gaps.append([lo, hi])
     values = np.asarray(values, dtype=float)
     bounds = np.array(gaps, dtype=float).reshape(-1, 2)
     inside = np.any((bounds[:, 0] < values[:, None]) & (values[:, None] < bounds[:, 1]), axis=1)
-    modes = [GapMode(index=int(i), lam=float(values[i]),
-                     alpha_est=float(alphas[i]) if alphas is not None else float("nan"))
+    modes = [{"index": int(i), "lambda": float(values[i]),
+              "alpha_est": float(alphas[i]) if alphas is not None else float("nan")}
              for i in np.flatnonzero(inside)]
-    return GapReport(gaps=gaps, gap_modes=modes, margin=margin)
+    return {"gaps": gaps, "gap_modes": modes, "margin": margin}
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +211,11 @@ def _text(name, value, inline=False):
 
 @dataclass
 class ScenarioResult:
-    """Everything a reconstruction run produces, ready for serialization."""
+    """Everything a reconstruction run produces, ready for serialization.
+
+    gap_report is what detect_gaps returns and stats what compare_to_symbol
+    returns; both are None without a reference symbol.
+    """
 
     scenario: str
     params: dict
@@ -268,8 +223,8 @@ class ScenarioResult:
     matrix: FiniteMatrix
     points: Points
     bands: symbols.BandStructure | None
-    gap_report: GapReport | None
-    stats: ErrorStats | None
+    gap_report: dict | None
+    stats: dict | None
 
     def summary(self) -> dict:
         out = {
@@ -282,11 +237,11 @@ class ScenarioResult:
             "n_localized": int(np.count_nonzero(self.points.localized)),
         }
         if self.gap_report is not None:
-            out["n_gaps"] = len(self.gap_report.gaps)
-            out["n_gap_modes"] = len(self.gap_report.gap_modes)
-            out["gaps"] = [[lo, hi] for lo, hi in self.gap_report.gaps]
+            out["n_gaps"] = len(self.gap_report["gaps"])
+            out["n_gap_modes"] = len(self.gap_report["gap_modes"])
+            out["gaps"] = self.gap_report["gaps"]
         if self.stats is not None:
-            out["errors"] = self.stats.as_dict()
+            out["errors"] = self.stats
         return out
 
 
@@ -365,9 +320,9 @@ def run_scenario(config: dict) -> ScenarioResult:
         m_dft = math.ceil(matrix.n / k)  # DFT length after zero padding
         edge = 2.0 * np.pi * EDGE_EXCLUSION_BINS / m_dft
         if margin is None:
-            margin = default_gap_margin(bands)
+            margin = 1e-6 * float(bands.values.max() - bands.values.min())
         gap_report = detect_gaps(bands, points.lam, margin=margin, alphas=points.alpha_est)
-        points.localized[[g.index for g in gap_report.gap_modes]] = True
+        points.localized[[g["index"] for g in gap_report["gap_modes"]]] = True
         stats = compare_to_symbol(points, bands, edge_margin=edge)
     return ScenarioResult(scenario=name, params=params, k=k, matrix=matrix,
                           points=points, bands=bands, gap_report=gap_report, stats=stats)

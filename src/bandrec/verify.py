@@ -215,7 +215,7 @@ def check_error_trend(tol, rng):
     for m in (40, 80, 160):
         points = reconstruct.reconstruct_bands(matrices.toeplitz_matrix(sym, m), 1)
         stats = reconstruct.compare_to_symbol(points, bands, edge_margin=2 * np.pi * 4 / m)
-        maxima.append(stats.bulk_max)
+        maxima.append(stats["bulk"]["max"])
     ok = all(maxima[i + 1] <= maxima[i] * tol["slack"] for i in range(len(maxima) - 1))
     return ok, f"bulk maxima along m=40,80,160: " + ", ".join(f"{x:.3e}" for x in maxima)
 
@@ -224,7 +224,7 @@ def check_gap_localization_consistency(tol, rng):
     bad = []
     for scenario in ("ssh", "dislocated"):
         result = reconstruct.run_scenario({"scenario": scenario})
-        gap_set = {g.index for g in result.gap_report.gap_modes}
+        gap_set = {g["index"] for g in result.gap_report["gap_modes"]}
         loc_set = set(np.flatnonzero(result.points.localized).tolist())
         if gap_set != loc_set:
             bad.append(f"{scenario}: gap modes {sorted(gap_set)} vs localized {sorted(loc_set)}")
@@ -334,29 +334,29 @@ def acceptance_03_odd_index_convergence(tol, rng):
 def acceptance_04_exponential_symbol(tol, rng):
     sym = symbols.exponential_symbol()
     bands = symbols.band_functions(sym, 512)
-    stats = {}
+    bulk = {}
     for m in (30, 120):
         points = reconstruct.reconstruct_bands(matrices.toeplitz_matrix(sym, m), 1)
-        stats[m] = reconstruct.compare_to_symbol(points, bands, edge_margin=2 * np.pi * 4 / m)
+        bulk[m] = reconstruct.compare_to_symbol(points, bands, edge_margin=2 * np.pi * 4 / m)["bulk"]
     bad = []
-    if stats[30].bulk_max >= tol["max30"]:
-        bad.append(f"bulk max at m=30 is {stats[30].bulk_max:.3e} >= {tol['max30']:g}")
-    if stats[30].bulk_mean >= tol["mean30"]:
-        bad.append(f"bulk mean at m=30 is {stats[30].bulk_mean:.3e} >= {tol['mean30']:g}")
-    if stats[120].bulk_max >= stats[30].bulk_max:
-        bad.append(f"no improvement: {stats[120].bulk_max:.3e} at m=120 vs {stats[30].bulk_max:.3e}")
-    return _fail_on(bad, f"bulk max {stats[30].bulk_max:.3e} (m=30) -> {stats[120].bulk_max:.3e} (m=120), "
-                         f"mean {stats[30].bulk_mean:.3e} (m=30)")
+    if bulk[30]["max"] >= tol["max30"]:
+        bad.append(f"bulk max at m=30 is {bulk[30]['max']:.3e} >= {tol['max30']:g}")
+    if bulk[30]["mean"] >= tol["mean30"]:
+        bad.append(f"bulk mean at m=30 is {bulk[30]['mean']:.3e} >= {tol['mean30']:g}")
+    if bulk[120]["max"] >= bulk[30]["max"]:
+        bad.append(f"no improvement: {bulk[120]['max']:.3e} at m=120 vs {bulk[30]['max']:.3e}")
+    return _fail_on(bad, f"bulk max {bulk[30]['max']:.3e} (m=30) -> {bulk[120]['max']:.3e} (m=120), "
+                         f"mean {bulk[30]['mean']:.3e} (m=30)")
 
 
 def acceptance_05_ssh(tol, rng):
     result = reconstruct.run_scenario({"scenario": "ssh"})
     bad = []
-    modes = result.gap_report.gap_modes
+    modes = result.gap_report["gap_modes"]
     if len(modes) != 1:
         bad.append(f"expected exactly one gap mode, found {len(modes)}")
     else:
-        gi = modes[0].index
+        gi = modes[0]["index"]
         iprs = result.points.ipr
         ratio = iprs[gi] / np.median(iprs)
         if ratio <= tol["ipr_factor"]:
@@ -369,21 +369,21 @@ def acceptance_05_ssh(tol, rng):
         others = np.delete(result.points.band_error, gi)
         if others.max() >= tol["band_err"]:
             bad.append(f"non-gap band error up to {others.max():.3e}")
-    return _fail_on(bad, f"one gap mode at {modes[0].lam:.4f}, flat projection profile, "
+    return _fail_on(bad, f"one gap mode at {modes[0]['lambda']:.4f}, flat projection profile, "
                          f"non-gap errors < {tol['band_err']:g}" if modes else "")
 
 
 def acceptance_06_dislocated(tol, rng):
     result = reconstruct.run_scenario({"scenario": "dislocated"})
     bad = []
-    modes = result.gap_report.gap_modes
+    modes = result.gap_report["gap_modes"]
     if len(modes) != 1:
         bad.append(f"expected exactly one gap mode, found {len(modes)}")
     else:
-        if not result.points.localized[modes[0].index]:
+        if not result.points.localized[modes[0]["index"]]:
             bad.append("gap mode not flagged localized")
-    if result.stats.bulk_max >= tol["band_err"]:
-        bad.append(f"bulk band error {result.stats.bulk_max:.3e}")
+    if result.stats["bulk"]["max"] >= tol["band_err"]:
+        bad.append(f"bulk band error {result.stats['bulk']['max']:.3e}")
     return _fail_on(bad, f"one localized gap mode, bulk errors below {tol['band_err']:g}")
 
 
@@ -396,13 +396,13 @@ def acceptance_07a_compact_defect_negative(tol, rng):
     # eigenvalue is size-independent; a band-edge state's moves like 1/n^2.
     results = [reconstruct.run_scenario({"scenario": "compact_defect", "delta": -0.3, "n": n})
                for n in (80, 160)]
-    modes = [r.gap_report.gap_modes for r in results]
+    modes = [r.gap_report["gap_modes"] for r in results]
     if [len(m) for m in modes] != [1, 1]:
-        found = [[round(g.lam, 4) for g in m] for m in modes]
+        found = [[round(g["lambda"], 4) for g in m] for m in modes]
         return False, f"expected one gap mode for delta=-0.3 at n=80 and n=160, found {found}"
-    lam80, lam160 = modes[0][0].lam, modes[1][0].lam
+    lam80, lam160 = modes[0][0]["lambda"], modes[1][0]["lambda"]
     drift = abs(lam160 - lam80)
-    bulk_max = results[0].stats.bulk_max
+    bulk_max = results[0].stats["bulk"]["max"]
     bad = []
     if not 1.9 < lam80 < 2.0:
         bad.append(f"gap mode at {lam80:.4f} is not in the upper part (1.9, 2.0) of the gap")
@@ -417,11 +417,11 @@ def acceptance_07a_compact_defect_negative(tol, rng):
 
 def acceptance_07b_compact_defect_positive(tol, rng):
     result = reconstruct.run_scenario({"scenario": "compact_defect", "delta": 0.5})
-    modes = result.gap_report.gap_modes
+    modes = result.gap_report["gap_modes"]
     bad = []
     if not modes:
         bad.append("expected at least one gap mode for delta=+0.5")
-    elif not result.points.localized[[g.index for g in modes]].all():
+    elif not result.points.localized[[g["index"] for g in modes]].all():
         bad.append("gap mode present but not flagged localized")
     return _fail_on(bad, f"{len(modes)} localized gap mode(s) at delta=+0.5")
 

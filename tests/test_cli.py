@@ -191,6 +191,7 @@ MONOMER_OBJECT = symbols.symbol_to_dict(symbols.nearest_neighbour_symbol(2.0, -1
     ("reconstruct", {"scenario": "ssh", "s1": False}, "s1 must be a number, got False"),
     ("reconstruct", {"scenario": ["ssh"]}, "scenario must be one of periodic_nn, periodic_symbol, "
                                            "ssh, dislocated, compact_defect, external_matrix, got ['ssh']"),
+    ("bands", [1, 2], "cfg.json: config must be a JSON object"),
 ])
 def test_config_values_of_the_wrong_type_are_refused(tmp_path, monkeypatch, capsys, command,
                                                      config, message):
@@ -264,6 +265,13 @@ def test_bands_accepts_a_large_scale_hermitian_symbol(tmp_path):
     assert main(["bands", "--symbol", SCALED_SYMBOL, "--grid", "16", "--out", str(tmp_path)]) == 0
 
 
+def test_bands_warns_when_an_assumption_check_fails(tmp_path, capsys):
+    flat = '{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}]}'  # one constant band: zero slope everywhere
+    assert main(["bands", "--symbol", flat, "--grid", "16", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "warning: assumption checks failed: interior slope as small as 0")
+
+
 def test_reconstruct_refuses_bands_that_are_not_even(tmp_path, capsys):
     sym_path = tmp_path / "odd.json"
     symbols.save_symbol(symbols.Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]}), sym_path)
@@ -322,6 +330,21 @@ def test_reconstruct_periodic_nn(tmp_path):
     assert summary["errors"]["bulk"]["max"] < 7.5e-2
     gaps = json.loads((out / "gaps.json").read_text())
     assert gaps["gap_modes"] == []
+
+
+@pytest.mark.parametrize("argv,empty", [
+    (["--scenario", "ssh", "--dimers-per-side", "3"], "bulk"),  # the 4-bin edge exclusion takes every bulk point
+    (["--scenario", "ssh", "--dimers-per-side", "4"], "bulk"),
+    (["--scenario", "periodic_nn"], "localized"),  # no gap mode and no localized eigenvector
+])
+def test_statistics_of_an_empty_set_are_null(tmp_path, argv, empty):
+    out = tmp_path / "run"
+    assert main(["reconstruct", *argv, "--out", str(out), "--format", "json"]) == 0
+    errors = json.loads((out / "summary.json").read_text())["errors"]
+    stats = errors[empty]
+    assert stats.pop("count") == 0 and set(stats.values()) == {None}
+    other = errors["localized" if empty == "bulk" else "bulk"]
+    assert other["count"] > 0 and None not in other.values()
 
 
 def test_reconstruct_compact_defect_gap_mode(tmp_path):
@@ -512,6 +535,16 @@ def test_transform_refuses_a_matrix_file(tmp_path, capsys):
     assert main(["transform", "--vector", str(vec), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {vec}: a vector file holds one row or one column, got shape (3, 3)\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_transform_refuses_a_zero_vector(tmp_path, capsys):
+    vec = tmp_path / "zero.csv"
+    vec.write_text("0\n0\n0\n0\n")
+    out = tmp_path / "run"
+    assert main(["transform", "--vector", str(vec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: vector is zero\n"
     assert captured.out == "" and not out.exists()
 
 

@@ -394,6 +394,7 @@ def test_matrix_csv_complex_round_trip(tmp_path):
     M = FiniteMatrix(data=data)
     path = tmp_path / "cmat.csv"
     save_matrix(M, path)
+    assert path.read_text(encoding="utf-8") == "1+0j,2-1j\n2+1j,-3+0j\n"
     back = load_matrix(path)
     assert np.array_equal(back.data, data)
     assert back.hermitian

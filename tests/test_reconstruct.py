@@ -90,7 +90,7 @@ def test_compare_to_symbol_circulant():
     bands = symbols.band_functions(MONOMER, 512)
     points = reconstruct_bands(matrices.circulant_matrix(MONOMER, 16), 1)
     stats = compare_to_symbol(points, bands)
-    assert stats.bulk_max < 1e-10
+    assert stats["bulk"]["max"] < 1e-10
     assert points.band_error.shape == (16,) and np.all(np.isfinite(points.band_error))
 
 
@@ -101,8 +101,19 @@ def test_compare_to_symbol_capacitance_m80():
     stats = compare_to_symbol(points, bands, edge_margin=2 * np.pi * 4 / m)
     # even-index eigenvectors are recovered exactly; the odd-index fold
     # leakage contributes ~3.5/m in alpha, measured 7.0e-2 here
-    assert stats.bulk_max < 7.5e-2
+    assert stats["bulk"]["max"] < 7.5e-2
     assert np.max(points.band_error[::2]) < 1e-4
+
+
+def test_compare_to_symbol_statistics_of_an_empty_set_are_none():
+    bands = symbols.band_functions(MONOMER, 64)
+    points = reconstruct_bands(matrices.circulant_matrix(MONOMER, 16), 1)
+    points.localized[:] = True
+    stats = compare_to_symbol(points, bands)
+    assert stats["bulk"] == {"count": 0, "max": None, "mean": None, "q90": None}
+    assert stats["localized"]["count"] == 16
+    assert stats["localized"]["max"] == np.max(points.band_error)
+    assert stats["localized"]["mean"] == np.mean(points.band_error)
 
 
 def test_compare_to_symbol_empty_points():
@@ -114,19 +125,19 @@ def test_compare_to_symbol_empty_points():
 def test_detect_gaps_monomer_none():
     bands = symbols.band_functions(MONOMER, 128)
     report = detect_gaps(bands, np.array([0.5, 1.0]))
-    assert report.gaps == [] and report.gap_modes == []
+    assert report["gaps"] == [] and report["gap_modes"] == []
 
 
 def test_detect_gaps_dimer():
     bands = symbols.band_functions(DIMER, 256)
-    assert len(detect_gaps(bands, np.array([])).gaps) == 1
-    lo, hi = detect_gaps(bands, np.array([])).gaps[0]
+    assert len(detect_gaps(bands, np.array([]))["gaps"]) == 1
+    lo, hi = detect_gaps(bands, np.array([]))["gaps"][0]
     assert abs(lo - 1.0) < 1e-3 and abs(hi - 2.0) < 1e-3
 
     chain = matrices.chain_capacitance([1.0 if i % 2 == 1 else 2.0 for i in range(1, 40)])
     vals = np.linalg.eigvalsh(chain.data)
     report = detect_gaps(bands, vals, margin=1e-3)
-    assert report.gap_modes == []
+    assert report["gap_modes"] == []
 
 
 def test_detect_gaps_ssh_single_mode():
@@ -134,22 +145,22 @@ def test_detect_gaps_ssh_single_mode():
     M = matrices.ssh_matrix(1.0, 2.0, 20)
     points = reconstruct_bands(M, 2)
     report = detect_gaps(bands, points.lam, margin=1e-6, alphas=points.alpha_est)
-    assert len(report.gap_modes) == 1
-    mode = report.gap_modes[0]
-    assert report.gaps[0][0] < mode.lam < report.gaps[0][1]
-    assert mode.alpha_est == points.alpha_est[mode.index]
+    assert len(report["gap_modes"]) == 1
+    mode = report["gap_modes"][0]
+    assert report["gaps"][0][0] < mode["lambda"] < report["gaps"][0][1]
+    assert mode["alpha_est"] == points.alpha_est[mode["index"]]
 
 
 def test_detect_gaps_trimer_two_gaps():
     bands = symbols.band_functions(symbols.cell_chain_symbol([1.0, 2.0, 3.0]), 256)
     values = np.array([0.5, 0.55, 1.5, 2.0, 2.5])
     report = detect_gaps(bands, values)
-    assert len(report.gaps) == 2
-    assert report.gaps == sorted(report.gaps)
-    assert report.gaps[0][1] <= report.gaps[1][0]
-    assert len(report.gap_modes) == 4  # 2.5 sits inside the top band
-    for mode in report.gap_modes:
-        assert any(lo < mode.lam < hi for lo, hi in report.gaps)
+    assert len(report["gaps"]) == 2
+    assert report["gaps"] == sorted(report["gaps"])
+    assert report["gaps"][0][1] <= report["gaps"][1][0]
+    assert len(report["gap_modes"]) == 4  # 2.5 sits inside the top band
+    for mode in report["gap_modes"]:
+        assert any(lo < mode["lambda"] < hi for lo, hi in report["gaps"])
 
 
 def test_reconstruct_bands_propagates_eigensolver_error():
@@ -166,7 +177,7 @@ def test_run_scenario_periodic_symbol_reports_tail():
 def test_detect_gaps_margin_shrinks():
     bands = symbols.band_functions(DIMER, 256)
     report = detect_gaps(bands, np.array([1.05, 1.5]), margin=0.1)
-    assert len(report.gap_modes) == 1  # 1.05 now outside the shrunk gap
+    assert len(report["gap_modes"]) == 1  # 1.05 now outside the shrunk gap
     for margin in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="margin must be finite and nonnegative"):
             detect_gaps(bands, np.array([]), margin=margin)
@@ -176,8 +187,8 @@ def test_run_scenario_periodic_nn():
     result = run_scenario({"scenario": "periodic_nn", "m": 80})
     assert result.k == 1 and result.matrix.n == 80
     assert len(result.points) == 80
-    assert result.stats.bulk_max < 7.5e-2
-    assert result.gap_report.gap_modes == []
+    assert result.stats["bulk"]["max"] < 7.5e-2
+    assert result.gap_report["gap_modes"] == []
     summary = result.summary()
     assert summary["n_points"] == 80 and summary["n_gaps"] == 0
 
@@ -185,38 +196,38 @@ def test_run_scenario_periodic_nn():
 def test_run_scenario_periodic_symbol_defaults():
     result = run_scenario({"scenario": "periodic_symbol", "m": 30})
     assert result.matrix.kind == "toeplitz"
-    assert result.stats.bulk_max < 0.18
+    assert result.stats["bulk"]["max"] < 0.18
 
 
 def test_run_scenario_ssh_defaults():
     result = run_scenario({"scenario": "ssh"})
     assert result.matrix.n == 81
-    assert len(result.gap_report.gap_modes) == 1
-    gi = result.gap_report.gap_modes[0].index
+    assert len(result.gap_report["gap_modes"]) == 1
+    gi = result.gap_report["gap_modes"][0]["index"]
     assert result.points.localized[gi]
     assert np.delete(result.points.band_error, gi).max() < 0.1
 
 
 def test_run_scenario_dislocated_localized_equals_gap():
     result = run_scenario({"scenario": "dislocated"})
-    gap_set = {g.index for g in result.gap_report.gap_modes}
+    gap_set = {g["index"] for g in result.gap_report["gap_modes"]}
     loc_set = set(np.flatnonzero(result.points.localized).tolist())
     assert gap_set == loc_set and len(gap_set) == 1
 
 
 def test_run_scenario_compact_defect_positive():
     result = run_scenario({"scenario": "compact_defect", "delta": 0.5})
-    assert len(result.gap_report.gap_modes) >= 1
-    assert result.points.localized[[g.index for g in result.gap_report.gap_modes]].all()
+    assert len(result.gap_report["gap_modes"]) >= 1
+    assert result.points.localized[[g["index"] for g in result.gap_report["gap_modes"]]].all()
 
 
 def test_run_scenario_compact_defect_negative_detaches_one_state():
     # a weakly localized state always detaches below the upper band for delta < 0
     result = run_scenario({"scenario": "compact_defect", "delta": -0.3})
-    modes = result.gap_report.gap_modes
+    modes = result.gap_report["gap_modes"]
     assert len(modes) == 1
-    assert 1.9 < modes[0].lam < 2.0
-    assert result.stats.bulk_max < 0.1
+    assert 1.9 < modes[0]["lambda"] < 2.0
+    assert result.stats["bulk"]["max"] < 0.1
 
 
 def test_run_scenario_external_matrix(tmp_path):
@@ -232,7 +243,7 @@ def test_run_scenario_external_matrix(tmp_path):
     result2 = run_scenario({"scenario": "external_matrix", "matrix": str(path), "k": 2,
                             "symbol": str(sym_path)})
     assert result2.bands is not None
-    assert len(result2.gap_report.gap_modes) == 1
+    assert len(result2.gap_report["gap_modes"]) == 1
 
 
 def test_run_scenario_rejects_unknown():
@@ -297,9 +308,9 @@ def test_every_scenario_parameter_is_declared_and_read(tmp_path, scenario):
 
 def test_scenario_error_stats_exclude_localized():
     result = run_scenario({"scenario": "ssh"})
-    gi = result.gap_report.gap_modes[0].index
-    assert result.stats.localized_count >= 1
-    assert result.points.band_error[gi] > result.stats.bulk_max
+    gi = result.gap_report["gap_modes"][0]["index"]
+    assert result.stats["localized"]["count"] >= 1
+    assert result.points.band_error[gi] > result.stats["bulk"]["max"]
 
 
 @pytest.mark.parametrize("scenario", ["ssh", "dislocated", "compact_defect", "periodic_nn"])
