@@ -84,6 +84,9 @@ def cmd_reconstruct(args) -> int:
         skipped = [name for f, name, needs_bands, _ in outputs.BUNDLE if needs_bands and f in formats]
         if skipped:
             print(f"not written without a reference symbol (--symbol): {', '.join(skipped)}")
+    if result.stats is not None and not result.stats["bulk"]["count"]:
+        print(f"warning: the edge margin {result.stats['edge_margin']:.6g} ({reconstruct.EDGE_EXCLUSION_BINS} "
+              f"DFT bins from alpha = 0 and pi) leaves no bulk point; the points were not compared with the bands")
     summary = result.summary()
     gap_modes = f"{summary['n_gap_modes']} gap mode(s), " if "n_gap_modes" in summary else ""
     print(f"{result.scenario}: {summary['n_points']} points, {gap_modes}{summary['n_localized']} localized")

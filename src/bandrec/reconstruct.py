@@ -5,8 +5,9 @@ for every eigenvector from its projection masses, and assemble the
 reconstructed band diagram together with gap and localization reports.
 Each report is the JSON object the run writes, built where it is
 computed: compare_to_symbol returns the errors block of summary.json
-(the statistics of an empty set are None, JSON null) and detect_gaps the
-gaps.json object.
+(the statistics of an empty set are None, JSON null; bulk points lie at
+least EDGE_EXCLUSION_BINS DFT bins from alpha = 0 and pi) and detect_gaps
+the gaps.json object.
 SCENARIOS declares the parameters each named scenario reads, with their
 defaults, and PARAMS the type of each (the CLI's flags come from it);
 run_scenario refuses a key its scenario does not read and converts each
@@ -80,16 +81,18 @@ def _statistics(errors: np.ndarray, **stats) -> dict:
     return {"count": errors.size, **{name: float(f(errors)) if errors.size else None for name, f in stats.items()}}
 
 
-def compare_to_symbol(points: Points, bs: symbols.BandStructure, edge_margin: float = 0.0) -> dict:
+def compare_to_symbol(points: Points, bs: symbols.BandStructure) -> dict:
     """Fill in band_error = min_p |lam - lambda_p(alpha_est)| and return the errors block of summary.json.
 
     That is {"bulk": {count, max, mean, q90}, "localized": {count, max,
     mean}, "edge_margin"}: bulk statistics run over non-localized points
     whose alpha_est is at least edge_margin away from both 0 and pi,
-    localized statistics over all localized points.
+    localized statistics over all localized points.  edge_margin is
+    EDGE_EXCLUSION_BINS bins of the points' DFT, of length ceil(n / k).
     """
     if not len(points):
         raise ValueError("no points to compare")
+    edge_margin = 2.0 * np.pi * EDGE_EXCLUSION_BINS / math.ceil(len(points) / bs.k)
     band_vals = bs.values_at(points.alpha_est)          # (k, npts)
     points.band_error = np.min(np.abs(band_vals - points.lam[None, :]), axis=0)
     a = points.alpha_est
@@ -255,8 +258,8 @@ def _scenario_setup(name: str, p: dict):
         return mat, symbols.nearest_neighbour_symbol(p["a0"], p["a1"]), 1
     if name == "periodic_symbol":
         sym = symbols.symbol_from_source(p.get("symbol", "exponential"))
-        if sym.tail_model is not None:
-            p["truncation_tail_bound"] = sym.tail_model.tail_bound(sym.r_max)
+        if sym.tail_bound is not None:
+            p["truncation_tail_bound"] = sym.tail_bound
         return matrices.toeplitz_matrix(sym, p["m"]), sym, sym.k
     if name == "ssh":
         mat = matrices.ssh_matrix(p["s1"], p["s2"], p["dimers_per_side"])
@@ -317,12 +320,10 @@ def run_scenario(config: dict) -> ScenarioResult:
         if not even:
             raise ValueError(f"the reference bands are not even in alpha: max|lambda(alpha) - "
                              f"lambda(-alpha)| = {odd:g}, and only |alpha| is recovered")
-        m_dft = math.ceil(matrix.n / k)  # DFT length after zero padding
-        edge = 2.0 * np.pi * EDGE_EXCLUSION_BINS / m_dft
         if margin is None:
             margin = 1e-6 * float(bands.values.max() - bands.values.min())
         gap_report = detect_gaps(bands, points.lam, margin=margin, alphas=points.alpha_est)
         points.localized[[g["index"] for g in gap_report["gap_modes"]]] = True
-        stats = compare_to_symbol(points, bands, edge_margin=edge)
+        stats = compare_to_symbol(points, bands)
     return ScenarioResult(scenario=name, params=params, k=k, matrix=matrix,
                           points=points, bands=bands, gap_report=gap_report, stats=stats)

@@ -8,9 +8,9 @@ without that library, goes through the dense np.linalg.eigh.  No n^2 data
 is read to choose.  Both run the same divide-and-conquer kernel (dstedc), so
 the results agree bit for bit once the column signs are polarized.
 
-Beyond the plain decomposition this provides the residual of a candidate
-eigenpair, the orthogonal split of a vector into near/far eigenspace
-components around a reference eigenvalue, the projection-mass concentration
+Beyond the plain decomposition this provides the residuals of candidate
+eigenpairs, one per column, the split of a vector into its components near
+and far from a reference eigenvalue, the projection-mass concentration
 inside a quasiperiodicity window, and localization measures.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .matrices import FiniteMatrix
 from .symbols import HERMITIAN_TOL
-from .transform import UNIT_NORM_TOL, polarize, projection_profile, _checked_unit
+from .transform import _checked_unit, check_unit_norms, polarize, projection_profile
 
 DEGENERACY_REL_TOL = 1e-8
 IPR_LOCALIZATION_FACTOR = 10.0
@@ -106,48 +106,36 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     return EigenDecomposition(values=vals, vectors=vecs)
 
 
-def residual(M: FiniteMatrix, lam: float, u) -> float:
-    """||M u - lam u|| for a unit vector u; a matrix that carries its diagonals is applied in O(n)."""
-    u = _checked_unit(u, "residual")
-    if u.size != M.n:
-        raise ValueError(f"vector length {u.size} does not match matrix size {M.n}")
+def residual(M: FiniteMatrix, lam, u):
+    """||M u - lam u|| for a unit vector u, or per unit column of u for a scalar lam or one lam per column.
+
+    Each vector is renormalised first; a matrix that carries its diagonals is applied in O(n) per column.
+    """
+    u, lam = np.asarray(u) / check_unit_norms(np.linalg.norm(u, axis=0), "residual"), np.asarray(lam)
+    if u.shape[0] != M.n:
+        raise ValueError(f"vector length {u.shape[0]} does not match matrix size {M.n}")
+    if lam.shape not in ((), u.shape[1:]):
+        raise ValueError(f"lam has shape {lam.shape}; give a scalar or one value per column of {u.shape}")
     if M.diagonals is None:
         Mu = M.data @ u
     else:
-        diag, upper, lower = M.diagonals
+        diag, upper, lower = (d if u.ndim == 1 else d[:, None] for d in M.diagonals)
         Mu = diag * u
         Mu[:-1] += upper * u[1:]
         Mu[1:] += lower * u[:-1]
-    return float(np.linalg.norm(Mu - lam * u))
+    res = np.linalg.norm(Mu - lam * u, axis=0)
+    return float(res) if u.ndim == 1 else res
 
 
-@dataclass(frozen=True)
-class NearFarSplit:
-    """Orthogonal components of a vector in the eigenspaces near/far from a value."""
-
-    u_parallel: np.ndarray
-    u_perp: np.ndarray
-    epsilon: float
-    center: float
-
-    @property
-    def parallel_norm(self) -> float:
-        return float(np.linalg.norm(self.u_parallel))
-
-    @property
-    def perp_norm(self) -> float:
-        return float(np.linalg.norm(self.u_perp))
-
-
-def near_far_split(eig: EigenDecomposition, lambda_eps: float, eps: float, u) -> NearFarSplit:
-    """Project u onto the span of eigenvectors with |lambda_i - lambda_eps| <= eps."""
+def near_far_split(eig: EigenDecomposition, lambda_eps: float, eps: float, u) -> tuple[np.ndarray, np.ndarray]:
+    """(u_parallel, u_perp): u's projection onto the eigenvectors with |lambda_i - lambda_eps| <= eps, and the rest."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     u = np.asarray(u, dtype=complex)
     near = np.abs(eig.values - lambda_eps) <= eps
     V = eig.vectors[:, near]
     u_par = V @ (V.conj().T @ u)
-    return NearFarSplit(u_parallel=u_par, u_perp=u - u_par, epsilon=eps, center=lambda_eps)
+    return u_par, u - u_par
 
 
 def concentration_check(u, k: int, alpha0: float, delta: float) -> tuple[float, float]:
@@ -176,10 +164,7 @@ def localization_metrics(u):
     sq = np.abs(u)
     sq *= sq
     norm2 = sq.sum(axis=0)
-    off = np.abs(np.sqrt(norm2) - 1.0)
-    if not np.all(off <= UNIT_NORM_TOL):  # written so that a NaN norm fails too
-        worst = float(np.sqrt(np.ravel(norm2)[np.argmax(off)]))
-        raise ValueError(f"localization_metrics expects unit vectors, got norm {worst!r}")
+    check_unit_norms(np.sqrt(norm2), "localization_metrics")
     sup = np.sqrt(sq.max(axis=0) / norm2)
     ipr = np.einsum("i...,i...->...", sq, sq) / (norm2 * norm2)
     if sq.ndim == 1:

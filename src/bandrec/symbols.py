@@ -35,23 +35,12 @@ def checked_grid(grid: int) -> int:
 
 
 @dataclass(frozen=True)
-class TailModel:
-    """Geometric coefficient decay ||a_s|| <= constant * geometric_ratio^|s| of a truncated series."""
-
-    constant: float
-    geometric_ratio: float
-
-    def tail_bound(self, r: int) -> float:
-        """The dropped-tail sum sum_{|s|>r} constant * geometric_ratio^|s|."""
-        q = self.geometric_ratio
-        return 2.0 * self.constant * q ** (r + 1) / (1.0 - q)
-
-
-@dataclass(frozen=True)
 class Symbol:
+    """Blocks a_s by offset s; tail_bound, where known, bounds the sup norm of blocks a longer series dropped."""
+
     k: int
     coeffs: dict[int, np.ndarray]
-    tail_model: TailModel | None = None
+    tail_bound: float | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -225,11 +214,12 @@ def check_assumptions(bs: BandStructure) -> AssumptionReport:
 
 
 def banded_truncation(sym: Symbol, r: int) -> Symbol:
-    """Drop every coefficient block with |s| > r; block size is unchanged."""
+    """Drop every block with |s| > r, adding their sum |a_s| over entries to tail_bound (0 when unknown)."""
     if r < 0:
         raise ValueError(f"band radius must be nonnegative, got {r}")
     kept = {s: b for s, b in sym.coeffs.items() if abs(s) <= r}
-    return Symbol(k=sym.k, coeffs=kept, tail_model=sym.tail_model)
+    dropped = sum(float(np.sum(np.abs(b))) for s, b in sym.coeffs.items() if abs(s) > r)
+    return Symbol(k=sym.k, coeffs=kept, tail_bound=(sym.tail_bound or 0.0) + dropped)
 
 
 def symbol_sup_norm(sym: Symbol, samples: int = 4096) -> float:
@@ -291,12 +281,11 @@ def dimer_symbol(s1: float, s2: float) -> Symbol:
 def exponential_symbol() -> Symbol:
     """Scalar long-range symbol with coefficients -2^{-|p|}, truncated at |p| = 40.
 
-    The dropped tail is bounded by 2^{1-40} < 1e-10, recorded in the tail
-    model; banded_truncation(exponential_symbol(), r) gives a shorter range.
+    The dropped tail sums to 2^{1-40} < 1e-10, its tail_bound;
+    banded_truncation(exponential_symbol(), r) has tail_bound 2^{1-r}.
     """
     coeffs = {p: [[-(2.0 ** -abs(p))]] for p in range(-40, 41)}
-    tail = TailModel(constant=1.0, geometric_ratio=0.5)
-    return Symbol(k=1, coeffs=coeffs, tail_model=tail)
+    return Symbol(k=1, coeffs=coeffs, tail_bound=2.0 ** (1 - 40))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ def test_every_budget_names_a_check():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_randomized_criteria_stable_across_seeds(seed):
-    for name in ("acceptance.01_circulant_exactness", "acceptance.08_near_far"):
+    for name in ("acceptance.01_circulant_exactness", "acceptance.08_near_far",
+                 "reconstruct.rebase_invariance"):
         result = verify.run_check(name, seed=seed)
         assert result.passed, f"seed {seed}: {result.detail}"

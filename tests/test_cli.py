@@ -347,6 +347,16 @@ def test_statistics_of_an_empty_set_are_null(tmp_path, argv, empty):
     assert other["count"] > 0 and None not in other.values()
 
 
+def test_reconstruct_warns_when_no_bulk_point_is_scored(tmp_path, capsys):
+    assert main(["reconstruct", "--scenario", "ssh", "--dimers-per-side", "3", "--out", str(tmp_path / "a")]) == 0
+    warning, summary = capsys.readouterr().out.splitlines()[-2:]
+    assert warning == ("warning: the edge margin 3.59039 (4 DFT bins from alpha = 0 and pi) leaves no bulk point; "
+                       "the points were not compared with the bands")
+    assert summary == "ssh: 13 points, 1 gap mode(s), 1 localized"
+    assert main(["reconstruct", "--scenario", "ssh", "--out", str(tmp_path / "b")]) == 0
+    assert "warning" not in capsys.readouterr().out
+
+
 def test_reconstruct_compact_defect_gap_mode(tmp_path):
     out = tmp_path / "defect"
     code = main(["reconstruct", "--scenario", "compact_defect", "--delta", "0.5",

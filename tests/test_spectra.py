@@ -155,10 +155,42 @@ def test_residual_of_a_chain_reads_its_diagonals(monkeypatch, family):
 
     def refuse(*args):
         raise AssertionError("dense array written for a residual of a chain")
+    U = np.linalg.qr(rng.normal(size=(161, 5)) + 1j * rng.normal(size=(161, 5)))[0]
+    lam = np.linspace(-1.0, 3.0, 5)
     with monkeypatch.context() as patch:
         patch.setattr(matrices, "_tridiagonal", refuse)
         banded = residual(M, 1.3, u)
+        columns = residual(M, lam, U)
     assert abs(banded - np.linalg.norm(M.data @ u - 1.3 * u)) <= 1e-14
+    assert columns.shape == (5,)
+    assert np.max(np.abs(columns - np.linalg.norm(M.data @ U - U * lam, axis=0))) <= 1e-14
+
+
+@pytest.mark.parametrize("family", ["dense", "chain"])
+def test_residual_of_a_matrix_of_columns_matches_its_columns(family):
+    M = _random_hermitian(40, 6) if family == "dense" else matrices.ssh_matrix(1.0, 2.0, 10)
+    n = M.n
+    rng = np.random.default_rng(6)
+    U = np.linalg.qr(rng.normal(size=(n, 7)) + 1j * rng.normal(size=(n, 7)))[0]
+    lam = rng.normal(size=7)
+    columns = residual(M, lam, U)
+    for i in range(7):
+        assert abs(columns[i] - residual(M, lam[i], U[:, i])) <= 1e-14
+    shared = residual(M, 0.5, U)  # a scalar lam serves every column
+    for i in range(7):
+        assert abs(shared[i] - residual(M, 0.5, U[:, i])) <= 1e-14
+
+
+def test_residual_refuses_a_lam_of_the_wrong_shape():
+    M = _random_hermitian(6, 3)
+    U = np.eye(6)[:, :3]
+    for lam in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match="one value per column"):
+            residual(M, lam, U)
+    with pytest.raises(ValueError, match="one value per column"):
+        residual(M, np.zeros(1), U[:, 0])  # one vector takes a scalar
+    with pytest.raises(ValueError, match="expects unit vectors, got norm 2"):
+        residual(M, np.zeros(3), 2 * U)
 
 
 def test_residual_banded_truncation_bound():
@@ -177,18 +209,18 @@ def test_residual_banded_truncation_bound():
 def test_near_far_split_two_level():
     eig = hermitian_eigen(FiniteMatrix(data=np.diag([0.0, 1.0])))
     u = np.array([np.sqrt(0.9999), 0.01])
-    split = near_far_split(eig, 0.0, 0.2, u)
-    assert abs(split.perp_norm - 0.01) < 1e-12
-    assert split.parallel_norm > np.sqrt(1 - 0.04)
-    assert np.linalg.norm(split.u_parallel + split.u_perp - u) < 1e-12
-    assert abs(np.vdot(split.u_parallel, split.u_perp)) < 1e-10
+    u_par, u_perp = near_far_split(eig, 0.0, 0.2, u)
+    assert abs(np.linalg.norm(u_perp) - 0.01) < 1e-12
+    assert np.linalg.norm(u_par) > np.sqrt(1 - 0.04)
+    assert np.linalg.norm(u_par + u_perp - u) < 1e-12
+    assert abs(np.vdot(u_par, u_perp)) < 1e-10
 
 
 def test_near_far_split_exact_eigenvector():
     M = _random_hermitian(7, 5)
     eig = hermitian_eigen(M)
-    split = near_far_split(eig, float(eig.values[2]) + 0.01, 0.05, eig.vectors[:, 2])
-    assert split.perp_norm < 1e-12
+    _, u_perp = near_far_split(eig, float(eig.values[2]) + 0.01, 0.05, eig.vectors[:, 2])
+    assert np.linalg.norm(u_perp) < 1e-12
 
 
 def test_near_far_lemma_instance():
@@ -202,9 +234,9 @@ def test_near_far_lemma_instance():
     lam_eps = float(eig.values[i])
     assert abs(eig.values[j] - lam_eps) > eps
     assert residual(M, lam_eps, u) < eps ** 2
-    split = near_far_split(eig, lam_eps, eps, u)
-    assert split.perp_norm < eps
-    assert split.parallel_norm > np.sqrt(1 - eps ** 2)
+    u_par, u_perp = near_far_split(eig, lam_eps, eps, u)
+    assert np.linalg.norm(u_perp) < eps
+    assert np.linalg.norm(u_par) > np.sqrt(1 - eps ** 2)
 
 
 def test_near_far_split_norm_identity():
@@ -214,8 +246,8 @@ def test_near_far_split_norm_identity():
     for _ in range(20):
         u = rng.normal(size=15) + 1j * rng.normal(size=15)
         u /= np.linalg.norm(u)
-        split = near_far_split(eig, float(rng.normal()), float(rng.uniform(0.1, 2.0)), u)
-        total = split.parallel_norm ** 2 + split.perp_norm ** 2
+        u_par, u_perp = near_far_split(eig, float(rng.normal()), float(rng.uniform(0.1, 2.0)), u)
+        total = np.linalg.norm(u_par) ** 2 + np.linalg.norm(u_perp) ** 2
         assert abs(total - 1.0) < 1e-10
 
 

@@ -253,7 +253,11 @@ def test_symbol_from_dict_rejects_garbage():
 
 def test_exponential_tail_model():
     sym = exponential_symbol()
-    bound = sym.tail_model.tail_bound(40)
-    assert abs(bound - 2.0 ** -39) < 1e-25
-    assert bound < 1e-10  # truncation radius keeps the dropped tail negligible
-    assert abs(sym.tail_model.tail_bound(3) - 2.0 ** -2) < 1e-15
+    assert abs(sym.tail_bound - 2.0 ** -39) < 1e-25
+    assert sym.tail_bound < 1e-10  # truncation radius keeps the dropped tail negligible
+    assert abs(banded_truncation(sym, 3).tail_bound - 2.0 ** -2) < 1e-15
+
+
+def test_banded_truncation_of_a_finite_symbol_bounds_its_dropped_blocks():
+    assert dimer_symbol(1.0, 2.0).tail_bound is None
+    assert banded_truncation(dimer_symbol(1.0, 2.0), 0).tail_bound == 1.0  # |-1/2| at s = 1 and s = -1
