@@ -165,6 +165,8 @@ def _chain_diagonals(spacings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = np.asarray(spacings, dtype=float)
     if s.ndim != 1 or s.size < 1:
         raise ValueError("need at least one spacing")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("spacings must be finite")
     if np.any(s <= 0):
         raise ValueError("spacings must be positive")
     inv = 1.0 / s

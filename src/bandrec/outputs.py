@@ -40,9 +40,10 @@ def _round15(obj):
 
 
 def write_json(payload: dict, path) -> None:
+    """payload as JSON; a NaN or infinite float (no RFC 8259 token) raises ValueError before the file opens."""
+    text = json.dumps(_round15(payload), indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_round15(payload), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(columns: dict, path) -> None:

@@ -26,6 +26,7 @@ import numpy as np
 from . import matrices, symbols
 from .matrices import FiniteMatrix, PerturbedPair
 from .spectra import EigenDecomposition, hermitian_eigen, localization_metrics, ipr_localized_flags
+from .symbols import _number, _text
 from .transform import discrete_quasiperiodicity, zero_pad
 
 DEFAULT_GRID = 512
@@ -193,23 +194,6 @@ PARAMS = {
     "matrix": (str, "matrix CSV/JSON path (external_matrix)"),
     "symbol": (str, "reference symbol JSON file, inline JSON, or builtin name"),
 }
-
-
-def _number(name, value, kind):
-    """An int or float from a flag or a config file (any JSON value); no bools, no fractional ints."""
-    try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from exc
-
-
-def _text(name, value, inline=False):
-    """A string from a flag or a config file (any JSON value); with inline=True also an object."""
-    if isinstance(value, str) or (inline and isinstance(value, dict)):
-        return value
-    raise ValueError(f"{name} must be a string{' or an object' if inline else ''}, got {value!r}")
 
 
 @dataclass

@@ -10,6 +10,7 @@ accepted; everything downstream relies on real, sorted bands.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class Symbol:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"block size must be positive, got {self.k}")
+        if self.tail_bound is not None and not 0.0 <= self.tail_bound < math.inf:
+            raise ValueError(f"tail bound must be finite and nonnegative, got {self.tail_bound}")
         clean = {}
         for s, block in self.coeffs.items():
             block = np.asarray(block, dtype=complex)
@@ -149,24 +152,6 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
                          hermitian_defect=defect)
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Structured pass/fail for the band-structure regularity conditions."""
-
-    bands_disjoint: bool
-    no_van_der_hove: bool
-    hermitian: bool
-    even: bool
-    min_band_separation: float
-    min_interior_slope: float
-    evenness_defect: float
-    details: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.bands_disjoint and self.no_van_der_hove and self.hermitian and self.even
-
-
 def evenness(bs: BandStructure) -> tuple[float, bool]:
     """(max_p max_j |lambda_p(alpha_j) - lambda_p(-alpha_j)|, whether it is within tolerance).
 
@@ -179,18 +164,20 @@ def evenness(bs: BandStructure) -> tuple[float, bool]:
     return defect, defect <= EVENNESS_TOL * max(1.0, float(np.max(np.abs(bs.values))))
 
 
-def check_assumptions(bs: BandStructure) -> AssumptionReport:
+def check_assumptions(bs: BandStructure) -> dict:
     """Check band-range disjointness, nonvanishing interior slopes, Hermitianness and evenness.
 
+    Returns {"bands_disjoint", "no_van_der_hove", "hermitian", "even",
+    "min_band_separation" (None for one band), "min_interior_slope",
+    "evenness_defect", "failures"}, failures empty exactly when all pass.
     Slopes are checked on interior grid points only, excluding the symmetry
     points alpha in {0, -pi} where the derivative vanishes for any even band.
     """
     if bs.m < MIN_CHECK_GRID:
         raise ValueError(f"assumption checks need a grid of size >= {MIN_CHECK_GRID}, got {bs.m}")
     ranges = bs.band_ranges()
-    separations = [ranges[p + 1][0] - ranges[p][1] for p in range(len(ranges) - 1)]
-    min_sep = min(separations) if separations else float("inf")
-    bands_disjoint = min_sep > CROSSING_TOL
+    min_sep = min((ranges[p + 1][0] - ranges[p][1] for p in range(len(ranges) - 1)), default=None)
+    bands_disjoint = min_sep is None or min_sep > CROSSING_TOL
 
     interior = ~(np.isclose(bs.alphas, 0.0) | np.isclose(bs.alphas, -np.pi) | np.isclose(bs.alphas, np.pi))
     min_slope = float(np.min(np.abs(bs.derivatives[:, interior])))
@@ -198,19 +185,18 @@ def check_assumptions(bs: BandStructure) -> AssumptionReport:
 
     hermitian = bs.hermitian_defect <= HERMITIAN_TOL
     even_defect, even = evenness(bs)
-    notes = []
+    failures = []
     if not bands_disjoint:
-        notes.append(f"band ranges separated by only {min_sep:g}")
+        failures.append(f"band ranges separated by only {min_sep:g}")
     if not no_vdh:
-        notes.append(f"interior slope as small as {min_slope:g}")
+        failures.append(f"interior slope as small as {min_slope:g}")
     if not hermitian:
-        notes.append(f"hermitian defect {bs.hermitian_defect:g}")
+        failures.append(f"hermitian defect {bs.hermitian_defect:g}")
     if not even:
-        notes.append(f"bands not even in alpha, max|lambda(alpha) - lambda(-alpha)| = {even_defect:g}")
-    return AssumptionReport(bands_disjoint=bands_disjoint, no_van_der_hove=no_vdh,
-                            hermitian=hermitian, even=even, min_band_separation=min_sep,
-                            min_interior_slope=min_slope, evenness_defect=even_defect,
-                            details="; ".join(notes))
+        failures.append(f"bands not even in alpha, max|lambda(alpha) - lambda(-alpha)| = {even_defect:g}")
+    return {"bands_disjoint": bands_disjoint, "no_van_der_hove": no_vdh, "hermitian": hermitian,
+            "even": even, "min_band_separation": min_sep, "min_interior_slope": min_slope,
+            "evenness_defect": even_defect, "failures": failures}
 
 
 def banded_truncation(sym: Symbol, r: int) -> Symbol:
@@ -264,8 +250,8 @@ def cell_chain_symbol(spacings) -> Symbol:
     the diagonal collecting 1/s from both neighbours).
     """
     s = [float(x) for x in spacings]
-    if not s or any(x <= 0 for x in s):
-        raise ValueError("need a nonempty list of positive spacings")
+    if not s or not all(0.0 < x < math.inf for x in s):
+        raise ValueError("need a nonempty list of finite, positive spacings")
     k, inv = len(s), 1.0 / np.array(s)
     a0 = np.diag(np.roll(inv, 1) + inv) - np.diag(inv[:-1], 1) - np.diag(inv[:-1], -1)
     am1 = np.zeros((k, k))
@@ -289,20 +275,39 @@ def exponential_symbol() -> Symbol:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: reading outside values (flags, config files, symbol and matrix files)
 
-def symbol_to_dict(sym: Symbol) -> dict:
-    entries = []
-    for s in sym.support:
-        block = sym.coeffs[s]
-        entries.append({"s": s, "re": block.real.tolist(), "im": block.imag.tolist()})
-    return {"k": sym.k, "coeffs": entries}
+def _number(name, value, kind):
+    """An int or float from a flag or a JSON file (any JSON value); no bools, no fractional ints."""
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from exc
 
 
-def complex_from_parts(obj, where: str) -> np.ndarray:
-    """re + 1j im from a {"re": ..., "im": ...} object; im defaults to zero, else must match re."""
+def _text(name, value, inline=False):
+    """A string from a flag or a config file (any JSON value); with inline=True also an object."""
+    if isinstance(value, str) or (inline and isinstance(value, dict)):
+        return value
+    raise ValueError(f"{name} must be a string{' or an object' if inline else ''}, got {value!r}")
+
+
+def _refuse_unread(obj, keys, where: str) -> None:
+    """ValueError unless obj is an object whose keys are all among keys, so a misspelt key is not skipped."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+    unread = [str(key) for key in obj if key not in keys]
+    if unread:
+        raise ValueError(f"{where}: nothing reads {', '.join(unread)}; it takes {', '.join(keys)}")
+
+
+def complex_from_parts(obj, where: str, keys=("re", "im")) -> np.ndarray:
+    """re + 1j im from a {"re", "im"} object with no key outside keys; im defaults to zero, else must match re."""
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{where}: expected an object with an 're' array")
+    _refuse_unread(obj, keys, where)
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
@@ -313,18 +318,34 @@ def complex_from_parts(obj, where: str) -> np.ndarray:
     return re + 1j * im
 
 
+def symbol_to_dict(sym: Symbol) -> dict:
+    """The symbol file's object (see symbol_from_dict); tail_bound only when the symbol has one."""
+    entries = [{"s": s, "re": b.real.tolist(), "im": b.imag.tolist()} for s, b in sorted(sym.coeffs.items())]
+    bound = {} if sym.tail_bound is None else {"tail_bound": sym.tail_bound}
+    return {"k": sym.k, "coeffs": entries, **bound}
+
+
 def symbol_from_dict(data: dict) -> Symbol:
+    """The Symbol of {"k", "coeffs": [{"s", "re", "im"}, ...], "tail_bound"} (tail_bound optional).
+
+    k and each offset s are integers by _number's rule; an offset given
+    twice and a key that nothing reads are refused.
+    """
     try:
-        k = int(data["k"])
+        _refuse_unread(data, ("k", "coeffs", "tail_bound"), "symbol description")
+        k = _number("k", data["k"], int)
         coeffs = {}
         for entry in data["coeffs"]:
-            s = int(entry["s"])
-            coeffs[s] = complex_from_parts(entry, f"coefficient block at offset {s}")
+            s = _number("offset s", entry["s"], int)
+            if s in coeffs:
+                raise ValueError(f"offset {s} is given twice")
+            coeffs[s] = complex_from_parts(entry, f"coefficient block at offset {s}", keys=("s", "re", "im"))
+        tail_bound = _number("tail_bound", data["tail_bound"], float) if "tail_bound" in data else None
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed symbol description: {exc}") from exc
     if not coeffs:  # k alone would size every later array
         raise ValueError("malformed symbol description: no coefficient blocks")
-    return Symbol(k=k, coeffs=coeffs)
+    return Symbol(k=k, coeffs=coeffs, tail_bound=tail_bound)
 
 
 def save_symbol(sym: Symbol, path) -> None:

@@ -1,19 +1,23 @@
 """Named verification checks: module invariants plus the acceptance scenarios.
 
 Each check is a pure function taking its tolerance dictionary and a seeded
-generator, returning (passed, detail).  The registry drives both the CLI
-`verify` subcommand and the test suite's check runner, so the two surfaces
-can never drift apart.
+generator, returning (passed, detail), and always runs at the tolerances
+registered with it in CHECKS.  The registry drives both the CLI `verify`
+subcommand and the test suite's check runner, so the two surfaces can
+never drift apart.
 """
 
 from __future__ import annotations
 
+import csv
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import matrices, reconstruct, spectra, symbols, transform
+from . import matrices, outputs, reconstruct, spectra, symbols, transform
 
 
 @dataclass(frozen=True)
@@ -25,9 +29,7 @@ class CheckResult:
 
 
 def _fail_on(bad: list[str], ok_detail: str) -> tuple[bool, str]:
-    if bad:
-        return False, "; ".join(bad)
-    return True, ok_detail
+    return (False, "; ".join(bad)) if bad else (True, ok_detail)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +234,6 @@ def check_gap_localization_consistency(tol, rng):
 
 
 def check_cli_determinism(tol, rng):
-    import tempfile
-    from pathlib import Path
-
-    from . import outputs
-
     result = reconstruct.run_scenario({"scenario": "dislocated", "dimers_per_side": 6})
     names = ("points.csv", "bands.csv", "gaps.json", "summary.json", "reconstruction.svg")
     with tempfile.TemporaryDirectory() as tmp:
@@ -247,7 +244,6 @@ def check_cli_determinism(tol, rng):
         for name in names:
             if (a / name).read_bytes() != (b / name).read_bytes():
                 return False, f"{name} differs between identical runs"
-        import csv
         with open(a / "points.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         if not rows:
@@ -527,23 +523,14 @@ CHECKS = [
 ]
 
 
-def _overridden(key: str, check_name: str, tols: dict) -> str | None:
-    """The tolerance of check_name that override key (NAME or CHECK.NAME) sets, or None."""
-    prefix, _, tol_key = key.rpartition(".")
-    return tol_key if prefix in ("", check_name) and tol_key in tols else None
-
-
-def run_check(name: str, seed: int = 0, overrides: dict | None = None) -> CheckResult:
+def run_check(name: str, seed: int = 0) -> CheckResult:
+    """Run the registered check name at its registered tolerances, with a generator seeded by seed."""
     for check_name, fn, tols in CHECKS:
         if check_name == name:
-            merged = dict(tols)
-            for key, value in (overrides or {}).items():
-                if tol_key := _overridden(key, check_name, tols):
-                    merged[tol_key] = value
             rng = np.random.default_rng(seed)
             start = time.perf_counter()
             try:
-                passed, detail = fn(merged, rng)
+                passed, detail = fn(tols, rng)
             except Exception as exc:  # a crashing check is a failing check
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             return CheckResult(name=check_name, passed=passed, detail=detail,
@@ -551,19 +538,9 @@ def run_check(name: str, seed: int = 0, overrides: dict | None = None) -> CheckR
     raise ValueError(f"unknown check {name!r}")
 
 
-def run_checks(only: str | None = None, seed: int = 0,
-               overrides: dict | None = None) -> list[CheckResult]:
-    """Run every check whose name contains only; an override that no check reads is refused."""
-    unread = [key for key in overrides or {}
-              if not any(_overridden(key, name, tols) for name, _, tols in CHECKS)]
-    if unread:
-        raise ValueError(f"no check reads the tolerance {', '.join(unread)}; "
-                         f"give NAME or CHECK.NAME with NAME one of the check's tolerances")
-    results = []
-    for name, _, _ in CHECKS:
-        if only and only not in name:
-            continue
-        results.append(run_check(name, seed=seed, overrides=overrides))
+def run_checks(only: str | None = None, seed: int = 0) -> list[CheckResult]:
+    """Run every check whose name contains only (every check when only is None)."""
+    results = [run_check(name, seed=seed) for name, _, _ in CHECKS if not only or only in name]
     if not results:
         raise ValueError(f"no checks match {only!r}")
     return results

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandrec import symbols
+from bandrec import symbols, verify
 from bandrec.cli import main
 
 
@@ -90,6 +90,52 @@ def test_bands_refuses_non_finite_symbol(tmp_path, capsys):
     assert code == 1
     assert "offset 0 has non-finite (NaN or inf) entries" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("symbol,message", [
+    ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]},{"s":1.5,"re":[[-1.0]]},{"s":-1.5,"re":[[-1.0]]}]}',
+     "offset s must be an integer, got 1.5"),
+    ('{"k":true,"coeffs":[{"s":0,"re":[[2.0]]}]}', "k must be an integer, got True"),
+    ('{"k":1.7,"coeffs":[{"s":0,"re":[[2.0]]}]}', "k must be an integer, got 1.7"),
+    ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]},{"s":0,"re":[[3.0]]}]}', "offset 0 is given twice"),
+    ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bnd":0.1}',
+     "symbol description: nothing reads tail_bnd; it takes k, coeffs, tail_bound"),
+    ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]],"imag":[[1.0]]}]}',
+     "coefficient block at offset 0: nothing reads imag; it takes s, re, im"),
+    ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bound":-0.5}',
+     "tail bound must be finite and nonnegative, got -0.5"),
+    ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bound":Infinity}',
+     "tail bound must be finite and nonnegative, got inf"),
+    ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bound":null}', "tail_bound must be a number, got None"),
+])
+def test_bands_refuses_a_symbol_it_would_misread(tmp_path, capsys, symbol, message):
+    out = tmp_path / "run"
+    assert main(["bands", "--symbol", symbol, "--grid", "16", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_matrix_or_vector_file_with_a_key_nothing_reads_is_refused(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"re": [[2, 0], [0, 2]], "imag": [[0, 1], [-1, 0]]}')  # im misspelt
+    out = tmp_path / "run"
+    assert main(["reconstruct", "--scenario", "external_matrix", "--matrix", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: nothing reads imag; it takes re, im\n"
+    path.write_text('{"re": [0.6, 0.8], "imag": [0, 0]}')
+    assert main(["transform", "--vector", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: nothing reads imag; it takes re, im\n"
+    assert not out.exists()
+
+
+def test_a_symbol_file_carries_its_tail_bound_into_the_summary(tmp_path):
+    symbols.save_symbol(symbols.exponential_symbol(), tmp_path / "exp.json")
+    runs = {}
+    for name, source in (("builtin", "exponential"), ("file", str(tmp_path / "exp.json"))):
+        assert main(["reconstruct", "--scenario", "periodic_symbol", "--symbol", source,
+                     "--out", str(tmp_path / name)]) == 0
+        runs[name] = json.loads((tmp_path / name / "summary.json").read_text())["params"]
+    assert runs["file"]["truncation_tail_bound"] == runs["builtin"]["truncation_tail_bound"] == 1.81898940354586e-12
+    assert (tmp_path / "file" / "points.csv").read_bytes() == (tmp_path / "builtin" / "points.csv").read_bytes()
 
 
 def test_reconstruct_refuses_json_matrix_without_re(tmp_path, capsys):
@@ -231,6 +277,8 @@ def test_keys_nothing_reads_are_refused(tmp_path, monkeypatch, capsys, argv, con
     (["--margin", "inf"], "margin must be finite and nonnegative, got inf"),
     (["--s1", "0"], "spacings must be positive"),
     (["--s2", "0"], "spacings must be positive"),
+    (["--s1", "inf"], "spacings must be finite"),
+    (["--s2=-inf"], "spacings must be finite"),
 ])
 def test_reconstruct_refuses_values_the_method_cannot_use(tmp_path, capsys, argv, message):
     out = tmp_path / "run"
@@ -436,13 +484,23 @@ def test_external_matrix_without_a_symbol_reports_no_gap_count(tmp_path, capsys)
 def test_reconstruct_refuses_non_finite_input(tmp_path, capsys):
     mat_path = tmp_path / "nan.csv"
     mat_path.write_text("2,nan\nnan,2\n")
-    for argv in (["--scenario", "ssh", "--s1", "nan"],
-                 ["--scenario", "external_matrix", "--matrix", str(mat_path)]):
-        out = tmp_path / "run"
-        assert main(["reconstruct", *argv, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: matrix has ") and "non-finite (NaN or inf) entries" in err
-        assert not out.exists()
+    out = tmp_path / "run"
+    assert main(["reconstruct", "--scenario", "ssh", "--s1", "nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spacings must be finite\n"
+    assert main(["reconstruct", "--scenario", "external_matrix", "--matrix", str(mat_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix has ") and "non-finite (NaN or inf) entries" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--scenario", "dislocated", "--d", "inf"],
+                                  ["--scenario", "compact_defect", "--s2", "inf"]])
+def test_a_spacing_that_is_not_finite_is_refused(tmp_path, capsys, argv):
+    # an infinite spacing would decouple its neighbours and write "Infinity", not JSON, into summary.json
+    out = tmp_path / "run"
+    assert main(["reconstruct", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spacings must be finite\n"
+    assert not out.exists()
 
 
 def test_reconstruct_byte_identical_reruns(tmp_path):
@@ -569,23 +627,21 @@ def test_verify_only_group(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_verify_tolerance_injection_fails(capsys):
-    code = main(["verify", "--only", "acceptance.09_unitarity",
-                 "--tol", "acceptance.09_unitarity.tol=0"])
-    assert code == 2
-    assert "FAIL" in capsys.readouterr().out
+def test_verify_tolerance_injection_fails(monkeypatch, capsys):
+    # a registry entry with a tolerance no run can meet: verify prints FAIL and exits 2
+    monkeypatch.setattr(verify, "CHECKS", [("acceptance.09_unitarity", verify.acceptance_09_unitarity,
+                                            {"tol": 0.0})])
+    assert main(["verify"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  acceptance.09_unitarity") and out.endswith("0/1 checks passed\n")
 
 
-def test_verify_refuses_a_tolerance_no_check_reads(capsys):
-    code = main(["verify", "--only", "acceptance.09", "--tol", "acceptance.09_unitarity.tool=0"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert "no check reads the tolerance acceptance.09_unitarity.tool" in captured.err
+def test_verify_takes_no_tolerance_flag(capsys):
+    with pytest.raises(SystemExit) as exc:  # an argparse usage error
+        main(["verify", "--tol", "x=0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol x=0" in capsys.readouterr().err
 
 
 def test_verify_unknown_filter():
     assert main(["verify", "--only", "nonexistent_group"]) == 1
-
-
-def test_verify_bad_tol_syntax():
-    assert main(["verify", "--tol", "oops"]) == 1

@@ -235,6 +235,12 @@ def test_dimer_builders_refuse_bad_input(build, args, message):
         build(*args)
 
 
+@pytest.mark.parametrize("spacings", [[1.0, np.inf, 1.0], [1.0, -np.inf], [np.nan, 2.0]])
+def test_chain_capacitance_refuses_a_spacing_that_is_not_finite(spacings):
+    with pytest.raises(ValueError, match="spacings must be finite"):
+        chain_capacitance(spacings)
+
+
 def _alternating_spacings(s1, s2, count):
     return [s1 if i % 2 == 1 else s2 for i in range(1, count + 1)]
 

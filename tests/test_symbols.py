@@ -136,21 +136,21 @@ def test_band_functions_rejects_tiny_grid():
 
 def test_check_assumptions_monomer_passes():
     report = check_assumptions(band_functions(MONOMER, 64))
-    assert report.passed and report.bands_disjoint and report.no_van_der_hove
+    assert not report["failures"] and report["bands_disjoint"] and report["no_van_der_hove"]
 
 
 def test_check_assumptions_flat_band_fails():
     flat = Symbol(k=1, coeffs={0: [[2.0]]})
     report = check_assumptions(band_functions(flat, 64))
-    assert not report.no_van_der_hove
-    assert not report.passed
+    assert not report["no_van_der_hove"]
+    assert report["failures"]
 
 
 def test_check_assumptions_identical_bands_fail():
     sym = Symbol(k=2, coeffs={
         0: np.diag([2.0, 2.0]), 1: np.diag([-1.0, -1.0]), -1: np.diag([-1.0, -1.0])})
     report = check_assumptions(band_functions(sym, 64))
-    assert not report.bands_disjoint
+    assert not report["bands_disjoint"]
 
 
 # lambda(alpha) = 2 - 2 sin(alpha): Hermitian, but not even in alpha
@@ -164,13 +164,21 @@ def test_evenness(m):
     defect, even = evenness(band_functions(ODD, m))
     assert defect > 3.9 and not even  # max_j |4 sin alpha_j|
     report = check_assumptions(band_functions(ODD, m))
-    assert not report.even and not report.passed and "not even" in report.details
+    assert not report["even"] and report["failures"] and "not even" in "; ".join(report["failures"])
 
 
 def test_hermitian_tests_are_relative_to_the_symbol_scale():
     sym = Symbol(k=1, coeffs={0: [[1e6]], 1: [[1.0000005]], -1: [[1.0]]})  # relative defect 5e-13
     report = check_assumptions(band_functions(sym, 16))
-    assert report.hermitian and report.even
+    assert report["hermitian"] and report["even"]
+
+
+def test_check_assumptions_of_one_band_is_plain_json():
+    report = check_assumptions(band_functions(MONOMER, 16))
+    assert report["min_band_separation"] is None and report["bands_disjoint"]
+    assert set(report) == {"bands_disjoint", "no_van_der_hove", "hermitian", "even", "min_band_separation",
+                           "min_interior_slope", "evenness_defect", "failures"}
+    assert json.loads(json.dumps(report, allow_nan=False)) == report
 
 
 def test_banded_truncation():
@@ -225,6 +233,12 @@ def test_cell_chain_symbol_matches_dimer():
     assert np.allclose(mono.coeffs[1], [[-1.0]])
 
 
+@pytest.mark.parametrize("spacing", [0.0, -1.0, float("inf"), float("nan")])
+def test_cell_chain_symbol_refuses_a_spacing_that_is_not_finite_and_positive(spacing):
+    with pytest.raises(ValueError, match="need a nonempty list of finite, positive spacings"):
+        dimer_symbol(1.0, spacing)
+
+
 def test_serialization_round_trip(tmp_path):
     for sym in (SPEC_DIMER, banded_truncation(exponential_symbol(), 5)):
         path = tmp_path / "sym.json"
@@ -233,6 +247,21 @@ def test_serialization_round_trip(tmp_path):
         assert back.k == sym.k and back.support == sym.support
         for s in sym.support:
             assert np.allclose(back.coeffs[s], sym.coeffs[s])
+
+
+def test_a_symbol_file_keeps_its_tail_bound(tmp_path):
+    sym = exponential_symbol()
+    save_symbol(sym, tmp_path / "exp.json")
+    assert load_symbol(tmp_path / "exp.json").tail_bound == sym.tail_bound == 2.0 ** -39
+    save_symbol(MONOMER, tmp_path / "monomer.json")  # no bound, no key
+    assert "tail_bound" not in json.loads((tmp_path / "monomer.json").read_text())
+    assert load_symbol(tmp_path / "monomer.json").tail_bound is None
+
+
+@pytest.mark.parametrize("bound", [-1e-3, float("inf"), float("nan")])
+def test_symbol_refuses_a_tail_bound_that_is_not_finite_and_nonnegative(bound):
+    with pytest.raises(ValueError, match="tail bound must be finite and nonnegative"):
+        Symbol(k=1, coeffs={0: [[1.0]]}, tail_bound=bound)
 
 
 def test_symbol_dict_format():
