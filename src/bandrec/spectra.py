@@ -179,19 +179,12 @@ def ipr_localized_flags(iprs) -> np.ndarray:
 
 
 def degenerate_clusters(values, scale: float) -> list[list[int]]:
-    """Group indices of numerically coincident eigenvalues.
+    """Group indices of numerically coincident eigenvalues; [] for no eigenvalues.
 
-    Two consecutive eigenvalues belong to one cluster when their gap is
-    below DEGENERACY_REL_TOL times the given magnitude scale.
+    Consecutive eigenvalues share a cluster when their gap is below
+    DEGENERACY_REL_TOL times the given magnitude scale; a NaN gap splits one.
     """
     values = np.asarray(values, dtype=float)
     tol = DEGENERACY_REL_TOL * max(scale, 1e-300)
-    clusters, current = [], [0]
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] < tol:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    clusters.append(current)
-    return clusters
+    breaks = np.flatnonzero(~(np.diff(values) < tol)) + 1
+    return [c.tolist() for c in np.split(np.arange(values.size), breaks)] if values.size else []

@@ -37,26 +37,31 @@ def checked_grid(grid: int) -> int:
 
 @dataclass(frozen=True)
 class Symbol:
-    """Blocks a_s by offset s; tail_bound, where known, bounds the sup norm of blocks a longer series dropped."""
+    """Blocks a_s by offset s; tail_bound, where known, bounds the sup norm of blocks a longer series dropped.
+
+    k and each offset s are integers by _number's rule (2.0 is read as 2), and k is stored as an int.
+    """
 
     k: int
     coeffs: dict[int, np.ndarray]
     tail_bound: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _number("k", self.k, int))
         if self.k < 1:
             raise ValueError(f"block size must be positive, got {self.k}")
         if self.tail_bound is not None and not 0.0 <= self.tail_bound < math.inf:
             raise ValueError(f"tail bound must be finite and nonnegative, got {self.tail_bound}")
         clean = {}
         for s, block in self.coeffs.items():
+            s = _number("offset s", s, int)
             block = np.asarray(block, dtype=complex)
             if block.shape != (self.k, self.k):
                 raise ValueError(f"coefficient block at offset {s} has shape {block.shape}, expected {(self.k, self.k)}")
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"coefficient block at offset {s} has non-finite (NaN or inf) entries")
             block.setflags(write=False)
-            clean[int(s)] = block
+            clean[s] = block
         scale = max((float(np.max(np.abs(b))) for b in clean.values()), default=0.0)
         for s, block in clean.items():
             if -s not in clean:
@@ -209,17 +214,14 @@ def banded_truncation(sym: Symbol, r: int) -> Symbol:
 
 
 def symbol_sup_norm(sym: Symbol, samples: int = 4096) -> float:
-    """Max spectral norm of f(e^{i alpha}) over a uniform grid of quasiperiodicities.
+    """Max spectral norm of f(e^{i alpha}), max |lambda| of the Hermitian f, on the band_functions grid.
 
     A lower bound that converges to the true sup norm as samples grow; the
     grid always contains alpha = 0.
     """
     if samples < 64:
         raise ValueError(f"need at least 64 samples, got {samples}")
-    best = 0.0
-    for a in brillouin_sample(samples):
-        best = max(best, float(np.linalg.norm(evaluate_symbol(sym, a), 2)))
-    return best
+    return float(np.max(np.abs(band_functions(sym, samples).values)))
 
 
 def symbol_difference_sup_norm(sym_a: Symbol, sym_b: Symbol, samples: int = 4096) -> float:
@@ -278,9 +280,9 @@ def exponential_symbol() -> Symbol:
 # serialization: reading outside values (flags, config files, symbol and matrix files)
 
 def _number(name, value, kind):
-    """An int or float from a flag or a JSON file (any JSON value); no bools, no fractional ints."""
+    """An int or float from a flag or a JSON file (any JSON value); no bools, no strings, no fractional ints."""
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -328,13 +330,12 @@ def symbol_to_dict(sym: Symbol) -> dict:
 def symbol_from_dict(data: dict) -> Symbol:
     """The Symbol of {"k", "coeffs": [{"s", "re", "im"}, ...], "tail_bound"} (tail_bound optional).
 
-    k and each offset s are integers by _number's rule; an offset given
-    twice and a key that nothing reads are refused.
+    k and each offset s are integers by _number's rule (Symbol applies it to
+    k); an offset given twice and a key that nothing reads are refused.
     """
     try:
         _refuse_unread(data, ("k", "coeffs", "tail_bound"), "symbol description")
-        k = _number("k", data["k"], int)
-        coeffs = {}
+        k, coeffs = data["k"], {}
         for entry in data["coeffs"]:
             s = _number("offset s", entry["s"], int)
             if s in coeffs:

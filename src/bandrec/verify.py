@@ -211,13 +211,8 @@ def check_eigen_contract(tol, rng):
 # reconstruct group
 
 def check_error_trend(tol, rng):
-    sym = symbols.exponential_symbol()
-    bands = symbols.band_functions(sym, 512)
-    maxima = []
-    for m in (40, 80, 160):
-        points = reconstruct.reconstruct_bands(matrices.toeplitz_matrix(sym, m), 1)
-        stats = reconstruct.compare_to_symbol(points, bands)
-        maxima.append(stats["bulk"]["max"])
+    maxima = [reconstruct.run_scenario({"scenario": "periodic_symbol", "m": m}).stats["bulk"]["max"]
+              for m in (40, 80, 160)]
     ok = all(maxima[i + 1] <= maxima[i] * tol["slack"] for i in range(len(maxima) - 1))
     return ok, f"bulk maxima along m=40,80,160: " + ", ".join(f"{x:.3e}" for x in maxima)
 
@@ -317,12 +312,7 @@ def acceptance_03_odd_index_convergence(tol, rng):
 
 
 def acceptance_04_exponential_symbol(tol, rng):
-    sym = symbols.exponential_symbol()
-    bands = symbols.band_functions(sym, 512)
-    bulk = {}
-    for m in (30, 120):
-        points = reconstruct.reconstruct_bands(matrices.toeplitz_matrix(sym, m), 1)
-        bulk[m] = reconstruct.compare_to_symbol(points, bands)["bulk"]
+    bulk = {m: reconstruct.run_scenario({"scenario": "periodic_symbol", "m": m}).stats["bulk"] for m in (30, 120)}
     bad = []
     if bulk[30]["max"] >= tol["max30"]:
         bad.append(f"bulk max at m=30 is {bulk[30]['max']:.3e} >= {tol['max30']:g}")

@@ -97,6 +97,7 @@ def test_bands_refuses_non_finite_symbol(tmp_path, capsys):
      "offset s must be an integer, got 1.5"),
     ('{"k":true,"coeffs":[{"s":0,"re":[[2.0]]}]}', "k must be an integer, got True"),
     ('{"k":1.7,"coeffs":[{"s":0,"re":[[2.0]]}]}', "k must be an integer, got 1.7"),
+    ('{"k":"1","coeffs":[{"s":0,"re":[[2.0]]}]}', "k must be an integer, got '1'"),
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]},{"s":0,"re":[[3.0]]}]}', "offset 0 is given twice"),
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bnd":0.1}',
      "symbol description: nothing reads tail_bnd; it takes k, coeffs, tail_bound"),
@@ -238,6 +239,8 @@ MONOMER_OBJECT = symbols.symbol_to_dict(symbols.nearest_neighbour_symbol(2.0, -1
     ("reconstruct", {"scenario": ["ssh"]}, "scenario must be one of periodic_nn, periodic_symbol, "
                                            "ssh, dislocated, compact_defect, external_matrix, got ['ssh']"),
     ("bands", [1, 2], "cfg.json: config must be a JSON object"),
+    ("reconstruct", {"scenario": "ssh", "dimers_per_side": "5"}, "dimers_per_side must be an integer, got '5'"),
+    ("reconstruct", {"scenario": "ssh", "s1": "1.5"}, "s1 must be a number, got '1.5'"),
 ])
 def test_config_values_of_the_wrong_type_are_refused(tmp_path, monkeypatch, capsys, command,
                                                      config, message):

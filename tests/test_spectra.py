@@ -349,3 +349,5 @@ def test_degenerate_clusters():
     values = np.array([0.0, 0.0, 1.0, 2.0, 2.0 + 1e-12])
     clusters = degenerate_clusters(values, scale=2.0)
     assert clusters == [[0, 1], [2], [3, 4]]
+    assert degenerate_clusters([], 1.0) == []
+    assert degenerate_clusters([1.0, 1.0, np.nan, np.nan], 1.0) == [[0, 1], [2], [3]]

@@ -69,6 +69,15 @@ def test_symbol_rejects_wrong_block_shape():
         Symbol(k=2, coeffs={0: [[1.0]]})
 
 
+def test_symbol_applies_the_integer_rule_to_k_and_offsets():
+    with pytest.raises(ValueError, match="offset s must be an integer, got 1.5"):
+        Symbol(k=1, coeffs={0: [[2.0]], 1.5: [[-1.0]], -1.5: [[-1.0]]})
+    with pytest.raises(ValueError, match="k must be an integer, got True"):
+        Symbol(k=True, coeffs={0: [[2.0]]})
+    sym = Symbol(k=2.0, coeffs={0: np.eye(2)})
+    assert sym.k == 2 and type(sym.k) is int
+
+
 def test_band_functions_monomer_m4():
     bs = band_functions(MONOMER, 4)
     by_alpha = dict(zip(np.round(bs.alphas, 12), bs.values[0]))
@@ -205,6 +214,11 @@ def test_symbol_sup_norm():
     assert abs(symbol_sup_norm(MONOMER, 4096) - 4.0) < 1e-12
     zero = Symbol(k=1, coeffs={0: [[0.0]]})
     assert symbol_sup_norm(zero, 64) == 0.0
+
+
+@pytest.mark.parametrize("sym", [MONOMER, dimer_symbol(1.0, 2.0), exponential_symbol()])
+def test_symbol_sup_norm_is_the_largest_sampled_band_value(sym):
+    assert symbol_sup_norm(sym, 512) == float(np.max(np.abs(band_functions(sym, 512).values)))
 
 
 def test_symbol_sup_norm_exponential_vs_dense_oracle():
