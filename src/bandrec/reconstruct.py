@@ -31,6 +31,7 @@ from .transform import discrete_quasiperiodicity, zero_pad
 
 DEFAULT_GRID = 512
 EDGE_EXCLUSION_BINS = 4
+TIE_SLACK = 1e-9  # relative widening of the bulk bounds, so exact ties at edge_margin count as bulk
 
 
 @dataclass
@@ -90,6 +91,10 @@ def compare_to_symbol(points: Points, bs: symbols.BandStructure) -> dict:
     whose alpha_est is at least edge_margin away from both 0 and pi,
     localized statistics over all localized points.  edge_margin is
     EDGE_EXCLUSION_BINS bins of the points' DFT, of length ceil(n / k).
+    Exactly resolved modes sit on the edge_margin bounds, so the bounds
+    are widened by TIE_SLACK * edge_margin, far above rounding and far
+    below a bin: a tie counts as at least edge_margin away, whatever the
+    rounding of alpha_est.
     """
     if not len(points):
         raise ValueError("no points to compare")
@@ -97,7 +102,8 @@ def compare_to_symbol(points: Points, bs: symbols.BandStructure) -> dict:
     band_vals = bs.values_at(points.alpha_est)          # (k, npts)
     points.band_error = np.min(np.abs(band_vals - points.lam[None, :]), axis=0)
     a = points.alpha_est
-    bulk = points.band_error[~points.localized & (edge_margin <= a) & (a <= np.pi - edge_margin)]
+    lo, hi = edge_margin * (1.0 - TIE_SLACK), np.pi - edge_margin * (1.0 - TIE_SLACK)
+    bulk = points.band_error[~points.localized & (lo <= a) & (a <= hi)]
     return {"bulk": _statistics(bulk, max=np.max, mean=np.mean, q90=lambda e: np.quantile(e, 0.9)),
             "localized": _statistics(points.band_error[points.localized], max=np.max, mean=np.mean),
             "edge_margin": edge_margin}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,7 @@ def test_compare_to_symbol_circulant():
     bands = symbols.band_functions(MONOMER, 512)
     points = reconstruct_bands(matrices.circulant_matrix(MONOMER, 16), 1)
     stats = compare_to_symbol(points, bands)
-    assert stats["edge_margin"] == 2 * np.pi * 4 / 16  # pi/2 leaves no bulk point at m = 16
+    assert stats["edge_margin"] == 2 * np.pi * 4 / 16  # pi/2: only the modes at alpha = pi/2 are bulk at m = 16
     assert points.band_error.shape == (16,) and np.max(points.band_error) < 1e-10
 
 
@@ -115,6 +117,16 @@ def test_compare_to_symbol_statistics_of_an_empty_set_are_none():
     assert stats["localized"]["count"] == 16
     assert stats["localized"]["max"] == np.max(points.band_error)
     assert stats["localized"]["mean"] == np.mean(points.band_error)
+
+
+@pytest.mark.parametrize("m", [16, 20, 201])
+def test_ties_at_the_edge_margin_count_as_bulk_under_any_rounding(m):
+    result = run_scenario({"scenario": "periodic_nn", "m": m})
+    points = result.points
+    counts = [compare_to_symbol(dataclasses.replace(points, alpha_est=points.alpha_est + nudge),
+                                result.bands)["bulk"]["count"] for nudge in (-1e-13, 1e-13)]
+    assert counts == [result.stats["bulk"]["count"]] * 2
+    assert m != 16 or counts == [1, 1]  # the one mode at alpha = pi/2 = edge_margin = pi - edge_margin
 
 
 def test_compare_to_symbol_empty_points():
