@@ -6,7 +6,8 @@ is solved by LAPACK dstevd on its diagonal and sub-diagonal, bound with
 ctypes from the OpenBLAS that numpy already loads; anything else, or a numpy
 without that library, goes through the dense np.linalg.eigh.  No n^2 data
 is read to choose.  Both run the same divide-and-conquer kernel (dstedc), so
-the results agree bit for bit once the column signs are polarized.
+the results agree bit for bit once polarize, which flips the sign of a real
+column exactly, has fixed the column signs.
 
 Beyond the plain decomposition this provides the residuals of candidate
 eigenpairs, one per column, the split of a vector into its components near
@@ -87,8 +88,8 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
 
     A matrix that carries its diagonals (real tridiagonal) goes to dstevd,
     everything else to dense eigh.  Each column is polarized in place, so
-    the vectors are one F-ordered array, real for real input and complex
-    otherwise.
+    the vectors are one F-ordered array, real for real input (polarize
+    keeps a real column real) and complex otherwise.
     """
     if not M.hermitian:
         raise ValueError(f"hermitian_eigen needs a Hermitian matrix, one with "
@@ -99,10 +100,8 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     else:
         vals, vecs = np.linalg.eigh(M.data)
         vecs = np.asfortranarray(vecs)
-    real = not np.iscomplexobj(vecs)
     for i in range(vals.size):
-        u = polarize(vecs[:, i])
-        vecs[:, i] = u.real if real else u
+        vecs[:, i] = polarize(vecs[:, i])
     return EigenDecomposition(values=vals, vectors=vecs)
 
 

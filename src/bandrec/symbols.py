@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,23 +35,30 @@ def checked_grid(grid: int) -> int:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
     """Blocks a_s by offset s; tail_bound, where known, bounds the sup norm of blocks a longer series dropped.
 
-    k and each offset s are integers by _number's rule (2.0 is read as 2), and k is stored as an int.
+    k and each offset s are integers by _number's rule (2.0 is read as 2), and k is stored as an int;
+    tail_bound is a number by the same rule, stored as a float.  offsets and blocks stack the
+    coefficients in ascending offset order, (S,) and (S, k, k), for evaluate_symbol; two symbols
+    are equal when their k, tail_bound, offsets and blocks are.
     """
 
     k: int
     coeffs: dict[int, np.ndarray]
     tail_bound: float | None = None
+    offsets: np.ndarray = field(init=False, repr=False)
+    blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "k", _number("k", self.k, int))
         if self.k < 1:
             raise ValueError(f"block size must be positive, got {self.k}")
-        if self.tail_bound is not None and not 0.0 <= self.tail_bound < math.inf:
-            raise ValueError(f"tail bound must be finite and nonnegative, got {self.tail_bound}")
+        if self.tail_bound is not None:
+            object.__setattr__(self, "tail_bound", _number("tail_bound", self.tail_bound, float))
+            if not 0.0 <= self.tail_bound < math.inf:
+                raise ValueError(f"tail bound must be finite and nonnegative, got {self.tail_bound}")
         clean = {}
         for s, block in self.coeffs.items():
             s = _number("offset s", s, int)
@@ -71,6 +78,18 @@ class Symbol:
                 raise ValueError(f"non-Hermitian symbol: a_{-s} != a_{s}^* with relative defect "
                                  f"{defect:g} (tolerance {HERMITIAN_TOL:g})")
         object.__setattr__(self, "coeffs", clean)
+        offsets = np.array(sorted(clean), dtype=int)
+        blocks = np.array([clean[s] for s in offsets], dtype=complex).reshape(-1, self.k, self.k)
+        offsets.setflags(write=False)
+        blocks.setflags(write=False)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if not isinstance(other, Symbol):
+            return NotImplemented
+        return (self.k, self.tail_bound) == (other.k, other.tail_bound) and \
+            np.array_equal(self.offsets, other.offsets) and np.array_equal(self.blocks, other.blocks)
 
     @property
     def r_max(self) -> int:
@@ -82,11 +101,8 @@ class Symbol:
 
 
 def evaluate_symbol(sym: Symbol, alpha: float) -> np.ndarray:
-    """f(e^{i alpha}) = sum_s a_s e^{i alpha s}; Hermitian for valid symbols."""
-    out = np.zeros((sym.k, sym.k), dtype=complex)
-    for s, block in sym.coeffs.items():
-        out += block * np.exp(1j * alpha * s)
-    return out
+    """f(e^{i alpha}) = sum_s a_s e^{i alpha s}, summed in ascending s; Hermitian for valid symbols."""
+    return np.einsum("s,skl->kl", np.exp(1j * alpha * sym.offsets), sym.blocks)
 
 
 @dataclass(frozen=True)
@@ -133,25 +149,23 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     Eigenvalues are sorted ascending per grid point, eigenvectors are unit
     and phase-polarized, and derivatives come from central differences
     (one-sided at the grid ends).  Evaluations must be Hermitian to 1e-10
-    relative to max(1, max|f|).
+    relative to max(1, max|f|).  The (m, k, k) stack of evaluations is
+    diagonalised by one eigh call, which gives the same values and vectors
+    as one call per grid point.
     """
     if m < 2:
         raise ValueError(f"grid size must be at least 2, got {m}")
     alphas = brillouin_sample(m)
-    k = sym.k
-    values = np.empty((k, m))
-    vectors = np.empty((m, k, k), dtype=complex)
-    evaluations = np.empty((m, k, k), dtype=complex)
-    for j, a in enumerate(alphas):
-        evaluations[j] = f = evaluate_symbol(sym, a)
-        vals, vecs = np.linalg.eigh(f)
-        values[:, j] = vals
-        for p in range(k):
-            vectors[j, :, p] = polarize(vecs[:, p])
+    evaluations = np.array([evaluate_symbol(sym, a) for a in alphas])
     asym = np.max(np.abs(evaluations - evaluations.conj().transpose(0, 2, 1)))
     defect = float(asym) / max(1.0, float(np.max(np.abs(evaluations))))
     if defect > 1e-10:
         raise ValueError(f"symbol evaluation departs from Hermitian by {defect:g} relative to max(1, max|f|)")
+    values, vectors = np.linalg.eigh(evaluations)
+    for j in range(m):
+        for p in range(sym.k):
+            vectors[j, :, p] = polarize(vectors[j, :, p])
+    values = values.T.copy()
     return BandStructure(alphas=alphas, values=values, vectors=vectors,
                          derivatives=np.gradient(values, 2.0 * np.pi / m, axis=1),
                          hermitian_defect=defect)
@@ -330,8 +344,9 @@ def symbol_to_dict(sym: Symbol) -> dict:
 def symbol_from_dict(data: dict) -> Symbol:
     """The Symbol of {"k", "coeffs": [{"s", "re", "im"}, ...], "tail_bound"} (tail_bound optional).
 
-    k and each offset s are integers by _number's rule (Symbol applies it to
-    k); an offset given twice and a key that nothing reads are refused.
+    k and each offset s are integers and tail_bound a number by _number's
+    rule (Symbol applies it to k and tail_bound); an offset given twice, a
+    null tail_bound and a key that nothing reads are refused.
     """
     try:
         _refuse_unread(data, ("k", "coeffs", "tail_bound"), "symbol description")
@@ -341,12 +356,13 @@ def symbol_from_dict(data: dict) -> Symbol:
             if s in coeffs:
                 raise ValueError(f"offset {s} is given twice")
             coeffs[s] = complex_from_parts(entry, f"coefficient block at offset {s}", keys=("s", "re", "im"))
-        tail_bound = _number("tail_bound", data["tail_bound"], float) if "tail_bound" in data else None
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed symbol description: {exc}") from exc
     if not coeffs:  # k alone would size every later array
         raise ValueError("malformed symbol description: no coefficient blocks")
-    return Symbol(k=k, coeffs=coeffs, tail_bound=tail_bound)
+    if data.get("tail_bound", 0.0) is None:  # Symbol reads None as no bound; a file leaves the key out for that
+        raise ValueError("tail_bound must be a number, got None")
+    return Symbol(k=k, coeffs=coeffs, tail_bound=data.get("tail_bound"))
 
 
 def save_symbol(sym: Symbol, path) -> None:

@@ -4,9 +4,16 @@ A length-mk vector is regrouped into k sections by position within the unit
 cell, each section is Fourier transformed, and the per-bin masses give the
 resonance strength at each sampled quasiperiodicity.  The weighted mean of
 |alpha_j| over these masses recovers an eigenvector's quasiperiodicity.
+
+Real vectors stay real: zero_pad and polarize keep a float64 input float64
+(complex input stays complex128), and discrete_quasiperiodicity takes a real
+vector's masses from one rfft, since bins j and m - j of a real section
+carry the same mass.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,26 +44,37 @@ def dft(v) -> np.ndarray:
     return np.fft.fft(v) / np.sqrt(v.size)
 
 
+def _cell_count(size: int, k: int) -> int:
+    """m = size / k, the number of cells of a length-mk vector; ValueError when k does not divide size."""
+    if k < 1:
+        raise ValueError(f"block size must be positive, got {k}")
+    if size % k != 0:
+        raise ValueError(f"vector length {size} not divisible by block size {k}")
+    return size // k
+
+
+def _float_or_complex(u) -> np.ndarray:
+    """u as a float64 array, or as complex128 when its dtype is complex; no copy when it is one already."""
+    u = np.asarray(u)
+    return u.astype(complex if np.iscomplexobj(u) else float, copy=False)
+
+
 def sections(u, k: int) -> np.ndarray:
-    """The k sections of a length-mk vector as a (k, m) array; section p holds entries p, p+k, p+2k, ...
+    """The k sections of a length-mk vector as a (k, m) complex array; section p holds entries p, p+k, p+2k, ...
 
     The transpose's flattening, sections(u, k).T.reshape(-1), gives u back.
     """
     u = np.asarray(u, dtype=complex)
-    if k < 1:
-        raise ValueError(f"block size must be positive, got {k}")
-    if u.size % k != 0:
-        raise ValueError(f"vector length {u.size} not divisible by block size {k}")
-    return u.reshape(-1, k).T.copy()
+    return u.reshape(_cell_count(u.size, k), k).T.copy()
 
 
 def zero_pad(u, k: int) -> np.ndarray:
-    """Append zeros until the length is divisible by k; the norm is unchanged."""
-    u = np.asarray(u, dtype=complex)
+    """Append zeros until the length is divisible by k; the norm is unchanged and the dtype kept (float or complex)."""
+    u = _float_or_complex(u)
     r = u.size % k
     if r == 0:
         return u.copy()
-    return np.concatenate([u, np.zeros(k - r, dtype=complex)])
+    return np.concatenate([u, np.zeros(k - r, dtype=u.dtype)])
 
 
 def tfbt(u, k: int) -> np.ndarray:
@@ -107,12 +125,26 @@ def discrete_quasiperiodicity(u, k: int) -> float:
 
     Result lies in [0, pi].  Callers zero_pad beforehand when the length is
     not a multiple of k.  The input must be unit up to a small tolerance
-    (eigensolver rounding); it is renormalised internally.
+    (eigensolver rounding); it is renormalised internally.  Complex input
+    goes through projection_profile.  Real input takes one rfft along the
+    cell axis of u.reshape(m, k): a bin 0 < j < m/2 stands for itself and its
+    mirror m - j, which has the same |alpha| and mass, so it weighs twice.
     """
-    u = _checked_unit(u, "discrete_quasiperiodicity")
-    alphas, masses = projection_profile(u, k)
-    q = float(np.sum(np.abs(alphas) * masses))
-    return min(max(q, 0.0), np.pi)  # clamp 1-ulp rounding excursions
+    u = np.asarray(u)
+    if np.iscomplexobj(u):
+        alphas, masses = projection_profile(_checked_unit(u, "discrete_quasiperiodicity"), k)
+        q = np.sum(np.abs(alphas) * masses)
+    else:
+        u = u.astype(float, copy=False)
+        m = _cell_count(u.size, k)
+        norm2 = np.dot(u, u)
+        check_unit_norms(math.sqrt(norm2), "discrete_quasiperiodicity")
+        t = np.fft.rfft(u.reshape(m, k), axis=0).view(float)  # (m // 2 + 1, 2k): re and im of each section
+        weights = (4.0 * np.pi / m) * np.arange(m // 2 + 1)  # 2 |alpha_j|
+        if m % 2 == 0:
+            weights[-1] = np.pi  # bin m/2 is its own mirror
+        q = np.dot(weights, t * t).sum() / (m * norm2)
+    return min(max(float(q), 0.0), np.pi)  # clamp 1-ulp rounding excursions
 
 
 def polarize(u) -> np.ndarray:
@@ -120,9 +152,13 @@ def polarize(u) -> np.ndarray:
 
     The pivot is the first component unless its magnitude is below
     PIVOT_TOL, in which case the largest-magnitude component is used instead.
+    A real vector stays real and comes back as u or -u exactly; a complex
+    one is scaled by conj(pivot) / |pivot|.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _float_or_complex(u)
     pivot = u[0] if abs(u[0]) >= PIVOT_TOL else u[np.argmax(np.abs(u))]
+    if not np.iscomplexobj(u):
+        return -u if pivot < 0.0 else u.copy()
     if abs(pivot) == 0.0:
         return u.copy()
     return u * (pivot.conjugate() / abs(pivot))

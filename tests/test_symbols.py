@@ -9,6 +9,7 @@ from bandrec.symbols import (Symbol, band_functions, banded_truncation, cell_cha
                              exponential_symbol, load_symbol, nearest_neighbour_symbol,
                              save_symbol, symbol_difference_sup_norm, symbol_from_dict,
                              symbol_sup_norm, symbol_to_dict)
+from bandrec.transform import brillouin_sample, polarize
 
 MONOMER = nearest_neighbour_symbol(2.0, -1.0)
 
@@ -30,6 +31,37 @@ def test_evaluate_exponential_at_zero():
     total = evaluate_symbol(sym, 0.0)[0, 0]
     # geometric series sums to -3, truncation leaves a 2^-39 tail
     assert abs(total - (-3.0)) < 1e-10
+
+
+def _evaluate_offset_by_offset(sym, alpha):
+    """The per-offset sum evaluate_symbol must reproduce bit for bit on real-coefficient symbols."""
+    out = np.zeros((sym.k, sym.k), dtype=complex)
+    for s, block in sym.coeffs.items():
+        out += block * np.exp(1j * alpha * s)
+    return out
+
+
+def _complex_k2(tail_bound=None):
+    a = np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -0.5]])
+    b = np.array([[0.2 - 0.1j, 0.7j], [-0.25, 0.1 + 0.05j]])
+    return Symbol(k=2, coeffs={0: a, 1: b, -1: b.conj().T}, tail_bound=tail_bound)
+
+
+@pytest.mark.parametrize("sym", [dimer_symbol(1.0, 2.0), cell_chain_symbol([1.0, 2.0, 0.5]),
+                                 exponential_symbol()], ids=["dimer", "trimer", "exponential"])
+def test_evaluate_symbol_equals_the_offset_by_offset_sum_bit_for_bit(sym):
+    for alpha in brillouin_sample(1024):
+        assert np.array_equal(evaluate_symbol(sym, alpha), _evaluate_offset_by_offset(sym, alpha))
+
+
+@pytest.mark.parametrize("sym", [MONOMER, SPEC_DIMER, cell_chain_symbol([1.0, 2.0, 0.5]), exponential_symbol(),
+                                 _complex_k2()], ids=["monomer", "dimer", "trimer", "exponential", "complex"])
+def test_band_functions_equals_one_eigh_per_grid_point_bit_for_bit(sym):
+    bs = band_functions(sym, 64)
+    for j, alpha in enumerate(bs.alphas):
+        vals, vecs = np.linalg.eigh(evaluate_symbol(sym, alpha))
+        assert np.array_equal(bs.values[:, j], vals)
+        assert np.array_equal(bs.vectors[j], np.array([polarize(vecs[:, p]) for p in range(sym.k)]).T)
 
 
 def test_evaluate_is_hermitian():
@@ -276,6 +308,19 @@ def test_a_symbol_file_keeps_its_tail_bound(tmp_path):
 def test_symbol_refuses_a_tail_bound_that_is_not_finite_and_nonnegative(bound):
     with pytest.raises(ValueError, match="tail bound must be finite and nonnegative"):
         Symbol(k=1, coeffs={0: [[1.0]]}, tail_bound=bound)
+
+
+@pytest.mark.parametrize("bound", [True, "0.5"])
+def test_symbol_refuses_a_tail_bound_that_is_not_a_number(bound):
+    with pytest.raises(ValueError, match="tail_bound must be a number"):
+        Symbol(k=1, coeffs={0: [[1.0]]}, tail_bound=bound)
+
+
+@pytest.mark.parametrize("sym", [dimer_symbol(1.0, 2.0), _complex_k2(0.25)], ids=["dimer", "complex"])
+def test_a_symbol_equals_its_round_trip_through_a_dict(sym):
+    assert symbol_from_dict(json.loads(json.dumps(symbol_to_dict(sym)))) == sym
+    assert sym != Symbol(k=sym.k, coeffs=sym.coeffs, tail_bound=0.5)
+    assert sym != banded_truncation(sym, 0)
 
 
 def test_symbol_dict_format():

@@ -65,6 +65,7 @@ def test_zero_pad():
     assert np.array_equal(zero_pad(v, 2), v)
     w = np.array([3.0, 4.0])
     assert np.linalg.norm(zero_pad(w, 5)) == np.linalg.norm(w)
+    assert zero_pad(w, 5).dtype == np.float64 and zero_pad(u, 4).dtype == np.complex128
 
 
 def test_tfbt_on_quasiperiodic_extension():
@@ -184,6 +185,27 @@ def test_polarize_pivot_rules():
     v = polarize(np.array([1e-12, 0.0, -2.0]))
     assert v[2].real > 0 and abs(v[2].imag) < 1e-15
     assert np.allclose(np.abs(v), [1e-12, 0, 2])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_real_and_complex_input_give_the_same_quasiperiodicity(k):
+    rng = np.random.default_rng(k)
+    for length in [*range(1, 13 * k), 80 * k - 1, 80 * k, 81 * k, 2001]:  # odd and even m, padded or not
+        u = rng.normal(size=length)
+        u = zero_pad(u / np.linalg.norm(u), k)
+        assert u.dtype == np.float64
+        assert abs(discrete_quasiperiodicity(u, k) - discrete_quasiperiodicity(u.astype(complex), k)) < 1e-14
+
+
+def test_polarize_flips_a_real_vector_exactly():
+    rng = np.random.default_rng(5)
+    for u in (rng.normal(size=9), -np.abs(rng.normal(size=9)), np.array([1e-12, 0.5, -2.0]),
+              np.array([-1e-12, 3.0, -2.0]), np.zeros(3)):
+        v = polarize(u)
+        assert v.dtype == np.float64
+        assert np.array_equal(v, u) or np.array_equal(v, -u)
+        pivot = v[0] if abs(v[0]) >= 1e-8 else v[np.argmax(np.abs(v))]
+        assert pivot >= 0.0
 
 
 PROPERTY = settings(max_examples=40, deadline=None)
