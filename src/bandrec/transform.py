@@ -56,7 +56,7 @@ def _cell_count(size: int, k: int) -> int:
 def _float_or_complex(u) -> np.ndarray:
     """u as a float64 array, or as complex128 when its dtype is complex; no copy when it is one already."""
     u = np.asarray(u)
-    return u.astype(complex if np.iscomplexobj(u) else float, copy=False)
+    return u.astype(complex if u.dtype.kind == "c" else float, copy=False)
 
 
 def sections(u, k: int) -> np.ndarray:
@@ -131,7 +131,7 @@ def discrete_quasiperiodicity(u, k: int) -> float:
     mirror m - j, which has the same |alpha| and mass, so it weighs twice.
     """
     u = np.asarray(u)
-    if np.iscomplexobj(u):
+    if u.dtype.kind == "c":
         alphas, masses = projection_profile(_checked_unit(u, "discrete_quasiperiodicity"), k)
         q = np.sum(np.abs(alphas) * masses)
     else:
@@ -157,7 +157,7 @@ def polarize(u) -> np.ndarray:
     """
     u = _float_or_complex(u)
     pivot = u[0] if abs(u[0]) >= PIVOT_TOL else u[np.argmax(np.abs(u))]
-    if not np.iscomplexobj(u):
+    if u.dtype.kind == "f":
         return -u if pivot < 0.0 else u.copy()
     if abs(pivot) == 0.0:
         return u.copy()
