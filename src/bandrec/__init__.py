@@ -13,13 +13,13 @@ from .matrices import (FiniteMatrix, PerturbedPair, capacitance_1d, chain_capaci
 from .reconstruct import (Points, ScenarioResult,
                           capacitance_eigenpairs_oracle, compare_to_symbol, detect_gaps,
                           reconstruct_bands, run_scenario, tridiagonal_eigenpairs_oracle)
-from .spectra import (EigenDecomposition, concentration_check, hermitian_eigen,
-                      localization_metrics, near_far_split, residual)
+from .spectra import (EigenDecomposition, hermitian_eigen, localization_metrics, near_far_split,
+                      residual)
 from .symbols import (BandStructure, Symbol, band_functions, banded_truncation,
                       cell_chain_symbol, check_assumptions, dimer_symbol, evaluate_symbol,
                       exponential_symbol, load_symbol, nearest_neighbour_symbol,
                       save_symbol, symbol_sup_norm)
 from .transform import (brillouin_sample, dft, discrete_quasiperiodicity, projection_profile,
-                        quasiperiodic_extension, sections, tfb_projection, tfbt, zero_pad)
+                        quasiperiodic_extension, sections, tfbt, zero_pad)
 
 __version__ = "0.1.0"

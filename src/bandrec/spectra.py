@@ -11,8 +11,7 @@ column exactly, has fixed the column signs.
 
 Beyond the plain decomposition this provides the residuals of candidate
 eigenpairs, one per column, the split of a vector into its components near
-and far from a reference eigenvalue, the projection-mass concentration
-inside a quasiperiodicity window, and localization measures.
+and far from a reference eigenvalue, and localization measures.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from .matrices import FiniteMatrix
 from .symbols import HERMITIAN_TOL
-from .transform import _checked_unit, check_unit_norms, polarize, projection_profile
+from .transform import check_unit_norms, polarize
 
 DEGENERACY_REL_TOL = 1e-8
 IPR_LOCALIZATION_FACTOR = 10.0
@@ -135,22 +134,6 @@ def near_far_split(eig: EigenDecomposition, lambda_eps: float, eps: float, u) ->
     V = eig.vectors[:, near]
     u_par = V @ (V.conj().T @ u)
     return u_par, u - u_par
-
-
-def concentration_check(u, k: int, alpha0: float, delta: float) -> tuple[float, float]:
-    """Projection mass inside and outside the symmetric window around +-alpha0.
-
-    The window is the open set (alpha0-delta, alpha0+delta) united with its
-    mirror image, intersected with the bin grid; the two masses sum to one.
-    """
-    if delta <= 0:
-        raise ValueError(f"window width must be positive, got {delta}")
-    u = _checked_unit(u, "concentration_check")
-    alphas, masses = projection_profile(u, k)
-    inside = (np.abs(alphas - alpha0) < delta) | (np.abs(alphas + alpha0) < delta)
-    mass_in = float(np.sum(masses[inside]))
-    mass_out = float(np.sum(masses[~inside]))
-    return mass_in, mass_out
 
 
 def localization_metrics(u):

@@ -1,14 +1,15 @@
 """Section-wise discrete Fourier analysis of chain eigenvectors.
 
-A length-mk vector is regrouped into k sections by position within the unit
-cell, each section is Fourier transformed, and the per-bin masses give the
-resonance strength at each sampled quasiperiodicity.  The weighted mean of
-|alpha_j| over these masses recovers an eigenvector's quasiperiodicity.
+A length-mk vector is m cells of k sites.  One private kernel lays it out as
+u.reshape(m, k) and Fourier transforms along the cell axis: the column for
+site p is the DFT of the section p, p+k, p+2k, ...  The per-bin masses give
+the resonance strength at each sampled quasiperiodicity, and their weighted
+mean of |alpha_j| recovers an eigenvector's quasiperiodicity.
 
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
-(complex input stays complex128), and discrete_quasiperiodicity takes a real
-vector's masses from one rfft, since bins j and m - j of a real section
-carry the same mass.
+(complex input stays complex128), and the kernel takes one rfft of a real
+vector, since bins j and m - j of a real section carry the same mass, and
+one fft of a complex one.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ def brillouin_sample(m: int) -> np.ndarray:
 
 
 def bin_alphas(m: int) -> np.ndarray:
-    """Quasiperiodicity of each DFT bin 0..m-1, wrapped into [-pi, pi)."""
-    j = np.arange(m)
-    wrapped = np.where(j < m - m // 2, j, j - m)
-    return 2.0 * np.pi * wrapped / m
+    """Quasiperiodicity of each DFT bin 0..m-1, wrapped into [-pi, pi): brillouin_sample in bin order."""
+    return np.fft.ifftshift(brillouin_sample(m))
 
 
 def dft(v) -> np.ndarray:
@@ -44,11 +43,16 @@ def dft(v) -> np.ndarray:
     return np.fft.fft(v) / np.sqrt(v.size)
 
 
-def _cell_count(size: int, k: int) -> int:
-    """m = size / k, the number of cells of a length-mk vector; ValueError when k does not divide size."""
+def _block_size(k: int) -> int:
+    """k, when it is a positive block size; else ValueError."""
     if k < 1:
         raise ValueError(f"block size must be positive, got {k}")
-    if size % k != 0:
+    return k
+
+
+def _cell_count(size: int, k: int) -> int:
+    """m = size / k, the number of cells of a length-mk vector; ValueError when k does not divide size."""
+    if size % _block_size(k) != 0:
         raise ValueError(f"vector length {size} not divisible by block size {k}")
     return size // k
 
@@ -71,22 +75,26 @@ def sections(u, k: int) -> np.ndarray:
 def zero_pad(u, k: int) -> np.ndarray:
     """Append zeros until the length is divisible by k; the norm is unchanged and the dtype kept (float or complex)."""
     u = _float_or_complex(u)
-    r = u.size % k
+    r = u.size % _block_size(k)
     if r == 0:
         return u.copy()
     return np.concatenate([u, np.zeros(k - r, dtype=u.dtype)])
 
 
+def _cell_dft(u: np.ndarray, k: int) -> np.ndarray:
+    """Unnormalised DFT along the cell axis of u.reshape(m, k), site p in column p.
+
+    A float64 u gives the (m // 2 + 1, k) rfft bins, a complex128 u all (m, k)
+    fft bins.
+    """
+    cells = u.reshape(_cell_count(u.size, k), k)
+    return np.fft.rfft(cells, axis=0) if u.dtype.kind == "f" else np.fft.fft(cells, axis=0)
+
+
 def tfbt(u, k: int) -> np.ndarray:
-    """Section-wise DFT as a (k, m) array; a unitary map on length-mk vectors."""
-    sec = sections(u, k)
-    return np.fft.fft(sec, axis=1) / np.sqrt(sec.shape[1])
-
-
-def tfb_projection(u, k: int, j: int) -> np.ndarray:
-    """Bin j across all k section transforms; j is interpreted modulo m."""
-    t = tfbt(u, k)
-    return t[:, j % t.shape[1]].copy()
+    """Section-wise DFT as a (k, m) array, row p the unitary DFT of section p; a unitary map on length-mk vectors."""
+    t = _cell_dft(np.asarray(u, dtype=complex), k)
+    return t.T / np.sqrt(t.shape[0])
 
 
 def projection_profile(u, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,35 +123,30 @@ def check_unit_norms(norms, what: str):
     return norms
 
 
-def _checked_unit(u, what: str) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    return u / check_unit_norms(np.linalg.norm(u), what)
-
-
 def discrete_quasiperiodicity(u, k: int) -> float:
     """Weighted mean of |alpha_j| with the projection masses as weights.
 
     Result lies in [0, pi].  Callers zero_pad beforehand when the length is
     not a multiple of k.  The input must be unit up to a small tolerance
-    (eigensolver rounding); it is renormalised internally.  Complex input
-    goes through projection_profile.  Real input takes one rfft along the
-    cell axis of u.reshape(m, k): a bin 0 < j < m/2 stands for itself and its
-    mirror m - j, which has the same |alpha| and mass, so it weighs twice.
+    (eigensolver rounding); the masses are divided by its squared norm.
+    The masses come from the cell-layout kernel: for complex input each of
+    the m fft bins weighs |alpha_j|; for real input a rfft bin 0 < j < m/2
+    stands for itself and its mirror m - j, which has the same |alpha| and
+    mass, so it weighs 2 |alpha_j|.
     """
-    u = np.asarray(u)
+    u = _float_or_complex(u)
+    norm2 = np.vdot(u, u).real
+    check_unit_norms(math.sqrt(norm2), "discrete_quasiperiodicity")
+    t = _cell_dft(u, k)
+    m = u.size // k
     if u.dtype.kind == "c":
-        alphas, masses = projection_profile(_checked_unit(u, "discrete_quasiperiodicity"), k)
-        q = np.sum(np.abs(alphas) * masses)
+        weights = np.abs(bin_alphas(m))
     else:
-        u = u.astype(float, copy=False)
-        m = _cell_count(u.size, k)
-        norm2 = np.dot(u, u)
-        check_unit_norms(math.sqrt(norm2), "discrete_quasiperiodicity")
-        t = np.fft.rfft(u.reshape(m, k), axis=0).view(float)  # (m // 2 + 1, 2k): re and im of each section
         weights = (4.0 * np.pi / m) * np.arange(m // 2 + 1)  # 2 |alpha_j|
         if m % 2 == 0:
             weights[-1] = np.pi  # bin m/2 is its own mirror
-        q = np.dot(weights, t * t).sum() / (m * norm2)
+    t = t.view(float)  # re and im of each site's bin, side by side
+    q = np.dot(weights, t * t).sum() / (m * norm2)
     return min(max(float(q), 0.0), np.pi)  # clamp 1-ulp rounding excursions
 
 

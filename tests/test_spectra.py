@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from bandrec import matrices, spectra, symbols, transform
-from bandrec.spectra import (concentration_check, degenerate_clusters, hermitian_eigen,
-                             ipr_localized_flags, localization_metrics, near_far_split,
-                             residual)
+from bandrec.spectra import (degenerate_clusters, hermitian_eigen, ipr_localized_flags,
+                             localization_metrics, near_far_split, residual)
 from bandrec.matrices import FiniteMatrix
 
 
@@ -257,22 +256,21 @@ def test_near_far_split_requires_positive_eps():
         near_far_split(eig, 1.0, 0.0, np.array([1.0, 0.0]))
 
 
+def _window_masses(u, k, alpha0, delta):
+    """Projection mass with |alpha -+ alpha0| < delta, and the rest."""
+    alphas, masses = transform.projection_profile(u, k)
+    inside = (np.abs(alphas - alpha0) < delta) | (np.abs(alphas + alpha0) < delta)
+    return masses[inside].sum(), masses[~inside].sum()
+
+
 def test_concentration_exact_eigenvector():
     m, s = 16, 5
     alpha = 2 * np.pi * s / m
     u = transform.quasiperiodic_extension([1.0], alpha, m)
-    mass_in, mass_out = concentration_check(u, 1, alpha, 0.1)
+    mass_in, mass_out = _window_masses(u, 1, alpha, 0.1)
     assert abs(mass_in - 1.0) < 1e-12 and mass_out < 1e-12
-    mass_in2, _ = concentration_check(u, 1, alpha + 1.5, 0.1)
+    mass_in2, _ = _window_masses(u, 1, alpha + 1.5, 0.1)
     assert mass_in2 < 1e-12
-
-
-def test_concentration_masses_sum_to_one():
-    rng = np.random.default_rng(12)
-    u = rng.normal(size=24) + 1j * rng.normal(size=24)
-    u /= np.linalg.norm(u)
-    mass_in, mass_out = concentration_check(u, 2, 1.0, 0.5)
-    assert abs(mass_in + mass_out - 1.0) < 1e-10
 
 
 def test_concentration_pseudo_eigenpair():
@@ -291,15 +289,9 @@ def test_concentration_pseudo_eigenpair():
     c = eps ** 2 / abs(eig.values[j] - lam0)
     u = np.sqrt(1 - c * c) * eig.vectors[:, i].astype(complex) + c * eig.vectors[:, j]
     assert residual(C, lam0, u) <= eps ** 2
-    mass_in, mass_out = concentration_check(u, 1, alpha0, delta)
+    mass_in, mass_out = _window_masses(u, 1, alpha0, delta)
     assert mass_out < eps ** 2
     assert mass_in > 1 - eps ** 2
-
-
-def test_concentration_rejects_bad_delta():
-    u = np.ones(4) / 2.0
-    with pytest.raises(ValueError):
-        concentration_check(u, 1, 0.5, 0.0)
 
 
 def test_localization_metrics_basis_and_uniform():

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from bandrec import matrices, spectra, symbols
 from bandrec.transform import (bin_alphas, brillouin_sample, dft,
                                discrete_quasiperiodicity, polarize, projection_profile,
-                               quasiperiodic_extension, sections, tfb_projection, tfbt,
-                               zero_pad)
+                               quasiperiodic_extension, sections, tfbt, zero_pad)
 
 
 def test_brillouin_sample_layout():
@@ -22,6 +21,13 @@ def test_bin_alphas_wraps_high_bins():
     a = bin_alphas(4)
     assert np.allclose(a, [0.0, np.pi / 2, -np.pi, -np.pi / 2])
     assert set(np.round(bin_alphas(5), 12)) == set(np.round(brillouin_sample(5), 12))
+
+
+def test_bin_alphas_equals_the_wrapped_bin_formula_bit_for_bit():
+    for m in range(1, 258):
+        j = np.arange(m)
+        wrapped = np.where(j < m - m // 2, j, j - m)
+        assert np.array_equal(bin_alphas(m), 2.0 * np.pi * wrapped / m), m
 
 
 def test_dft_constant_vector_hits_zero_bin():
@@ -68,6 +74,12 @@ def test_zero_pad():
     assert zero_pad(w, 5).dtype == np.float64 and zero_pad(u, 4).dtype == np.complex128
 
 
+@pytest.mark.parametrize("k", [0, -1, -3])
+def test_zero_pad_refuses_a_block_size_below_one(k):
+    with pytest.raises(ValueError, match=f"block size must be positive, got {k}"):
+        zero_pad(np.ones(6), k)
+
+
 def test_tfbt_on_quasiperiodic_extension():
     u = quasiperiodic_extension([1.0, 0.0], np.pi / 2, 4)
     t = tfbt(u, 2)
@@ -94,18 +106,25 @@ def test_tfb_projection_is_kronecker_on_circulant_eigenvectors():
     alpha = 2 * np.pi * s / m
     _, vecs = np.linalg.eigh(symbols.evaluate_symbol(sym, -alpha))
     u = quasiperiodic_extension(vecs[:, 0], alpha, m)
+    t = tfbt(u, 2)
     for j in range(m):
-        mass = np.linalg.norm(tfb_projection(u, 2, j)) ** 2
+        mass = np.linalg.norm(t[:, j]) ** 2
         assert abs(mass - (1.0 if j == s else 0.0)) < 1e-12
 
 
-def test_tfb_projection_wraps_modulo_m():
-    rng = np.random.default_rng(5)
-    u = rng.normal(size=12) + 1j * rng.normal(size=12)
-    assert np.allclose(tfb_projection(u, 3, 1), tfb_projection(u, 3, 5))
-    assert np.allclose(tfb_projection(u, 3, -1), tfb_projection(u, 3, 3))
-    total = sum(np.linalg.norm(tfb_projection(u, 3, j)) ** 2 for j in range(4))
-    assert abs(total - np.linalg.norm(u) ** 2) < 1e-10
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tfbt_and_projection_profile_equal_the_section_layout_bit_for_bit(dtype):
+    # the reference is the transposed (k, m) section layout, one fft per section
+    rng = np.random.default_rng(17)
+    for m in range(1, 65):
+        for k in (1, 2, 3):
+            u = rng.normal(size=m * k).astype(dtype)
+            if dtype is complex:
+                u += 1j * rng.normal(size=m * k)
+            ref = np.fft.fft(sections(u, k), axis=1) / np.sqrt(m)
+            assert np.array_equal(tfbt(u, k), ref), (m, k)
+            _, masses = projection_profile(u, k)
+            assert np.array_equal(masses, np.sum(np.abs(ref) ** 2, axis=0)), (m, k)
 
 
 def test_quasiperiodic_extension_values():
@@ -176,6 +195,16 @@ def test_projection_profile_sums_to_one():
     alphas, masses = projection_profile(u, 3)
     assert alphas.size == masses.size == 6
     assert abs(masses.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_complex_quasiperiodicity_is_the_mass_weighted_mean_of_abs_alpha(k):
+    rng = np.random.default_rng(23 + k)
+    for m in (*range(1, 30), 64, 255, 1000):
+        u = rng.normal(size=m * k) + 1j * rng.normal(size=m * k)
+        u *= (1.0 + 1e-9 * rng.normal()) / np.linalg.norm(u)  # unit up to eigensolver rounding
+        alphas, masses = projection_profile(u / np.linalg.norm(u), k)
+        assert abs(discrete_quasiperiodicity(u, k) - np.sum(np.abs(alphas) * masses)) < 1e-14, m
 
 
 def test_polarize_pivot_rules():

@@ -14,8 +14,7 @@ def test_run_checks_empty_filter():
         verify.run_checks(only="zzz")
 
 
-def test_override_scoping():
-    # nothing overrides a registered tolerance; the check passes at it and fails at zero, so it is not vacuous
+def test_unitarity_passes_at_its_registered_tolerance_and_fails_at_zero():
     assert verify.run_check("acceptance.09_unitarity").passed
     passed, _ = verify.acceptance_09_unitarity({"tol": 0.0}, np.random.default_rng(0))
     assert not passed
