@@ -112,7 +112,10 @@ def cmd_transform(args) -> int:
     norm = np.linalg.norm(u)
     if norm == 0:
         raise ValueError("vector is zero")
-    u = transform.zero_pad(u / norm, k)
+    u = u / norm
+    if not u.imag.any():  # read_entries gives complex entries; a real vector takes the library's real path
+        u = u.real
+    u = transform.zero_pad(u, k)
     alphas, masses = transform.projection_profile(u, k)
     outdir = Path(_text("out", cfg.get("out", ".")))
     outdir.mkdir(parents=True, exist_ok=True)

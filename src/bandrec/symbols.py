@@ -150,8 +150,9 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     and phase-polarized, and derivatives come from central differences
     (one-sided at the grid ends).  Evaluations must be Hermitian to 1e-10
     relative to max(1, max|f|).  The (m, k, k) stack of evaluations is
-    diagonalised by one eigh call, which gives the same values and vectors
-    as one call per grid point.
+    diagonalised by one eigh call and its m k eigenvectors are polarized by
+    one polarize call, which give the same values and vectors as one call
+    per grid point and per vector.
     """
     if m < 2:
         raise ValueError(f"grid size must be at least 2, got {m}")
@@ -162,9 +163,7 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     if defect > 1e-10:
         raise ValueError(f"symbol evaluation departs from Hermitian by {defect:g} relative to max(1, max|f|)")
     values, vectors = np.linalg.eigh(evaluations)
-    for j in range(m):
-        for p in range(sym.k):
-            vectors[j, :, p] = polarize(vectors[j, :, p])
+    vectors = polarize(vectors.transpose(1, 0, 2)).transpose(1, 0, 2)  # vector (j, p) runs along the middle axis
     values = values.T.copy()
     return BandStructure(alphas=alphas, values=values, vectors=vectors,
                          derivatives=np.gradient(values, 2.0 * np.pi / m, axis=1),

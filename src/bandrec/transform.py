@@ -9,7 +9,8 @@ mean of |alpha_j| recovers an eigenvector's quasiperiodicity.
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
 (complex input stays complex128), and the kernel takes one rfft of a real
 vector, since bins j and m - j of a real section carry the same mass, and
-one fft of a complex one.
+one fft of a complex one.  polarize also takes a stack of vectors along
+axis 0 and rotates each as it would alone, in one call.
 """
 
 from __future__ import annotations
@@ -151,17 +152,27 @@ def discrete_quasiperiodicity(u, k: int) -> float:
 
 
 def polarize(u) -> np.ndarray:
-    """Rotate the global phase so a pivot component is real positive.
+    """Rotate the global phase of a vector, or of each vector of a stack, so a pivot component is real positive.
 
-    The pivot is the first component unless its magnitude is below
-    PIVOT_TOL, in which case the largest-magnitude component is used instead.
-    A real vector stays real and comes back as u or -u exactly; a complex
-    one is scaled by conj(pivot) / |pivot|.
+    u is one vector or a stack whose vectors run along axis 0 (shape (n,),
+    (n, c), (n, a, b), ...); one vector is a stack of one.  The pivot of a
+    vector is its first component unless that has magnitude below PIVOT_TOL,
+    in which case it is the largest-magnitude component.  A real vector stays
+    real and comes back as u or -u exactly; a complex one is scaled by
+    conj(pivot) / |pivot|; a zero vector comes back unchanged.
     """
     u = _float_or_complex(u)
-    pivot = u[0] if abs(u[0]) >= PIVOT_TOL else u[np.argmax(np.abs(u))]
+    if u.ndim == 0 or u.size == 0:
+        raise ValueError(f"polarize expects a nonempty vector or stack of vectors, got shape {u.shape}")
+    cols = u.reshape(u.shape[0], -1)  # one vector per column
+    mag = np.abs(cols)
+    pivot = cols[np.where(mag[0] >= PIVOT_TOL, 0, mag.argmax(axis=0)), np.arange(cols.shape[1])]
+    # one per vector, with a leading axis: numpy multiplies a (1, 1) u by a (1,) factor
+    # through a loop whose complex product can differ from a lone vector's in the last bit
+    pivot = pivot.reshape((1,) + u.shape[1:])
     if u.dtype.kind == "f":
-        return -u if pivot < 0.0 else u.copy()
-    if abs(pivot) == 0.0:
-        return u.copy()
-    return u * (pivot.conjugate() / abs(pivot))
+        return u * np.where(pivot < 0.0, -1.0, 1.0)
+    # |pivot| by hypot, the correctly rounded modulus; np.abs of a complex array can differ in the last bit
+    size = np.hypot(pivot.real, pivot.imag)
+    zero = size == 0.0
+    return np.where(zero, u, u * (pivot.conjugate() / np.where(zero, 1.0, size)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandrec import symbols, verify
+from bandrec import matrices, outputs, symbols, transform, verify
 from bandrec.cli import main
 
 
@@ -572,6 +572,38 @@ def test_transform_subcommand(tmp_path, capsys):
     assert abs(masses[max(masses, key=lambda a: masses[a])] - 1.0) < 1e-10
     out = capsys.readouterr().out
     assert "recovered quasiperiodicity" in out
+
+
+def _normalised_entries(path):
+    """The entries of a vector file as transform reads them: complex, divided by their norm."""
+    u = matrices.read_entries(path).ravel()
+    return u / np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("seed,k", [(30, 1), (2, 2), (69, 3)])
+def test_transform_takes_the_real_path_for_a_real_vector(tmp_path, capsys, seed, k):
+    # at these inputs the complex fft path prints a different 15th digit than the real rfft one
+    vec = tmp_path / "vec.csv"
+    vec.write_text("\n".join(repr(float(x)) for x in np.random.default_rng(seed).normal(size=40)) + "\n")
+    assert main(["transform", "--vector", str(vec), "--k", str(k), "--out", str(tmp_path)]) == 0
+    u = transform.zero_pad(_normalised_entries(vec).real, k)
+    assert u.dtype == np.float64
+    expected = outputs.fmt(transform.discrete_quasiperiodicity(u, k))
+    assert capsys.readouterr().out.splitlines()[-1] == f"recovered quasiperiodicity: {expected}"
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_transform_csv_is_the_projection_profile_of_the_complex_entries(tmp_path, kind):
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=41) + (1j * rng.normal(size=41) if kind == "complex" else 0.0)
+    vec = tmp_path / "vec.csv"
+    vec.write_text("\n".join(str(complex(x)).strip("()") for x in v) + "\n")
+    for k in (1, 2, 3):
+        out = tmp_path / f"k{k}"
+        assert main(["transform", "--vector", str(vec), "--k", str(k), "--out", str(out)]) == 0
+        outputs.write_transform_csv(*transform.projection_profile(transform.zero_pad(_normalised_entries(vec), k), k),
+                                    tmp_path / "expected.csv")
+        assert (out / "transform.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_transform_pads_odd_length(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandrec import matrices, spectra, symbols
-from bandrec.transform import (bin_alphas, brillouin_sample, dft,
+from bandrec.transform import (PIVOT_TOL, bin_alphas, brillouin_sample, dft,
                                discrete_quasiperiodicity, polarize, projection_profile,
                                quasiperiodic_extension, sections, tfbt, zero_pad)
 
@@ -235,6 +235,48 @@ def test_polarize_flips_a_real_vector_exactly():
         assert np.array_equal(v, u) or np.array_equal(v, -u)
         pivot = v[0] if abs(v[0]) >= 1e-8 else v[np.argmax(np.abs(v))]
         assert pivot >= 0.0
+
+
+def _stack_with_awkward_pivots(shape, dtype, seed):
+    """Random vectors along axis 0 of shape; every third has a pivot with negative real part, a first
+    entry below PIVOT_TOL, or no nonzero entry."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype == complex else 0.0)
+    cols = u.reshape(shape[0], -1)  # a view: each column is one vector
+    cols[0, 0::3] -= 2.0 * np.abs(cols[0, 0::3].real)
+    cols[0, 1::3] = 1e-12 * rng.normal(size=cols[0, 1::3].shape)
+    cols[:, 2::3] = 0.0
+    return u
+
+
+def _polarized_alone(v):
+    """The pivot rule on one vector in scalar arithmetic, as polarize computed it before it took stacks."""
+    pivot = v[0] if abs(v[0]) >= PIVOT_TOL else v[np.argmax(np.abs(v))]
+    if v.dtype.kind == "f":
+        return -v if pivot < 0.0 else v.copy()
+    return v.copy() if abs(pivot) == 0.0 else v * (pivot.conjugate() / abs(pivot))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(7,), (1,), (5, 9), (1, 6), (1, 1), (4, 3, 5), (2, 1, 7)])
+def test_a_stack_polarizes_as_its_vectors_do_bit_for_bit(shape, dtype):
+    u = _stack_with_awkward_pivots(shape, dtype, seed=len(shape) + shape[0])
+    before = u.copy()
+    got = polarize(u)
+    assert got.dtype == u.dtype and got.shape == u.shape
+    assert np.array_equal(u, before)  # the input is not modified
+    cols = u.reshape(shape[0], -1)
+    one_by_one = np.stack([polarize(cols[:, c]) for c in range(cols.shape[1])], axis=1).reshape(shape)
+    expected = np.stack([_polarized_alone(cols[:, c]) for c in range(cols.shape[1])], axis=1).reshape(shape)
+    # equal entries and equal sign bits, so -0.0 and 0.0 count as different
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert one_by_one.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (2, 0, 4), ()])
+def test_polarize_refuses_an_empty_vector_or_stack(shape):
+    with pytest.raises(ValueError, match="polarize expects a nonempty vector or stack of vectors"):
+        polarize(np.zeros(shape))
 
 
 PROPERTY = settings(max_examples=40, deadline=None)
