@@ -278,9 +278,10 @@ def run_scenario(config: dict) -> ScenarioResult:
     the scenario does not read (see SCENARIOS) is refused, and each value is
     converted once to its type in PARAMS, so the recorded params are the
     ones used, derived ones included.  The reference bands come from the
-    scenario's underlying periodic symbol where one exists; bands that are
-    not even in alpha are refused, since only |alpha| is recovered.  So is
-    a grid that is odd or below MIN_CHECK_GRID (see symbols.checked_grid).
+    scenario's underlying periodic symbol where one exists and are sampled
+    before the eigensolve; bands that are not even in alpha are refused
+    there, since only |alpha| is recovered.  So is a grid that is odd or
+    below MIN_CHECK_GRID (see symbols.checked_grid).
     """
     cfg = dict(config)
     name = cfg.pop("scenario", None)
@@ -300,16 +301,18 @@ def run_scenario(config: dict) -> ScenarioResult:
     margin = params.pop("margin", None)
 
     built, sym, k = _scenario_setup(name, params)
-    points = reconstruct_bands(built, k)
-    matrix = built.bc if isinstance(built, PerturbedPair) else built
-
-    bands = gap_report = stats = None
-    if sym is not None:
+    bands = None
+    if sym is not None:  # before the eigensolve, so a new memo entry is not allocated above its n^2 buffers
         bands = symbols.band_functions(sym, grid)
         odd, even = symbols.evenness(bands)
         if not even:
             raise ValueError(f"the reference bands are not even in alpha: max|lambda(alpha) - "
                              f"lambda(-alpha)| = {odd:g}, and only |alpha| is recovered")
+    points = reconstruct_bands(built, k)
+    matrix = built.bc if isinstance(built, PerturbedPair) else built
+
+    gap_report = stats = None
+    if bands is not None:
         if margin is None:
             margin = 1e-6 * float(bands.values.max() - bands.values.min())
         gap_report = detect_gaps(bands, points.lam, margin=margin, alphas=points.alpha_est)

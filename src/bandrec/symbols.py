@@ -5,12 +5,19 @@ a_s; evaluating sum_s a_s e^{i alpha s} at each point of a quasiperiodicity
 grid and diagonalising gives the band functions lambda_1 <= ... <= lambda_k.
 Only Hermitian symbols (a_{-s} equal to the conjugate transpose of a_s) are
 accepted; everything downstream relies on real, sorted bands.
+
+band_functions keeps the bands it sampled in a least-recently-used table of
+at most BAND_MEMO_SIZE entries per process, keyed by exactly what it reads:
+(m, k, offsets bytes, blocks bytes).  A repeated symbol and grid returns the
+stored BandStructure, whose arrays are read-only; an input it refuses is
+never stored.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +29,7 @@ CROSSING_TOL = 1e-8
 EVENNESS_TOL = 1e-8
 VAN_DER_HOVE_TOL = 1e-6
 MIN_CHECK_GRID = 16  # smallest grid check_assumptions, bands and a scenario run accept
+BAND_MEMO_SIZE = 8  # band structures band_functions keeps, least recently used dropped first
 
 
 def checked_grid(grid: int) -> int:
@@ -143,6 +151,9 @@ class BandStructure:
         return out
 
 
+_band_memo: OrderedDict[tuple, BandStructure] = OrderedDict()  # see band_functions
+
+
 def band_functions(sym: Symbol, m: int) -> BandStructure:
     """Diagonalise the symbol on the m-point quasiperiodicity grid.
 
@@ -153,9 +164,19 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     diagonalised by one eigh call and its m k eigenvectors are polarized by
     one polarize call, which give the same values and vectors as one call
     per grid point and per vector.
+
+    The result is memoized on (m, sym.k, sym.offsets.tobytes(),
+    sym.blocks.tobytes()), the bits it is computed from: an equal symbol at
+    the same grid returns the same object, whose four arrays are read-only.
+    At most BAND_MEMO_SIZE results are kept, the least recently used dropped
+    first, and a refused input is never stored.
     """
     if m < 2:
         raise ValueError(f"grid size must be at least 2, got {m}")
+    key = (m, sym.k, sym.offsets.tobytes(), sym.blocks.tobytes())
+    if key in _band_memo:
+        _band_memo.move_to_end(key)
+        return _band_memo[key]
     alphas = brillouin_sample(m)
     evaluations = np.array([evaluate_symbol(sym, a) for a in alphas])
     asym = np.max(np.abs(evaluations - evaluations.conj().transpose(0, 2, 1)))
@@ -165,9 +186,15 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     values, vectors = np.linalg.eigh(evaluations)
     vectors = polarize(vectors.transpose(1, 0, 2)).transpose(1, 0, 2)  # vector (j, p) runs along the middle axis
     values = values.T.copy()
-    return BandStructure(alphas=alphas, values=values, vectors=vectors,
-                         derivatives=np.gradient(values, 2.0 * np.pi / m, axis=1),
-                         hermitian_defect=defect)
+    bs = BandStructure(alphas=alphas, values=values, vectors=vectors,
+                       derivatives=np.gradient(values, 2.0 * np.pi / m, axis=1),
+                       hermitian_defect=defect)
+    for array in (bs.alphas, bs.values, bs.vectors, bs.derivatives):
+        array.setflags(write=False)
+    _band_memo[key] = bs
+    if len(_band_memo) > BAND_MEMO_SIZE:
+        _band_memo.popitem(last=False)
+    return bs
 
 
 def evenness(bs: BandStructure) -> tuple[float, bool]:

@@ -323,7 +323,11 @@ def test_bands_warns_when_an_assumption_check_fails(tmp_path, capsys):
         "warning: assumption checks failed: interior slope as small as 0")
 
 
-def test_reconstruct_refuses_bands_that_are_not_even(tmp_path, capsys):
+def test_reconstruct_refuses_bands_that_are_not_even(tmp_path, capsys, monkeypatch):
+    def no_eigensolve(matrix):
+        raise AssertionError("the eigensolve ran before the evenness check")
+
+    monkeypatch.setattr("bandrec.reconstruct.hermitian_eigen", no_eigensolve)
     sym_path = tmp_path / "odd.json"
     symbols.save_symbol(symbols.Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]}), sym_path)
     out = tmp_path / "run"
@@ -506,15 +510,35 @@ def test_a_spacing_that_is_not_finite_is_refused(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_reconstruct_byte_identical_reruns(tmp_path):
+RERUNS = {
+    "periodic_nn": ["reconstruct", "--scenario", "periodic_nn"],
+    "periodic_symbol": ["reconstruct", "--scenario", "periodic_symbol"],
+    "ssh": ["reconstruct", "--scenario", "ssh", "--dimers-per-side", "8"],
+    "dislocated": ["reconstruct", "--scenario", "dislocated"],
+    "compact_defect": ["reconstruct", "--scenario", "compact_defect"],
+    "external_matrix": ["reconstruct", "--scenario", "external_matrix", "--matrix", "{matrix}", "--symbol", "dimer"],
+    "bands": ["bands", "--symbol", "dimer", "--grid", "512", "--format", "csv,svg"],
+}
+
+
+@pytest.mark.parametrize("family", RERUNS)
+def test_reconstruct_byte_identical_reruns(tmp_path, family):
+    # The first run samples its bands cold; the rerun in the same process takes them from the memo.
+    matrices.save_matrix(matrices.ssh_matrix(1.0, 2.0, 5), tmp_path / "m.csv")
+    argv = [arg.format(matrix=tmp_path / "m.csv") for arg in RERUNS[family]]
+    if family != "bands":
+        argv += ["--format", "csv,json,svg"]
+    symbols._band_memo.clear()
     outs = []
-    for name in ("a", "b"):
+    for name in ("cold", "warm"):
         out = tmp_path / name
-        code = main(["reconstruct", "--scenario", "ssh", "--dimers-per-side", "8",
-                     "--out", str(out), "--format", "csv,json,svg"])
-        assert code == 0
+        assert _exit_code_of(argv + ["--out", str(out)]) == 0
         outs.append(out)
-    for fname in ("points.csv", "bands.csv", "gaps.json", "summary.json", "reconstruction.svg"):
+    assert len(symbols._band_memo) == 1
+    written = sorted(p.name for p in outs[0].iterdir())
+    assert written == sorted(p.name for p in outs[1].iterdir())
+    assert len(written) == (2 if family == "bands" else 5)
+    for fname in written:
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
