@@ -1,11 +1,15 @@
 """Deterministic file emission for reconstruction runs.
 
-Every CSV file is a table of whole columns, formatted by write_csv in one
-operation: floats at 15 significant digits in scientific notation (fmt),
-as are JSON floats, so identical inputs produce byte-identical CSV/JSON
-output; files are UTF-8 with LF line endings.  SVG plots are written
-directly (polylines for bands, circles for points), each coordinate array
-mapped to pixels once.  Matrix and vector files are read by matrices.read_entries.
+Every CSV file is a table of whole columns, which format_csv turns into
+its encoded bytes with one % operation: floats at 15 significant digits in
+scientific notation (fmt), as are JSON floats, so identical inputs produce
+byte-identical CSV/JSON output; files are UTF-8 with LF line endings.
+write_bands_csv keeps the bands.csv bytes of a band structure written a
+second time, so a repeated reference symbol (symbols.band_functions returns
+the same read-only BandStructure) is formatted at most twice per process.
+SVG plots are written directly (polylines for bands, circles for points),
+each coordinate array mapped to pixels once and each series formatted with
+one % operation.  Matrix and vector files are read by matrices.read_entries.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .reconstruct import Points, ScenarioResult
-from .symbols import BandStructure
+from .symbols import BAND_MEMO_SIZE, BandStructure
 
 
 FLOAT_FORMAT = "%.14e"  # 15 significant digits, scientific notation
@@ -46,23 +50,54 @@ def write_json(payload: dict, path) -> None:
         fh.write(text + "\n")
 
 
-def write_csv(columns: dict, path) -> None:
-    """A header of the column names, then one comma-joined row per entry.
+def _rows(row: str, columns, sep: str = "") -> str:
+    """row once per entry of the columns, filled row by row with one % operation and joined by sep."""
+    return sep.join([row] * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+def format_csv(columns: dict) -> bytes:
+    """A header of the column names, then one comma-joined row per entry, encoded as UTF-8.
 
     Float columns take fmt's 15-digit rule, the others (row numbers, flags, empty cells) str.
     """
     cols = [np.asarray(c) for c in columns.values()]
     row = ",".join(FLOAT_FORMAT if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
-    cells = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))  # row by row
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.write(row * len(cols[0]) % tuple(cells))
+    return (",".join(columns) + "\n" + _rows(row, [c.tolist() for c in cols])).encode("utf-8")
+
+
+def write_csv(columns: dict, path) -> None:
+    """format_csv(columns), written to path."""
+    Path(path).write_bytes(format_csv(columns))
+
+
+def format_bands_csv(bs: BandStructure) -> bytes:
+    """Columns alpha, band_index, lambda, dlambda; one row per grid point per band."""
+    return format_csv({"alpha": np.tile(bs.alphas, bs.k), "band_index": np.repeat(np.arange(1, bs.k + 1), bs.m),
+                       "lambda": bs.values.ravel(), "dlambda": bs.derivatives.ravel()})
+
+
+_bands_csv: dict[BandStructure, bytes | None] = {}  # see write_bands_csv
 
 
 def write_bands_csv(bs: BandStructure, path) -> None:
-    """Columns alpha, band_index, lambda, dlambda; one row per grid point per band."""
-    write_csv({"alpha": np.tile(bs.alphas, bs.k), "band_index": np.repeat(np.arange(1, bs.k + 1), bs.m),
-               "lambda": bs.values.ravel(), "dlambda": bs.derivatives.ravel()}, path)
+    """format_bands_csv(bs), written to path; its bytes are kept from the second write of bs on.
+
+    The first write of a band structure formats it and keeps a marker, the
+    second formats it again and keeps the bytes, and later writes copy them.
+    Bytes kept on a first write would be allocated above a fresh chain's
+    eigensolve buffers and raise the process's peak memory; a band structure
+    written twice is a repeated reference symbol, which symbols.band_functions
+    returns as the same object.  The key is the object itself (BandStructure
+    compares by identity and its arrays are read-only, so kept bytes cannot go
+    stale), and at most BAND_MEMO_SIZE entries are kept, the oldest dropped first.
+    """
+    data = _bands_csv.get(bs)
+    if data is None:
+        data = format_bands_csv(bs)
+        _bands_csv[bs] = data if bs in _bands_csv else None
+        if len(_bands_csv) > BAND_MEMO_SIZE:
+            del _bands_csv[next(iter(_bands_csv))]
+    Path(path).write_bytes(data)
 
 
 def write_points_csv(points: Points, path) -> None:
@@ -125,12 +160,12 @@ def write_bands_svg(bs: BandStructure, path, points: Points | None = None, title
     ]
     curve_x = _pixels(xs, *to_x)
     for curve_y in _pixels(curves, *to_y):
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(curve_x, curve_y))
+        pts = _rows("%.2f,%.2f", [curve_x, curve_y], " ")
         lines.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
-    if points is not None:
-        lines += [f'<circle cx="{x:.2f}" cy="{y:.2f}" {_CIRCLE[loc]}/>'
-                  for x, y, loc in zip(_pixels(points.alpha_est, *to_x), _pixels(lam, *to_y),
-                                        points.localized.tolist())]
+    if points is not None and len(points):
+        lines.append(_rows('<circle cx="%.2f" cy="%.2f" %s/>', [
+            _pixels(points.alpha_est, *to_x), _pixels(lam, *to_y),
+            [_CIRCLE[loc] for loc in points.localized.tolist()]], "\n"))
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -113,15 +113,24 @@ def evaluate_symbol(sym: Symbol, alpha: float) -> np.ndarray:
     return np.einsum("s,skl->kl", np.exp(1j * alpha * sym.offsets), sym.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandStructure:
-    """Sampled bands: values[p, j] = lambda_{p+1}(alpha_j), ascending in p."""
+    """Sampled bands: values[p, j] = lambda_{p+1}(alpha_j), ascending in p.
+
+    The four arrays are made read-only on construction, so whatever is derived
+    from a BandStructure (outputs.write_bands_csv keeps its file bytes) stays
+    valid; two band structures are equal only when they are the same object.
+    """
 
     alphas: np.ndarray        # (m,) grid, ascending from -pi
     values: np.ndarray        # (k, m) real
     vectors: np.ndarray       # (m, k, k) complex, column p is u_{p+1}(alpha_j)
     derivatives: np.ndarray   # (k, m) finite-difference lambda'
     hermitian_defect: float = 0.0  # max|f - f^H| / max(1, max|f|) over the grid
+
+    def __post_init__(self):
+        for array in (self.alphas, self.values, self.vectors, self.derivatives):
+            array.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -189,8 +198,6 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     bs = BandStructure(alphas=alphas, values=values, vectors=vectors,
                        derivatives=np.gradient(values, 2.0 * np.pi / m, axis=1),
                        hermitian_defect=defect)
-    for array in (bs.alphas, bs.values, bs.vectors, bs.derivatives):
-        array.setflags(write=False)
     _band_memo[key] = bs
     if len(_band_memo) > BAND_MEMO_SIZE:
         _band_memo.popitem(last=False)

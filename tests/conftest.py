@@ -1,0 +1,21 @@
+"""Every test starts and ends with empty per-process tables.
+
+So no test depends on what an earlier test sampled or wrote, and no test
+leaves warm tables to a test of another directory run in the same process.
+"""
+
+import pytest
+
+from bandrec import outputs, symbols
+
+
+def _empty_tables():
+    symbols._band_memo.clear()
+    outputs._bands_csv.clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_tables():
+    _empty_tables()
+    yield
+    _empty_tables()

@@ -522,24 +522,29 @@ RERUNS = {
 
 
 @pytest.mark.parametrize("family", RERUNS)
-def test_reconstruct_byte_identical_reruns(tmp_path, family):
-    # The first run samples its bands cold; the rerun in the same process takes them from the memo.
+def test_reconstruct_byte_identical_reruns(tmp_path, monkeypatch, family):
+    # The cold run samples and formats its bands; the warm run takes the bands from the memo and
+    # keeps their bands.csv bytes; the hot run writes the kept bytes without formatting them.
     matrices.save_matrix(matrices.ssh_matrix(1.0, 2.0, 5), tmp_path / "m.csv")
     argv = [arg.format(matrix=tmp_path / "m.csv") for arg in RERUNS[family]]
     if family != "bands":
         argv += ["--format", "csv,json,svg"]
-    symbols._band_memo.clear()
+    formatted, original = [], outputs.format_bands_csv
+    monkeypatch.setattr(outputs, "format_bands_csv", lambda bs: formatted.append(bs) or original(bs))
     outs = []
-    for name in ("cold", "warm"):
+    for name in ("cold", "warm", "hot"):
         out = tmp_path / name
         assert _exit_code_of(argv + ["--out", str(out)]) == 0
         outs.append(out)
     assert len(symbols._band_memo) == 1
+    assert len(formatted) == 2 and formatted[0] is formatted[1]
+    assert list(outputs._bands_csv.values()) == [(outs[0] / "bands.csv").read_bytes()]
     written = sorted(p.name for p in outs[0].iterdir())
-    assert written == sorted(p.name for p in outs[1].iterdir())
     assert len(written) == (2 if family == "bands" else 5)
-    for fname in written:
-        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == written
+        for fname in written:
+            assert (out / fname).read_bytes() == (outs[0] / fname).read_bytes()
 
 
 def test_reconstruct_emitted_csv_reparses(tmp_path):

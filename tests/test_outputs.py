@@ -93,3 +93,74 @@ def test_transform_csv_is_sorted_by_alpha(tmp_path):
     rows = read_rows(tmp_path / "transform.csv")
     assert [(r["alpha"], r["mass"]) for r in rows] == [(e14(a), e14(m)) for a, m in
                                                        ((-2.5, 0.3), (0.0, 0.1), (1.0, 0.4), (2.5, 0.2))]
+
+
+def _count_formatting(monkeypatch) -> list:
+    formatted, original = [], outputs.format_bands_csv
+    monkeypatch.setattr(outputs, "format_bands_csv", lambda bs: formatted.append(bs) or original(bs))
+    return formatted
+
+
+@pytest.mark.parametrize("m", [16, 512])
+@pytest.mark.parametrize("sym", [symbols.nearest_neighbour_symbol(2.0, -1.0), symbols.dimer_symbol(1.0, 2.0)],
+                         ids=["k1", "k2"])
+def test_bands_csv_bytes_are_kept_from_the_second_write_on(tmp_path, monkeypatch, sym, m):
+    bs = symbols.band_functions(sym, m)
+    expected = outputs.format_bands_csv(bs)
+    formatted = _count_formatting(monkeypatch)
+    kept = []
+    for i in range(3):
+        outputs.write_bands_csv(bs, tmp_path / f"{i}.csv")
+        kept.append(outputs._bands_csv[bs])
+        assert (tmp_path / f"{i}.csv").read_bytes() == expected
+    assert kept[0] is None and kept[1] == expected and kept[2] is kept[1]
+    assert formatted == [bs, bs]  # the third write copies the kept bytes
+
+
+def test_a_ninth_band_structure_evicts_the_oldest(tmp_path):
+    structures = [symbols.band_functions(symbols.nearest_neighbour_symbol(2.0 + i, -1.0), 16)
+                  for i in range(symbols.BAND_MEMO_SIZE + 1)]
+    for bs in structures:
+        outputs.write_bands_csv(bs, tmp_path / "bands.csv")
+    assert list(outputs._bands_csv) == structures[1:]
+
+
+def test_an_equal_band_structure_built_apart_formats_its_own_bytes(tmp_path, monkeypatch):
+    bs = symbols.band_functions(symbols.dimer_symbol(1.0, 2.0), 64)
+    for _ in range(2):
+        outputs.write_bands_csv(bs, tmp_path / "a.csv")
+    twin = symbols.BandStructure(alphas=bs.alphas.copy(), values=bs.values.copy(),
+                                 vectors=bs.vectors.copy(), derivatives=bs.derivatives.copy())
+    formatted = _count_formatting(monkeypatch)
+    outputs.write_bands_csv(twin, tmp_path / "b.csv")
+    assert formatted == [twin] and outputs._bands_csv[twin] is None
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+
+def test_a_band_structure_built_directly_has_read_only_arrays():
+    arrays = {"alphas": np.linspace(-np.pi, np.pi, 8, endpoint=False), "values": np.zeros((1, 8)),
+              "vectors": np.ones((8, 1, 1), dtype=complex), "derivatives": np.zeros((1, 8))}
+    bs = symbols.BandStructure(**arrays)
+    for name in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bs, name)[0] = 0.0
+
+
+PIXELS = {"ties at the third decimal": [0.125, 0.375, 0.625, 0.875, 1.005, 2.675, 56.125, 663.875],
+          "rounding to -0.00": [-0.0, -0.001, -0.004, -0.0049999, -0.005, 0.004],
+          "a constant band": [240.0]}
+
+
+@pytest.mark.parametrize("values", PIXELS.values(), ids=PIXELS)
+def test_svg_coordinates_are_formatted_as_one_point_at_a_time(tmp_path, monkeypatch, values):
+    result = run_scenario({"scenario": "ssh", "dimers_per_side": 5, "grid": 32})
+    monkeypatch.setattr(outputs, "_pixels", lambda v, *to: np.resize(values, np.shape(v)).tolist())
+    outputs.write_bands_svg(result.bands, tmp_path / "r.svg", points=result.points)
+    root = ET.parse(tmp_path / "r.svg").getroot()
+    x = np.resize(values, 257).tolist()
+    curves = np.resize(values, (result.bands.k, 257)).tolist()
+    assert [pl.get("points") for pl in root.findall(f"{SVG}polyline")] == [
+        " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x, y)) for y in curves]
+    centres = np.resize(values, len(result.points)).tolist()
+    assert [(c.get("cx"), c.get("cy")) for c in root.findall(f"{SVG}circle")] == [
+        (f"{a:.2f}", f"{a:.2f}") for a in centres]

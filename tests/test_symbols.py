@@ -170,25 +170,20 @@ def test_band_derivative_matches_analytic():
     assert np.max(np.abs(bs.derivatives[0, inner] - 2.0 * np.sin(bs.alphas[inner]))) < 2e-3
 
 
-@pytest.fixture
-def cold_memo():
-    symbols._band_memo.clear()
-
-
 def _count_evaluations(monkeypatch) -> list:
     calls, original = [], symbols.evaluate_symbol
     monkeypatch.setattr(symbols, "evaluate_symbol", lambda sym, alpha: calls.append(alpha) or original(sym, alpha))
     return calls
 
 
-def test_band_functions_rejects_tiny_grid(cold_memo):
+def test_band_functions_rejects_tiny_grid():
     for _ in range(3):  # a refused input is not stored, so it is refused again
         with pytest.raises(ValueError, match="grid size must be at least 2, got 1"):
             band_functions(MONOMER, 1)
     assert not symbols._band_memo
 
 
-def test_an_equal_symbol_built_again_returns_the_stored_bands(cold_memo, monkeypatch):
+def test_an_equal_symbol_built_again_returns_the_stored_bands(monkeypatch):
     first = band_functions(dimer_symbol(1.25, 2.5), 64)
     calls = _count_evaluations(monkeypatch)
     assert band_functions(dimer_symbol(1.25, 2.5), 64) is first
@@ -198,7 +193,7 @@ def test_an_equal_symbol_built_again_returns_the_stored_bands(cold_memo, monkeyp
     assert calls == []
 
 
-def test_a_one_ulp_change_or_another_grid_misses(cold_memo, monkeypatch):
+def test_a_one_ulp_change_or_another_grid_misses(monkeypatch):
     first = band_functions(MONOMER, 64)
     calls = _count_evaluations(monkeypatch)
     nudged = Symbol(k=1, coeffs={0: [[np.nextafter(2.0, 3.0)]], 1: [[-1.0]], -1: [[-1.0]]})
@@ -209,7 +204,7 @@ def test_a_one_ulp_change_or_another_grid_misses(cold_memo, monkeypatch):
     assert len(symbols._band_memo) == 3
 
 
-def test_a_ninth_key_evicts_the_least_recently_used(cold_memo):
+def test_a_ninth_key_evicts_the_least_recently_used():
     syms = [nearest_neighbour_symbol(2.0 + i, -1.0) for i in range(BAND_MEMO_SIZE + 1)]
     stored = [band_functions(sym, 16) for sym in syms[:BAND_MEMO_SIZE]]
     assert band_functions(syms[0], 16) is stored[0]  # now syms[1] is the least recently used
@@ -220,7 +215,7 @@ def test_a_ninth_key_evicts_the_least_recently_used(cold_memo):
     assert band_functions(syms[1], 16) is not stored[1]
 
 
-def test_band_structure_arrays_are_read_only(cold_memo):
+def test_band_structure_arrays_are_read_only():
     bs = band_functions(cell_chain_symbol([1.0, 2.0, 0.75]), 32)
     for array in (bs.alphas, bs.values, bs.vectors, bs.derivatives):
         with pytest.raises(ValueError, match="read-only"):
