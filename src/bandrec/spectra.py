@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import FiniteMatrix
+from .matrices import FiniteMatrix, column_blocks
 from .symbols import HERMITIAN_TOL
 from .transform import check_unit_norms, polarize
 
@@ -136,20 +136,32 @@ def near_far_split(eig: EigenDecomposition, lambda_eps: float, eps: float, u) ->
     return u_par, u - u_par
 
 
+def _moduli_moments(u):
+    """Sum, maximum and sum of squares of the squared moduli |u_i|^2, along axis 0."""
+    sq = np.abs(u)
+    sq *= sq
+    return sq.sum(axis=0), sq.max(axis=0), np.einsum("i...,i...->...", sq, sq)
+
+
 def localization_metrics(u):
     """(sup-norm, inverse participation ratio) of a unit vector, as floats.
 
     For a matrix of unit columns both are arrays with one entry per column.
     Each vector is renormalised first; its norm must be within UNIT_NORM_TOL
-    of one.  One real temporary the size of u holds the squared moduli.
+    of one.  The squared moduli of a matrix are taken a block of columns at a
+    time (matrices.column_blocks), so no temporary the size of the matrix
+    sits beside it.
     """
-    sq = np.abs(u)
-    sq *= sq
-    norm2 = sq.sum(axis=0)
+    u = np.asarray(u)
+    if u.ndim == 1:
+        norm2, peak, quartic = _moduli_moments(u)
+    else:
+        blocks = [_moduli_moments(u[:, cols]) for cols in column_blocks(u.shape)]
+        norm2, peak, quartic = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
     check_unit_norms(np.sqrt(norm2), "localization_metrics")
-    sup = np.sqrt(sq.max(axis=0) / norm2)
-    ipr = np.einsum("i...,i...->...", sq, sq) / (norm2 * norm2)
-    if sq.ndim == 1:
+    sup = np.sqrt(peak / norm2)
+    ipr = quartic / (norm2 * norm2)
+    if u.ndim == 1:
         return float(sup), float(ipr)
     return sup, ipr
 

@@ -160,18 +160,24 @@ def polarize(u) -> np.ndarray:
     in which case it is the largest-magnitude component.  A real vector stays
     real and comes back as u or -u exactly; a complex one is scaled by
     conj(pivot) / |pivot|; a zero vector comes back unchanged.
+
+    The common case, where every first component clears PIVOT_TOL, is
+    checked on row 0 alone, as Python numbers; only a stack with a small
+    first component somewhere takes the magnitudes of every component.
     """
     u = _float_or_complex(u)
     if u.ndim == 0 or u.size == 0:
         raise ValueError(f"polarize expects a nonempty vector or stack of vectors, got shape {u.shape}")
     cols = u.reshape(u.shape[0], -1)  # one vector per column
-    mag = np.abs(cols)
-    pivot = cols[np.where(mag[0] >= PIVOT_TOL, 0, mag.argmax(axis=0)), np.arange(cols.shape[1])]
+    pivot = cols[0]
+    if not all(abs(p) >= PIVOT_TOL for p in pivot.tolist()):  # False for a NaN too
+        mag = np.abs(cols)
+        pivot = cols[np.where(mag[0] >= PIVOT_TOL, 0, mag.argmax(axis=0)), np.arange(cols.shape[1])]
     # one per vector, with a leading axis: numpy multiplies a (1, 1) u by a (1,) factor
     # through a loop whose complex product can differ from a lone vector's in the last bit
     pivot = pivot.reshape((1,) + u.shape[1:])
     if u.dtype.kind == "f":
-        return u * np.where(pivot < 0.0, -1.0, 1.0)
+        return u * (1.0 - 2.0 * (pivot < 0.0))  # -1.0 or 1.0 per vector
     # |pivot| by hypot, the correctly rounded modulus; np.abs of a complex array can differ in the last bit
     size = np.hypot(pivot.real, pivot.imag)
     zero = size == 0.0

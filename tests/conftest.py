@@ -6,12 +6,13 @@ leaves warm tables to a test of another directory run in the same process.
 
 import pytest
 
-from bandrec import outputs, symbols
+from bandrec import cli, outputs, symbols
 
 
 def _empty_tables():
     symbols._band_memo.clear()
     outputs._bands_csv.clear()
+    cli.build_parser.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandrec import matrices, outputs, symbols, transform, verify
+from bandrec import cli, matrices, outputs, symbols, transform, verify
 from bandrec.cli import main
 
 
@@ -584,6 +584,39 @@ def test_reconstruct_config_file_precedence(tmp_path):
     code = main(["reconstruct", "--config", str(cfg), "--m", "24", "--out", str(tmp_path / "c2")])
     assert code == 0
     assert len(read_csv(tmp_path / "c2" / "points.csv")) == 24
+
+
+def _run_into(argv, out, capsys):
+    """(exit code, stdout, stderr, {file name: bytes}) of one main call writing into out; out reads as OUT."""
+    code = main(argv + ["--out", str(out)])
+    printed = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return code, printed.out.replace(str(out), "OUT"), printed.err.replace(str(out), "OUT"), files
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # Each call after the first sets flags or defaults the next one does not, so whatever one
+    # parse left behind in the kept parser would change a later call's files or exit code.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "periodic_nn", "m": 20, "format": "csv,json,svg"}))
+    calls = [["reconstruct", "--config", str(cfg)],
+             ["reconstruct", "--scenario", "ssh", "--dimers-per-side", "6", "--grid", "64",
+              "--format", "csv,json"],
+             ["bands", "--symbol", "dimer", "--grid", "64", "--format", "csv,svg"],
+             ["reconstruct", "--scenario", "periodic_nn", "--delta", "0.5"],
+             ["reconstruct", "--config", str(cfg)]]
+    alone = []
+    for i, argv in enumerate(calls):
+        cli.build_parser.cache_clear()  # as the first call of a process
+        alone.append(_run_into(argv, tmp_path / f"alone-{i}", capsys))
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    in_turn = [_run_into(argv, tmp_path / f"in-turn-{i}", capsys) for i, argv in enumerate(calls)]
+    assert cli.build_parser() is parser and cli.build_parser.cache_info().currsize == 1
+    assert [code for code, *_ in alone] == [0, 0, 0, 1, 0]
+    assert "does not read delta" in alone[3][2]
+    assert in_turn == alone
+    assert alone[4] == alone[0] and len(alone[0][3]) == 5
 
 
 def test_transform_subcommand(tmp_path, capsys):

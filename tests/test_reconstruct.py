@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,3 +345,20 @@ def test_chain_scenarios_never_write_a_dense_matrix(monkeypatch, tmp_path, scena
     outputs.write_bundle(result, tmp_path, ("csv", "json", "svg"))
     (M, before), = solved
     assert all(np.array_equal(x, y) for x, y in zip(M.diagonals, before))
+
+
+@pytest.mark.parametrize("scenario,config,bound", [("compact_defect", {"n": 1000}, 2.5),
+                                                   ("ssh", {"dimers_per_side": 250}, 1.5)])
+def test_a_chain_run_holds_no_n_squared_temporary_beside_its_eigenvectors(scenario, config, bound):
+    # Peak traced allocation in units of one n x n float64 array: the eigenvectors V, and for
+    # compact_defect the mapped W, each count one; blocked column passes keep the rest O(n).
+    if spectra._bundled_dstevd() is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no LAPACKE_dstevd")
+    tracemalloc.start()
+    try:
+        result = run_scenario({"scenario": scenario, **config})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(result.points)  # 1000, or 1001 for the ssh chain's middle site
+    assert peak < bound * n * n * 8

@@ -273,6 +273,28 @@ def test_a_stack_polarizes_as_its_vectors_do_bit_for_bit(shape, dtype):
     assert one_by_one.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["pivots_clear", "negative_zeros", "one_negative_zero_vector"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(2000,), (50, 40), (4, 3, 5)])
+def test_polarize_takes_row_0_when_every_first_component_clears_the_tolerance(shape, dtype, kind):
+    # pivots_clear takes the row-0 pivots alone; the other two kinds fall back to the argmax rule
+    rng = np.random.default_rng(shape[0])
+    u = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype == complex else 0.0)
+    cols = u.reshape(shape[0], -1)  # a view: each column is one vector
+    cols[0] *= rng.uniform(2.0 * PIVOT_TOL, 2.0, size=cols.shape[1]) / np.abs(cols[0])  # sign or phase kept
+    negative_zero = complex(-0.0, -0.0) if dtype == complex else -0.0
+    if kind == "negative_zeros":
+        u[...] = negative_zero
+    elif kind == "one_negative_zero_vector":
+        cols[:, -1] = negative_zero
+    got = polarize(u)
+    assert got.dtype == u.dtype and got.shape == u.shape
+    expected = np.stack([_polarized_alone(cols[:, c]) for c in range(cols.shape[1])], axis=1).reshape(shape)
+    assert got.tobytes() == expected.tobytes()  # sign bits included
+    if kind == "negative_zeros":
+        assert np.signbit(got.view(float)).all()
+
+
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (2, 0, 4), ()])
 def test_polarize_refuses_an_empty_vector_or_stack(shape):
     with pytest.raises(ValueError, match="polarize expects a nonempty vector or stack of vectors"):
