@@ -6,7 +6,7 @@ scientific notation (fmt), as are JSON floats, so identical inputs produce
 byte-identical CSV/JSON output; files are UTF-8 with LF line endings.
 write_bands_csv keeps the bands.csv bytes of a band structure written a
 second time, so a repeated reference symbol (symbols.band_functions returns
-the same read-only BandStructure) is formatted at most twice per process.
+the same read-only BandStructure) is formatted at most twice while memoized.
 SVG plots are written directly (polylines for bands, circles for points),
 each coordinate array mapped to pixels once and each series formatted with
 one % operation.  Matrix and vector files are read by matrices.read_entries.
@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 from .reconstruct import Points, ScenarioResult
-from .symbols import BAND_MEMO_SIZE, BandStructure
+from .symbols import BandStructure
 
 
 FLOAT_FORMAT = "%.14e"  # 15 significant digits, scientific notation
@@ -76,7 +77,7 @@ def format_bands_csv(bs: BandStructure) -> bytes:
                        "lambda": bs.values.ravel(), "dlambda": bs.derivatives.ravel()})
 
 
-_bands_csv: dict[BandStructure, bytes | None] = {}  # see write_bands_csv
+_bands_csv: weakref.WeakKeyDictionary[BandStructure, bytes | None] = weakref.WeakKeyDictionary()  # see write_bands_csv
 
 
 def write_bands_csv(bs: BandStructure, path) -> None:
@@ -87,16 +88,14 @@ def write_bands_csv(bs: BandStructure, path) -> None:
     Bytes kept on a first write would be allocated above a fresh chain's
     eigensolve buffers and raise the process's peak memory; a band structure
     written twice is a repeated reference symbol, which symbols.band_functions
-    returns as the same object.  The key is the object itself (BandStructure
+    returns as the same object.  The key is that object, held weakly: it
     compares by identity and its arrays are read-only, so kept bytes cannot go
-    stale), and at most BAND_MEMO_SIZE entries are kept, the oldest dropped first.
+    stale, and the marker or bytes live exactly as long as the band structure.
     """
     data = _bands_csv.get(bs)
     if data is None:
         data = format_bands_csv(bs)
         _bands_csv[bs] = data if bs in _bands_csv else None
-        if len(_bands_csv) > BAND_MEMO_SIZE:
-            del _bands_csv[next(iter(_bands_csv))]
     Path(path).write_bytes(data)
 
 

@@ -8,9 +8,9 @@ accepted; everything downstream relies on real, sorted bands.
 
 band_functions keeps the bands it sampled in a least-recently-used table of
 at most BAND_MEMO_SIZE entries per process, keyed by exactly what it reads:
-(m, k, offsets bytes, blocks bytes).  A repeated symbol and grid returns the
-stored BandStructure, whose arrays are read-only; an input it refuses is
-never stored.
+(m, k, offsets bytes, blocks bytes), and returns the stored read-only
+BandStructure for a repeated symbol and grid; a refused input is never stored.
+This is the one eviction rule: the bands.csv bytes outputs keeps go with it.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def evaluate_symbol(sym: Symbol, alpha: float) -> np.ndarray:
 class BandStructure:
     """Sampled bands: values[p, j] = lambda_{p+1}(alpha_j), ascending in p.
 
-    The four arrays are made read-only on construction, so whatever is derived
-    from a BandStructure (outputs.write_bands_csv keeps its file bytes) stays
+    Its four arrays are made read-only on construction, so what is derived from
+    it (outputs.write_bands_csv keeps its file bytes while it lives) stays
     valid; two band structures are equal only when they are the same object.
     """
 

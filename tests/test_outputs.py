@@ -1,12 +1,13 @@
 """The files the writers emit hold exactly the arrays they are given."""
 
 import csv
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from bandrec import matrices, outputs, symbols
+from bandrec import cli, matrices, outputs, symbols
 from bandrec.reconstruct import run_scenario
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -117,12 +118,43 @@ def test_bands_csv_bytes_are_kept_from_the_second_write_on(tmp_path, monkeypatch
     assert formatted == [bs, bs]  # the third write copies the kept bytes
 
 
-def test_a_ninth_band_structure_evicts_the_oldest(tmp_path):
-    structures = [symbols.band_functions(symbols.nearest_neighbour_symbol(2.0 + i, -1.0), 16)
-                  for i in range(symbols.BAND_MEMO_SIZE + 1)]
-    for bs in structures:
+def _evict_with_new_symbols():
+    """Sample BAND_MEMO_SIZE symbols the memo has not seen, which drops every entry it held before."""
+    for i in range(symbols.BAND_MEMO_SIZE):
+        symbols.band_functions(symbols.nearest_neighbour_symbol(10.0 + i, -1.0), 16)
+
+
+def test_kept_bytes_live_as_long_as_their_band_structure(tmp_path):
+    bs = symbols.band_functions(symbols.nearest_neighbour_symbol(2.0, -1.0), 16)
+    for _ in range(2):
         outputs.write_bands_csv(bs, tmp_path / "bands.csv")
-    assert list(outputs._bands_csv) == structures[1:]
+    _evict_with_new_symbols()  # a ninth symbol: bs leaves the memo
+    assert all(kept is not bs for kept in symbols._band_memo.values())
+    assert outputs._bands_csv[bs] == (tmp_path / "bands.csv").read_bytes()  # the caller still holds bs
+    ref = weakref.ref(bs)
+    del bs
+    assert ref() is None and len(outputs._bands_csv) == 0
+
+
+def test_emptying_the_band_memo_empties_the_kept_bytes(tmp_path):
+    for name in ("monomer", "dimer", "monomer", "dimer"):
+        assert cli.main(["bands", "--symbol", name, "--grid", "16", "--out", str(tmp_path)]) == 0
+    assert len(outputs._bands_csv) == 2 and all(outputs._bands_csv.values())
+    symbols._band_memo.clear()
+    assert len(outputs._bands_csv) == 0
+
+
+def test_a_symbol_sampled_again_after_eviction_writes_its_first_bytes(tmp_path):
+    sym = symbols.dimer_symbol(1.0, 2.0)
+    ref = weakref.ref(symbols.band_functions(sym, 64))
+    for i in range(5):
+        if i == 2:
+            _evict_with_new_symbols()
+            assert ref() is None and len(outputs._bands_csv) == 0
+        outputs.write_bands_csv(symbols.band_functions(sym, 64), tmp_path / f"{i}.csv")
+    first = (tmp_path / "0.csv").read_bytes()
+    assert [(tmp_path / f"{i}.csv").read_bytes() for i in range(1, 5)] == [first] * 4
+    assert list(outputs._bands_csv.values()) == [first]
 
 
 def test_an_equal_band_structure_built_apart_formats_its_own_bytes(tmp_path, monkeypatch):
