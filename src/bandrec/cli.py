@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrices, outputs, reconstruct, symbols, transform
-from .symbols import _number, _text
+from .symbols import _number, _refuse_unread, _text
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -26,12 +26,7 @@ def _load_config(args, check=True):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        unread = [key for key in cfg if check and key not in flags]
-        if unread:
-            raise ValueError(f"{args.config}: {args.command} does not read {', '.join(unread)}; "
-                             f"it takes {', '.join(flags)}")
+        _refuse_unread(cfg, flags if check else cfg, f"{args.config}: {args.command}")  # else the caller refuses
     return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
 
 
@@ -74,7 +69,7 @@ def cmd_bands(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _load_config(args, check=False)  # run_scenario refuses what its scenario does not read
+    cfg = _load_config(args, check=False)  # run_scenario refuses what its scenario leaves unread
     outdir = Path(_text("out", cfg.pop("out", ".")))
     formats = _parse_formats(cfg.pop("format", "csv,json"), "reconstruct")
     result = reconstruct.run_scenario(cfg)
@@ -99,9 +94,7 @@ def cmd_transform(args) -> int:
     vec_path = cfg.get("vector")
     if not vec_path:
         raise ValueError("transform needs --vector")
-    k = _number("k", cfg.get("k", 1), int)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = _number("k", cfg.get("k", 1), int)  # transform.zero_pad refuses k < 1
     u = matrices.read_entries(_text("vector", vec_path))
     if u.ndim > 2 or u.ndim == 2 and min(u.shape) > 1:
         raise ValueError(f"{vec_path}: a vector file holds one row or one column, got shape {u.shape}")

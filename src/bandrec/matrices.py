@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import HERMITIAN_TOL, Symbol, complex_from_parts
+from .symbols import HERMITIAN_TOL, Symbol, checked_spacings, complex_from_parts
 
 BLOCK_ENTRIES = 1 << 18  # most entries per block of a column-wise pass over a matrix: 2 MiB of float64
 KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
@@ -40,13 +40,15 @@ class FiniteMatrix:
 
     Built dense, FiniteMatrix(data=A, kind=...), or from its three
     diagonals, FiniteMatrix(diagonals=(diag, upper, lower), kind=...), with
-    upper[i] the entry (i, i+1) and lower[i] the entry (i+1, i).  The rest is
-    worked out from the entries: complex entries whose imaginary parts are
-    all zero are stored real; `hermitian` is max|A - A^H| <= HERMITIAN_TOL *
-    max(1, max|A|); and `diagonals` is set exactly when the matrix is real
-    and tridiagonal, so a dense real matrix whose nonzeros all lie on its
-    three central diagonals records them.  A matrix built from its diagonals
-    writes `data` on first read.  All arrays are read-only.
+    upper[i] the entry (i, i+1) and lower[i] the entry (i+1, i): real 1-d
+    arrays of lengths n >= 1, n - 1 and n - 1 (a complex matrix is given
+    dense).  The rest is worked out from the entries: complex entries whose
+    imaginary parts are all zero are stored real; `hermitian` is
+    max|A - A^H| <= HERMITIAN_TOL * max(1, max|A|); and `diagonals` is set
+    exactly when the matrix is real and tridiagonal, so a dense real matrix
+    whose nonzeros all lie on its three central diagonals records them.  A
+    matrix built from its diagonals writes `data` on first read.  All arrays
+    are read-only.
     """
 
     n: int
@@ -69,7 +71,12 @@ class FiniteMatrix:
                     np.count_nonzero(np.diagonal(data, o)) for o in (-1, 0, 1)):  # tridiagonal
                 diagonals = tuple(np.diagonal(data, o) for o in (0, 1, -1))
         else:
+            if any(np.iscomplexobj(x) for x in diagonals):  # a float cast would drop the imaginary parts
+                raise ValueError("diagonals must be real; give a complex matrix as data=")
             diag, upper, lower = diagonals = tuple(np.array(x, dtype=float) for x in diagonals)
+            if diag.ndim != 1 or not diag.size or not upper.shape == lower.shape == (diag.size - 1,):
+                raise ValueError(f"diagonals must be 1-d of lengths n >= 1, n - 1 and n - 1, "
+                                 f"got shapes {', '.join(str(x.shape) for x in diagonals)}")
             band = np.zeros((diag.size, 3))  # row i holds the entries (i, i-1), (i, i), (i, i+1)
             band[1:, 0], band[:, 1], band[:-1, 2] = lower, diag, upper
             scale, asym = _finite_max_abs(band, band=True), upper - lower
@@ -163,14 +170,7 @@ def capacitance_1d(a0: float, a1: float, m: int) -> FiniteMatrix:
 
 def _chain_diagonals(spacings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonals of the capacitance matrix of a spacing sequence (see chain_capacitance)."""
-    s = np.asarray(spacings, dtype=float)
-    if s.ndim != 1 or s.size < 1:
-        raise ValueError("need at least one spacing")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("spacings must be finite")
-    if np.any(s <= 0):
-        raise ValueError("spacings must be positive")
-    inv = 1.0 / s
+    inv = 1.0 / checked_spacings(spacings)
     diag = np.concatenate([inv[:1], inv[:-1] + inv[1:], inv[-1:]])
     return diag, -inv, -inv
 

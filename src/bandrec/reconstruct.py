@@ -10,7 +10,7 @@ least EDGE_EXCLUSION_BINS DFT bins from alpha = 0 and pi) and detect_gaps
 the gaps.json object.
 SCENARIOS declares the parameters each named scenario reads, with their
 defaults, and PARAMS the type of each (the CLI's flags come from it);
-run_scenario refuses a key its scenario does not read and converts each
+run_scenario refuses a key its scenario leaves unread and converts each
 value once, so summary.json records exactly the parameters used.
 Closed-form eigenpair oracles for the two nearest-neighbour families are
 included for validation.
@@ -26,8 +26,8 @@ import numpy as np
 from . import matrices, symbols
 from .matrices import FiniteMatrix, PerturbedPair
 from .spectra import EigenDecomposition, hermitian_eigen, localization_metrics, ipr_localized_flags
-from .symbols import _number, _text
-from .transform import discrete_quasiperiodicity, zero_pad
+from .symbols import _number, _refuse_unread, _text
+from .transform import _block_size, discrete_quasiperiodicity, zero_pad
 
 DEFAULT_GRID = 512
 EDGE_EXCLUSION_BINS = 4
@@ -64,8 +64,7 @@ def reconstruct_bands(M, k: int) -> Points:
     the localized flag here reflects the inverse-participation rule alone
     (scenario runs refine it with gap membership).
     """
-    if k < 1:
-        raise ValueError(f"block size must be positive, got {k}")
+    _block_size(k)  # before the eigensolve
     if isinstance(M, PerturbedPair):
         eig = hermitian_eigen(M.symmetrized)
         V = M.bc_eigenvectors(eig.vectors)
@@ -239,10 +238,7 @@ class ScenarioResult:
 
 
 def _scenario_setup(name: str, p: dict):
-    """Build (matrix-or-pair, reference symbol, k) from the scenario's parameters p, adding the derived ones.
-
-    Each matrix is built before its symbol, so a bad spacing is refused by the matrix's own check.
-    """
+    """Build (matrix-or-pair, reference symbol, k) from the scenario's parameters p, adding the derived ones."""
     if name == "periodic_nn":
         mat = matrices.capacitance_1d(p["a0"], p["a1"], p["m"])
         return mat, symbols.nearest_neighbour_symbol(p["a0"], p["a1"]), 1
@@ -275,7 +271,7 @@ def run_scenario(config: dict) -> ScenarioResult:
     """Build the scenario matrix, reconstruct, and attach gap and error reports.
 
     config holds {"scenario": name} and the scenario's parameters.  A key
-    the scenario does not read (see SCENARIOS) is refused, and each value is
+    the scenario leaves unread (see SCENARIOS) is refused, and each value is
     converted once to its type in PARAMS, so the recorded params are the
     ones used, derived ones included.  The reference bands come from the
     scenario's underlying periodic symbol where one exists and are sampled
@@ -288,17 +284,14 @@ def run_scenario(config: dict) -> ScenarioResult:
     if not isinstance(name, str) or name not in SCENARIOS:
         raise ValueError(f"scenario must be one of {', '.join(SCENARIOS)}, got {name!r}")
     grid = symbols.checked_grid(_number("grid", cfg.pop("grid", DEFAULT_GRID), int))
-    reads = SCENARIOS[name]
-    unread = [key for key in cfg if key not in reads and key != "margin"]
-    if unread:
-        raise ValueError(f"scenario {name!r} does not read {', '.join(map(str, unread))}; "
-                         f"it takes {', '.join(reads)}")
-    params = {key: value for key, value in reads.items() if value is not None}
+    margin = cfg.pop("margin", None)
+    _refuse_unread(cfg, SCENARIOS[name], f"scenario {name!r}")
+    params = {key: value for key, value in SCENARIOS[name].items() if value is not None}
     for key, value in cfg.items():
         kind = PARAMS[key][0]
         if value is not None:  # null counts as not given, as an unset flag does
             params[key] = _text(key, value, inline=(key == "symbol")) if kind is str else _number(key, value, kind)
-    margin = params.pop("margin", None)
+    margin = None if margin is None else _number("margin", margin, float)
 
     built, sym, k = _scenario_setup(name, params)
     bands = None

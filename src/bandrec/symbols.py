@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import brillouin_sample, polarize
+from .transform import _block_size, brillouin_sample, polarize
 
 HERMITIAN_TOL = 1e-12
 CROSSING_TOL = 1e-8
@@ -43,6 +43,18 @@ def checked_grid(grid: int) -> int:
     return grid
 
 
+def checked_spacings(spacings) -> np.ndarray:
+    """spacings as a 1-d float array when there is at least one and all are finite and positive, else ValueError."""
+    s = np.asarray(spacings, dtype=float)
+    if s.ndim != 1 or s.size < 1:
+        raise ValueError("need at least one spacing")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("spacings must be finite")
+    if np.any(s <= 0):
+        raise ValueError("spacings must be positive")
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class Symbol:
     """Blocks a_s by offset s; tail_bound, where known, bounds the sup norm of blocks a longer series dropped.
@@ -60,9 +72,7 @@ class Symbol:
     blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _number("k", self.k, int))
-        if self.k < 1:
-            raise ValueError(f"block size must be positive, got {self.k}")
+        object.__setattr__(self, "k", _block_size(_number("k", self.k, int)))
         if self.tail_bound is not None:
             object.__setattr__(self, "tail_bound", _number("tail_bound", self.tail_bound, float))
             if not 0.0 <= self.tail_bound < math.inf:
@@ -298,10 +308,8 @@ def cell_chain_symbol(spacings) -> Symbol:
     nearest-neighbour capacitance rule (-1/spacing off the diagonal, with
     the diagonal collecting 1/s from both neighbours).
     """
-    s = [float(x) for x in spacings]
-    if not s or not all(0.0 < x < math.inf for x in s):
-        raise ValueError("need a nonempty list of finite, positive spacings")
-    k, inv = len(s), 1.0 / np.array(s)
+    s = checked_spacings(spacings)
+    k, inv = s.size, 1.0 / s
     a0 = np.diag(np.roll(inv, 1) + inv) - np.diag(inv[:-1], 1) - np.diag(inv[:-1], -1)
     am1 = np.zeros((k, k))
     am1[k - 1, 0] = -1.0 / s[-1]  # last cell site couples into the next cell
@@ -343,13 +351,16 @@ def _text(name, value, inline=False):
     raise ValueError(f"{name} must be a string{' or an object' if inline else ''}, got {value!r}")
 
 
-def _refuse_unread(obj, keys, where: str) -> None:
-    """ValueError unless obj is an object whose keys are all among keys, so a misspelt key is not skipped."""
+def _refuse_unread(obj, keys, reader: str) -> None:
+    """ValueError unless obj is an object whose keys are all among keys, so a misspelt key is not skipped.
+
+    The one refusal of a key nothing reads: "<reader> does not read <keys>; it takes <keys>".
+    """
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+        raise ValueError(f"{reader}: expected an object, got {type(obj).__name__}")
     unread = [str(key) for key in obj if key not in keys]
     if unread:
-        raise ValueError(f"{where}: nothing reads {', '.join(unread)}; it takes {', '.join(keys)}")
+        raise ValueError(f"{reader} does not read {', '.join(unread)}; it takes {', '.join(keys)}")
 
 
 def complex_from_parts(obj, where: str, keys=("re", "im")) -> np.ndarray:

@@ -100,9 +100,9 @@ def test_bands_refuses_non_finite_symbol(tmp_path, capsys):
     ('{"k":"1","coeffs":[{"s":0,"re":[[2.0]]}]}', "k must be an integer, got '1'"),
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]},{"s":0,"re":[[3.0]]}]}', "offset 0 is given twice"),
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bnd":0.1}',
-     "symbol description: nothing reads tail_bnd; it takes k, coeffs, tail_bound"),
+     "symbol description does not read tail_bnd; it takes k, coeffs, tail_bound"),
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]],"imag":[[1.0]]}]}',
-     "coefficient block at offset 0: nothing reads imag; it takes s, re, im"),
+     "coefficient block at offset 0 does not read imag; it takes s, re, im"),
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bound":-0.5}',
      "tail bound must be finite and nonnegative, got -0.5"),
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bound":Infinity}',
@@ -121,10 +121,10 @@ def test_a_matrix_or_vector_file_with_a_key_nothing_reads_is_refused(tmp_path, c
     path.write_text('{"re": [[2, 0], [0, 2]], "imag": [[0, 1], [-1, 0]]}')  # im misspelt
     out = tmp_path / "run"
     assert main(["reconstruct", "--scenario", "external_matrix", "--matrix", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {path}: nothing reads imag; it takes re, im\n"
+    assert capsys.readouterr().err == f"error: {path} does not read imag; it takes re, im\n"
     path.write_text('{"re": [0.6, 0.8], "imag": [0, 0]}')
     assert main(["transform", "--vector", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {path}: nothing reads imag; it takes re, im\n"
+    assert capsys.readouterr().err == f"error: {path} does not read imag; it takes re, im\n"
     assert not out.exists()
 
 
@@ -238,7 +238,7 @@ MONOMER_OBJECT = symbols.symbol_to_dict(symbols.nearest_neighbour_symbol(2.0, -1
     ("reconstruct", {"scenario": "ssh", "s1": False}, "s1 must be a number, got False"),
     ("reconstruct", {"scenario": ["ssh"]}, "scenario must be one of periodic_nn, periodic_symbol, "
                                            "ssh, dislocated, compact_defect, external_matrix, got ['ssh']"),
-    ("bands", [1, 2], "cfg.json: config must be a JSON object"),
+    ("bands", [1, 2], "cfg.json: bands: expected an object, got list"),
     ("reconstruct", {"scenario": "ssh", "dimers_per_side": "5"}, "dimers_per_side must be an integer, got '5'"),
     ("reconstruct", {"scenario": "ssh", "s1": "1.5"}, "s1 must be a number, got '1.5'"),
 ])
@@ -295,7 +295,7 @@ def test_transform_k_zero_flag_is_refused(tmp_path, capsys):
     code = main(["transform", "--vector", str(tmp_path / "v.csv"), "--k", "0",
                  "--out", str(tmp_path / "run")])
     assert code == 1
-    assert "k must be at least 1" in capsys.readouterr().err
+    assert "block size must be positive, got 0" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -518,6 +518,20 @@ RERUNS = {
     "compact_defect": ["reconstruct", "--scenario", "compact_defect"],
     "external_matrix": ["reconstruct", "--scenario", "external_matrix", "--matrix", "{matrix}", "--symbol", "dimer"],
     "bands": ["bands", "--symbol", "dimer", "--grid", "512", "--format", "csv,svg"],
+    # with periodic_nn, dislocated and compact_defect above, the reference runs of the output contract
+    "periodic_nn-m200": ["reconstruct", "--scenario", "periodic_nn", "--m", "200"],
+    "periodic_symbol-dimer": ["reconstruct", "--scenario", "periodic_symbol", "--symbol", "dimer"],
+    "periodic_symbol-exponential-m40": ["reconstruct", "--scenario", "periodic_symbol", "--symbol", "exponential",
+                                        "--m", "40"],
+    "ssh-default": ["reconstruct", "--scenario", "ssh"],
+    "ssh-dps50-grid1024": ["reconstruct", "--scenario", "ssh", "--dimers-per-side", "50", "--grid", "1024"],
+    "compact_defect-delta-0.3": ["reconstruct", "--scenario", "compact_defect", "--delta", "-0.3"],
+    "compact_defect-n2000-delta-0.3": ["reconstruct", "--scenario", "compact_defect", "--n", "2000",
+                                       "--delta", "-0.3"],
+    "compact_defect-n1001": ["reconstruct", "--scenario", "compact_defect", "--n", "1001"],
+    "bands-dimer": ["bands", "--symbol", "dimer", "--format", "csv,svg"],
+    "bands-monomer": ["bands", "--symbol", "monomer", "--format", "csv,svg"],
+    "bands-exponential": ["bands", "--symbol", "exponential", "--format", "csv,svg"],
 }
 
 
@@ -527,7 +541,8 @@ def test_reconstruct_byte_identical_reruns(tmp_path, monkeypatch, family):
     # keeps their bands.csv bytes; the hot run writes the kept bytes without formatting them.
     matrices.save_matrix(matrices.ssh_matrix(1.0, 2.0, 5), tmp_path / "m.csv")
     argv = [arg.format(matrix=tmp_path / "m.csv") for arg in RERUNS[family]]
-    if family != "bands":
+    bands = argv[0] == "bands"
+    if not bands:
         argv += ["--format", "csv,json,svg"]
     formatted, original = [], outputs.format_bands_csv
     monkeypatch.setattr(outputs, "format_bands_csv", lambda bs: formatted.append(bs) or original(bs))
@@ -540,7 +555,7 @@ def test_reconstruct_byte_identical_reruns(tmp_path, monkeypatch, family):
     assert len(formatted) == 2 and formatted[0] is formatted[1]
     assert list(outputs._bands_csv.values()) == [(outs[0] / "bands.csv").read_bytes()]
     written = sorted(p.name for p in outs[0].iterdir())
-    assert len(written) == (2 if family == "bands" else 5)
+    assert len(written) == (2 if bands else 5)
     for out in outs[1:]:
         assert sorted(p.name for p in out.iterdir()) == written
         for fname in written:

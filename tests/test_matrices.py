@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,33 @@ def test_tridiagonal_form_rejects_non_finite_entries(diagonal, i, where, bad):
     with pytest.raises(ValueError, match=r"1 non-finite \(NaN or inf\) entries, "
                                          r"the first at " + where):
         FiniteMatrix(diagonals=diagonals)
+
+
+@pytest.mark.parametrize("diagonals,shapes", [
+    ((np.full(6, 2.0), -1.0, -1.0), "(6,), (), ()"),  # a scalar off-diagonal would be broadcast
+    ((np.full(6, 2.0), [-1.0], [-1.0]), "(6,), (1,), (1,)"),  # dstevd would read n - 1 entries of one
+    ((np.full(4, 2.0), np.full(3, -1.0), np.full(2, -1.0)), "(4,), (3,), (2,)"),
+    ((np.full(4, 2.0), np.full(4, -1.0), np.full(4, -1.0)), "(4,), (4,), (4,)"),
+    ((np.full((2, 2), 2.0), np.full(1, -1.0), np.full(1, -1.0)), "(2, 2), (1,), (1,)"),
+    ((np.empty(0), np.empty(0), np.empty(0)), "(0,), (0,), (0,)"),
+])
+def test_tridiagonal_form_refuses_diagonals_of_the_wrong_shape(diagonals, shapes):
+    with pytest.raises(ValueError, match=rf"^diagonals must be 1-d of lengths n >= 1, n - 1 and n - 1, "
+                                         rf"got shapes {re.escape(shapes)}$"):
+        FiniteMatrix(diagonals=diagonals, kind="chain")
+
+
+def test_tridiagonal_form_refuses_complex_diagonals():
+    # a float cast would keep only the real parts, here the zero off-diagonals of a different matrix
+    with pytest.raises(ValueError, match=r"^diagonals must be real; give a complex matrix as data=$"):
+        FiniteMatrix(diagonals=(np.full(4, 2.0), np.full(3, 1j), np.full(3, -1j)), kind="chain")
+    hermitian = np.diag(np.full(4, 2.0)) + np.diag(np.full(3, 1j), 1) + np.diag(np.full(3, -1j), -1)
+    assert FiniteMatrix(data=hermitian).hermitian and FiniteMatrix(data=hermitian).diagonals is None
+
+
+def test_one_site_tridiagonal_form_has_empty_off_diagonals():
+    M = FiniteMatrix(diagonals=([3.0], [], []), kind="chain")
+    assert M.n == 1 and np.array_equal(M.data, [[3.0]])
 
 
 def test_tridiagonal_form_hermitian_test_is_relative():

@@ -326,9 +326,11 @@ def test_cell_chain_symbol_matches_dimer():
     assert np.allclose(mono.coeffs[1], [[-1.0]])
 
 
-@pytest.mark.parametrize("spacing", [0.0, -1.0, float("inf"), float("nan")])
-def test_cell_chain_symbol_refuses_a_spacing_that_is_not_finite_and_positive(spacing):
-    with pytest.raises(ValueError, match="need a nonempty list of finite, positive spacings"):
+@pytest.mark.parametrize("spacing,message", [(0.0, "spacings must be positive"), (-1.0, "spacings must be positive"),
+                                             (float("inf"), "spacings must be finite"),
+                                             (float("nan"), "spacings must be finite")])
+def test_cell_chain_symbol_refuses_a_spacing_that_is_not_finite_and_positive(spacing, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         dimer_symbol(1.0, spacing)
 
 
