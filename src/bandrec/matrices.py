@@ -41,14 +41,14 @@ class FiniteMatrix:
     Built dense, FiniteMatrix(data=A, kind=...), or from its three
     diagonals, FiniteMatrix(diagonals=(diag, upper, lower), kind=...), with
     upper[i] the entry (i, i+1) and lower[i] the entry (i+1, i): real 1-d
-    arrays of lengths n >= 1, n - 1 and n - 1 (a complex matrix is given
-    dense).  The rest is worked out from the entries: complex entries whose
-    imaginary parts are all zero are stored real; `hermitian` is
-    max|A - A^H| <= HERMITIAN_TOL * max(1, max|A|); and `diagonals` is set
-    exactly when the matrix is real and tridiagonal, so a dense real matrix
-    whose nonzeros all lie on its three central diagonals records them.  A
-    matrix built from its diagonals writes `data` on first read.  All arrays
-    are read-only.
+    arrays of lengths n, n - 1 and n - 1 (a complex matrix is given dense).
+    Either way n >= 1.  The rest is worked out from the entries: complex
+    entries whose imaginary parts are all zero are stored real; `hermitian`
+    is max|A - A^H| <= HERMITIAN_TOL * max(1, max|A|); and `diagonals` is
+    set exactly when the matrix is real and tridiagonal, so a dense real
+    matrix whose nonzeros all lie on its three central diagonals records
+    them.  A matrix built from its diagonals writes `data` on first read.
+    All arrays are read-only.
     """
 
     n: int
@@ -63,8 +63,8 @@ class FiniteMatrix:
             data = np.array(data)
             if np.iscomplexobj(data) and not np.any(data.imag):
                 data = data.real.copy()
-            if data.ndim != 2 or data.shape[0] != data.shape[1]:
-                raise ValueError(f"matrix must be square, got shape {data.shape}")
+            if data.ndim != 2 or data.shape[0] != data.shape[1] or not data.size:
+                raise ValueError(f"matrix must be square with n >= 1, got shape {data.shape}")
             scale, asym = _finite_max_abs(data), data - data.conj().T
             self.__dict__["data"] = data
             if not np.iscomplexobj(data) and np.count_nonzero(data) == sum(

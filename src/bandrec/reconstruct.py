@@ -64,7 +64,7 @@ def reconstruct_bands(M, k: int) -> Points:
     the localized flag here reflects the inverse-participation rule alone
     (scenario runs refine it with gap membership).
     """
-    _block_size(k)  # before the eigensolve
+    k = _block_size(_number("k", k, int))  # before the eigensolve; 2.0 is read as 2
     if isinstance(M, PerturbedPair):
         eig = hermitian_eigen(M.symmetrized)
         V = M.bc_eigenvectors(eig.vectors)

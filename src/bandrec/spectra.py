@@ -5,9 +5,10 @@ matrices.FiniteMatrix): a real tridiagonal matrix carries its diagonals and
 is solved by LAPACK dstevd on its diagonal and sub-diagonal, bound with
 ctypes from the OpenBLAS that numpy already loads; anything else, or a numpy
 without that library, goes through the dense np.linalg.eigh.  No n^2 data
-is read to choose.  Both run the same divide-and-conquer kernel (dstedc), so
-the results agree bit for bit once polarize, which flips the sign of a real
-column exactly, has fixed the column signs.
+is read to choose.  Both run the same divide-and-conquer kernel (dstedc) and
+give the same values and columns bit for bit.  polarize then makes each
+column's first component real and nonnegative (a real column is u or -u
+exactly); nothing that bandrec writes reads that phase.
 
 Beyond the plain decomposition this provides the residuals of candidate
 eigenpairs, one per column, the split of a vector into its components near
@@ -86,9 +87,9 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     """Full decomposition of a Hermitian matrix, values ascending, phases polarized.
 
     A matrix that carries its diagonals (real tridiagonal) goes to dstevd,
-    everything else to dense eigh.  Each column is polarized in place, so
-    the vectors are one F-ordered array, real for real input (polarize
-    keeps a real column real) and complex otherwise.
+    everything else to dense eigh.  Each column is polarized in place (its
+    first component made real and nonnegative), so the vectors are one
+    F-ordered array, real for real input and complex otherwise.
     """
     if not M.hermitian:
         raise ValueError(f"hermitian_eigen needs a Hermitian matrix, one with "

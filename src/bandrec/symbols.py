@@ -177,7 +177,8 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     """Diagonalise the symbol on the m-point quasiperiodicity grid.
 
     Eigenvalues are sorted ascending per grid point, eigenvectors are unit
-    and phase-polarized, and derivatives come from central differences
+    with their first component real and nonnegative (polarize; no output
+    reads that phase), and derivatives come from central differences
     (one-sided at the grid ends).  Evaluations must be Hermitian to 1e-10
     relative to max(1, max|f|).  The (m, k, k) stack of evaluations is
     diagonalised by one eigh call and its m k eigenvectors are polarized by

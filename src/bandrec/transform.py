@@ -9,8 +9,9 @@ mean of |alpha_j| recovers an eigenvector's quasiperiodicity.
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
 (complex input stays complex128), and the kernel takes one rfft of a real
 vector, since bins j and m - j of a real section carry the same mass, and
-one fft of a complex one.  polarize also takes a stack of vectors along
-axis 0 and rotates each as it would alone, in one call.
+one fft of a complex one.  polarize makes the first component of a vector,
+or of each vector of a stack, real and nonnegative; that phase changes no
+projection mass, so nothing bandrec writes reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import numpy as np
 
 UNIT_NORM_TOL = 1e-8
-PIVOT_TOL = 1e-8  # smallest first component polarize takes as its pivot
 
 
 def brillouin_sample(m: int) -> np.ndarray:
@@ -152,33 +152,20 @@ def discrete_quasiperiodicity(u, k: int) -> float:
 
 
 def polarize(u) -> np.ndarray:
-    """Rotate the global phase of a vector, or of each vector of a stack, so a pivot component is real positive.
+    """Make the first component of a vector, or of each vector of a stack, real and nonnegative by a global phase.
 
     u is one vector or a stack whose vectors run along axis 0 (shape (n,),
-    (n, c), (n, a, b), ...); one vector is a stack of one.  The pivot of a
-    vector is its first component unless that has magnitude below PIVOT_TOL,
-    in which case it is the largest-magnitude component.  A real vector stays
-    real and comes back as u or -u exactly; a complex one is scaled by
-    conj(pivot) / |pivot|; a zero vector comes back unchanged.
-
-    The common case, where every first component clears PIVOT_TOL, is
-    checked on row 0 alone, as Python numbers; only a stack with a small
-    first component somewhere takes the magnitudes of every component.
+    (n, c), (n, a, b), ...), so row 0 holds every pivot.  A real vector
+    comes back as u or -u exactly, a complex one scaled by conj(u_0) / |u_0|.
+    A vector whose first component is zero comes back unchanged, and so does
+    a complex one whose |u_0| is subnormal, too small to divide by.
     """
     u = _float_or_complex(u)
     if u.ndim == 0 or u.size == 0:
         raise ValueError(f"polarize expects a nonempty vector or stack of vectors, got shape {u.shape}")
-    cols = u.reshape(u.shape[0], -1)  # one vector per column
-    pivot = cols[0]
-    if not all(abs(p) >= PIVOT_TOL for p in pivot.tolist()):  # False for a NaN too
-        mag = np.abs(cols)
-        pivot = cols[np.where(mag[0] >= PIVOT_TOL, 0, mag.argmax(axis=0)), np.arange(cols.shape[1])]
-    # one per vector, with a leading axis: numpy multiplies a (1, 1) u by a (1,) factor
-    # through a loop whose complex product can differ from a lone vector's in the last bit
-    pivot = pivot.reshape((1,) + u.shape[1:])
+    pivot = u[:1]  # keeps the leading axis: a (1, 1) u times a (1,) factor can differ in the last bit
     if u.dtype.kind == "f":
         return u * (1.0 - 2.0 * (pivot < 0.0))  # -1.0 or 1.0 per vector
-    # |pivot| by hypot, the correctly rounded modulus; np.abs of a complex array can differ in the last bit
-    size = np.hypot(pivot.real, pivot.imag)
-    zero = size == 0.0
-    return np.where(zero, u, u * (pivot.conjugate() / np.where(zero, 1.0, size)))
+    size = np.hypot(pivot.real, pivot.imag)  # correctly rounded |pivot|; np.abs can differ in the last bit
+    keep = size < np.finfo(float).tiny
+    return np.where(keep, u, u * (pivot.conjugate() / np.where(keep, 1.0, size)))

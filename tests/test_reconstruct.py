@@ -89,6 +89,14 @@ def test_reconstruct_bands_rejects_bad_k():
         reconstruct_bands(matrices.circulant_matrix(MONOMER, 8), 0)
 
 
+def test_reconstruct_bands_reads_an_integral_float_k_as_an_int():
+    M = matrices.ssh_matrix(1.0, 2.0, 5)  # 21 sites: every vector is zero-padded to k = 2
+    got, expected = reconstruct_bands(M, 2.0), reconstruct_bands(M, 2)
+    for field in dataclasses.fields(expected):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        assert (a is b is None) or (a.dtype == b.dtype and a.tobytes() == b.tobytes()), field.name
+
+
 def test_compare_to_symbol_circulant():
     bands = symbols.band_functions(MONOMER, 512)
     points = reconstruct_bands(matrices.circulant_matrix(MONOMER, 16), 1)

@@ -2,12 +2,15 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from bandrec import matrices, reconstruct, symbols, transform
 
 MONOMER = symbols.nearest_neighbour_symbol(2.0, -1.0)
 DIMER = symbols.dimer_symbol(1.0, 2.0)
+# a_{-s} = a_s = 0.5e-12 i: each offset is within Symbol's tolerance, their sum at alpha = 0 is not
+SKEWED = symbols.Symbol(k=1, coeffs={0: [[1.0]], **{s: [[0.5e-12j]] for r in range(1, 61) for s in (r, -r)}})
 
 
 @pytest.mark.parametrize("call,message", [
@@ -17,6 +20,12 @@ DIMER = symbols.dimer_symbol(1.0, 2.0)
     pytest.param(lambda: matrices.capacitance_1d(2.0, -1.0, 1), "chain needs at least 2 sites, got 1",
                  id="capacitance_1d-m1"),
     pytest.param(lambda: matrices.chain_capacitance([]), "need at least one spacing", id="chain_capacitance-empty"),
+    pytest.param(lambda: matrices.FiniteMatrix(data=np.zeros((0, 0))),
+                 "matrix must be square with n >= 1, got shape (0, 0)", id="FiniteMatrix-empty"),
+    pytest.param(lambda: reconstruct.reconstruct_bands(matrices.FiniteMatrix(data=np.eye(4)), 2.5),
+                 "k must be an integer, got 2.5", id="reconstruct_bands-k2.5"),
+    pytest.param(lambda: reconstruct.reconstruct_bands(matrices.FiniteMatrix(data=np.eye(4)), True),
+                 "k must be an integer, got True", id="reconstruct_bands-kTrue"),
     pytest.param(lambda: transform.brillouin_sample(0), "grid size must be positive, got 0",
                  id="brillouin_sample-m0"),
     pytest.param(lambda: transform.dft([]), "dft expects a nonempty 1-d vector", id="dft-empty"),
@@ -30,6 +39,9 @@ DIMER = symbols.dimer_symbol(1.0, 2.0)
                  id="symbol_from_dict-list"),
     pytest.param(lambda: symbols.complex_from_parts({"re": [["x"]]}, "block"),
                  "block: could not convert string to float: 'x'", id="complex_from_parts-string"),
+    pytest.param(lambda: symbols.band_functions(SKEWED, 64),
+                 "symbol evaluation departs from Hermitian by 1.2e-10 relative to max(1, max|f|)",
+                 id="band_functions-skewed"),
     pytest.param(lambda: symbols.check_assumptions(symbols.band_functions(MONOMER, 8)),
                  "assumption checks need a grid of size >= 16, got 8", id="check_assumptions-grid8"),
     pytest.param(lambda: reconstruct.tridiagonal_eigenpairs_oracle(2.0, -1.0, 0), "size must be positive, got 0",

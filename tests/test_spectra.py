@@ -97,6 +97,16 @@ def test_hermitian_eigen_tridiagonal_skips_dense_eigh(monkeypatch):
     assert residual(M, float(eig.values[80]), eig.vectors[:, 80]) < 1e-12
 
 
+def test_hermitian_eigen_takes_dense_eigh_without_dstevd(monkeypatch):
+    M = TRIDIAGONAL["ssh"](81)
+    expected = hermitian_eigen(M)
+    monkeypatch.setattr(spectra, "_bundled_dstevd", lambda: None)  # a numpy without the library
+    eig = hermitian_eigen(M)
+    assert eig.values.tobytes() == expected.values.tobytes()
+    assert eig.vectors.tobytes(order="F") == expected.vectors.tobytes(order="F")
+    assert eig.vectors.dtype == np.float64 and eig.vectors.flags.f_contiguous
+
+
 @pytest.mark.parametrize("M", [
     matrices.toeplitz_matrix(symbols.banded_truncation(symbols.exponential_symbol(), 2), 20),
     FiniteMatrix(data=np.diag([2.0, 2.0, 2.0]) + np.diag([1j, -0.5j], -1)

@@ -241,6 +241,18 @@ def test_check_assumptions_identical_bands_fail():
     assert not report["bands_disjoint"]
 
 
+def test_check_assumptions_notes_an_evaluation_defect_that_band_functions_accepts():
+    # a_{-s} = a_s carries 0.5e-12 i: Symbol accepts each offset, and the sum departs by 6e-12 at alpha = 0
+    skew = 0.5e-12j
+    sym = Symbol(k=1, coeffs={0: [[2.0]], 1: [[-1.0 + skew]], -1: [[-1.0 + skew]],
+                              **{s: [[skew]] for s in (2, -2, 3, -3)}})
+    bs = band_functions(sym, 64)
+    assert symbols.HERMITIAN_TOL < bs.hermitian_defect < 1e-10
+    report = check_assumptions(bs)
+    assert not report["hermitian"]
+    assert report["failures"] == [f"hermitian defect {bs.hermitian_defect:g}"]
+
+
 # lambda(alpha) = 2 - 2 sin(alpha): Hermitian, but not even in alpha
 ODD = Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]})
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandrec import matrices, spectra, symbols
-from bandrec.transform import (PIVOT_TOL, bin_alphas, brillouin_sample, dft,
+from bandrec.transform import (bin_alphas, brillouin_sample, dft,
                                discrete_quasiperiodicity, polarize, projection_profile,
                                quasiperiodic_extension, sections, tfbt, zero_pad)
 
@@ -208,12 +208,14 @@ def test_complex_quasiperiodicity_is_the_mass_weighted_mean_of_abs_alpha(k):
 
 
 def test_polarize_pivot_rules():
-    u = polarize(np.array([1j, 2.0]))
-    assert abs(u[0].imag) < 1e-15 and u[0].real > 0
-    # first component negligible: pivot moves to the largest entry
-    v = polarize(np.array([1e-12, 0.0, -2.0]))
-    assert v[2].real > 0 and abs(v[2].imag) < 1e-15
-    assert np.allclose(np.abs(v), [1e-12, 0, 2])
+    # the first component is the pivot, however small
+    for u in (np.array([1j, 2.0]), np.array([-1e-12j, 0.0, -2.0]), np.array([-3e-300 + 4e-300j, 1.0])):
+        v = polarize(u)
+        assert v[0].real > 0.0 and abs(v[0].imag) <= 1e-15 * abs(u[0])
+        assert np.allclose(np.abs(v), np.abs(u), rtol=1e-15, atol=0.0)
+    # a zero first component leaves the vector unchanged, and so does a subnormal one of a complex vector
+    for u in (np.array([0.0, 1j, -2.0]), np.array([complex(-0.0, -0.0), -1.0]), np.array([5e-324 + 5e-324j, 1.0])):
+        assert polarize(u).tobytes() == u.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -229,17 +231,19 @@ def test_real_and_complex_input_give_the_same_quasiperiodicity(k):
 def test_polarize_flips_a_real_vector_exactly():
     rng = np.random.default_rng(5)
     for u in (rng.normal(size=9), -np.abs(rng.normal(size=9)), np.array([1e-12, 0.5, -2.0]),
-              np.array([-1e-12, 3.0, -2.0]), np.zeros(3)):
+              np.array([-1e-12, 3.0, -2.0]), np.array([-5e-324, 1.0]), np.array([0.0, -1.0]),
+              np.array([-0.0, -1.0]), np.zeros(3)):
         v = polarize(u)
         assert v.dtype == np.float64
         assert np.array_equal(v, u) or np.array_equal(v, -u)
-        pivot = v[0] if abs(v[0]) >= 1e-8 else v[np.argmax(np.abs(v))]
-        assert pivot >= 0.0
+        assert v[0] >= 0.0
+        if u[0] == 0.0:
+            assert v.tobytes() == u.tobytes()  # unchanged, sign bits included
 
 
 def _stack_with_awkward_pivots(shape, dtype, seed):
-    """Random vectors along axis 0 of shape; every third has a pivot with negative real part, a first
-    entry below PIVOT_TOL, or no nonzero entry."""
+    """Random vectors along axis 0 of shape; every third has a first component with negative real part, a first
+    component of magnitude about 1e-12, or no nonzero entry."""
     rng = np.random.default_rng(seed)
     u = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype == complex else 0.0)
     cols = u.reshape(shape[0], -1)  # a view: each column is one vector
@@ -250,11 +254,11 @@ def _stack_with_awkward_pivots(shape, dtype, seed):
 
 
 def _polarized_alone(v):
-    """The pivot rule on one vector in scalar arithmetic, as polarize computed it before it took stacks."""
-    pivot = v[0] if abs(v[0]) >= PIVOT_TOL else v[np.argmax(np.abs(v))]
+    """The first-component rule on one vector in scalar arithmetic."""
     if v.dtype.kind == "f":
-        return -v if pivot < 0.0 else v.copy()
-    return v.copy() if abs(pivot) == 0.0 else v * (pivot.conjugate() / abs(pivot))
+        return -v if v[0] < 0.0 else v.copy()
+    size = abs(v[0])
+    return v.copy() if size < np.finfo(float).tiny else v * (v[0].conjugate() / size)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -273,15 +277,14 @@ def test_a_stack_polarizes_as_its_vectors_do_bit_for_bit(shape, dtype):
     assert one_by_one.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["pivots_clear", "negative_zeros", "one_negative_zero_vector"])
+@pytest.mark.parametrize("kind", ["first_components_of_any_size", "negative_zeros", "one_negative_zero_vector"])
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("shape", [(2000,), (50, 40), (4, 3, 5)])
-def test_polarize_takes_row_0_when_every_first_component_clears_the_tolerance(shape, dtype, kind):
-    # pivots_clear takes the row-0 pivots alone; the other two kinds fall back to the argmax rule
+def test_polarize_takes_row_0_as_every_pivot(shape, dtype, kind):
     rng = np.random.default_rng(shape[0])
     u = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype == complex else 0.0)
     cols = u.reshape(shape[0], -1)  # a view: each column is one vector
-    cols[0] *= rng.uniform(2.0 * PIVOT_TOL, 2.0, size=cols.shape[1]) / np.abs(cols[0])  # sign or phase kept
+    cols[0] *= 10.0 ** rng.uniform(-300.0, 0.0, size=cols.shape[1]) / np.abs(cols[0])  # sign or phase kept
     negative_zero = complex(-0.0, -0.0) if dtype == complex else -0.0
     if kind == "negative_zeros":
         u[...] = negative_zero
@@ -291,6 +294,8 @@ def test_polarize_takes_row_0_when_every_first_component_clears_the_tolerance(sh
     assert got.dtype == u.dtype and got.shape == u.shape
     expected = np.stack([_polarized_alone(cols[:, c]) for c in range(cols.shape[1])], axis=1).reshape(shape)
     assert got.tobytes() == expected.tobytes()  # sign bits included
+    first = got.reshape(shape[0], -1)[0]
+    assert (first.real >= 0.0).all() and (np.abs(first.imag) <= 1e-15 * np.abs(first)).all()
     if kind == "negative_zeros":
         assert np.signbit(got.view(float)).all()
 
