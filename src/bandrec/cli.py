@@ -94,7 +94,7 @@ def cmd_transform(args) -> int:
     vec_path = cfg.get("vector")
     if not vec_path:
         raise ValueError("transform needs --vector")
-    k = _number("k", cfg.get("k", 1), int)  # transform.zero_pad refuses k < 1
+    k = _number("k", cfg.get("k", 1), int)  # the transform refuses k < 1
     u = matrices.read_entries(_text("vector", vec_path))
     if u.ndim > 2 or u.ndim == 2 and min(u.shape) > 1:
         raise ValueError(f"{vec_path}: a vector file holds one row or one column, got shape {u.shape}")
@@ -109,7 +109,6 @@ def cmd_transform(args) -> int:
     u = u / norm
     if not u.imag.any():  # read_entries gives complex entries; a real vector takes the library's real path
         u = u.real
-    u = transform.zero_pad(u, k)
     alphas, masses = transform.projection_profile(u, k)
     outdir = Path(_text("out", cfg.get("out", ".")))
     outdir.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,7 @@ from . import matrices, symbols
 from .matrices import FiniteMatrix, PerturbedPair
 from .spectra import EigenDecomposition, hermitian_eigen, localization_metrics, ipr_localized_flags
 from .symbols import _number, _refuse_unread, _text
-from .transform import _block_size, discrete_quasiperiodicity, zero_pad
+from .transform import _block_size, discrete_quasiperiodicity
 
 DEFAULT_GRID = 512
 EDGE_EXCLUSION_BINS = 4
@@ -59,8 +59,8 @@ def reconstruct_bands(M, k: int) -> Points:
 
     M is a Hermitian FiniteMatrix or a PerturbedPair, in which case the
     Hermitian companion is diagonalised and eigenvectors are mapped back to
-    the product form before analysis.  Eigenvectors whose length is not a
-    multiple of k are zero-padded.  Points are ordered by eigenvalue, and
+    the product form before analysis.  Each eigenvector is read as its
+    ceil(n/k) cells, zero-padded.  Points are ordered by eigenvalue, and
     the localized flag here reflects the inverse-participation rule alone
     (scenario runs refine it with gap membership).
     """
@@ -71,7 +71,7 @@ def reconstruct_bands(M, k: int) -> Points:
     else:
         eig = hermitian_eigen(M)
         V = eig.vectors
-    alpha = np.array([discrete_quasiperiodicity(zero_pad(V[:, i], k), k) for i in range(eig.n)])
+    alpha = np.array([discrete_quasiperiodicity(V[:, i], k) for i in range(eig.n)])
     sup, ipr = localization_metrics(V)
     return Points(alpha_est=alpha, lam=eig.values, sup_ratio=sup, ipr=ipr,
                   localized=ipr_localized_flags(ipr))

@@ -1,8 +1,9 @@
 """Section-wise discrete Fourier analysis of chain eigenvectors.
 
-A length-mk vector is m cells of k sites.  One private kernel lays it out as
-u.reshape(m, k) and Fourier transforms along the cell axis: the column for
-site p is the DFT of the section p, p+k, p+2k, ...  The per-bin masses give
+A vector of length n is m = ceil(n/k) cells of k sites, the last completed
+by zeros (zero_pad).  One private kernel lays it out as u.reshape(m, k) and
+Fourier transforms along the cell axis: the column for site p is the DFT of
+the section p, p+k, p+2k, ...  The per-bin masses give
 the resonance strength at each sampled quasiperiodicity, and their weighted
 mean of |alpha_j| recovers an eigenvector's quasiperiodicity.
 
@@ -51,50 +52,39 @@ def _block_size(k: int) -> int:
     return k
 
 
-def _cell_count(size: int, k: int) -> int:
-    """m = size / k, the number of cells of a length-mk vector; ValueError when k does not divide size."""
-    if size % _block_size(k) != 0:
-        raise ValueError(f"vector length {size} not divisible by block size {k}")
-    return size // k
-
-
 def _float_or_complex(u) -> np.ndarray:
     """u as a float64 array, or as complex128 when its dtype is complex; no copy when it is one already."""
     u = np.asarray(u)
     return u.astype(complex if u.dtype.kind == "c" else float, copy=False)
 
 
-def sections(u, k: int) -> np.ndarray:
-    """The k sections of a length-mk vector as a (k, m) complex array; section p holds entries p, p+k, p+2k, ...
-
-    The transpose's flattening, sections(u, k).T.reshape(-1), gives u back.
-    """
-    u = np.asarray(u, dtype=complex)
-    return u.reshape(_cell_count(u.size, k), k).T.copy()
-
-
 def zero_pad(u, k: int) -> np.ndarray:
-    """Append zeros until the length is divisible by k; the norm is unchanged and the dtype kept (float or complex)."""
+    """u as float64 or complex128, completed by zeros to a multiple of k: u itself when k divides it, else a copy."""
     u = _float_or_complex(u)
     r = u.size % _block_size(k)
     if r == 0:
-        return u.copy()
+        return u
     return np.concatenate([u, np.zeros(k - r, dtype=u.dtype)])
 
 
+def sections(u, k: int) -> np.ndarray:
+    """The k sections of zero_pad(u, k) as a (k, m) complex array; section p holds entries p, p+k, p+2k, ..."""
+    return zero_pad(np.asarray(u, dtype=complex), k).reshape(-1, k).T.copy()
+
+
 def _cell_dft(u: np.ndarray, k: int) -> np.ndarray:
-    """Unnormalised DFT along the cell axis of u.reshape(m, k), site p in column p.
+    """Unnormalised DFT along the cell axis of u.reshape(m, k), u already zero-padded, site p in column p.
 
     A float64 u gives the (m // 2 + 1, k) rfft bins, a complex128 u all (m, k)
     fft bins.
     """
-    cells = u.reshape(_cell_count(u.size, k), k)
+    cells = u.reshape(-1, k)
     return np.fft.rfft(cells, axis=0) if u.dtype.kind == "f" else np.fft.fft(cells, axis=0)
 
 
 def tfbt(u, k: int) -> np.ndarray:
-    """Section-wise DFT as a (k, m) array, row p the unitary DFT of section p; a unitary map on length-mk vectors."""
-    t = _cell_dft(np.asarray(u, dtype=complex), k)
+    """Section-wise DFT of zero_pad(u, k) as a (k, m) array, row p the unitary DFT of section p; norm-preserving."""
+    t = _cell_dft(zero_pad(np.asarray(u, dtype=complex), k), k)
     return t.T / np.sqrt(t.shape[0])
 
 
@@ -127,15 +117,15 @@ def check_unit_norms(norms, what: str):
 def discrete_quasiperiodicity(u, k: int) -> float:
     """Weighted mean of |alpha_j| with the projection masses as weights.
 
-    Result lies in [0, pi].  Callers zero_pad beforehand when the length is
-    not a multiple of k.  The input must be unit up to a small tolerance
+    Result lies in [0, pi].  u, of any length, is read as its m zero-padded
+    cells (zero_pad).  The input must be unit up to a small tolerance
     (eigensolver rounding); the masses are divided by its squared norm.
     The masses come from the cell-layout kernel: for complex input each of
     the m fft bins weighs |alpha_j|; for real input a rfft bin 0 < j < m/2
     stands for itself and its mirror m - j, which has the same |alpha| and
     mass, so it weighs 2 |alpha_j|.
     """
-    u = _float_or_complex(u)
+    u = zero_pad(u, k)
     norm2 = np.vdot(u, u).real
     check_unit_norms(math.sqrt(norm2), "discrete_quasiperiodicity")
     t = _cell_dft(u, k)

@@ -337,8 +337,7 @@ def acceptance_05_ssh(tol, rng):
         if ratio <= tol["ipr_factor"]:
             bad.append(f"gap-mode ipr only {ratio:.2f}x the median")
         eig = spectra.hermitian_eigen(result.matrix)
-        u = transform.zero_pad(eig.vectors[:, gi], 2)
-        _, masses = transform.projection_profile(u, 2)
+        _, masses = transform.projection_profile(eig.vectors[:, gi], 2)
         if masses.max() >= tol["max_bin"]:
             bad.append(f"gap-mode peak bin weight {masses.max():.3f} >= {tol['max_bin']:g}")
         others = np.delete(result.points.band_error, gi)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bandrec import matrices, spectra, symbols, transform
+from bandrec import cli, matrices, spectra, symbols, transform
 from bandrec.spectra import (degenerate_clusters, hermitian_eigen, ipr_localized_flags,
                              localization_metrics, near_far_split, residual)
 from bandrec.matrices import FiniteMatrix
@@ -105,6 +105,27 @@ def test_hermitian_eigen_takes_dense_eigh_without_dstevd(monkeypatch):
     assert eig.values.tobytes() == expected.values.tobytes()
     assert eig.vectors.tobytes(order="F") == expected.vectors.tobytes(order="F")
     assert eig.vectors.dtype == np.float64 and eig.vectors.flags.f_contiguous
+
+
+def test_a_failing_dstevd_is_refused_and_a_run_writes_nothing(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(spectra, "_bundled_dstevd", lambda: lambda *args: 3)  # LAPACK's info = 3
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dstevd failed, info=3$"):
+        hermitian_eigen(TRIDIAGONAL["ssh"](21))
+    out = tmp_path / "run"
+    assert cli.main(["reconstruct", "--scenario", "ssh", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: dstevd failed, info=3\n"
+    assert not out.exists()
+
+
+def _unloadable(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_unloadable, lambda path: object()],  # the second exports no LAPACKE_dstevd
+                         ids=["oserror", "no_symbol"])
+def test_bundled_dstevd_is_none_where_the_library_gives_none(monkeypatch, cdll):
+    monkeypatch.setattr(spectra.ctypes, "CDLL", cdll)
+    assert spectra._bundled_dstevd.__wrapped__() is None
 
 
 @pytest.mark.parametrize("M", [

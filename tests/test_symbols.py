@@ -384,6 +384,11 @@ def test_a_symbol_equals_its_round_trip_through_a_dict(sym):
     assert sym != banded_truncation(sym, 0)
 
 
+def test_a_symbol_leaves_comparison_with_another_type_to_it():
+    assert dimer_symbol(1.0, 2.0).__eq__(3) is NotImplemented
+    assert dimer_symbol(1.0, 2.0) != 3
+
+
 def test_symbol_dict_format():
     d = symbol_to_dict(MONOMER)
     assert d["k"] == 1

@@ -59,9 +59,40 @@ def test_sections_basic():
     assert abs(np.linalg.norm(sec) ** 2 - 30.0) < 1e-12
 
 
-def test_sections_rejects_bad_length():
-    with pytest.raises(ValueError):
-        sections([1, 2, 3], 2)
+def test_sections_zero_pads_the_last_cell():
+    assert np.array_equal(sections([1, 2, 3], 2), [[1, 3], [2, 0]])
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_every_entry_point_reads_a_vector_as_its_zero_padded_cells(n, k, complex_input):
+    rng = np.random.default_rng(100 * n + k)
+    u = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_input else 0.0)
+    u /= np.linalg.norm(u)
+    padded = zero_pad(u, k)
+    assert padded.size == -(-n // k) * k
+    assert discrete_quasiperiodicity(u, k) == discrete_quasiperiodicity(padded, k)
+    for fn in (projection_profile, lambda v, k: (tfbt(v, k),), lambda v, k: (sections(v, k),)):
+        for got, want in zip(fn(u, k), fn(padded, k)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_zero_pad_returns_a_vector_k_divides_itself_and_pads_a_copy_otherwise(dtype):
+    u = np.arange(1, 7).astype(dtype)
+    for k in (1, 2, 3, 6):
+        assert zero_pad(u, k) is u
+    for k in (4, 5, 7):
+        padded = zero_pad(u, k)
+        assert padded is not u and not np.shares_memory(padded, u) and padded.dtype == dtype
+        assert padded.size % k == 0 and np.array_equal(padded[:6], u) and not padded[6:].any()
+
+
+@pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt, sections])
+def test_every_entry_point_refuses_a_zero_block_size(fn):
+    with pytest.raises(ValueError, match=r"^block size must be positive, got 0$"):
+        fn(np.ones(4) / 2.0, 0)
 
 
 def test_zero_pad():
