@@ -45,7 +45,7 @@ def _parse_formats(raw, command: str) -> tuple[str, ...]:
 def cmd_bands(args) -> int:
     cfg = _load_config(args)
     sym = symbols.symbol_from_source(_text("symbol", cfg.get("symbol", "monomer"), inline=True))
-    grid = symbols.checked_grid(_number("grid", cfg.get("grid", 256), int))
+    grid = _number("grid", cfg.get("grid", 256), int)
     outdir = Path(_text("out", cfg.get("out", ".")))
     formats = _parse_formats(cfg.get("format", "csv"), "bands")
     bs = symbols.band_functions(sym, grid)

@@ -276,8 +276,8 @@ def run_scenario(config: dict) -> ScenarioResult:
     ones used, derived ones included.  The reference bands come from the
     scenario's underlying periodic symbol where one exists and are sampled
     before the eigensolve; bands that are not even in alpha are refused
-    there, since only |alpha| is recovered.  So is a grid that is odd or
-    below MIN_CHECK_GRID (see symbols.checked_grid).
+    there, since only |alpha| is recovered.  A grid that fails
+    symbols.checked_grid is refused first, before any file is read.
     """
     cfg = dict(config)
     name = cfg.pop("scenario", None)

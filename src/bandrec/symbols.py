@@ -28,12 +28,12 @@ HERMITIAN_TOL = 1e-12
 CROSSING_TOL = 1e-8
 EVENNESS_TOL = 1e-8
 VAN_DER_HOVE_TOL = 1e-6
-MIN_CHECK_GRID = 16  # smallest grid check_assumptions, bands and a scenario run accept
+MIN_CHECK_GRID = 16  # smallest grid band_functions, hence every BandStructure, and a scenario run accept
 BAND_MEMO_SIZE = 8  # band structures band_functions keeps, least recently used dropped first
 
 
 def checked_grid(grid: int) -> int:
-    """grid itself when it is even and at least MIN_CHECK_GRID, else ValueError.
+    """grid itself when it is even and at least MIN_CHECK_GRID, else ValueError; band_functions' grid rule.
 
     Gap edges come from the band samples, and an odd grid never samples
     alpha = pi, where every band that is even in alpha has a critical point.
@@ -132,7 +132,7 @@ class BandStructure:
     valid; two band structures are equal only when they are the same object.
     """
 
-    alphas: np.ndarray        # (m,) grid, ascending from -pi
+    alphas: np.ndarray        # (m,) grid, ascending from -pi through 0; m passes checked_grid
     values: np.ndarray        # (k, m) real
     vectors: np.ndarray       # (m, k, k) complex, column p is u_{p+1}(alpha_j)
     derivatives: np.ndarray   # (k, m) finite-difference lambda'
@@ -156,18 +156,13 @@ class BandStructure:
     def values_at(self, alpha) -> np.ndarray:
         """Piecewise-linear interpolation of every band at |alpha| in [0, pi].
 
-        Uses lambda_p(alpha) = lambda_p(-alpha) and closes the grid at pi with
-        the value at alphas[0] (-pi for even m, -(m-1)pi/m for odd m): either
-        way this is the 2 pi-periodic linear interpolant of the grid at |alpha|.
+        Uses lambda_p(alpha) = lambda_p(-alpha): the grid points 0 .. pi - 2 pi/m, closed at pi by
+        the value at alphas[0] = -pi, give the 2 pi-periodic linear interpolant of the grid at |alpha|.
         """
         a = np.abs(np.atleast_1d(np.asarray(alpha, dtype=float)))
-        nonneg = self.alphas >= 0.0
-        grid = np.concatenate([self.alphas[nonneg], [np.pi]])
-        out = np.empty((self.k, a.size))
-        for p in range(self.k):
-            vals = np.concatenate([self.values[p, nonneg], [self.values[p, 0]]])
-            out[p] = np.interp(a, grid, vals)
-        return out
+        half = self.m // 2  # alphas[half] = 0
+        grid = np.append(self.alphas[half:], np.pi)
+        return np.array([np.interp(a, grid, np.append(band[half:], band[0])) for band in self.values])
 
 
 _band_memo: OrderedDict[tuple, BandStructure] = OrderedDict()  # see band_functions
@@ -176,14 +171,16 @@ _band_memo: OrderedDict[tuple, BandStructure] = OrderedDict()  # see band_functi
 def band_functions(sym: Symbol, m: int) -> BandStructure:
     """Diagonalise the symbol on the m-point quasiperiodicity grid.
 
-    Eigenvalues are sorted ascending per grid point, eigenvectors are unit
-    with their first component real and nonnegative (polarize; no output
-    reads that phase), and derivatives come from central differences
-    (one-sided at the grid ends).  Evaluations must be Hermitian to 1e-10
-    relative to max(1, max|f|).  The (m, k, k) stack of evaluations is
-    diagonalised by one eigh call and its m k eigenvectors are polarized by
-    one polarize call, which give the same values and vectors as one call
-    per grid point and per vector.
+    m must pass checked_grid, so every BandStructure's grid holds alpha = -pi
+    and alpha = 0, where every even band has a critical point.  Eigenvalues
+    are sorted ascending per grid point, eigenvectors are unit with their
+    first component real and nonnegative (polarize; no output reads that
+    phase), and derivatives come from central differences (one-sided at the
+    grid ends).  Evaluations must be Hermitian to 1e-10 relative to
+    max(1, max|f|).  The (m, k, k) stack of evaluations is diagonalised by
+    one eigh call and its m k eigenvectors are polarized by one polarize
+    call, which give the same values and vectors as one call per grid point
+    and per vector.
 
     The result is memoized on (m, sym.k, sym.offsets.tobytes(),
     sym.blocks.tobytes()), the bits it is computed from: an equal symbol at
@@ -191,8 +188,7 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     At most BAND_MEMO_SIZE results are kept, the least recently used dropped
     first, and a refused input is never stored.
     """
-    if m < 2:
-        raise ValueError(f"grid size must be at least 2, got {m}")
+    checked_grid(m)
     key = (m, sym.k, sym.offsets.tobytes(), sym.blocks.tobytes())
     if key in _band_memo:
         _band_memo.move_to_end(key)
@@ -220,9 +216,9 @@ def evenness(bs: BandStructure) -> tuple[float, bool]:
 
     The tolerance is EVENNESS_TOL * max(1, max|lambda|).  The transform
     recovers |alpha| only, so bands that are not even in alpha cannot be
-    reconstructed.  -alpha_j is grid point (2 (m // 2) - j) mod m.
+    reconstructed.  -alpha_j is grid point (-j) mod m.
     """
-    mirror = (2 * (bs.m // 2) - np.arange(bs.m)) % bs.m
+    mirror = -np.arange(bs.m) % bs.m
     defect = float(np.max(np.abs(bs.values - bs.values[:, mirror])))
     return defect, defect <= EVENNESS_TOL * max(1.0, float(np.max(np.abs(bs.values))))
 
@@ -233,16 +229,14 @@ def check_assumptions(bs: BandStructure) -> dict:
     Returns {"bands_disjoint", "no_van_der_hove", "hermitian", "even",
     "min_band_separation" (None for one band), "min_interior_slope",
     "evenness_defect", "failures"}, failures empty exactly when all pass.
-    Slopes are checked on interior grid points only, excluding the symmetry
-    points alpha in {0, -pi} where the derivative vanishes for any even band.
+    Slopes are checked on interior grid points only, excluding the grid's
+    symmetry points alpha in {0, -pi}, where any even band's derivative vanishes.
     """
-    if bs.m < MIN_CHECK_GRID:
-        raise ValueError(f"assumption checks need a grid of size >= {MIN_CHECK_GRID}, got {bs.m}")
     ranges = bs.band_ranges()
     min_sep = min((ranges[p + 1][0] - ranges[p][1] for p in range(len(ranges) - 1)), default=None)
     bands_disjoint = min_sep is None or min_sep > CROSSING_TOL
 
-    interior = ~(np.isclose(bs.alphas, 0.0) | np.isclose(bs.alphas, -np.pi) | np.isclose(bs.alphas, np.pi))
+    interior = ~(np.isclose(bs.alphas, 0.0) | np.isclose(bs.alphas, -np.pi))
     min_slope = float(np.min(np.abs(bs.derivatives[:, interior])))
     no_vdh = min_slope > VAN_DER_HOVE_TOL
 
@@ -274,11 +268,9 @@ def banded_truncation(sym: Symbol, r: int) -> Symbol:
 def symbol_sup_norm(sym: Symbol, samples: int = 4096) -> float:
     """Max spectral norm of f(e^{i alpha}), max |lambda| of the Hermitian f, on the band_functions grid.
 
-    A lower bound that converges to the true sup norm as samples grow; the
-    grid always contains alpha = 0.
+    A lower bound that converges to the true sup norm as samples grow;
+    samples must pass checked_grid, so the grid holds alpha = 0 and pi.
     """
-    if samples < 64:
-        raise ValueError(f"need at least 64 samples, got {samples}")
     return float(np.max(np.abs(band_functions(sym, samples).values)))
 
 

@@ -1,11 +1,12 @@
 """Section-wise discrete Fourier analysis of chain eigenvectors.
 
-A vector of length n is m = ceil(n/k) cells of k sites, the last completed
-by zeros (zero_pad).  One private kernel lays it out as u.reshape(m, k) and
-Fourier transforms along the cell axis: the column for site p is the DFT of
-the section p, p+k, p+2k, ...  The per-bin masses give
-the resonance strength at each sampled quasiperiodicity, and their weighted
-mean of |alpha_j| recovers an eigenvector's quasiperiodicity.
+A vector (a nonempty 1-d array; _vector refuses any other shape) of length
+n is m = ceil(n/k) cells of k sites, the last completed by zeros
+(zero_pad).  One private kernel lays it out as u.reshape(m, k) and Fourier
+transforms along the cell axis: the column for site p is the DFT of the
+section p, p+k, p+2k, ...  The per-bin masses give the resonance strength
+at each sampled quasiperiodicity, and their weighted mean of |alpha_j|
+recovers an eigenvector's quasiperiodicity.
 
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
 (complex input stays complex128), and the kernel takes one rfft of a real
@@ -39,9 +40,7 @@ def bin_alphas(m: int) -> np.ndarray:
 
 def dft(v) -> np.ndarray:
     """Unitary discrete Fourier transform, bin j = (1/sqrt(m)) sum_s v_s e^{-2i pi js/m}."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("dft expects a nonempty 1-d vector")
+    v = _vector(np.asarray(v, dtype=complex))
     return np.fft.fft(v) / np.sqrt(v.size)
 
 
@@ -52,6 +51,13 @@ def _block_size(k: int) -> int:
     return k
 
 
+def _vector(u: np.ndarray) -> np.ndarray:
+    """u, when it is a nonempty 1-d array, else ValueError; zero_pad, dft and quasiperiodic_extension call it."""
+    if u.ndim != 1 or u.size < 1:
+        raise ValueError(f"expected a nonempty 1-d vector, got shape {u.shape}")
+    return u
+
+
 def _float_or_complex(u) -> np.ndarray:
     """u as a float64 array, or as complex128 when its dtype is complex; no copy when it is one already."""
     u = np.asarray(u)
@@ -60,7 +66,7 @@ def _float_or_complex(u) -> np.ndarray:
 
 def zero_pad(u, k: int) -> np.ndarray:
     """u as float64 or complex128, completed by zeros to a multiple of k: u itself when k divides it, else a copy."""
-    u = _float_or_complex(u)
+    u = _vector(_float_or_complex(u))
     r = u.size % _block_size(k)
     if r == 0:
         return u
@@ -97,7 +103,7 @@ def projection_profile(u, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def quasiperiodic_extension(cell, alpha: float, m: int) -> np.ndarray:
     """(1/sqrt(m)) (u, e^{i a} u, ..., e^{i a (m-1)} u); norm equals ||u||."""
-    cell = np.asarray(cell, dtype=complex)
+    cell = _vector(np.asarray(cell, dtype=complex))
     if m < 1:
         raise ValueError(f"number of cells must be positive, got {m}")
     phases = np.exp(1j * alpha * np.arange(m)) / np.sqrt(m)

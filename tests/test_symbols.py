@@ -110,8 +110,8 @@ def test_symbol_applies_the_integer_rule_to_k_and_offsets():
     assert sym.k == 2 and type(sym.k) is int
 
 
-def test_band_functions_monomer_m4():
-    bs = band_functions(MONOMER, 4)
+def test_band_functions_monomer_m16():
+    bs = band_functions(MONOMER, 16)
     by_alpha = dict(zip(np.round(bs.alphas, 12), bs.values[0]))
     assert abs(by_alpha[0.0] - 0.0) < 1e-12
     assert abs(by_alpha[round(np.pi / 2, 12)] - 2.0) < 1e-12
@@ -154,7 +154,7 @@ def test_band_functions_eigenvectors_unit_and_polarized():
             assert pivot.real > 0 and abs(pivot.imag) < 1e-10
 
 
-@pytest.mark.parametrize("m", [5, 17, 33, 64])
+@pytest.mark.parametrize("m", [16, 18, 32, 64, 512])
 @pytest.mark.parametrize("spacings", [[1.0], [1.0, 2.0], [1.0, 2.0, 0.5]])
 def test_values_at_is_the_periodic_interpolant_of_the_grid(m, spacings):
     bs = band_functions(cell_chain_symbol(spacings), m)
@@ -177,10 +177,21 @@ def _count_evaluations(monkeypatch) -> list:
 
 
 def test_band_functions_rejects_tiny_grid():
-    for _ in range(3):  # a refused input is not stored, so it is refused again
-        with pytest.raises(ValueError, match="grid size must be at least 2, got 1"):
-            band_functions(MONOMER, 1)
+    for m in (1, 8, 15, 17):
+        for _ in range(3):  # a refused input is not stored, so it is refused again
+            with pytest.raises(ValueError, match=f"^grid must be an even number of at least 16, got {m}$"):
+                band_functions(MONOMER, m)
     assert not symbols._band_memo
+
+
+def test_every_caller_of_band_functions_samples_alpha_pi():
+    # grid 17 misses alpha = pi: the dimer's sampled gap read (0.98325, 2.01675), not (1, 2)
+    with pytest.raises(ValueError, match="^grid must be an even number of at least 16, got 17$"):
+        band_functions(dimer_symbol(1.0, 2.0), 17)
+    sym = exponential_symbol()
+    with pytest.raises(ValueError, match="^grid must be an even number of at least 16, got 17$"):
+        symbol_difference_sup_norm(sym, banded_truncation(sym, 3), samples=17)
+    assert symbol_sup_norm(MONOMER, 16) == 4.0  # lambda(pi) = 2 + 2, a grid point
 
 
 def test_an_equal_symbol_built_again_returns_the_stored_bands(monkeypatch):
@@ -257,7 +268,7 @@ def test_check_assumptions_notes_an_evaluation_defect_that_band_functions_accept
 ODD = Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]})
 
 
-@pytest.mark.parametrize("m", [16, 17, 512])
+@pytest.mark.parametrize("m", [16, 512])
 def test_evenness(m):
     for sym in (MONOMER, dimer_symbol(1.0, 2.0), exponential_symbol(), cell_chain_symbol([1.0, 2.0, 0.5])):
         assert evenness(band_functions(sym, m)) == (0.0, True)
@@ -323,8 +334,9 @@ def test_symbol_sup_norm_exponential_vs_dense_oracle():
 
 
 def test_symbol_sup_norm_rejects_few_samples():
-    with pytest.raises(ValueError):
-        symbol_sup_norm(MONOMER, 32)
+    for samples in (15, 17):
+        with pytest.raises(ValueError, match=f"^grid must be an even number of at least 16, got {samples}$"):
+            symbol_sup_norm(MONOMER, samples)
 
 
 def test_cell_chain_symbol_matches_dimer():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +95,17 @@ def test_zero_pad_returns_a_vector_k_divides_itself_and_pads_a_copy_otherwise(dt
 def test_every_entry_point_refuses_a_zero_block_size(fn):
     with pytest.raises(ValueError, match=r"^block size must be positive, got 0$"):
         fn(np.ones(4) / 2.0, 0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (0,)], ids=["2x2", "3x1", "empty"])
+@pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt, sections, zero_pad,
+                                lambda u, k: dft(u), lambda u, k: quasiperiodic_extension(u, 0.5, k)],
+                         ids=["discrete_quasiperiodicity", "projection_profile", "tfbt", "sections", "zero_pad",
+                              "dft", "quasiperiodic_extension"])
+def test_every_entry_point_refuses_what_is_not_a_nonempty_vector(fn, shape):
+    # np.ones((2, 2)) / 2 was read as its flattening: discrete_quasiperiodicity gave 0.0
+    with pytest.raises(ValueError, match=f"^{re.escape(f'expected a nonempty 1-d vector, got shape {shape}')}$"):
+        fn(np.full(shape, 0.5), 2)
 
 
 def test_zero_pad():
