@@ -101,7 +101,10 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
         vals, vecs = np.linalg.eigh(M.data)
         vecs = np.asfortranarray(vecs)
     for i in range(vals.size):
-        vecs[:, i] = polarize(vecs[:, i])
+        col = vecs[:, i]
+        polarized = polarize(col)
+        if polarized is not col:  # a real column whose first component is not negative comes back as itself
+            vecs[:, i] = polarized
     return EigenDecomposition(values=vals, vectors=vecs)
 
 

@@ -5,8 +5,10 @@ n is m = ceil(n/k) cells of k sites, the last completed by zeros
 (zero_pad).  One private kernel lays it out as u.reshape(m, k) and Fourier
 transforms along the cell axis: the column for site p is the DFT of the
 section p, p+k, p+2k, ...  The per-bin masses give the resonance strength
-at each sampled quasiperiodicity, and their weighted mean of |alpha_j|
-recovers an eigenvector's quasiperiodicity.
+at each sampled quasiperiodicity.  discrete_quasiperiodicity folds them
+onto the |alpha| bins 0 .. m // 2, finds the first bin of largest folded
+mass, and recovers an eigenvector's quasiperiodicity as the mass-weighted
+mean of |alpha_j| over the bins within m // 6 (about pi/3) of that peak.
 
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
 (complex input stays complex128), and the kernel takes one rfft of a real
@@ -121,29 +123,34 @@ def check_unit_norms(norms, what: str):
 
 
 def discrete_quasiperiodicity(u, k: int) -> float:
-    """Weighted mean of |alpha_j| with the projection masses as weights.
+    """Mass-weighted mean of |alpha_j| over the bins within m // 6 (about pi/3) of the peak of the folded masses.
 
     Result lies in [0, pi].  u, of any length, is read as its m zero-padded
-    cells (zero_pad).  The input must be unit up to a small tolerance
-    (eigensolver rounding); the masses are divided by its squared norm.
-    The masses come from the cell-layout kernel: for complex input each of
-    the m fft bins weighs |alpha_j|; for real input a rfft bin 0 < j < m/2
-    stands for itself and its mirror m - j, which has the same |alpha| and
-    mass, so it weighs 2 |alpha_j|.
+    cells (zero_pad), and must be unit up to a small tolerance (eigensolver
+    rounding).  The masses come from the cell-layout kernel and are first
+    folded onto the |alpha| bins j = 0 .. m // 2, |alpha_j| = 2 pi j / m:
+    for complex input fft bins j and m - j add; for real input a rfft bin
+    0 < j < m/2 counts twice, for itself and its mirror m - j, which has the
+    same mass.  The peak is the first bin of largest folded mass, and the
+    window runs m // 6 bins either side of it, clipped to 0 .. m // 2.  A
+    finite section leaks mass into every bin, and a mean over all of them
+    is pulled towards pi/2; the window keeps the peak's neighbours only.
     """
     u = zero_pad(u, k)
-    norm2 = np.vdot(u, u).real
-    check_unit_norms(math.sqrt(norm2), "discrete_quasiperiodicity")
-    t = _cell_dft(u, k)
+    check_unit_norms(math.sqrt(np.vdot(u, u).real), "discrete_quasiperiodicity")
+    t = _cell_dft(u, k).view(float)  # re and im of each site's bin, side by side
+    masses = np.einsum("ij,ij->i", t, t)
     m = u.size // k
+    half, mirrored = m // 2, slice(1, (m + 1) // 2)  # bins 0 < j < m/2, the ones with a mirror m - j
     if u.dtype.kind == "c":
-        weights = np.abs(bin_alphas(m))
+        masses[mirrored] += masses[:half:-1]
+        masses = masses[:half + 1]
     else:
-        weights = (4.0 * np.pi / m) * np.arange(m // 2 + 1)  # 2 |alpha_j|
-        if m % 2 == 0:
-            weights[-1] = np.pi  # bin m/2 is its own mirror
-    t = t.view(float)  # re and im of each site's bin, side by side
-    q = np.dot(weights, t * t).sum() / (m * norm2)
+        masses[mirrored] *= 2.0
+    peak = int(masses.argmax())
+    lo, hi = max(peak - m // 6, 0), min(peak + m // 6, half) + 1
+    window = masses[lo:hi]
+    q = (2.0 * np.pi / m) * window.dot(np.arange(lo, hi, dtype=float)) / window.sum()
     return min(max(float(q), 0.0), np.pi)  # clamp 1-ulp rounding excursions
 
 
@@ -152,13 +159,16 @@ def polarize(u) -> np.ndarray:
 
     u is one vector or a stack whose vectors run along axis 0 (shape (n,),
     (n, c), (n, a, b), ...), so row 0 holds every pivot.  A real vector
-    comes back as u or -u exactly, a complex one scaled by conj(u_0) / |u_0|.
-    A vector whose first component is zero comes back unchanged, and so does
-    a complex one whose |u_0| is subnormal, too small to divide by.
+    comes back as u or -u exactly, a complex one scaled by conj(u_0) / |u_0|;
+    a single float64 vector whose u_0 is not negative comes back as u itself,
+    not a copy.  A vector whose first component is zero comes back unchanged,
+    and so does a complex one whose |u_0| is subnormal, too small to divide by.
     """
     u = _float_or_complex(u)
     if u.ndim == 0 or u.size == 0:
         raise ValueError(f"polarize expects a nonempty vector or stack of vectors, got shape {u.shape}")
+    if u.ndim == 1 and u.dtype.kind == "f":
+        return -u if u[0] < 0.0 else u  # one scalar comparison; a -0.0 or NaN pivot is left as it is
     pivot = u[:1]  # keeps the leading axis: a (1, 1) u times a (1,) factor can differ in the last bit
     if u.dtype.kind == "f":
         return u * (1.0 - 2.0 * (pivot < 0.0))  # -1.0 or 1.0 per vector

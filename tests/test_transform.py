@@ -241,14 +241,34 @@ def test_projection_profile_sums_to_one():
     assert abs(masses.sum() - 1.0) < 1e-12
 
 
+def _windowed_peak_of_abs_alpha(u, k):
+    """Reference: projection_profile's masses folded onto the |alpha| bins min(j, m - j), then the mass-weighted
+    mean of |alpha_j| over the bins within m // 6 of the first bin of largest folded mass."""
+    masses = projection_profile(u, k)[1]
+    m = masses.size
+    folded = np.bincount(np.minimum(np.arange(m), m - np.arange(m)), weights=masses)
+    bins = np.arange(folded.size)
+    window = np.abs(bins - np.argmax(folded)) <= m // 6
+    return np.sum(2.0 * np.pi * bins[window] / m * folded[window]) / np.sum(folded[window])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_complex_quasiperiodicity_is_the_mass_weighted_mean_of_abs_alpha(k):
-    rng = np.random.default_rng(23 + k)
+def test_quasiperiodicity_is_the_windowed_peak_of_abs_alpha(k):
+    rng, rng_real = np.random.default_rng(23 + k), np.random.default_rng(230 + k)
     for m in (*range(1, 30), 64, 255, 1000):
         u = rng.normal(size=m * k) + 1j * rng.normal(size=m * k)
         u *= (1.0 + 1e-9 * rng.normal()) / np.linalg.norm(u)  # unit up to eigensolver rounding
-        alphas, masses = projection_profile(u / np.linalg.norm(u), k)
-        assert abs(discrete_quasiperiodicity(u, k) - np.sum(np.abs(alphas) * masses)) < 1e-14, m
+        v = rng_real.normal(size=m * k)
+        v *= (1.0 + 1e-9 * rng_real.normal()) / np.linalg.norm(v)
+        for w in (u, v):
+            assert abs(discrete_quasiperiodicity(w, k) - _windowed_peak_of_abs_alpha(w, k)) < 1e-14, (m, w.dtype)
+
+
+def test_quasiperiodicity_ignores_mass_outside_the_window_around_the_peak():
+    # bins 10 and 25 of m = 64 are 15 > 64 // 6 bins apart; the mean over all bins gave 2 pi 13 / 64 = 1.276
+    s = np.arange(64)
+    u = np.sqrt(0.8 / 32) * np.cos(2 * np.pi * 10 * s / 64) + np.sqrt(0.2 / 32) * np.cos(2 * np.pi * 25 * s / 64)
+    assert abs(discrete_quasiperiodicity(u, 1) - 2 * np.pi * 10 / 64) < 1e-15
 
 
 def test_polarize_pivot_rules():
@@ -283,6 +303,14 @@ def test_polarize_flips_a_real_vector_exactly():
         assert v[0] >= 0.0
         if u[0] == 0.0:
             assert v.tobytes() == u.tobytes()  # unchanged, sign bits included
+
+
+def test_polarize_returns_a_real_vector_itself_unless_its_pivot_is_negative():
+    # hermitian_eigen writes a column back only when polarize returns a new array
+    for u in (np.array([0.5, -2.0]), np.array([0.0, -1.0]), np.array([-0.0, -1.0]), np.array([np.nan, -1.0])):
+        assert polarize(u) is u
+    u = np.array([-0.5, np.inf, -0.0])
+    assert polarize(u).tobytes() == np.array([0.5, -np.inf, 0.0]).tobytes()
 
 
 def _stack_with_awkward_pivots(shape, dtype, seed):
