@@ -101,10 +101,7 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
         vals, vecs = np.linalg.eigh(M.data)
         vecs = np.asfortranarray(vecs)
     for i in range(vals.size):
-        col = vecs[:, i]
-        polarized = polarize(col)
-        if polarized is not col:  # a real column whose first component is not negative comes back as itself
-            vecs[:, i] = polarized
+        vecs[:, i] = polarize(vecs[:, i])
     return EigenDecomposition(values=vals, vectors=vecs)
 
 

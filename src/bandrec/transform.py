@@ -159,16 +159,13 @@ def polarize(u) -> np.ndarray:
 
     u is one vector or a stack whose vectors run along axis 0 (shape (n,),
     (n, c), (n, a, b), ...), so row 0 holds every pivot.  A real vector
-    comes back as u or -u exactly, a complex one scaled by conj(u_0) / |u_0|;
-    a single float64 vector whose u_0 is not negative comes back as u itself,
-    not a copy.  A vector whose first component is zero comes back unchanged,
-    and so does a complex one whose |u_0| is subnormal, too small to divide by.
+    comes back as u or -u exactly, a complex one scaled by conj(u_0) / |u_0|.
+    A vector whose first component is zero comes back unchanged, and so does
+    a complex one whose |u_0| is subnormal, too small to divide by.
     """
     u = _float_or_complex(u)
     if u.ndim == 0 or u.size == 0:
         raise ValueError(f"polarize expects a nonempty vector or stack of vectors, got shape {u.shape}")
-    if u.ndim == 1 and u.dtype.kind == "f":
-        return -u if u[0] < 0.0 else u  # one scalar comparison; a -0.0 or NaN pivot is left as it is
     pivot = u[:1]  # keeps the leading axis: a (1, 1) u times a (1,) factor can differ in the last bit
     if u.dtype.kind == "f":
         return u * (1.0 - 2.0 * (pivot < 0.0))  # -1.0 or 1.0 per vector

@@ -305,14 +305,6 @@ def test_polarize_flips_a_real_vector_exactly():
             assert v.tobytes() == u.tobytes()  # unchanged, sign bits included
 
 
-def test_polarize_returns_a_real_vector_itself_unless_its_pivot_is_negative():
-    # hermitian_eigen writes a column back only when polarize returns a new array
-    for u in (np.array([0.5, -2.0]), np.array([0.0, -1.0]), np.array([-0.0, -1.0]), np.array([np.nan, -1.0])):
-        assert polarize(u) is u
-    u = np.array([-0.5, np.inf, -0.0])
-    assert polarize(u).tobytes() == np.array([0.5, -np.inf, 0.0]).tobytes()
-
-
 def _stack_with_awkward_pivots(shape, dtype, seed):
     """Random vectors along axis 0 of shape; every third has a first component with negative real part, a first
     component of magnitude about 1e-12, or no nonzero entry."""
