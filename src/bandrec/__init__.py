@@ -19,7 +19,7 @@ from .symbols import (BandStructure, Symbol, band_functions, banded_truncation,
                       cell_chain_symbol, check_assumptions, dimer_symbol, evaluate_symbol,
                       exponential_symbol, load_symbol, nearest_neighbour_symbol,
                       save_symbol, symbol_sup_norm)
-from .transform import (brillouin_sample, dft, discrete_quasiperiodicity, projection_profile,
-                        quasiperiodic_extension, sections, tfbt, zero_pad)
+from .transform import (brillouin_sample, discrete_quasiperiodicity, projection_profile,
+                        quasiperiodic_extension, tfbt, zero_pad)
 
 __version__ = "0.1.0"

@@ -40,12 +40,6 @@ def bin_alphas(m: int) -> np.ndarray:
     return np.fft.ifftshift(brillouin_sample(m))
 
 
-def dft(v) -> np.ndarray:
-    """Unitary discrete Fourier transform, bin j = (1/sqrt(m)) sum_s v_s e^{-2i pi js/m}."""
-    v = _vector(np.asarray(v, dtype=complex))
-    return np.fft.fft(v) / np.sqrt(v.size)
-
-
 def _block_size(k: int) -> int:
     """k, when it is a positive block size; else ValueError."""
     if k < 1:
@@ -54,7 +48,7 @@ def _block_size(k: int) -> int:
 
 
 def _vector(u: np.ndarray) -> np.ndarray:
-    """u, when it is a nonempty 1-d array, else ValueError; zero_pad, dft and quasiperiodic_extension call it."""
+    """u, when it is a nonempty 1-d array, else ValueError; zero_pad and quasiperiodic_extension call it."""
     if u.ndim != 1 or u.size < 1:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {u.shape}")
     return u
@@ -75,11 +69,6 @@ def zero_pad(u, k: int) -> np.ndarray:
     return np.concatenate([u, np.zeros(k - r, dtype=u.dtype)])
 
 
-def sections(u, k: int) -> np.ndarray:
-    """The k sections of zero_pad(u, k) as a (k, m) complex array; section p holds entries p, p+k, p+2k, ..."""
-    return zero_pad(np.asarray(u, dtype=complex), k).reshape(-1, k).T.copy()
-
-
 def _cell_dft(u: np.ndarray, k: int) -> np.ndarray:
     """Unnormalised DFT along the cell axis of u.reshape(m, k), u already zero-padded, site p in column p.
 
@@ -91,7 +80,11 @@ def _cell_dft(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def tfbt(u, k: int) -> np.ndarray:
-    """Section-wise DFT of zero_pad(u, k) as a (k, m) array, row p the unitary DFT of section p; norm-preserving."""
+    """Section map of zero_pad(u, k) followed by the unitary DFT: a (k, m) complex array, norm-preserving.
+
+    Row p is the DFT, bin j = (1/sqrt(m)) sum_s x_s e^{-2i pi js/m}, of section
+    p (entries p, p+k, p+2k, ...), so tfbt(v, 1)[0] is the DFT of v itself.
+    """
     t = _cell_dft(zero_pad(np.asarray(u, dtype=complex), k), k)
     return t.T / np.sqrt(t.shape[0])
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandrec import matrices, spectra, symbols
-from bandrec.transform import (bin_alphas, brillouin_sample, dft,
+from bandrec.transform import (bin_alphas, brillouin_sample,
                                discrete_quasiperiodicity, polarize, projection_profile,
-                               quasiperiodic_extension, sections, tfbt, zero_pad)
+                               quasiperiodic_extension, tfbt, zero_pad)
 
 
 def test_brillouin_sample_layout():
@@ -33,13 +33,13 @@ def test_bin_alphas_equals_the_wrapped_bin_formula_bit_for_bit():
 
 
 def test_dft_constant_vector_hits_zero_bin():
-    out = dft(np.ones(4) / 2.0)
+    out = tfbt(np.ones(4) / 2.0, 1)[0]
     assert np.allclose(out, [1, 0, 0, 0], atol=1e-14)
 
 
 def test_dft_fourier_mode_hits_own_bin():
     omega = 0.5 * np.array([1, 1j, -1, -1j])
-    assert np.allclose(dft(omega), [0, 1, 0, 0], atol=1e-14)
+    assert np.allclose(tfbt(omega, 1)[0], [0, 1, 0, 0], atol=1e-14)
 
 
 def test_dft_matches_direct_summation():
@@ -48,21 +48,9 @@ def test_dft_matches_direct_summation():
         v = rng.normal(size=m) + 1j * rng.normal(size=m)
         direct = np.array([np.sum(v * np.exp(-2j * np.pi * j * np.arange(m) / m))
                            for j in range(m)]) / np.sqrt(m)
-        assert np.max(np.abs(dft(v) - direct)) < 1e-10
-        assert abs(np.linalg.norm(dft(v)) - np.linalg.norm(v)) < 1e-12 * np.linalg.norm(v)
-
-
-def test_sections_basic():
-    sec = sections([1, 2, 3, 4], 2)
-    assert np.allclose(sec, [[1, 3], [2, 4]])
-    assert np.allclose(sec.T.reshape(-1), [1, 2, 3, 4])
-    single = sections([1, 2, 3], 1)
-    assert np.allclose(single[0], [1, 2, 3])
-    assert abs(np.linalg.norm(sec) ** 2 - 30.0) < 1e-12
-
-
-def test_sections_zero_pads_the_last_cell():
-    assert np.array_equal(sections([1, 2, 3], 2), [[1, 3], [2, 0]])
+        out = tfbt(v, 1)[0]
+        assert np.max(np.abs(out - direct)) < 1e-10
+        assert abs(np.linalg.norm(out) - np.linalg.norm(v)) < 1e-12 * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
@@ -75,7 +63,7 @@ def test_every_entry_point_reads_a_vector_as_its_zero_padded_cells(n, k, complex
     padded = zero_pad(u, k)
     assert padded.size == -(-n // k) * k
     assert discrete_quasiperiodicity(u, k) == discrete_quasiperiodicity(padded, k)
-    for fn in (projection_profile, lambda v, k: (tfbt(v, k),), lambda v, k: (sections(v, k),)):
+    for fn in (projection_profile, lambda v, k: (tfbt(v, k),)):
         for got, want in zip(fn(u, k), fn(padded, k)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -91,17 +79,17 @@ def test_zero_pad_returns_a_vector_k_divides_itself_and_pads_a_copy_otherwise(dt
         assert padded.size % k == 0 and np.array_equal(padded[:6], u) and not padded[6:].any()
 
 
-@pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt, sections])
+@pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt])
 def test_every_entry_point_refuses_a_zero_block_size(fn):
     with pytest.raises(ValueError, match=r"^block size must be positive, got 0$"):
         fn(np.ones(4) / 2.0, 0)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (0,)], ids=["2x2", "3x1", "empty"])
-@pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt, sections, zero_pad,
-                                lambda u, k: dft(u), lambda u, k: quasiperiodic_extension(u, 0.5, k)],
-                         ids=["discrete_quasiperiodicity", "projection_profile", "tfbt", "sections", "zero_pad",
-                              "dft", "quasiperiodic_extension"])
+@pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt, zero_pad,
+                                lambda u, k: quasiperiodic_extension(u, 0.5, k)],
+                         ids=["discrete_quasiperiodicity", "projection_profile", "tfbt", "zero_pad",
+                              "quasiperiodic_extension"])
 def test_every_entry_point_refuses_what_is_not_a_nonempty_vector(fn, shape):
     # np.ones((2, 2)) / 2 was read as its flattening: discrete_quasiperiodicity gave 0.0
     with pytest.raises(ValueError, match=f"^{re.escape(f'expected a nonempty 1-d vector, got shape {shape}')}$"):
@@ -158,14 +146,14 @@ def test_tfb_projection_is_kronecker_on_circulant_eigenvectors():
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_tfbt_and_projection_profile_equal_the_section_layout_bit_for_bit(dtype):
-    # the reference is the transposed (k, m) section layout, one fft per section
+    # the reference is the (k, m) section layout, section p = u[p::k], one fft per section
     rng = np.random.default_rng(17)
     for m in range(1, 65):
         for k in (1, 2, 3):
             u = rng.normal(size=m * k).astype(dtype)
             if dtype is complex:
                 u += 1j * rng.normal(size=m * k)
-            ref = np.fft.fft(sections(u, k), axis=1) / np.sqrt(m)
+            ref = np.fft.fft(np.array([u[p::k] for p in range(k)], dtype=complex), axis=1) / np.sqrt(m)
             assert np.array_equal(tfbt(u, k), ref), (m, k)
             _, masses = projection_profile(u, k)
             assert np.array_equal(masses, np.sum(np.abs(ref) ** 2, axis=0)), (m, k)

@@ -57,3 +57,14 @@ def test_a_check_reports_an_unmeetable_tolerance_as_a_failure(name):
     passed, detail = fn(UNMEETABLE[name], np.random.default_rng(0))
     assert not passed
     assert isinstance(detail, str) and detail
+
+
+def test_a_check_that_raises_is_reported_as_a_failing_result(monkeypatch):
+    def divide_by_zero(tol, rng):
+        return 1 / 0 > 0, "unreachable"
+
+    monkeypatch.setattr(verify, "CHECKS", [("test.divide_by_zero", divide_by_zero, {})])
+    result = verify.run_check("test.divide_by_zero")
+    assert result.name == "test.divide_by_zero" and not result.passed
+    assert result.detail == "raised ZeroDivisionError: division by zero"
+    assert [r.passed for r in verify.run_checks(only="divide")] == [False]
