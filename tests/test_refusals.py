@@ -28,6 +28,7 @@ SKEWED = symbols.Symbol(k=1, coeffs={0: [[1.0]], **{s: [[0.5e-12j]] for r in ran
                  "k must be an integer, got True", id="reconstruct_bands-kTrue"),
     pytest.param(lambda: transform.brillouin_sample(0), "grid size must be positive, got 0",
                  id="brillouin_sample-m0"),
+    pytest.param(lambda: transform.tfbt([], 1), "expected a nonempty 1-d vector, got shape (0,)", id="tfbt-k1-empty"),
     pytest.param(lambda: transform.quasiperiodic_extension([1.0, 0.0], 0.5, 0),
                  "number of cells must be positive, got 0", id="quasiperiodic_extension-m0"),
     pytest.param(lambda: symbols.banded_truncation(MONOMER, -1), "band radius must be nonnegative, got -1",

@@ -53,6 +53,51 @@ def test_dft_matches_direct_summation():
         assert abs(np.linalg.norm(out) - np.linalg.norm(v)) < 1e-12 * np.linalg.norm(v)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dft_is_the_unitary_fft_bit_for_bit(dtype):
+    rng = np.random.default_rng(29)
+    for m in range(1, 200):
+        v = rng.normal(size=m).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.normal(size=m)
+        assert np.array_equal(tfbt(v, 1)[0], np.fft.fft(v.astype(complex)) / np.sqrt(m)), m
+
+
+def test_sections_basic():
+    # the section layout tfbt reads: section p of zero_pad(u, k) holds entries p, p+k, p+2k, ...
+    u = np.array([1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(zero_pad(u, 2).reshape(-1, 2).T, [[1, 3], [2, 4]])
+    assert np.array_equal(zero_pad(u[:3], 1).reshape(-1, 1).T[0], [1, 2, 3])
+    t = tfbt(u, 2)  # sections [1, 3] and [2, 4]
+    assert np.allclose(t, np.array([[4, -2], [6, -2]]) / np.sqrt(2), atol=1e-14)
+    assert abs(np.linalg.norm(t) ** 2 - 30.0) < 1e-12
+
+
+def test_sections_zero_pads_the_last_cell():
+    assert np.array_equal(zero_pad([1.0, 2.0, 3.0], 2).reshape(-1, 2).T, [[1, 3], [2, 0]])
+    # sections [1, 3] and [2, 0]
+    assert np.allclose(tfbt([1.0, 2.0, 3.0], 2), np.array([[4, -2], [2, 2]]) / np.sqrt(2), atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_one_cell_shift_multiplies_bin_j_by_its_phase(k):
+    # moving u one cell along the chain (k sites, cyclically) multiplies bin j of every section by e^{-2i pi j/m}
+    rng = np.random.default_rng(31 + k)
+    for m in (1, 2, 5, 8, 33, 64):
+        u = rng.normal(size=m * k) + 1j * rng.normal(size=m * k)
+        phase = np.exp(-2j * np.pi * np.arange(m) / m)
+        assert np.max(np.abs(tfbt(np.roll(u, k), k) - phase * tfbt(u, k))) < 1e-12 * np.linalg.norm(u), m
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_real_vector_puts_the_same_mass_in_bins_j_and_m_minus_j(k):
+    # the mirror that lets discrete_quasiperiodicity read a real vector from its rfft bins alone
+    rng = np.random.default_rng(37 + k)
+    for m in (1, 2, 5, 8, 33, 64):
+        _, masses = projection_profile(rng.normal(size=m * k), k)
+        assert np.max(np.abs(masses[1:] - masses[:0:-1]), initial=0.0) <= 1e-13 * masses.sum(), m
+
+
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -79,7 +124,7 @@ def test_zero_pad_returns_a_vector_k_divides_itself_and_pads_a_copy_otherwise(dt
         assert padded.size % k == 0 and np.array_equal(padded[:6], u) and not padded[6:].any()
 
 
-@pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt])
+@pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt, zero_pad])
 def test_every_entry_point_refuses_a_zero_block_size(fn):
     with pytest.raises(ValueError, match=r"^block size must be positive, got 0$"):
         fn(np.ones(4) / 2.0, 0)
