@@ -103,18 +103,20 @@ def cmd_transform(args) -> int:
     if bad.any():
         raise ValueError(f"vector has {np.count_nonzero(bad)} non-finite (NaN or inf) entries, "
                          f"the first at entry {np.argmax(bad) + 1}")
-    norm = np.linalg.norm(u)
-    if norm == 0:
+    parts = u.view(float)  # re and im of each entry, side by side
+    peak = np.abs(parts).max()
+    if peak == 0:
         raise ValueError("vector is zero")
-    u = u / norm
+    u = np.ldexp(parts, -np.frexp(peak)[1]).view(complex)  # exact; the largest part in [0.5, 1) keeps the norm in range
+    u = u / np.linalg.norm(u)  # so an ordinary vector keeps the bits of u / norm(u)
     if not u.imag.any():  # read_entries gives complex entries; a real vector takes the library's real path
         u = u.real
     alphas, masses = transform.projection_profile(u, k)
+    q = transform.discrete_quasiperiodicity(u, k)
     outdir = Path(_text("out", cfg.get("out", ".")))
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "transform.csv"
     outputs.write_transform_csv(alphas, masses, out_path)
-    q = transform.discrete_quasiperiodicity(u, k)
     print(f"wrote {out_path}")
     print(f"recovered quasiperiodicity: {outputs.fmt(q)}")
     return EXIT_OK
@@ -180,7 +182,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symbols import HERMITIAN_TOL, Symbol, checked_spacings, complex_from_parts
+from .transform import _positive
 
 BLOCK_ENTRIES = 1 << 18  # most entries per block of a column-wise pass over a matrix: 2 MiB of float64
 KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
@@ -139,9 +140,7 @@ def _block_section(sym: Symbol, m: int, cyclic: bool) -> np.ndarray:
 
 def toeplitz_matrix(sym: Symbol, m: int) -> FiniteMatrix:
     """mk x mk section with block (i, j) = a_{i-j}, zero outside the support."""
-    if m < 1:
-        raise ValueError(f"block count must be positive, got {m}")
-    return FiniteMatrix(data=_block_section(sym, m, cyclic=False), kind="toeplitz")
+    return FiniteMatrix(data=_block_section(sym, _positive("block count", m), cyclic=False), kind="toeplitz")
 
 
 def circulant_matrix(sym: Symbol, m: int) -> FiniteMatrix:
@@ -185,11 +184,6 @@ def chain_capacitance(spacings) -> FiniteMatrix:
     return FiniteMatrix(diagonals=_chain_diagonals(spacings), kind="chain")
 
 
-def _check_dimers(dimers_per_side: int) -> None:
-    if dimers_per_side < 1:
-        raise ValueError(f"need at least one dimer per side, got {dimers_per_side}")
-
-
 def dimer_alternation(first: float, second: float, count: int) -> np.ndarray:
     """first, second, first, ...: entry i (1-based) is first for odd i and second for even i."""
     return np.where(np.arange(count) % 2 == 0, float(first), float(second))
@@ -202,8 +196,7 @@ def ssh_matrix(s1: float, s2: float, dimers_per_side: int) -> FiniteMatrix:
     so s2 sits on both sides of the defect site and the matrix is
     persymmetric.
     """
-    _check_dimers(dimers_per_side)
-    half = dimer_alternation(s1, s2, 2 * dimers_per_side)
+    half = dimer_alternation(s1, s2, 2 * _positive("dimers per side", dimers_per_side))
     return FiniteMatrix(diagonals=_chain_diagonals(np.concatenate([half, half[::-1]])), kind="ssh")
 
 
@@ -215,8 +208,7 @@ def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side:
     half (1-based spacing index 2*dimers_per_side + 1), the intra gap nearest
     the centre.  d = s1 recovers the unperturbed chain.
     """
-    _check_dimers(dimers_per_side)
-    out = dimer_alternation(s1, s2, 4 * dimers_per_side - 1)
+    out = dimer_alternation(s1, s2, 4 * _positive("dimers per side", dimers_per_side) - 1)
     out[2 * dimers_per_side] = d
     return out
 

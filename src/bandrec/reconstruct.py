@@ -27,7 +27,7 @@ from . import matrices, symbols
 from .matrices import FiniteMatrix, PerturbedPair
 from .spectra import EigenDecomposition, hermitian_eigen, localization_metrics, ipr_localized_flags
 from .symbols import _number, _refuse_unread, _text
-from .transform import _block_size, discrete_quasiperiodicity
+from .transform import _positive, discrete_quasiperiodicity
 
 DEFAULT_GRID = 512
 EDGE_EXCLUSION_BINS = 4
@@ -64,7 +64,7 @@ def reconstruct_bands(M, k: int) -> Points:
     the localized flag here reflects the inverse-participation rule alone
     (scenario runs refine it with gap membership).
     """
-    k = _block_size(_number("k", k, int))  # before the eigensolve; 2.0 is read as 2
+    k = _positive("block size", _number("k", k, int))  # before the eigensolve; 2.0 is read as 2
     if isinstance(M, PerturbedPair):
         eig = hermitian_eigen(M.symmetrized)
         V = M.bc_eigenvectors(eig.vectors)
@@ -142,9 +142,7 @@ def tridiagonal_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
     lambda_s = a0 + 2 a1 cos(s pi / (m+1)) with sine eigenvectors
     u_s^(q) = kappa sin(q s pi / (m+1)), returned sorted ascending.
     """
-    if m < 1:
-        raise ValueError(f"size must be positive, got {m}")
-    s = np.arange(1, m + 1)
+    s = np.arange(1, _positive("size", m) + 1)
     theta = s * np.pi / (m + 1)
     vals = a0 + 2.0 * a1 * np.cos(theta)
     q = np.arange(1, m + 1)
@@ -160,9 +158,7 @@ def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
     u_s^(q) = kappa_s cos((q - 1/2) s pi / m); here the even-index vectors
     are exactly resolved by the m-point bin grid.
     """
-    if m < 1:
-        raise ValueError(f"size must be positive, got {m}")
-    s = np.arange(m)
+    s = np.arange(_positive("size", m))
     vals = a0 + 2.0 * a1 * np.cos(s * np.pi / m)
     q = np.arange(1, m + 1)
     vecs = np.cos(np.outer(q - 0.5, s * np.pi / m))

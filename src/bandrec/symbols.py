@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import _block_size, brillouin_sample, polarize
+from .transform import _positive, brillouin_sample, polarize
 
 HERMITIAN_TOL = 1e-12
 CROSSING_TOL = 1e-8
@@ -30,6 +30,7 @@ EVENNESS_TOL = 1e-8
 VAN_DER_HOVE_TOL = 1e-6
 MIN_CHECK_GRID = 16  # smallest grid band_functions, hence every BandStructure, and a scenario run accept
 BAND_MEMO_SIZE = 8  # band structures band_functions keeps, least recently used dropped first
+OFFSET_MAX = np.iinfo(np.int64).max  # largest |s| of a symbol offset; offsets and -offsets are int64
 
 
 def checked_grid(grid: int) -> int:
@@ -72,7 +73,7 @@ class Symbol:
     blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _block_size(_number("k", self.k, int)))
+        object.__setattr__(self, "k", _positive("block size", _number("k", self.k, int)))
         if self.tail_bound is not None:
             object.__setattr__(self, "tail_bound", _number("tail_bound", self.tail_bound, float))
             if not 0.0 <= self.tail_bound < math.inf:
@@ -80,7 +81,9 @@ class Symbol:
         clean = {}
         for s, block in self.coeffs.items():
             s = _number("offset s", s, int)
-            block = np.asarray(block, dtype=complex)
+            if abs(s) > OFFSET_MAX:
+                raise ValueError(f"offset s must be a 64-bit integer, got {s}")
+            block = np.array(block, dtype=complex)  # a copy: freezing it leaves the caller's array writable
             if block.shape != (self.k, self.k):
                 raise ValueError(f"coefficient block at offset {s} has shape {block.shape}, expected {(self.k, self.k)}")
             if not np.all(np.isfinite(block)):

@@ -29,8 +29,7 @@ UNIT_NORM_TOL = 1e-8
 
 def brillouin_sample(m: int) -> np.ndarray:
     """Uniform quasiperiodicity grid 2*pi*j/m, j = -floor(m/2) .. m-1-floor(m/2)."""
-    if m < 1:
-        raise ValueError(f"grid size must be positive, got {m}")
+    m = _positive("grid size", m)
     j = np.arange(-(m // 2), m - m // 2)
     return 2.0 * np.pi * j / m
 
@@ -40,11 +39,11 @@ def bin_alphas(m: int) -> np.ndarray:
     return np.fft.ifftshift(brillouin_sample(m))
 
 
-def _block_size(k: int) -> int:
-    """k, when it is a positive block size; else ValueError."""
-    if k < 1:
-        raise ValueError(f"block size must be positive, got {k}")
-    return k
+def _positive(what: str, n: int) -> int:
+    """n, when it is a count of at least 1; else ValueError "<what> must be positive, got <n>"."""
+    if n < 1:
+        raise ValueError(f"{what} must be positive, got {n}")
+    return n
 
 
 def _vector(u: np.ndarray) -> np.ndarray:
@@ -63,7 +62,7 @@ def _float_or_complex(u) -> np.ndarray:
 def zero_pad(u, k: int) -> np.ndarray:
     """u as float64 or complex128, completed by zeros to a multiple of k: u itself when k divides it, else a copy."""
     u = _vector(_float_or_complex(u))
-    r = u.size % _block_size(k)
+    r = u.size % _positive("block size", k)
     if r == 0:
         return u
     return np.concatenate([u, np.zeros(k - r, dtype=u.dtype)])
@@ -99,9 +98,7 @@ def projection_profile(u, k: int) -> tuple[np.ndarray, np.ndarray]:
 def quasiperiodic_extension(cell, alpha: float, m: int) -> np.ndarray:
     """(1/sqrt(m)) (u, e^{i a} u, ..., e^{i a (m-1)} u); norm equals ||u||."""
     cell = _vector(np.asarray(cell, dtype=complex))
-    if m < 1:
-        raise ValueError(f"number of cells must be positive, got {m}")
-    phases = np.exp(1j * alpha * np.arange(m)) / np.sqrt(m)
+    phases = np.exp(1j * alpha * np.arange(_positive("number of cells", m))) / np.sqrt(m)
     return np.kron(phases, cell)
 
 

@@ -436,7 +436,8 @@ def acceptance_09_unitarity(tol, rng):
     for _ in range(1000):
         m = int(rng.integers(1, 65))
         k = int(rng.integers(1, 4))
-        v = rng.normal(size=m * k) + 1j * rng.normal(size=m * k)
+        n = m * k - int(rng.integers(0, k))  # up to k - 1 sites short of m cells, so zero_pad and tfbt pad
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
         worst = max(worst, abs(np.linalg.norm(transform.tfbt(v[:m], 1)) - np.linalg.norm(v[:m])))
         worst = max(worst, abs(np.linalg.norm(transform.zero_pad(v, k)) - 1.0))

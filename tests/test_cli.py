@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -726,6 +729,49 @@ def test_transform_refuses_a_zero_vector(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: vector is zero\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-300])
+def test_transform_reads_a_vector_at_any_scale(tmp_path, capsys, scale):
+    # the norm of the entries as read overflows at 1e160 and loses digits to underflow at 1e-160 and 1e-300
+    v = np.random.default_rng(3).normal(size=13) + 1j * np.random.default_rng(4).normal(size=13)
+    runs = []
+    for a in (1.0, scale):
+        vec, out = tmp_path / f"v{a}.csv", tmp_path / f"run{a}"
+        vec.write_text("\n".join(str(complex(x * a)).strip("()") for x in v) + "\n")
+        assert main(["transform", "--vector", str(vec), "--k", "2", "--out", str(out)]) == 0
+        alpha = float(capsys.readouterr().out.split("recovered quasiperiodicity: ")[1])
+        runs.append((alpha, np.array([float(r["mass"]) for r in read_csv(out / "transform.csv")])))
+    (alpha_1, masses_1), (alpha_a, masses_a) = runs
+    assert abs(alpha_a - alpha_1) <= 1e-12
+    assert np.max(np.abs(masses_a - masses_1)) <= 1e-12
+
+
+def test_transform_writes_nothing_when_the_quasiperiodicity_is_refused(tmp_path, capsys, monkeypatch):
+    def refuse(u, k):
+        raise ValueError("refused")
+    monkeypatch.setattr(transform, "discrete_quasiperiodicity", refuse)
+    vec, out = tmp_path / "v.csv", tmp_path / "run"
+    vec.write_text("0.6\n0.8\n")
+    assert main(["transform", "--vector", str(vec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: refused\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["bands", "--symbol", '{"k": 1, "coeffs": [{"s": 0, "re": [[2]]}, {"s": 1e20, "re": [[-1]]}, '
+                                       '{"s": -1e20, "re": [[-1]]}]}'],
+                 "offset s must be a 64-bit integer, got 100000000000000000000", id="offset"),
+    pytest.param(["reconstruct", "--scenario", "ssh", "--dimers-per-side", "100000000000000000000"],
+                 "Maximum allowed size exceeded", id="dimers-per-side"),
+])
+def test_a_number_beyond_int64_exits_1_without_a_traceback(tmp_path, argv, message):
+    out = tmp_path / "run"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "bandrec.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr, done.stdout) == (1, f"error: {message}\n", "")
+    assert "Traceback" not in done.stderr and not out.exists()
 
 
 def test_transform_missing_vector():

@@ -254,10 +254,10 @@ def test_ssh_matrix_persymmetric():
 @pytest.mark.parametrize("build,args,message", [
     (ssh_matrix, (0.0, 2.0, 3), "spacings must be positive"),
     (ssh_matrix, (1.0, -2.0, 3), "spacings must be positive"),
-    (ssh_matrix, (1.0, 2.0, 0), "need at least one dimer per side, got 0"),
+    (ssh_matrix, (1.0, 2.0, 0), "dimers per side must be positive, got 0"),
     (dislocated_chain, (0.0, 2.0, 4.0, 3), "spacings must be positive"),
     (dislocated_chain, (1.0, 2.0, 0.0, 3), "spacings must be positive"),
-    (dislocated_chain, (1.0, 2.0, 4.0, -1), "need at least one dimer per side, got -1"),
+    (dislocated_chain, (1.0, 2.0, 4.0, -1), "dimers per side must be positive, got -1"),
 ])
 def test_dimer_builders_refuse_bad_input(build, args, message):
     with pytest.raises(ValueError, match=message):

@@ -15,6 +15,8 @@ SKEWED = symbols.Symbol(k=1, coeffs={0: [[1.0]], **{s: [[0.5e-12j]] for r in ran
 
 @pytest.mark.parametrize("call,message", [
     pytest.param(lambda: symbols.Symbol(k=0, coeffs={}), "block size must be positive, got 0", id="Symbol-k0"),
+    pytest.param(lambda: symbols.Symbol(k=1, coeffs={0: [[2.0]], 10**20: [[-1.0]], -10**20: [[-1.0]]}),
+                 "offset s must be a 64-bit integer, got 100000000000000000000", id="Symbol-offset-1e20"),
     pytest.param(lambda: matrices.toeplitz_matrix(MONOMER, 0), "block count must be positive, got 0",
                  id="toeplitz_matrix-m0"),
     pytest.param(lambda: matrices.capacitance_1d(2.0, -1.0, 1), "chain needs at least 2 sites, got 1",

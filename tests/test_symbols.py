@@ -226,6 +226,18 @@ def test_a_ninth_key_evicts_the_least_recently_used():
     assert band_functions(syms[1], 16) is not stored[1]
 
 
+def test_a_symbol_copies_the_blocks_it_freezes():
+    b, a = 2 * np.eye(1, dtype=complex), -0.75 * np.eye(1, dtype=complex)
+    s = Symbol(k=1, coeffs={0: b, 1: a, -1: a})
+    before = band_functions(s, 16).values.copy()
+    assert s.coeffs[0] is not b and b.flags.writeable and a.flags.writeable
+    b[0, 0] = 5.0
+    a[0, 0] = 1.0
+    assert [s.coeffs[r][0, 0] for r in (-1, 0, 1)] == [-0.75, 2.0, -0.75]
+    assert np.array_equal(s.blocks, [[[-0.75]], [[2.0]], [[-0.75]]])
+    assert np.array_equal(band_functions(s, 16).values, before)
+
+
 def test_band_structure_arrays_are_read_only():
     bs = band_functions(cell_chain_symbol([1.0, 2.0, 0.75]), 32)
     for array in (bs.alphas, bs.values, bs.vectors, bs.derivatives):
