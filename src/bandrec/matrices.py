@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import HERMITIAN_TOL, Symbol, checked_spacings, complex_from_parts
+from .symbols import HERMITIAN_RULE, HERMITIAN_TOL, Symbol, checked_spacings, complex_from_parts, relative_defect
 from .transform import _positive
 
 BLOCK_ENTRIES = 1 << 18  # most entries per block of a column-wise pass over a matrix: 2 MiB of float64
@@ -45,8 +45,8 @@ class FiniteMatrix:
     arrays of lengths n, n - 1 and n - 1 (a complex matrix is given dense).
     Either way n >= 1.  The rest is worked out from the entries: complex
     entries whose imaginary parts are all zero are stored real; `hermitian`
-    is max|A - A^H| <= HERMITIAN_TOL * max(1, max|A|); and `diagonals` is
-    set exactly when the matrix is real and tridiagonal, so a dense real
+    is symbols.HERMITIAN_RULE, relative to max|A| at any scale; and `diagonals`
+    is set exactly when the matrix is real and tridiagonal, so a dense real
     matrix whose nonzeros all lie on its three central diagonals records
     them.  A matrix built from its diagonals writes `data` on first read.
     All arrays are read-only.
@@ -81,7 +81,7 @@ class FiniteMatrix:
             band = np.zeros((diag.size, 3))  # row i holds the entries (i, i-1), (i, i), (i, i+1)
             band[1:, 0], band[:, 1], band[:-1, 2] = lower, diag, upper
             scale, asym = _finite_max_abs(band, band=True), upper - lower
-        hermitian = float(np.max(np.abs(asym), initial=0.0)) <= HERMITIAN_TOL * max(1.0, scale)
+        hermitian = relative_defect(asym, scale) <= HERMITIAN_TOL
         n = data.shape[0] if data is not None else diagonals[0].size
         for x in (data, *(diagonals or ())):
             if x is not None:
@@ -256,18 +256,17 @@ def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> Perturbed
     """Scale row `index` (1-based) of C by 1 + delta.
 
     Requires a Hermitian C, since the symmetrized form averages away what
-    asymmetry is left, and 1 + delta > 0 so the square-root similarity
+    asymmetry is left, and a finite delta > -1 so the square-root similarity
     transform exists.  A tridiagonal C gives a tridiagonal pair, scaled on
     its diagonals.
     """
     if not C.hermitian:
-        raise ValueError(f"compact_perturbation needs a Hermitian base matrix, one with "
-                         f"max|C - C^H| <= {HERMITIAN_TOL:g} * max(1, max|C|)")
+        raise ValueError(f"compact_perturbation needs a Hermitian base matrix, one with {HERMITIAN_RULE}")
     n = C.n
     if not 1 <= index <= n:
         raise ValueError(f"index {index} out of range 1..{n}")
-    if 1.0 + delta <= 0.0:
-        raise ValueError(f"need 1 + delta > 0, got delta = {delta}")
+    if not -1.0 < delta < math.inf:  # NaN included
+        raise ValueError(f"need -1 < delta < inf, got delta = {delta}")
     r, s = np.ones(n), np.ones(n)  # the row scaling of B C and the two-sided one of B^1/2 C B^1/2
     r[index - 1], s[index - 1] = 1.0 + delta, math.sqrt(1.0 + delta)
     if C.diagonals is not None:

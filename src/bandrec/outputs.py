@@ -142,7 +142,7 @@ def write_bands_svg(bs: BandStructure, path, points: Points | None = None, title
         xs = np.linspace(0.0, np.pi, 257)
         curves, lam = bs.values_at(xs), points.lam
     y_all = np.concatenate([curves.ravel(), lam])
-    spread = max(float(y_all.max() - y_all.min()), 1e-12)
+    spread = float(y_all.max() - y_all.min())  # 0 for flat bands, which _pixels draws at mid-height
     to_x = (float(xs.min()), float(xs.max()), _SVG_PAD, _SVG_W - 2 * _SVG_PAD)
     to_y = (float(y_all.min()) - 0.05 * spread, float(y_all.max()) + 0.05 * spread,
             _SVG_H - _SVG_PAD, -(_SVG_H - 2 * _SVG_PAD))  # pixel rows grow downwards

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrices import FiniteMatrix, column_blocks
-from .symbols import HERMITIAN_TOL
+from .symbols import HERMITIAN_RULE
 from .transform import check_unit_norms, polarize
 
 DEGENERACY_REL_TOL = 1e-8
@@ -92,8 +92,7 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     F-ordered array, real for real input and complex otherwise.
     """
     if not M.hermitian:
-        raise ValueError(f"hermitian_eigen needs a Hermitian matrix, one with "
-                         f"max|A - A^H| <= {HERMITIAN_TOL:g} * max(1, max|A|)")
+        raise ValueError(f"hermitian_eigen needs a Hermitian matrix, one with {HERMITIAN_RULE}")
     if M.diagonals is not None and _bundled_dstevd() is not None:
         diag, _, lower = M.diagonals
         vals, vecs = _tridiagonal_eigh(diag, lower)
@@ -128,7 +127,7 @@ def residual(M: FiniteMatrix, lam, u):
 
 def near_far_split(eig: EigenDecomposition, lambda_eps: float, eps: float, u) -> tuple[np.ndarray, np.ndarray]:
     """(u_parallel, u_perp): u's projection onto the eigenvectors with |lambda_i - lambda_eps| <= eps, and the rest."""
-    if eps <= 0:
+    if not eps > 0:  # NaN included
         raise ValueError(f"eps must be positive, got {eps}")
     u = np.asarray(u, dtype=complex)
     near = np.abs(eig.values - lambda_eps) <= eps

@@ -31,6 +31,13 @@ VAN_DER_HOVE_TOL = 1e-6
 MIN_CHECK_GRID = 16  # smallest grid band_functions, hence every BandStructure, and a scenario run accept
 BAND_MEMO_SIZE = 8  # band structures band_functions keeps, least recently used dropped first
 OFFSET_MAX = np.iinfo(np.int64).max  # largest |s| of a symbol offset; offsets and -offsets are int64
+HERMITIAN_RULE = f"max|A - A^H| <= {HERMITIAN_TOL:g} * max|A|"  # FiniteMatrix.hermitian, quoted by its refusals
+
+
+def relative_defect(difference, scale: float) -> float:
+    """max|difference| / scale, scale the largest |entry| tested, 0 for a zero difference: no floor, no units."""
+    worst = float(np.max(np.abs(difference), initial=0.0))
+    return worst / scale if worst else 0.0
 
 
 def checked_grid(grid: int) -> int:
@@ -94,7 +101,7 @@ class Symbol:
         for s, block in clean.items():
             if -s not in clean:
                 raise ValueError(f"support is not symmetric: offset {s} present but {-s} missing")
-            defect = float(np.max(np.abs(clean[-s] - block.conj().T))) / max(1.0, scale)
+            defect = relative_defect(clean[-s] - block.conj().T, scale)
             if defect > HERMITIAN_TOL:
                 raise ValueError(f"non-Hermitian symbol: a_{-s} != a_{s}^* with relative defect "
                                  f"{defect:g} (tolerance {HERMITIAN_TOL:g})")
@@ -139,7 +146,7 @@ class BandStructure:
     values: np.ndarray        # (k, m) real
     vectors: np.ndarray       # (m, k, k) complex, column p is u_{p+1}(alpha_j)
     derivatives: np.ndarray   # (k, m) finite-difference lambda'
-    hermitian_defect: float = 0.0  # max|f - f^H| / max(1, max|f|) over the grid
+    hermitian_defect: float = 0.0  # relative_defect(f - f^H, max|f|) over the grid
 
     def __post_init__(self):
         for array in (self.alphas, self.values, self.vectors, self.derivatives):
@@ -179,9 +186,9 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     are sorted ascending per grid point, eigenvectors are unit with their
     first component real and nonnegative (polarize; no output reads that
     phase), and derivatives come from central differences (one-sided at the
-    grid ends).  Evaluations must be Hermitian to 1e-10 relative to
-    max(1, max|f|).  The (m, k, k) stack of evaluations is diagonalised by
-    one eigh call and its m k eigenvectors are polarized by one polarize
+    grid ends).  Evaluations must be Hermitian to 1e-10 relative to max|f|
+    (relative_defect).  The (m, k, k) stack of evaluations is diagonalised
+    by one eigh call and its m k eigenvectors are polarized by one polarize
     call, which give the same values and vectors as one call per grid point
     and per vector.
 
@@ -198,10 +205,10 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
         return _band_memo[key]
     alphas = brillouin_sample(m)
     evaluations = np.array([evaluate_symbol(sym, a) for a in alphas])
-    asym = np.max(np.abs(evaluations - evaluations.conj().transpose(0, 2, 1)))
-    defect = float(asym) / max(1.0, float(np.max(np.abs(evaluations))))
+    defect = relative_defect(evaluations - evaluations.conj().transpose(0, 2, 1),
+                             float(np.max(np.abs(evaluations))))
     if defect > 1e-10:
-        raise ValueError(f"symbol evaluation departs from Hermitian by {defect:g} relative to max(1, max|f|)")
+        raise ValueError(f"symbol evaluation departs from Hermitian by {defect:g} relative to max|f|")
     values, vectors = np.linalg.eigh(evaluations)
     vectors = polarize(vectors.transpose(1, 0, 2)).transpose(1, 0, 2)  # vector (j, p) runs along the middle axis
     values = values.T.copy()
@@ -217,13 +224,13 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
 def evenness(bs: BandStructure) -> tuple[float, bool]:
     """(max_p max_j |lambda_p(alpha_j) - lambda_p(-alpha_j)|, whether it is within tolerance).
 
-    The tolerance is EVENNESS_TOL * max(1, max|lambda|).  The transform
-    recovers |alpha| only, so bands that are not even in alpha cannot be
-    reconstructed.  -alpha_j is grid point (-j) mod m.
+    The tolerance is EVENNESS_TOL * max|lambda| (relative_defect).  The
+    transform recovers |alpha| only, so bands that are not even in alpha
+    cannot be reconstructed.  -alpha_j is grid point (-j) mod m.
     """
     mirror = -np.arange(bs.m) % bs.m
     defect = float(np.max(np.abs(bs.values - bs.values[:, mirror])))
-    return defect, defect <= EVENNESS_TOL * max(1.0, float(np.max(np.abs(bs.values))))
+    return defect, relative_defect(defect, float(np.max(np.abs(bs.values)))) <= EVENNESS_TOL
 
 
 def check_assumptions(bs: BandStructure) -> dict:
@@ -232,16 +239,17 @@ def check_assumptions(bs: BandStructure) -> dict:
     Returns {"bands_disjoint", "no_van_der_hove", "hermitian", "even",
     "min_band_separation" (None for one band), "min_interior_slope",
     "evenness_defect", "failures"}, failures empty exactly when all pass.
-    Slopes are checked on interior grid points only, excluding the grid's
-    symmetry points alpha in {0, -pi}, where any even band's derivative vanishes.
+    Separations must exceed CROSSING_TOL, and slopes off the symmetry points alpha in {0, -pi}
+    (where any even band's derivative vanishes) VAN_DER_HOVE_TOL, each times max|lambda|.
     """
+    scale = float(np.max(np.abs(bs.values)))
     ranges = bs.band_ranges()
     min_sep = min((ranges[p + 1][0] - ranges[p][1] for p in range(len(ranges) - 1)), default=None)
-    bands_disjoint = min_sep is None or min_sep > CROSSING_TOL
+    bands_disjoint = min_sep is None or min_sep > CROSSING_TOL * scale
 
     interior = ~(np.isclose(bs.alphas, 0.0) | np.isclose(bs.alphas, -np.pi))
     min_slope = float(np.min(np.abs(bs.derivatives[:, interior])))
-    no_vdh = min_slope > VAN_DER_HOVE_TOL
+    no_vdh = min_slope > VAN_DER_HOVE_TOL * scale
 
     hermitian = bs.hermitian_defect <= HERMITIAN_TOL
     even_defect, even = evenness(bs)
@@ -261,7 +269,7 @@ def check_assumptions(bs: BandStructure) -> dict:
 
 def banded_truncation(sym: Symbol, r: int) -> Symbol:
     """Drop every block with |s| > r, adding their sum |a_s| over entries to tail_bound (0 when unknown)."""
-    if r < 0:
+    if not r >= 0:  # NaN included
         raise ValueError(f"band radius must be nonnegative, got {r}")
     kept = {s: b for s, b in sym.coeffs.items() if abs(s) <= r}
     dropped = sum(float(np.sum(np.abs(b))) for s, b in sym.coeffs.items() if abs(s) > r)

@@ -341,6 +341,32 @@ def test_reconstruct_refuses_bands_that_are_not_even(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+# lambda(alpha) = (2 - 2 sin alpha) 1e-9: the odd symbol above at 1e-9 scale
+SMALL_ODD = ('{"k":1,"coeffs":[{"s":0,"re":[[2e-9]]},{"s":1,"re":[[0]],"im":[[1e-9]]},'
+             '{"s":-1,"re":[[0]],"im":[[-1e-9]]}]}')
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["--scenario", "compact_defect", "--delta", "nan"], "need -1 < delta < inf, got delta = nan",
+                 id="delta-nan"),
+    pytest.param(["--scenario", "compact_defect", "--delta", "inf"], "need -1 < delta < inf, got delta = inf",
+                 id="delta-inf"),
+    pytest.param(["--scenario", "periodic_symbol", "--m", "40", "--symbol", SMALL_ODD],
+                 "the reference bands are not even in alpha: max|lambda(alpha) - lambda(-alpha)| = 4e-09, "
+                 "and only |alpha| is recovered", id="odd-symbol-1e-9"),
+    pytest.param(["--scenario", "external_matrix", "--matrix", "{tiny}"],
+                 "hermitian_eigen needs a Hermitian matrix, one with max|A - A^H| <= 1e-12 * max|A|",
+                 id="matrix-1e-13"),
+])
+def test_reconstruct_refuses_what_it_cannot_solve_at_any_scale(tmp_path, capsys, argv, message):
+    (tmp_path / "tiny.csv").write_text("0,1e-13\n0,0\n")
+    out = tmp_path / "run"
+    argv = [a.replace("{tiny}", str(tmp_path / "tiny.csv")) for a in argv]
+    assert main(["reconstruct", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def _exit_code_of(argv):
     """Run the CLI quietly; an exception other than the handled ones fails the test."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -20,7 +20,7 @@ def test_finite_matrix_validation():
     with pytest.raises(ValueError, match="unknown matrix kind 'dense'"):
         FiniteMatrix(data=np.eye(2), kind="dense")
     with pytest.raises(ValueError, match=r"hermitian_eigen needs a Hermitian matrix, one with "
-                                         r"max\|A - A\^H\| <= 1e-12 \* max\(1, max\|A\|\)"):
+                                         r"max\|A - A\^H\| <= 1e-12 \* max\|A\|$"):
         hermitian_eigen(FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]])))
     m = FiniteMatrix(data=np.eye(2))
     with pytest.raises(ValueError):
@@ -39,7 +39,18 @@ def test_finite_matrix_rejects_non_finite_entries(bad):
 def test_hermitian_test_is_relative_to_the_largest_entry():
     assert FiniteMatrix(data=np.array([[1e6, 1e-11], [0.0, 1e6]])).hermitian
     assert not FiniteMatrix(data=np.array([[1e6, 1.0], [0.0, 1e6]])).hermitian
-    assert not FiniteMatrix(data=np.array([[1e-3, 1e-11], [0.0, 1e-3]])).hermitian  # below unit scale it stays absolute
+    assert not FiniteMatrix(data=np.array([[1e-3, 1e-11], [0.0, 1e-3]])).hermitian  # relative below unit scale too
+    assert not FiniteMatrix(data=np.array([[0.0, 1e-13], [0.0, 0.0]])).hermitian
+    assert FiniteMatrix(data=np.zeros((2, 2))).hermitian and FiniteMatrix(diagonals=([0.0], [], [])).hermitian
+
+
+@pytest.mark.parametrize("c", [2.0 ** -50, 2.0 ** 40], ids=["2^-50", "2^40"])
+@pytest.mark.parametrize("upper,hermitian", [(1e-13, True), (1e-11, False)])
+def test_the_hermitian_verdict_is_the_same_at_any_scale(upper, hermitian, c):
+    dense = np.array([[1.0, upper], [0.0, 1.0]])
+    assert FiniteMatrix(data=dense).hermitian == FiniteMatrix(data=c * dense).hermitian == hermitian
+    assert FiniteMatrix(diagonals=([1.0, 1.0], [upper], [0.0])).hermitian == hermitian
+    assert FiniteMatrix(diagonals=([c, c], [c * upper], [0.0])).hermitian == hermitian
 
 
 @pytest.mark.parametrize("diagonal,i,where", [(0, 2, "row 3, column 3"), (1, 1, "row 2, column 3"),

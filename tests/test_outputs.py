@@ -196,3 +196,13 @@ def test_svg_coordinates_are_formatted_as_one_point_at_a_time(tmp_path, monkeypa
     centres = np.resize(values, len(result.points)).tolist()
     assert [(c.get("cx"), c.get("cy")) for c in root.findall(f"{SVG}circle")] == [
         (f"{a:.2f}", f"{a:.2f}") for a in centres]
+
+
+@pytest.mark.parametrize("c", [2.0 ** -50, 2.0 ** 40, 2.0 ** -1000], ids=["2^-50", "2^40", "2^-1000"])
+@pytest.mark.parametrize("name", ["monomer", "dimer", "exponential"])
+def test_a_band_plot_is_the_same_at_any_scale(tmp_path, name, c):
+    sym = symbols.symbol_from_source(name)
+    outputs.write_bands_svg(symbols.band_functions(sym, 256), tmp_path / "unit.svg")
+    sym = symbols.Symbol(k=sym.k, coeffs={s: c * b for s, b in sym.coeffs.items()})
+    outputs.write_bands_svg(symbols.band_functions(sym, 256), tmp_path / "scaled.svg")
+    assert (tmp_path / "scaled.svg").read_bytes() == (tmp_path / "unit.svg").read_bytes()

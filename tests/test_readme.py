@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bandrec import matrices
+from bandrec import matrices, symbols
 from bandrec.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -58,3 +58,10 @@ def test_readme_cli_examples_write_the_files_they_name(tmp_path, monkeypatch):
         assert main(argv) == 0, argv
         assert files, f"the comment of {argv} names no file"
         assert sorted(p.name for p in Path("out").iterdir()) == sorted(files), argv
+
+
+def test_readme_quotes_the_tolerance_rules_as_the_code_states_them():
+    text = " ".join(README.read_text(encoding="utf-8").split())  # a quote may wrap across lines
+    assert f"`{symbols.HERMITIAN_RULE}`" in text
+    evenness = re.search(r"must stay within `(\S+) \* max\|lambda\|`", text)  # Limits; :g would write 1e-08
+    assert evenness and float(evenness.group(1)) == symbols.EVENNESS_TOL

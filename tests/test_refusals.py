@@ -5,12 +5,18 @@ import re
 import numpy as np
 import pytest
 
-from bandrec import matrices, reconstruct, symbols, transform
+from bandrec import matrices, reconstruct, spectra, symbols, transform
 
 MONOMER = symbols.nearest_neighbour_symbol(2.0, -1.0)
 DIMER = symbols.dimer_symbol(1.0, 2.0)
 # a_{-s} = a_s = 0.5e-12 i: each offset is within Symbol's tolerance, their sum at alpha = 0 is not
 SKEWED = symbols.Symbol(k=1, coeffs={0: [[1.0]], **{s: [[0.5e-12j]] for r in range(1, 61) for s in (r, -r)}})
+SKEWED_MESSAGE = "symbol evaluation departs from Hermitian by 1.2e-10 relative to max|f|"
+CHAIN = matrices.chain_capacitance([1.0, 2.0, 1.0])
+
+
+def skewed_times(c):
+    return symbols.Symbol(k=1, coeffs={s: c * b for s, b in SKEWED.coeffs.items()})
 
 
 @pytest.mark.parametrize("call,message", [
@@ -35,15 +41,23 @@ SKEWED = symbols.Symbol(k=1, coeffs={0: [[1.0]], **{s: [[0.5e-12j]] for r in ran
                  "number of cells must be positive, got 0", id="quasiperiodic_extension-m0"),
     pytest.param(lambda: symbols.banded_truncation(MONOMER, -1), "band radius must be nonnegative, got -1",
                  id="banded_truncation-r-1"),
+    pytest.param(lambda: symbols.banded_truncation(symbols.exponential_symbol(), float("nan")),
+                 "band radius must be nonnegative, got nan", id="banded_truncation-r-nan"),
+    pytest.param(lambda: spectra.near_far_split(spectra.hermitian_eigen(CHAIN), 0.0, float("nan"), np.ones(4)),
+                 "eps must be positive, got nan", id="near_far_split-eps-nan"),
+    pytest.param(lambda: matrices.compact_perturbation(CHAIN, 2, float("nan")),
+                 "need -1 < delta < inf, got delta = nan", id="compact_perturbation-delta-nan"),
+    pytest.param(lambda: matrices.compact_perturbation(CHAIN, 2, float("inf")),
+                 "need -1 < delta < inf, got delta = inf", id="compact_perturbation-delta-inf"),
     pytest.param(lambda: symbols.symbol_difference_sup_norm(MONOMER, DIMER), "symbols must share the block size",
                  id="symbol_difference_sup_norm-k1-k2"),
     pytest.param(lambda: symbols.symbol_from_dict([1]), "symbol description: expected an object, got list",
                  id="symbol_from_dict-list"),
     pytest.param(lambda: symbols.complex_from_parts({"re": [["x"]]}, "block"),
                  "block: could not convert string to float: 'x'", id="complex_from_parts-string"),
-    pytest.param(lambda: symbols.band_functions(SKEWED, 64),
-                 "symbol evaluation departs from Hermitian by 1.2e-10 relative to max(1, max|f|)",
-                 id="band_functions-skewed"),
+    pytest.param(lambda: symbols.band_functions(SKEWED, 64), SKEWED_MESSAGE, id="band_functions-skewed"),
+    *(pytest.param(lambda c=2.0 ** e: symbols.band_functions(skewed_times(c), 64), SKEWED_MESSAGE,
+                   id=f"band_functions-skewed-2^{e}") for e in (-50, -40, 40)),  # the same refusal at any scale
     pytest.param(lambda: symbols.band_functions(MONOMER, 8), "grid must be an even number of at least 16, got 8",
                  id="band_functions-grid8"),
     pytest.param(lambda: reconstruct.tridiagonal_eigenpairs_oracle(2.0, -1.0, 0), "size must be positive, got 0",

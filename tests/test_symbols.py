@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_symbol_hermitian_test_is_relative_to_the_largest_coefficient():
     Symbol(k=1, coeffs={0: [[1e6]], 1: [[1.0 + 1e-11]], -1: [[1.0]]})
     with pytest.raises(ValueError, match=r"relative defect 1e-06 \(tolerance 1e-12\)"):
         Symbol(k=1, coeffs={0: [[1e6]], 1: [[2.0]], -1: [[1.0]]})
-    with pytest.raises(ValueError, match="relative defect"):  # below unit scale it stays absolute
+    with pytest.raises(ValueError, match="relative defect"):  # relative below unit scale too
         Symbol(k=1, coeffs={0: [[1e-3]], 1: [[1e-11]], -1: [[0.0]]})
 
 
@@ -288,6 +289,47 @@ def test_evenness(m):
     assert defect > 3.9 and not even  # max_j |4 sin alpha_j|
     report = check_assumptions(band_functions(ODD, m))
     assert not report["even"] and report["failures"] and "not even" in "; ".join(report["failures"])
+
+
+SCALES = [2.0 ** -50, 2.0 ** 40]  # powers of two: every product and sum of the symbol scales bit for bit
+
+
+def scaled(sym, c):
+    return Symbol(k=sym.k, coeffs={s: c * b for s, b in sym.coeffs.items()})
+
+
+@pytest.mark.parametrize("c", SCALES, ids=["2^-50", "2^40"])
+def test_the_coefficient_test_gives_one_verdict_and_message_at_any_scale(c):
+    scaled(Symbol(k=1, coeffs={0: [[1.0]], 1: [[1.0 + 1e-13]], -1: [[1.0]]}), c)  # accepted at c as at 1
+    outside = {0: [[1.0]], 1: [[1.0 + 1e-11]], -1: [[1.0]]}
+    with pytest.raises(ValueError) as unit:
+        Symbol(k=1, coeffs=outside)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(unit.value))}$"):
+        Symbol(k=1, coeffs={s: c * np.array(b) for s, b in outside.items()})
+
+
+# the first three pass every test of check_assumptions; each of its four tests fails for one of the rest
+VERDICT_SYMBOLS = {
+    "monomer": MONOMER, "dimer": dimer_symbol(1.0, 2.0), "exponential": exponential_symbol(), "odd": ODD,
+    "flat": Symbol(k=1, coeffs={0: [[2.0]]}),
+    "crossing": Symbol(k=2, coeffs={0: np.diag([2.0, 2.0]), 1: np.diag([-1.0, -1.0]), -1: np.diag([-1.0, -1.0])}),
+    "skew": Symbol(k=1, coeffs={0: [[2.0]], 1: [[-1.0 + 0.5e-12j]], -1: [[-1.0 + 0.5e-12j]],
+                                **{s: [[0.5e-12j]] for s in (2, -2, 3, -3)}}),
+}
+
+
+@pytest.mark.parametrize("c", SCALES, ids=["2^-50", "2^40"])
+@pytest.mark.parametrize("name", VERDICT_SYMBOLS)
+def test_band_verdicts_are_the_same_at_any_scale(name, c):
+    unit = band_functions(VERDICT_SYMBOLS[name], 64)
+    bs = band_functions(scaled(VERDICT_SYMBOLS[name], c), 64)
+    assert np.array_equal(bs.values, c * unit.values) and bs.hermitian_defect == unit.hermitian_defect
+    assert evenness(bs) == (c * evenness(unit)[0], evenness(unit)[1])
+    report, unit_report = check_assumptions(bs), check_assumptions(unit)
+    verdicts = [key for key, value in unit_report.items() if isinstance(value, bool)]
+    assert len(verdicts) == 4 and all(report[key] == unit_report[key] for key in verdicts)
+    assert len(report["failures"]) == len(unit_report["failures"])
+    assert bool(report["failures"]) == (name not in ("monomer", "dimer", "exponential"))
 
 
 def test_hermitian_tests_are_relative_to_the_symbol_scale():
