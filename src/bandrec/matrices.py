@@ -30,7 +30,6 @@ import numpy as np
 from .symbols import HERMITIAN_RULE, HERMITIAN_TOL, Symbol, checked_spacings, complex_from_parts, relative_defect
 from .transform import _positive
 
-BLOCK_ENTRIES = 1 << 18  # most entries per block of a column-wise pass over a matrix: 2 MiB of float64
 KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
          "dislocated", "perturbed", "external")
 
@@ -154,15 +153,20 @@ def circulant_matrix(sym: Symbol, m: int) -> FiniteMatrix:
     return FiniteMatrix(data=_block_section(sym, m, cyclic=True), kind="circulant")
 
 
+def chain_sites(m: int) -> int:
+    """m, when a chain of m sites has a spacing, m >= 2; else ValueError "chain needs at least 2 sites, got <m>"."""
+    if m < 2:
+        raise ValueError(f"chain needs at least 2 sites, got {m}")
+    return m
+
+
 def capacitance_1d(a0: float, a1: float, m: int) -> FiniteMatrix:
     """Symmetric tridiagonal chain with couplings a1 and the corner entries a0+a1.
 
     The corner correction makes row sums vanish whenever a0 = -2 a1, the
     signature of a nearest-neighbour capacitance chain.
     """
-    if m < 2:
-        raise ValueError(f"chain needs at least 2 sites, got {m}")
-    diag = np.concatenate([[a0 + a1], np.full(m - 2, a0), [a0 + a1]])
+    diag = np.concatenate([[a0 + a1], np.full(chain_sites(m) - 2, a0), [a0 + a1]])
     off = np.full(m - 1, a1)
     return FiniteMatrix(diagonals=(diag, off, off), kind="capacitance1d")
 
@@ -238,27 +242,25 @@ class PerturbedPair:
     delta: float
 
     def bc_eigenvectors(self, V: np.ndarray) -> np.ndarray:
-        """Map eigenvectors of the symmetrized form (columns of V) to unit eigenvectors of B C.
+        """Map unit eigenvectors of the symmetrized form (columns of V) to unit eigenvectors of B C.
 
-        B C = B^{1/2} (B^{1/2} C B^{1/2}) B^{-1/2}, so the map is left
-        multiplication by B^{1/2}: one row scaled, then every column normalised,
-        a block of columns at a time, so no n x n temporary sits beside V and W.
+        B C = B^{1/2} (B^{1/2} C B^{1/2}) B^{-1/2}: left multiplication by B^{1/2} scales row p = index - 1
+        by sqrt(1 + delta), taking a unit column v to norm sqrt(1 + delta |v_p|^2), the closed form each
+        column is then divided by in place: no pass over the columns and no n x n temporary.
         """
         W = np.array(V)
         W[self.index - 1] *= math.sqrt(1.0 + self.delta)
-        for cols in column_blocks(W.shape):
-            block = W[:, cols]
-            block /= np.linalg.norm(block, axis=0)
+        W /= np.sqrt(1.0 + self.delta * np.abs(V[self.index - 1]) ** 2)
         return W
 
 
 def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> PerturbedPair:
     """Scale row `index` (1-based) of C by 1 + delta.
 
-    Requires a Hermitian C, since the symmetrized form averages away what
-    asymmetry is left, and a finite delta > -1 so the square-root similarity
-    transform exists.  A tridiagonal C gives a tridiagonal pair, scaled on
-    its diagonals.
+    Requires a Hermitian C, since the symmetrized form is its Hermitian part
+    (A + A^H) / 2, A itself for an exactly Hermitian C, and a finite delta > -1
+    so the square-root similarity transform exists.  A tridiagonal C gives a
+    tridiagonal pair, scaled on its diagonals.
     """
     if not C.hermitian:
         raise ValueError(f"compact_perturbation needs a Hermitian base matrix, one with {HERMITIAN_RULE}")
@@ -272,34 +274,14 @@ def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> Perturbed
     if C.diagonals is not None:
         diag, upper, lower = C.diagonals
         bc = {"diagonals": (diag * r, upper * r[:-1], lower * r[1:])}
-        upper, lower = upper * s[:-1] * s[1:], lower * s[1:] * s[:-1]
-        if not np.array_equal(upper, lower):  # a base that is Hermitian only to tolerance
-            upper = lower = (upper + lower) / 2.0
-        sym = {"diagonals": (diag * s * s, upper, lower)}
+        off = (upper * s[:-1] * s[1:] + lower * s[1:] * s[:-1]) / 2.0
+        sym = {"diagonals": (diag * s * s, off, off)}
     else:
         bc = {"data": C.data * r[:, None]}
         sym = C.data * s[:, None] * s
-        if not np.array_equal(sym, sym.conj().T):
-            sym = (sym + sym.conj().T) / 2.0
-        sym = {"data": sym}
+        sym = {"data": (sym + sym.conj().T) / 2.0}
     return PerturbedPair(bc=FiniteMatrix(**bc, kind="perturbed"), index=index, delta=delta,
                          symmetrized=FiniteMatrix(**sym, kind="perturbed"))
-
-
-def column_blocks(shape) -> list[slice]:
-    """Slices cutting the columns of an (n, c) array into the fewest blocks of at most BLOCK_ENTRIES entries.
-
-    A column-wise pass over the blocks holds temporaries of that size
-    whatever the size of the matrix; a matrix that small is one block.
-    Widths are within one of each other and at least 2 (a block is 4 or
-    more columns wide even for n > BLOCK_ENTRIES / 4), so a reduction along
-    axis 0 gives each column the bits it gets over the whole array: numpy
-    sums a one-column block of a C-ordered array in another order.
-    """
-    n, ncols = shape[0], shape[1]
-    count = max(1, -(-ncols // max(4, BLOCK_ENTRIES // max(n, 1))))
-    edges = [i * ncols // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------

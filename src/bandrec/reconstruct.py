@@ -248,7 +248,8 @@ def _scenario_setup(name: str, p: dict):
     elif name == "dislocated":
         mat = matrices.dislocated_chain(p["s1"], p["s2"], p["d"], p["dimers_per_side"])
     elif name == "compact_defect":
-        base = matrices.chain_capacitance(matrices.dimer_alternation(p["s1"], p["s2"], p["n"] - 1))
+        spacings = matrices.dimer_alternation(p["s1"], p["s2"], matrices.chain_sites(p["n"]) - 1)
+        base = matrices.chain_capacitance(spacings)
         p.setdefault("index", matrices.center_index(p["n"]))
         mat = matrices.compact_perturbation(base, p["index"], p["delta"])
     else:  # external_matrix: read through the symbol's block size, or 1 without a symbol

@@ -24,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import FiniteMatrix, column_blocks
+from .matrices import FiniteMatrix
 from .symbols import HERMITIAN_RULE
 from .transform import check_unit_norms, polarize
 
+BLOCK_ENTRIES = 1 << 18  # most entries per block of a column-wise pass over a matrix: 2 MiB of float64
 DEGENERACY_REL_TOL = 1e-8
 IPR_LOCALIZATION_FACTOR = 10.0
 LAPACK_COL_MAJOR = 102  # matrix_layout value in lapacke.h
@@ -104,14 +105,23 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     return EigenDecomposition(values=vals, vectors=vecs)
 
 
+def _vectors(u, what: str, n: int | None = None) -> np.ndarray:
+    """u as an array when it is a nonempty vector or matrix of column vectors, of length n if given; else ValueError."""
+    u = np.asarray(u)
+    if u.ndim not in (1, 2) or not u.size:
+        raise ValueError(f"{what} expects a nonempty vector or matrix of column vectors, got shape {u.shape}")
+    if n is not None and u.shape[0] != n:
+        raise ValueError(f"vector length {u.shape[0]} does not match matrix size {n}")
+    return u
+
+
 def residual(M: FiniteMatrix, lam, u):
     """||M u - lam u|| for a unit vector u, or per unit column of u for a scalar lam or one lam per column.
 
     Each vector is renormalised first; a matrix that carries its diagonals is applied in O(n) per column.
     """
-    u, lam = np.asarray(u) / check_unit_norms(np.linalg.norm(u, axis=0), "residual"), np.asarray(lam)
-    if u.shape[0] != M.n:
-        raise ValueError(f"vector length {u.shape[0]} does not match matrix size {M.n}")
+    u = _vectors(u, "residual", M.n)
+    u, lam = u / check_unit_norms(np.linalg.norm(u, axis=0), "residual"), np.asarray(lam)
     if lam.shape not in ((), u.shape[1:]):
         raise ValueError(f"lam has shape {lam.shape}; give a scalar or one value per column of {u.shape}")
     if M.diagonals is None:
@@ -121,49 +131,55 @@ def residual(M: FiniteMatrix, lam, u):
         Mu = diag * u
         Mu[:-1] += upper * u[1:]
         Mu[1:] += lower * u[:-1]
-    res = np.linalg.norm(Mu - lam * u, axis=0)
-    return float(res) if u.ndim == 1 else res
+    return np.linalg.norm(Mu - lam * u, axis=0)
 
 
 def near_far_split(eig: EigenDecomposition, lambda_eps: float, eps: float, u) -> tuple[np.ndarray, np.ndarray]:
     """(u_parallel, u_perp): u's projection onto the eigenvectors with |lambda_i - lambda_eps| <= eps, and the rest."""
     if not eps > 0:  # NaN included
         raise ValueError(f"eps must be positive, got {eps}")
-    u = np.asarray(u, dtype=complex)
+    u = _vectors(np.asarray(u, dtype=complex), "near_far_split", eig.n)
     near = np.abs(eig.values - lambda_eps) <= eps
     V = eig.vectors[:, near]
     u_par = V @ (V.conj().T @ u)
     return u_par, u - u_par
 
 
-def _moduli_moments(u):
-    """Sum, maximum and sum of squares of the squared moduli |u_i|^2, along axis 0."""
-    sq = np.abs(u)
-    sq *= sq
-    return sq.sum(axis=0), sq.max(axis=0), np.einsum("i...,i...->...", sq, sq)
+def column_blocks(shape) -> list[slice]:
+    """Slices cutting the columns of an (n, c) array into the fewest blocks of at most BLOCK_ENTRIES entries.
+
+    A column-wise pass over the blocks holds temporaries of that size
+    whatever the size of the matrix; a matrix that small is one block.
+    Widths are within one of each other and, for c >= 2, at least 2 (a block
+    holds 4 or more columns even for n > BLOCK_ENTRIES / 4), so a reduction
+    along axis 0 gives each column the bits it gets over the whole array:
+    numpy sums a one-column block of a C-ordered array in another order.
+    """
+    n, ncols = shape[0], shape[1]
+    count = max(1, -(-ncols // max(4, BLOCK_ENTRIES // max(n, 1))))
+    edges = [i * ncols // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def localization_metrics(u):
-    """(sup-norm, inverse participation ratio) of a unit vector, as floats.
+    """(sup-norm, inverse participation ratio) of a unit vector as numpy floats, or as arrays over unit columns.
 
-    For a matrix of unit columns both are arrays with one entry per column.
     Each vector is renormalised first; its norm must be within UNIT_NORM_TOL
-    of one.  The squared moduli of a matrix are taken a block of columns at a
-    time (matrices.column_blocks), so no temporary the size of the matrix
-    sits beside it.
+    of one.  Every input is read as the columns of an (n, c) array, a vector
+    as one (n, 1) column, a block of columns at a time (column_blocks), so no
+    temporary the size of the matrix sits beside it.
     """
-    u = np.asarray(u)
-    if u.ndim == 1:
-        norm2, peak, quartic = _moduli_moments(u)
-    else:
-        blocks = [_moduli_moments(u[:, cols]) for cols in column_blocks(u.shape)]
-        norm2, peak, quartic = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    u = _vectors(u, "localization_metrics")
+    columns = u.reshape(u.shape[0], -1)
+    moments = np.empty((3, columns.shape[1]))  # sum, maximum and sum of squares of the |u_i|^2 of each column
+    for cols in column_blocks(columns.shape):
+        sq = np.abs(columns[:, cols])
+        sq *= sq
+        moments[:, cols] = sq.sum(axis=0), sq.max(axis=0), np.einsum("i...,i...->...", sq, sq)
+        del sq  # so two blocks are never held at once
+    norm2, peak, quartic = moments.reshape(3, *u.shape[1:])
     check_unit_norms(np.sqrt(norm2), "localization_metrics")
-    sup = np.sqrt(peak / norm2)
-    ipr = quartic / (norm2 * norm2)
-    if u.ndim == 1:
-        return float(sup), float(ipr)
-    return sup, ipr
+    return np.sqrt(peak / norm2), quartic / (norm2 * norm2)
 
 
 def ipr_localized_flags(iprs) -> np.ndarray:

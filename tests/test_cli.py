@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandrec import cli, matrices, outputs, symbols, transform, verify
+from bandrec import cli, matrices, outputs, reconstruct, symbols, transform, verify
 from bandrec.cli import main
 
 
@@ -81,9 +81,12 @@ def test_an_empty_format_list_is_refused(tmp_path, capsys, argv, message):
 def test_bands_malformed_symbol(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads("{not json")
     code = main(["bands", "--symbol", str(bad), "--out", str(tmp_path)])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+    assert not (tmp_path / "bands.csv").exists()
 
 
 def test_bands_refuses_non_finite_symbol(tmp_path, capsys):
@@ -298,7 +301,7 @@ def test_transform_k_zero_flag_is_refused(tmp_path, capsys):
     code = main(["transform", "--vector", str(tmp_path / "v.csv"), "--k", "0",
                  "--out", str(tmp_path / "run")])
     assert code == 1
-    assert "block size must be positive, got 0" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: block size must be positive, got 0\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -529,6 +532,14 @@ def test_reconstruct_refuses_non_finite_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_a_compact_defect_of_fewer_than_two_sites_is_refused(tmp_path, capsys, n):
+    out = tmp_path / "run"
+    assert main(["reconstruct", "--scenario", "compact_defect", "--n", str(n), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: chain needs at least 2 sites, got {n}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--scenario", "dislocated", "--d", "inf"],
                                   ["--scenario", "compact_defect", "--s2", "inf"]])
 def test_a_spacing_that_is_not_finite_is_refused(tmp_path, capsys, argv):
@@ -612,10 +623,13 @@ def test_unread_flags_are_rejected(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-def test_reconstruct_requires_scenario(capsys):
+def test_reconstruct_requires_scenario(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the default output directory
     code = main(["reconstruct"])
     assert code == 1
-    assert "scenario" in capsys.readouterr().err
+    scenarios = ", ".join(reconstruct.SCENARIOS)
+    assert capsys.readouterr() == ("", f"error: scenario must be one of {scenarios}, got None\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_reconstruct_config_file_precedence(tmp_path):
@@ -800,8 +814,29 @@ def test_a_number_beyond_int64_exits_1_without_a_traceback(tmp_path, argv, messa
     assert "Traceback" not in done.stderr and not out.exists()
 
 
-def test_transform_missing_vector():
+def test_no_run_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency; an import of scipy anywhere on these paths would pass every other test
+    script = (
+        "import sys\n"
+        "import bandrec, bandrec.cli, bandrec.verify\n"
+        "from bandrec.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['reconstruct', '--scenario', 'compact_defect', '--format', 'csv,json,svg',\n"
+        "             '--out', out + '/reconstruct']) == 0\n"
+        "assert main(['bands', '--symbol', 'dimer', '--format', 'csv,svg', '--out', out + '/bands']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"  # the scipy modules loaded
+    assert (tmp_path / "reconstruct" / "reconstruction.svg").exists() and (tmp_path / "bands" / "bands.svg").exists()
+
+
+def test_transform_missing_vector(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the default output directory
     assert main(["transform"]) == 1
+    assert capsys.readouterr() == ("", "error: transform needs --vector\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_only_group(capsys):
@@ -827,5 +862,8 @@ def test_verify_takes_no_tolerance_flag(capsys):
     assert "unrecognized arguments: --tol x=0" in capsys.readouterr().err
 
 
-def test_verify_unknown_filter():
+def test_verify_unknown_filter(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(["verify", "--only", "nonexistent_group"]) == 1
+    assert capsys.readouterr() == ("", "error: no checks match 'nonexistent_group'\n")
+    assert not any(tmp_path.iterdir())

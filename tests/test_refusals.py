@@ -13,6 +13,8 @@ DIMER = symbols.dimer_symbol(1.0, 2.0)
 SKEWED = symbols.Symbol(k=1, coeffs={0: [[1.0]], **{s: [[0.5e-12j]] for r in range(1, 61) for s in (r, -r)}})
 SKEWED_MESSAGE = "symbol evaluation departs from Hermitian by 1.2e-10 relative to max|f|"
 CHAIN = matrices.chain_capacitance([1.0, 2.0, 1.0])
+SSH = matrices.ssh_matrix(1.0, 2.0, 5)  # 21 sites
+COLUMNS = "expects a nonempty vector or matrix of column vectors, got shape"
 
 
 def skewed_times(c):
@@ -45,6 +47,16 @@ def skewed_times(c):
                  "band radius must be nonnegative, got nan", id="banded_truncation-r-nan"),
     pytest.param(lambda: spectra.near_far_split(spectra.hermitian_eigen(CHAIN), 0.0, float("nan"), np.ones(4)),
                  "eps must be positive, got nan", id="near_far_split-eps-nan"),
+    pytest.param(lambda: spectra.near_far_split(spectra.hermitian_eigen(SSH), 0.0, 0.1, np.ones(3)),
+                 "vector length 3 does not match matrix size 21", id="near_far_split-length3"),
+    pytest.param(lambda: spectra.localization_metrics(np.array([])), f"localization_metrics {COLUMNS} (0,)",
+                 id="localization_metrics-empty"),
+    pytest.param(lambda: spectra.localization_metrics(np.float64(1)), f"localization_metrics {COLUMNS} ()",
+                 id="localization_metrics-scalar"),
+    pytest.param(lambda: spectra.residual(SSH, 0.0, np.ones((21, 2, 2)) / 21 ** 0.5), f"residual {COLUMNS} (21, 2, 2)",
+                 id="residual-stack"),
+    pytest.param(lambda: reconstruct.run_scenario({"scenario": "compact_defect", "n": 1}),
+                 "chain needs at least 2 sites, got 1", id="run_scenario-compact_defect-n1"),
     pytest.param(lambda: matrices.compact_perturbation(CHAIN, 2, float("nan")),
                  "need -1 < delta < inf, got delta = nan", id="compact_perturbation-delta-nan"),
     pytest.param(lambda: matrices.compact_perturbation(CHAIN, 2, float("inf")),
