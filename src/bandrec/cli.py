@@ -57,7 +57,7 @@ def cmd_bands(args) -> int:
         outputs.write_bands_svg(bs, outdir / "bands.svg")
         print(f"wrote {outdir / 'bands.svg'}")
     failures = symbols.check_assumptions(bs)["failures"]
-    gaps = reconstruct.detect_gaps(bs, np.empty(0))["gaps"]
+    gaps = reconstruct.detect_gaps(bs, [], [])["gaps"]
     if gaps:
         pretty = ", ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in gaps)
         print(f"band gaps: {pretty}")

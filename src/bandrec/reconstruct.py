@@ -7,7 +7,7 @@ Each report is the JSON object the run writes, built where it is
 computed: compare_to_symbol returns the errors block of summary.json
 (the statistics of an empty set are None, JSON null; bulk points lie at
 least EDGE_EXCLUSION_BINS DFT bins from alpha = 0 and pi) and detect_gaps
-the gaps.json object.
+the gaps.json object, its gaps shrunk by GAP_MARGIN of the band span.
 SCENARIOS declares the parameters each named scenario reads, with their
 defaults, and PARAMS the type of each (the CLI's flags come from it);
 run_scenario refuses a key its scenario leaves unread and converts each
@@ -31,6 +31,7 @@ from .transform import _positive, discrete_quasiperiodicity
 
 DEFAULT_GRID = 512
 EDGE_EXCLUSION_BINS = 4
+GAP_MARGIN = 1e-6  # each gap edge moves in by this fraction of the band span before eigenvalues are tested
 TIE_SLACK = 1e-9  # relative widening of the bulk bounds, so exact ties at edge_margin count as bulk
 
 
@@ -108,16 +109,15 @@ def compare_to_symbol(points: Points, bs: symbols.BandStructure) -> dict:
             "edge_margin": edge_margin}
 
 
-def detect_gaps(bs: symbols.BandStructure, values, margin: float = 0.0, alphas=None) -> dict:
-    """Find band gaps (shrunk by margin on each side) and the eigenvalues inside; return gaps.json.
+def detect_gaps(bs: symbols.BandStructure, values, alphas) -> dict:
+    """Find band gaps and the eigenvalues inside; return gaps.json.
 
     That is {"gaps": [[lo, hi], ...], "gap_modes": [{index, lambda,
-    alpha_est}, ...], "margin"}, gaps in ascending order.  values is an
-    eigenvalue array; when the matching recovered quasiperiodicities are
-    supplied, gap modes carry their alpha_est (NaN otherwise).
+    alpha_est}, ...], "margin"}, gaps in ascending order, each shrunk on
+    both sides by margin = GAP_MARGIN times the band span.  values are
+    eigenvalues and alphas their recovered quasiperiodicities.
     """
-    if not 0 <= margin < math.inf:
-        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
+    margin = GAP_MARGIN * float(bs.values.max() - bs.values.min())
     ranges = bs.band_ranges()
     gaps = []
     for p in range(len(ranges) - 1):
@@ -127,8 +127,7 @@ def detect_gaps(bs: symbols.BandStructure, values, margin: float = 0.0, alphas=N
     values = np.asarray(values, dtype=float)
     bounds = np.array(gaps, dtype=float).reshape(-1, 2)
     inside = np.any((bounds[:, 0] < values[:, None]) & (values[:, None] < bounds[:, 1]), axis=1)
-    modes = [{"index": int(i), "lambda": float(values[i]),
-              "alpha_est": float(alphas[i]) if alphas is not None else float("nan")}
+    modes = [{"index": int(i), "lambda": float(values[i]), "alpha_est": float(alphas[i])}
              for i in np.flatnonzero(inside)]
     return {"gaps": gaps, "gap_modes": modes, "margin": margin}
 
@@ -171,8 +170,8 @@ def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
 # scenarios
 
 # None marks a parameter derived from others (index; k, from the symbol),
-# optional (symbol) or required (matrix).  grid and margin are run-level
-# keys every scenario takes.
+# optional (symbol) or required (matrix).  grid is a run-level key every
+# scenario takes.
 SCENARIOS = {
     "periodic_nn": {"a0": 2.0, "a1": -1.0, "m": 80},
     "periodic_symbol": {"m": 30, "symbol": None},
@@ -181,7 +180,7 @@ SCENARIOS = {
     "compact_defect": {"s1": 1.0, "s2": 2.0, "n": 80, "delta": 0.5, "index": None},
     "external_matrix": {"matrix": None, "k": None, "symbol": None},
 }
-# name -> (type, help) of every scenario parameter and of margin, in CLI flag order.
+# name -> (type, help) of every scenario parameter, in CLI flag order.
 PARAMS = {
     "m": (int, "system size in blocks/sites"),
     "n": (int, "site count (compact_defect)"),
@@ -191,7 +190,6 @@ PARAMS = {
     "a0": (float, None), "a1": (float, None), "s1": (float, None), "s2": (float, None),
     "d": (float, "dislocated spacing"),
     "delta": (float, "compact defect strength"),
-    "margin": (float, "gap detection margin"),
     "matrix": (str, "matrix CSV/JSON path (external_matrix)"),
     "symbol": (str, "reference symbol JSON file, inline JSON, or builtin name"),
 }
@@ -281,14 +279,12 @@ def run_scenario(config: dict) -> ScenarioResult:
     if not isinstance(name, str) or name not in SCENARIOS:
         raise ValueError(f"scenario must be one of {', '.join(SCENARIOS)}, got {name!r}")
     grid = symbols.checked_grid(_number("grid", cfg.pop("grid", DEFAULT_GRID), int))
-    margin = cfg.pop("margin", None)
     _refuse_unread(cfg, SCENARIOS[name], f"scenario {name!r}")
     params = {key: value for key, value in SCENARIOS[name].items() if value is not None}
     for key, value in cfg.items():
         kind = PARAMS[key][0]
         if value is not None:  # null counts as not given, as an unset flag does
             params[key] = _text(key, value, inline=(key == "symbol")) if kind is str else _number(key, value, kind)
-    margin = None if margin is None else _number("margin", margin, float)
 
     built, sym, k = _scenario_setup(name, params)
     bands = None
@@ -303,9 +299,7 @@ def run_scenario(config: dict) -> ScenarioResult:
 
     gap_report = stats = None
     if bands is not None:
-        if margin is None:
-            margin = 1e-6 * float(bands.values.max() - bands.values.min())
-        gap_report = detect_gaps(bands, points.lam, margin=margin, alphas=points.alpha_est)
+        gap_report = detect_gaps(bands, points.lam, points.alpha_est)
         points.localized[[g["index"] for g in gap_report["gap_modes"]]] = True
         stats = compare_to_symbol(points, bands)
     return ScenarioResult(scenario=name, params=params, k=k, matrix=matrix,

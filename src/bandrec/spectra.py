@@ -183,8 +183,10 @@ def localization_metrics(u):
 
 
 def ipr_localized_flags(iprs) -> np.ndarray:
-    """Flag vectors whose inverse participation ratio exceeds 10x the spectrum median."""
+    """Flag vectors whose inverse participation ratio exceeds 10x the spectrum median; iprs is a nonempty vector."""
     iprs = np.asarray(iprs, dtype=float)
+    if iprs.ndim != 1 or not iprs.size:
+        raise ValueError(f"ipr_localized_flags expects a nonempty vector, got shape {iprs.shape}")
     return iprs > IPR_LOCALIZATION_FACTOR * np.median(iprs)
 
 
@@ -192,8 +194,10 @@ def degenerate_clusters(values, scale: float) -> list[list[int]]:
     """Group indices of numerically coincident eigenvalues; [] for no eigenvalues.
 
     Consecutive eigenvalues share a cluster when their gap is below
-    DEGENERACY_REL_TOL times the given magnitude scale; a NaN gap splits one.
+    DEGENERACY_REL_TOL times scale, a finite nonnegative magnitude; a NaN gap splits one.
     """
+    if not 0 <= scale < np.inf:  # NaN included
+        raise ValueError(f"scale must be finite and nonnegative, got {scale}")
     values = np.asarray(values, dtype=float)
     tol = DEGENERACY_REL_TOL * max(scale, 1e-300)
     breaks = np.flatnonzero(~(np.diff(values) < tol)) + 1

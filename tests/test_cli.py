@@ -282,8 +282,6 @@ def test_keys_nothing_reads_are_refused(tmp_path, monkeypatch, capsys, argv, con
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--margin", "nan"], "margin must be finite and nonnegative, got nan"),
-    (["--margin", "inf"], "margin must be finite and nonnegative, got inf"),
     (["--s1", "0"], "spacings must be positive"),
     (["--s2", "0"], "spacings must be positive"),
     (["--s1", "inf"], "spacings must be finite"),
@@ -294,6 +292,36 @@ def test_reconstruct_refuses_values_the_method_cannot_use(tmp_path, capsys, argv
     assert main(["reconstruct", "--scenario", "ssh", *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_the_margin_flag_is_gone(tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--scenario", "ssh", "--margin", "0.1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --margin 0.1\n")
+    assert not out.exists()
+
+
+def test_a_margin_config_key_is_refused(tmp_path, monkeypatch, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps({"scenario": "ssh", "margin": 0.1}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["reconstruct", "--config", "cfg.json"]) == 1
+    assert capsys.readouterr() == ("", "error: scenario 'ssh' does not read margin; "
+                                       "it takes s1, s2, dimers_per_side\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_bands_prints_the_gaps_reconstruct_tests(tmp_path, capsys):
+    """bands and reconstruct share one gap rule: the trimer's printed gaps are those of its gaps.json."""
+    trimer = json.dumps(symbols.symbol_to_dict(symbols.cell_chain_symbol([1.0, 2.0, 3.0])))
+    assert main(["bands", "--symbol", trimer, "--grid", "256", "--out", str(tmp_path / "b")]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("band gaps:")]
+    assert main(["reconstruct", "--scenario", "periodic_symbol", "--symbol", trimer, "--grid", "256",
+                 "--format", "json", "--out", str(tmp_path / "r")]) == 0
+    gaps = json.loads((tmp_path / "r" / "gaps.json").read_text())["gaps"]
+    assert printed == ["band gaps: " + ", ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in gaps)]
+    assert printed == ["band gaps: (0.381969, 0.666664), (1.23241, 2.43426)"]
 
 
 def test_transform_k_zero_flag_is_refused(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from bandrec import matrices, outputs, spectra, symbols, transform
 from bandrec.matrices import FiniteMatrix
-from bandrec.reconstruct import (PARAMS, SCENARIOS, capacitance_eigenpairs_oracle,
+from bandrec.reconstruct import (GAP_MARGIN, PARAMS, SCENARIOS, capacitance_eigenpairs_oracle,
                                  compare_to_symbol, detect_gaps, reconstruct_bands, run_scenario,
                                  tridiagonal_eigenpairs_oracle)
 
@@ -146,19 +146,20 @@ def test_compare_to_symbol_empty_points():
 
 def test_detect_gaps_monomer_none():
     bands = symbols.band_functions(MONOMER, 128)
-    report = detect_gaps(bands, np.array([0.5, 1.0]))
+    report = detect_gaps(bands, np.array([0.5, 1.0]), np.array([0.1, 0.2]))
     assert report["gaps"] == [] and report["gap_modes"] == []
 
 
 def test_detect_gaps_dimer():
     bands = symbols.band_functions(DIMER, 256)
-    assert len(detect_gaps(bands, np.array([]))["gaps"]) == 1
-    lo, hi = detect_gaps(bands, np.array([]))["gaps"][0]
+    assert len(detect_gaps(bands, [], [])["gaps"]) == 1
+    lo, hi = detect_gaps(bands, [], [])["gaps"][0]
     assert abs(lo - 1.0) < 1e-3 and abs(hi - 2.0) < 1e-3
 
     chain = matrices.chain_capacitance([1.0 if i % 2 == 1 else 2.0 for i in range(1, 40)])
     vals = np.linalg.eigvalsh(chain.data)
-    report = detect_gaps(bands, vals, margin=1e-3)
+    assert np.min(np.abs(vals - 2.0)) < 1e-12  # an eigenvalue on the upper gap edge, which the margin keeps out
+    report = detect_gaps(bands, vals, np.zeros(vals.size))
     assert report["gap_modes"] == []
 
 
@@ -166,7 +167,7 @@ def test_detect_gaps_ssh_single_mode():
     bands = symbols.band_functions(DIMER, 256)
     M = matrices.ssh_matrix(1.0, 2.0, 20)
     points = reconstruct_bands(M, 2)
-    report = detect_gaps(bands, points.lam, margin=1e-6, alphas=points.alpha_est)
+    report = detect_gaps(bands, points.lam, points.alpha_est)
     assert len(report["gap_modes"]) == 1
     mode = report["gap_modes"][0]
     assert report["gaps"][0][0] < mode["lambda"] < report["gaps"][0][1]
@@ -176,13 +177,14 @@ def test_detect_gaps_ssh_single_mode():
 def test_detect_gaps_trimer_two_gaps():
     bands = symbols.band_functions(symbols.cell_chain_symbol([1.0, 2.0, 3.0]), 256)
     values = np.array([0.5, 0.55, 1.5, 2.0, 2.5])
-    report = detect_gaps(bands, values)
+    report = detect_gaps(bands, values, values / 10)
     assert len(report["gaps"]) == 2
     assert report["gaps"] == sorted(report["gaps"])
     assert report["gaps"][0][1] <= report["gaps"][1][0]
     assert len(report["gap_modes"]) == 4  # 2.5 sits inside the top band
     for mode in report["gap_modes"]:
         assert any(lo < mode["lambda"] < hi for lo, hi in report["gaps"])
+        assert mode["alpha_est"] == mode["lambda"] / 10
 
 
 def test_reconstruct_bands_propagates_eigensolver_error():
@@ -197,12 +199,15 @@ def test_run_scenario_periodic_symbol_reports_tail():
 
 
 def test_detect_gaps_margin_shrinks():
-    bands = symbols.band_functions(DIMER, 256)
-    report = detect_gaps(bands, np.array([1.05, 1.5]), margin=0.1)
-    assert len(report["gap_modes"]) == 1  # 1.05 now outside the shrunk gap
-    for margin in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="margin must be finite and nonnegative"):
-            detect_gaps(bands, np.array([]), margin=margin)
+    """Each gap edge moves in by exactly GAP_MARGIN times the band span, the margin gaps.json records."""
+    bands = symbols.band_functions(symbols.cell_chain_symbol([1.0, 2.0, 3.0]), 256)
+    margin = GAP_MARGIN * float(bands.values.max() - bands.values.min())
+    ranges = bands.band_ranges()
+    edge = ranges[0][1]
+    report = detect_gaps(bands, np.array([edge + margin / 2, edge + 2 * margin]), np.zeros(2))
+    assert report["margin"] == margin
+    assert report["gaps"] == [[ranges[p][1] + margin, ranges[p + 1][0] - margin] for p in range(2)]
+    assert [mode["index"] for mode in report["gap_modes"]] == [1]  # the first is inside the margin
 
 
 def test_run_scenario_periodic_nn():
@@ -332,7 +337,7 @@ def _outcome(config):
 def test_every_scenario_parameter_is_declared_and_read(tmp_path, scenario):
     """SCENARIOS and _scenario_setup agree: each declared parameter is read, nothing else is."""
     reads = SCENARIOS[scenario]
-    foreign = next(name for name in PARAMS if name not in reads and name != "margin")
+    foreign = next(name for name in PARAMS if name not in reads)
     with pytest.raises(ValueError, match=f"^scenario '{scenario}' does not read {foreign}; "
                                          f"it takes {', '.join(reads)}$"):
         run_scenario({"scenario": scenario, foreign: OTHER_VALUE[foreign]})

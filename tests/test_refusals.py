@@ -55,6 +55,11 @@ def skewed_times(c):
                  id="localization_metrics-scalar"),
     pytest.param(lambda: spectra.residual(SSH, 0.0, np.ones((21, 2, 2)) / 21 ** 0.5), f"residual {COLUMNS} (21, 2, 2)",
                  id="residual-stack"),
+    pytest.param(lambda: spectra.ipr_localized_flags([]), "ipr_localized_flags expects a nonempty vector, got shape (0,)",
+                 id="ipr_localized_flags-empty"),
+    *(pytest.param(lambda scale=scale: spectra.degenerate_clusters([1.0, 1.0, 2.0], scale),
+                   f"scale must be finite and nonnegative, got {scale}", id=f"degenerate_clusters-scale{scale}")
+      for scale in (float("nan"), float("inf"), -1.0)),
     pytest.param(lambda: reconstruct.run_scenario({"scenario": "compact_defect", "n": 1}),
                  "chain needs at least 2 sites, got 1", id="run_scenario-compact_defect-n1"),
     pytest.param(lambda: matrices.compact_perturbation(CHAIN, 2, float("nan")),
