@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from . import matrices, outputs, reconstruct, symbols, transform
-from .symbols import _number, _refuse_unread, _text
+from .symbols import _refuse_unread, _text
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CHECK_FAILED = 2
-FORMATS = {"bands": ("csv", "svg"), "reconstruct": ("csv", "json", "svg")}  # what each command writes
+FORMATS = {"bands": ("csv", "svg"), "reconstruct": outputs.BUNDLE_FORMATS}  # what each command writes
 
 
 def _load_config(args, check=True):
@@ -35,34 +35,27 @@ def _parse_formats(raw, command: str) -> tuple[str, ...]:
     formats = tuple(f.strip() for f in _text("format", raw).split(",") if f.strip())
     if not formats:
         raise ValueError(f"no output format given; {command} writes {', '.join(FORMATS[command])}")
-    unknown = set(formats) - set(FORMATS[command])
-    if unknown:
-        raise ValueError(f"unknown output formats: {sorted(unknown)}; {command} writes "
-                         f"{', '.join(FORMATS[command])}")
+    if unknown := sorted(set(formats) - set(FORMATS[command])):
+        raise ValueError(f"unknown output formats: {unknown}; {command} writes {', '.join(FORMATS[command])}")
     return formats
 
 
 def cmd_bands(args) -> int:
     cfg = _load_config(args)
     sym = symbols.symbol_from_source(_text("symbol", cfg.get("symbol", "monomer"), inline=True))
-    grid = _number("grid", cfg.get("grid", 256), int)
     outdir = Path(_text("out", cfg.get("out", ".")))
     formats = _parse_formats(cfg.get("format", "csv"), "bands")
-    bs = symbols.band_functions(sym, grid)
+    bs = symbols.band_functions(sym, cfg.get("grid", 256))
     outdir.mkdir(parents=True, exist_ok=True)
     if "csv" in formats:
         outputs.write_bands_csv(bs, outdir / "bands.csv")
-        print(f"wrote {outdir / 'bands.csv'} ({bs.k} band(s), grid {grid})")
+        print(f"wrote {outdir / 'bands.csv'} ({bs.k} band(s), grid {bs.m})")
     if "svg" in formats:
         outputs.write_bands_svg(bs, outdir / "bands.svg")
         print(f"wrote {outdir / 'bands.svg'}")
     failures = symbols.check_assumptions(bs)["failures"]
     gaps = reconstruct.detect_gaps(bs, [], [])["gaps"]
-    if gaps:
-        pretty = ", ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in gaps)
-        print(f"band gaps: {pretty}")
-    else:
-        print("band gaps: none")
+    print(f"band gaps: {', '.join(f'({lo:.6g}, {hi:.6g})' for lo, hi in gaps) or 'none'}")
     if failures:
         print(f"warning: assumption checks failed: {'; '.join(failures)}")
     return EXIT_OK
@@ -94,7 +87,6 @@ def cmd_transform(args) -> int:
     vec_path = cfg.get("vector")
     if not vec_path:
         raise ValueError("transform needs --vector")
-    k = _number("k", cfg.get("k", 1), int)  # the transform refuses k < 1
     u = matrices.read_entries(_text("vector", vec_path))
     if u.ndim > 2 or u.ndim == 2 and min(u.shape) > 1:
         raise ValueError(f"{vec_path}: a vector file holds one row or one column, got shape {u.shape}")
@@ -111,8 +103,8 @@ def cmd_transform(args) -> int:
     u = u / np.linalg.norm(u)  # so an ordinary vector keeps the bits of u / norm(u)
     if not u.imag.any():  # read_entries gives complex entries; a real vector takes the library's real path
         u = u.real
-    alphas, masses = transform.projection_profile(u, k)
-    q = transform.discrete_quasiperiodicity(u, k)
+    alphas, masses = transform.projection_profile(u, cfg.get("k", 1))
+    q = transform.discrete_quasiperiodicity(u, cfg.get("k", 1))
     outdir = Path(_text("out", cfg.get("out", ".")))
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "transform.csv"

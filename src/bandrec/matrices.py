@@ -14,8 +14,8 @@ its eigensolver (see spectra); a chain writes its dense array only when
 something reads `data`.  The block size through which a matrix is read
 belongs to the reference periodic structure, not to the matrix.
 
-Indexing in documentation and file formats is 1-based to match the usual
-matrix displays; APIs translate internally.
+Indexing in documentation and file formats is 1-based to match the usual matrix displays; APIs
+translate internally.  Each size and index is read by transform's count rule (_count, _number).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symbols import HERMITIAN_RULE, HERMITIAN_TOL, Symbol, checked_spacings, complex_from_parts, relative_defect
-from .transform import _positive
+from .transform import _count, _number
 
 KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
          "dislocated", "perturbed", "external")
@@ -139,7 +139,7 @@ def _block_section(sym: Symbol, m: int, cyclic: bool) -> np.ndarray:
 
 def toeplitz_matrix(sym: Symbol, m: int) -> FiniteMatrix:
     """mk x mk section with block (i, j) = a_{i-j}, zero outside the support."""
-    return FiniteMatrix(data=_block_section(sym, _positive("block count", m), cyclic=False), kind="toeplitz")
+    return FiniteMatrix(data=_block_section(sym, _count("block count", m), cyclic=False), kind="toeplitz")
 
 
 def circulant_matrix(sym: Symbol, m: int) -> FiniteMatrix:
@@ -148,16 +148,10 @@ def circulant_matrix(sym: Symbol, m: int) -> FiniteMatrix:
     Requires m > 2 r_max so distinct coefficients never fold onto the same
     cyclic offset; folding would silently change the symbol.
     """
+    m = _count("block count", m)
     if m <= 2 * sym.r_max:
         raise ValueError(f"circulant wraparound is ambiguous: need m > 2*r_max = {2 * sym.r_max}, got {m}")
     return FiniteMatrix(data=_block_section(sym, m, cyclic=True), kind="circulant")
-
-
-def chain_sites(m: int) -> int:
-    """m, when a chain of m sites has a spacing, m >= 2; else ValueError "chain needs at least 2 sites, got <m>"."""
-    if m < 2:
-        raise ValueError(f"chain needs at least 2 sites, got {m}")
-    return m
 
 
 def capacitance_1d(a0: float, a1: float, m: int) -> FiniteMatrix:
@@ -166,7 +160,8 @@ def capacitance_1d(a0: float, a1: float, m: int) -> FiniteMatrix:
     The corner correction makes row sums vanish whenever a0 = -2 a1, the
     signature of a nearest-neighbour capacitance chain.
     """
-    diag = np.concatenate([[a0 + a1], np.full(chain_sites(m) - 2, a0), [a0 + a1]])
+    m = _count("chain sites", m, least=2)
+    diag = np.concatenate([[a0 + a1], np.full(m - 2, a0), [a0 + a1]])
     off = np.full(m - 1, a1)
     return FiniteMatrix(diagonals=(diag, off, off), kind="capacitance1d")
 
@@ -200,7 +195,7 @@ def ssh_matrix(s1: float, s2: float, dimers_per_side: int) -> FiniteMatrix:
     so s2 sits on both sides of the defect site and the matrix is
     persymmetric.
     """
-    half = dimer_alternation(s1, s2, 2 * _positive("dimers per side", dimers_per_side))
+    half = dimer_alternation(s1, s2, 2 * _count("dimers per side", dimers_per_side))
     return FiniteMatrix(diagonals=_chain_diagonals(np.concatenate([half, half[::-1]])), kind="ssh")
 
 
@@ -212,7 +207,8 @@ def dislocated_spacing_sequence(s1: float, s2: float, d: float, dimers_per_side:
     half (1-based spacing index 2*dimers_per_side + 1), the intra gap nearest
     the centre.  d = s1 recovers the unperturbed chain.
     """
-    out = dimer_alternation(s1, s2, 4 * _positive("dimers per side", dimers_per_side) - 1)
+    dimers_per_side = _count("dimers per side", dimers_per_side)
+    out = dimer_alternation(s1, s2, 4 * dimers_per_side - 1)
     out[2 * dimers_per_side] = d
     return out
 
@@ -264,7 +260,7 @@ def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> Perturbed
     """
     if not C.hermitian:
         raise ValueError(f"compact_perturbation needs a Hermitian base matrix, one with {HERMITIAN_RULE}")
-    n = C.n
+    n, index = C.n, _number("index", index, int)
     if not 1 <= index <= n:
         raise ValueError(f"index {index} out of range 1..{n}")
     if not -1.0 < delta < math.inf:  # NaN included

@@ -180,10 +180,16 @@ BUNDLE = (
     ("svg", "reconstruction.svg", True, lambda r, path: write_bands_svg(
         r.bands, path, points=r.points, title=f"{r.scenario}: reconstructed bands")),
 )
+BUNDLE_FORMATS = tuple(dict.fromkeys(f for f, *_ in BUNDLE))  # csv, json, svg
 
 
 def write_bundle(result: ScenarioResult, outdir, formats=("csv", "json")) -> list[Path]:
-    """Write the BUNDLE files of the given formats; those that need reference bands only when the run has them."""
+    """Write the BUNDLE files of the given formats; those that need reference bands only when the run has them.
+
+    A format not in BUNDLE_FORMATS is refused before outdir is made; a bare string is read as its letters.
+    """
+    if unknown := sorted(set(formats) - set(BUNDLE_FORMATS)):
+        raise ValueError(f"unknown output formats: {unknown}; write_bundle writes {', '.join(BUNDLE_FORMATS)}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -26,8 +26,8 @@ import numpy as np
 from . import matrices, symbols
 from .matrices import FiniteMatrix, PerturbedPair
 from .spectra import EigenDecomposition, hermitian_eigen, localization_metrics, ipr_localized_flags
-from .symbols import _number, _refuse_unread, _text
-from .transform import _positive, discrete_quasiperiodicity
+from .symbols import _refuse_unread, _text
+from .transform import _count, _number, discrete_quasiperiodicity
 
 DEFAULT_GRID = 512
 EDGE_EXCLUSION_BINS = 4
@@ -65,7 +65,7 @@ def reconstruct_bands(M, k: int) -> Points:
     the localized flag here reflects the inverse-participation rule alone
     (scenario runs refine it with gap membership).
     """
-    k = _positive("block size", _number("k", k, int))  # before the eigensolve; 2.0 is read as 2
+    k = _count("block size", k)  # before the eigensolve
     if isinstance(M, PerturbedPair):
         eig = hermitian_eigen(M.symmetrized)
         V = M.bc_eigenvectors(eig.vectors)
@@ -141,10 +141,10 @@ def tridiagonal_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
     lambda_s = a0 + 2 a1 cos(s pi / (m+1)) with sine eigenvectors
     u_s^(q) = kappa sin(q s pi / (m+1)), returned sorted ascending.
     """
-    s = np.arange(1, _positive("size", m) + 1)
+    m = _count("size", m)
+    s = q = np.arange(1, m + 1)
     theta = s * np.pi / (m + 1)
     vals = a0 + 2.0 * a1 * np.cos(theta)
-    q = np.arange(1, m + 1)
     vecs = np.sin(np.outer(q, theta)) * np.sqrt(2.0 / (m + 1))
     order = np.argsort(vals, kind="stable")
     return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
@@ -157,10 +157,10 @@ def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
     u_s^(q) = kappa_s cos((q - 1/2) s pi / m); here the even-index vectors
     are exactly resolved by the m-point bin grid.
     """
-    s = np.arange(_positive("size", m))
+    m = _count("size", m)
+    s = np.arange(m)
     vals = a0 + 2.0 * a1 * np.cos(s * np.pi / m)
-    q = np.arange(1, m + 1)
-    vecs = np.cos(np.outer(q - 0.5, s * np.pi / m))
+    vecs = np.cos(np.outer(s + 0.5, s * np.pi / m))  # row q - 1 for the site q = 1 .. m
     vecs /= np.linalg.norm(vecs, axis=0)
     order = np.argsort(vals, kind="stable")
     return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
@@ -169,12 +169,11 @@ def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
 # ---------------------------------------------------------------------------
 # scenarios
 
-# None marks a parameter derived from others (index; k, from the symbol),
-# optional (symbol) or required (matrix).  grid is a run-level key every
-# scenario takes.
+# None marks a parameter derived from others (index; k, from the symbol), optional (external_matrix's
+# symbol) or required (matrix).  grid is a run-level key every scenario takes.
 SCENARIOS = {
     "periodic_nn": {"a0": 2.0, "a1": -1.0, "m": 80},
-    "periodic_symbol": {"m": 30, "symbol": None},
+    "periodic_symbol": {"m": 30, "symbol": "exponential"},
     "ssh": {"s1": 1.0, "s2": 2.0, "dimers_per_side": 20},
     "dislocated": {"s1": 1.0, "s2": 2.0, "d": 4.0, "dimers_per_side": 10},
     "compact_defect": {"s1": 1.0, "s2": 2.0, "n": 80, "delta": 0.5, "index": None},
@@ -237,7 +236,7 @@ def _scenario_setup(name: str, p: dict):
         mat = matrices.capacitance_1d(p["a0"], p["a1"], p["m"])
         return mat, symbols.nearest_neighbour_symbol(p["a0"], p["a1"]), 1
     if name == "periodic_symbol":
-        sym = symbols.symbol_from_source(p.get("symbol", "exponential"))
+        sym = symbols.symbol_from_source(p["symbol"])
         if sym.tail_bound is not None:
             p["truncation_tail_bound"] = sym.tail_bound
         return matrices.toeplitz_matrix(sym, p["m"]), sym, sym.k
@@ -246,7 +245,7 @@ def _scenario_setup(name: str, p: dict):
     elif name == "dislocated":
         mat = matrices.dislocated_chain(p["s1"], p["s2"], p["d"], p["dimers_per_side"])
     elif name == "compact_defect":
-        spacings = matrices.dimer_alternation(p["s1"], p["s2"], matrices.chain_sites(p["n"]) - 1)
+        spacings = matrices.dimer_alternation(p["s1"], p["s2"], _count("chain sites", p["n"], least=2) - 1)
         base = matrices.chain_capacitance(spacings)
         p.setdefault("index", matrices.center_index(p["n"]))
         mat = matrices.compact_perturbation(base, p["index"], p["delta"])
@@ -278,7 +277,7 @@ def run_scenario(config: dict) -> ScenarioResult:
     name = cfg.pop("scenario", None)
     if not isinstance(name, str) or name not in SCENARIOS:
         raise ValueError(f"scenario must be one of {', '.join(SCENARIOS)}, got {name!r}")
-    grid = symbols.checked_grid(_number("grid", cfg.pop("grid", DEFAULT_GRID), int))
+    grid = symbols.checked_grid(cfg.pop("grid", DEFAULT_GRID))
     _refuse_unread(cfg, SCENARIOS[name], f"scenario {name!r}")
     params = {key: value for key, value in SCENARIOS[name].items() if value is not None}
     for key, value in cfg.items():

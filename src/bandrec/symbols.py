@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import _positive, brillouin_sample, polarize
+from .transform import _count, _number, brillouin_sample, polarize
 
 HERMITIAN_TOL = 1e-12
 CROSSING_TOL = 1e-8
@@ -41,11 +41,12 @@ def relative_defect(difference, scale: float) -> float:
 
 
 def checked_grid(grid: int) -> int:
-    """grid itself when it is even and at least MIN_CHECK_GRID, else ValueError; band_functions' grid rule.
+    """grid as an int by _number's rule when even and at least MIN_CHECK_GRID, else ValueError; band_functions' rule.
 
     Gap edges come from the band samples, and an odd grid never samples
     alpha = pi, where every band that is even in alpha has a critical point.
     """
+    grid = _number("grid", grid, int)
     if grid < MIN_CHECK_GRID or grid % 2:
         raise ValueError(f"grid must be an even number of at least {MIN_CHECK_GRID}, got {grid}")
     return grid
@@ -67,10 +68,9 @@ def checked_spacings(spacings) -> np.ndarray:
 class Symbol:
     """Blocks a_s by offset s; tail_bound, where known, bounds the sup norm of blocks a longer series dropped.
 
-    k and each offset s are integers by _number's rule (2.0 is read as 2), and k is stored as an int;
-    tail_bound is a number by the same rule, stored as a float.  offsets and blocks stack the
-    coefficients in ascending offset order, (S,) and (S, k, k), for evaluate_symbol; two symbols
-    are equal when their k, tail_bound, offsets and blocks are.
+    k, at least 1, and each offset s are ints and tail_bound a float by transform._number's rule (2.0 is
+    read as 2).  offsets and blocks stack the coefficients in ascending offset order, (S,) and (S, k, k),
+    for evaluate_symbol; two symbols are equal when their k, tail_bound, offsets and blocks are.
     """
 
     k: int
@@ -80,7 +80,7 @@ class Symbol:
     blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _positive("block size", _number("k", self.k, int)))
+        object.__setattr__(self, "k", _count("block size", self.k))
         if self.tail_bound is not None:
             object.__setattr__(self, "tail_bound", _number("tail_bound", self.tail_bound, float))
             if not 0.0 <= self.tail_bound < math.inf:
@@ -198,7 +198,7 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     At most BAND_MEMO_SIZE results are kept, the least recently used dropped
     first, and a refused input is never stored.
     """
-    checked_grid(m)
+    m = checked_grid(m)
     key = (m, sym.k, sym.offsets.tobytes(), sym.blocks.tobytes())
     if key in _band_memo:
         _band_memo.move_to_end(key)
@@ -269,8 +269,7 @@ def check_assumptions(bs: BandStructure) -> dict:
 
 def banded_truncation(sym: Symbol, r: int) -> Symbol:
     """Drop every block with |s| > r, adding their sum |a_s| over entries to tail_bound (0 when unknown)."""
-    if not r >= 0:  # NaN included
-        raise ValueError(f"band radius must be nonnegative, got {r}")
+    r = _count("band radius", r, least=0)
     kept = {s: b for s, b in sym.coeffs.items() if abs(s) <= r}
     dropped = sum(float(np.sum(np.abs(b))) for s, b in sym.coeffs.items() if abs(s) > r)
     return Symbol(k=sym.k, coeffs=kept, tail_bound=(sym.tail_bound or 0.0) + dropped)
@@ -336,16 +335,7 @@ def exponential_symbol() -> Symbol:
 
 
 # ---------------------------------------------------------------------------
-# serialization: reading outside values (flags, config files, symbol and matrix files)
-
-def _number(name, value, kind):
-    """An int or float from a flag or a JSON file (any JSON value); no bools, no strings, no fractional ints."""
-    try:
-        if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from exc
+# serialization: reading outside values (flags, config files, symbol and matrix files) by transform._number's rule
 
 
 def _text(name, value, inline=False):
@@ -392,9 +382,8 @@ def symbol_to_dict(sym: Symbol) -> dict:
 def symbol_from_dict(data: dict) -> Symbol:
     """The Symbol of {"k", "coeffs": [{"s", "re", "im"}, ...], "tail_bound"} (tail_bound optional).
 
-    k and each offset s are integers and tail_bound a number by _number's
-    rule (Symbol applies it to k and tail_bound); an offset given twice, a
-    null tail_bound and a key that nothing reads are refused.
+    k and each offset s are integers and tail_bound a number by transform._number's rule; an offset
+    given twice, a null tail_bound and a key that nothing reads are refused.
     """
     try:
         _refuse_unread(data, ("k", "coeffs", "tail_bound"), "symbol description")
@@ -408,9 +397,8 @@ def symbol_from_dict(data: dict) -> Symbol:
         raise ValueError(f"malformed symbol description: {exc}") from exc
     if not coeffs:  # k alone would size every later array
         raise ValueError("malformed symbol description: no coefficient blocks")
-    if data.get("tail_bound", 0.0) is None:  # Symbol reads None as no bound; a file leaves the key out for that
-        raise ValueError("tail_bound must be a number, got None")
-    return Symbol(k=k, coeffs=coeffs, tail_bound=data.get("tail_bound"))
+    bound = _number("tail_bound", data["tail_bound"], float) if "tail_bound" in data else None  # null is refused
+    return Symbol(k=k, coeffs=coeffs, tail_bound=bound)
 
 
 def save_symbol(sym: Symbol, path) -> None:

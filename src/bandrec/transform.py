@@ -16,11 +16,15 @@ vector, since bins j and m - j of a real section carry the same mass, and
 one fft of a complex one.  polarize makes the first component of a vector,
 or of each vector of a stack, real and nonnegative; that phase changes no
 projection mass, so nothing bandrec writes reads it.
+
+_number is the one number rule: a Python or numpy integer or float, a whole one (2.0, not 2.5, NaN or inf)
+where an int is asked for, and no bool, string or complex; _count reads each size, grid and index by it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -29,7 +33,7 @@ UNIT_NORM_TOL = 1e-8
 
 def brillouin_sample(m: int) -> np.ndarray:
     """Uniform quasiperiodicity grid 2*pi*j/m, j = -floor(m/2) .. m-1-floor(m/2)."""
-    m = _positive("grid size", m)
+    m = _count("grid size", m)
     j = np.arange(-(m // 2), m - m // 2)
     return 2.0 * np.pi * j / m
 
@@ -39,10 +43,23 @@ def bin_alphas(m: int) -> np.ndarray:
     return np.fft.ifftshift(brillouin_sample(m))
 
 
-def _positive(what: str, n: int) -> int:
-    """n, when it is a count of at least 1; else ValueError "<what> must be positive, got <n>"."""
-    if n < 1:
-        raise ValueError(f"{what} must be positive, got {n}")
+def _number(what: str, value, kind: type):
+    """value as kind (int or float) by the number rule, else ValueError "<what> must be an integer, got <value!r>"."""
+    try:
+        if isinstance(value, (float, np.floating)) and (kind is float or float(value).is_integer()):
+            return kind(value)
+        if not isinstance(value, (bool, np.bool_)):  # a bool is no number, though operator.index reads True as 1
+            return kind(operator.index(value))  # a Python or numpy integer; TypeError for the rest
+    except (TypeError, OverflowError):  # float() overflows on an int beyond the float range
+        pass
+    raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+
+
+def _count(what: str, n, least: int = 1) -> int:
+    """n as an int by _number's rule if at least least, else ValueError "<what> must be at least <least>, got <n>"."""
+    n = n if type(n) is int else _number(what, n, int)  # an int passes at once: zero_pad reads k per eigenvector
+    if n < least:
+        raise ValueError(f"{what} must be at least {least}, got {n}")
     return n
 
 
@@ -61,8 +78,8 @@ def _float_or_complex(u) -> np.ndarray:
 
 def zero_pad(u, k: int) -> np.ndarray:
     """u as float64 or complex128, completed by zeros to a multiple of k: u itself when k divides it, else a copy."""
-    u = _vector(_float_or_complex(u))
-    r = u.size % _positive("block size", k)
+    u, k = _vector(_float_or_complex(u)), _count("block size", k)
+    r = u.size % k
     if r == 0:
         return u
     return np.concatenate([u, np.zeros(k - r, dtype=u.dtype)])
@@ -84,6 +101,7 @@ def tfbt(u, k: int) -> np.ndarray:
     Row p is the DFT, bin j = (1/sqrt(m)) sum_s x_s e^{-2i pi js/m}, of section
     p (entries p, p+k, p+2k, ...), so tfbt(v, 1)[0] is the DFT of v itself.
     """
+    k = _count("block size", k)
     t = _cell_dft(zero_pad(np.asarray(u, dtype=complex), k), k)
     return t.T / np.sqrt(t.shape[0])
 
@@ -97,8 +115,8 @@ def projection_profile(u, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def quasiperiodic_extension(cell, alpha: float, m: int) -> np.ndarray:
     """(1/sqrt(m)) (u, e^{i a} u, ..., e^{i a (m-1)} u); norm equals ||u||."""
-    cell = _vector(np.asarray(cell, dtype=complex))
-    phases = np.exp(1j * alpha * np.arange(_positive("number of cells", m))) / np.sqrt(m)
+    cell, m = _vector(np.asarray(cell, dtype=complex)), _count("number of cells", m)
+    phases = np.exp(1j * alpha * np.arange(m)) / np.sqrt(m)
     return np.kron(phases, cell)
 
 
@@ -126,6 +144,7 @@ def discrete_quasiperiodicity(u, k: int) -> float:
     finite section leaks mass into every bin, and a mean over all of them
     is pulled towards pi/2; the window keeps the peak's neighbours only.
     """
+    k = _count("block size", k)
     u = zero_pad(u, k)
     check_unit_norms(math.sqrt(np.vdot(u, u).real), "discrete_quasiperiodicity")
     t = _cell_dft(u, k).view(float)  # re and im of each site's bin, side by side

@@ -101,9 +101,9 @@ def test_bands_refuses_non_finite_symbol(tmp_path, capsys):
 @pytest.mark.parametrize("symbol,message", [
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]},{"s":1.5,"re":[[-1.0]]},{"s":-1.5,"re":[[-1.0]]}]}',
      "offset s must be an integer, got 1.5"),
-    ('{"k":true,"coeffs":[{"s":0,"re":[[2.0]]}]}', "k must be an integer, got True"),
-    ('{"k":1.7,"coeffs":[{"s":0,"re":[[2.0]]}]}', "k must be an integer, got 1.7"),
-    ('{"k":"1","coeffs":[{"s":0,"re":[[2.0]]}]}', "k must be an integer, got '1'"),
+    ('{"k":true,"coeffs":[{"s":0,"re":[[2.0]]}]}', "block size must be an integer, got True"),
+    ('{"k":1.7,"coeffs":[{"s":0,"re":[[2.0]]}]}', "block size must be an integer, got 1.7"),
+    ('{"k":"1","coeffs":[{"s":0,"re":[[2.0]]}]}', "block size must be an integer, got '1'"),
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]},{"s":0,"re":[[3.0]]}]}', "offset 0 is given twice"),
     ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bnd":0.1}',
      "symbol description does not read tail_bnd; it takes k, coeffs, tail_bound"),
@@ -237,7 +237,7 @@ MONOMER_OBJECT = symbols.symbol_to_dict(symbols.nearest_neighbour_symbol(2.0, -1
     ("reconstruct", {"scenario": "periodic_symbol", "symbol": 0},
      "symbol must be a string or an object, got 0"),
     ("bands", {"symbol": 0}, "symbol must be a string or an object, got 0"),
-    ("transform", {"vector": "v.csv", "k": [2]}, "k must be an integer, got [2]"),
+    ("transform", {"vector": "v.csv", "k": [2]}, "block size must be an integer, got [2]"),
     ("reconstruct", {"scenario": "periodic_nn", "m": 24.7}, "m must be an integer, got 24.7"),
     ("reconstruct", {"scenario": "ssh", "dimers_per_side": True},
      "dimers_per_side must be an integer, got True"),
@@ -329,7 +329,7 @@ def test_transform_k_zero_flag_is_refused(tmp_path, capsys):
     code = main(["transform", "--vector", str(tmp_path / "v.csv"), "--k", "0",
                  "--out", str(tmp_path / "run")])
     assert code == 1
-    assert capsys.readouterr() == ("", "error: block size must be positive, got 0\n")
+    assert capsys.readouterr() == ("", "error: block size must be at least 1, got 0\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -564,7 +564,7 @@ def test_reconstruct_refuses_non_finite_input(tmp_path, capsys):
 def test_a_compact_defect_of_fewer_than_two_sites_is_refused(tmp_path, capsys, n):
     out = tmp_path / "run"
     assert main(["reconstruct", "--scenario", "compact_defect", "--n", str(n), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: chain needs at least 2 sites, got {n}\n")
+    assert capsys.readouterr() == ("", f"error: chain sites must be at least 2, got {n}\n")
     assert not out.exists()
 
 

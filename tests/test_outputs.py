@@ -1,6 +1,7 @@
 """The files the writers emit hold exactly the arrays they are given."""
 
 import csv
+import re
 import weakref
 import xml.etree.ElementTree as ET
 
@@ -32,6 +33,17 @@ def run(request, tmp_path):
         result = run_scenario({"scenario": "external_matrix", "matrix": str(tmp_path / "m.csv")})
     outputs.write_bundle(result, tmp_path / "out", ("csv", "json", "svg"))
     return result, tmp_path / "out"
+
+
+@pytest.mark.parametrize("formats,unknown", [(("xml",), ["xml"]), (("csv", "JSON"), ["JSON"]),
+                                             ("svgcsv", ["c", "g", "s", "v"])])  # a bare string is its letters
+def test_write_bundle_refuses_a_format_it_has_no_writer_for(tmp_path, formats, unknown):
+    result = run_scenario({"scenario": "ssh", "dimers_per_side": 2, "grid": 32})
+    with pytest.raises(ValueError, match=re.escape(f"unknown output formats: {unknown}; write_bundle writes "
+                                                   "csv, json, svg")):
+        outputs.write_bundle(result, tmp_path / "out", formats)
+    assert not (tmp_path / "out").exists()
+    assert cli.FORMATS["reconstruct"] == outputs.BUNDLE_FORMATS == ("csv", "json", "svg")
 
 
 def test_points_csv_holds_every_entry_at_15_digits(run):

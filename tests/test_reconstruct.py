@@ -198,6 +198,12 @@ def test_run_scenario_periodic_symbol_reports_tail():
     assert result.params["truncation_tail_bound"] < 1e-10
 
 
+def test_periodic_symbol_records_the_symbol_it_runs_by_default():
+    result = run_scenario({"scenario": "periodic_symbol", "m": 20})
+    assert result.params == {"m": 20, "symbol": "exponential", "truncation_tail_bound": 2.0 ** -39}
+    assert result.bands is symbols.band_functions(symbols.exponential_symbol(), 512)
+
+
 def test_detect_gaps_margin_shrinks():
     """Each gap edge moves in by exactly GAP_MARGIN times the band span, the margin gaps.json records."""
     bands = symbols.band_functions(symbols.cell_chain_symbol([1.0, 2.0, 3.0]), 256)
@@ -348,8 +354,8 @@ def test_every_scenario_parameter_is_declared_and_read(tmp_path, scenario):
     defaults = run_scenario({"scenario": scenario, **required})
     # every parameter given explicitly, at the value the default run used
     explicit = {key: value for key, value in defaults.params.items() if key != "truncation_tail_bound"}
-    if "symbol" in reads:  # optional, so not recorded when not given
-        explicit["symbol"] = "exponential" if scenario == "periodic_symbol" else "monomer"
+    if scenario == "external_matrix":  # its symbol is optional, so not recorded when not given
+        explicit["symbol"] = "monomer"
     assert set(explicit) == set(reads)
     result = run_scenario({"scenario": scenario, **explicit})
     assert result.params.items() >= explicit.items()

@@ -105,7 +105,7 @@ def test_symbol_rejects_wrong_block_shape():
 def test_symbol_applies_the_integer_rule_to_k_and_offsets():
     with pytest.raises(ValueError, match="offset s must be an integer, got 1.5"):
         Symbol(k=1, coeffs={0: [[2.0]], 1.5: [[-1.0]], -1.5: [[-1.0]]})
-    with pytest.raises(ValueError, match="k must be an integer, got True"):
+    with pytest.raises(ValueError, match="block size must be an integer, got True"):
         Symbol(k=True, coeffs={0: [[2.0]]})
     sym = Symbol(k=2.0, coeffs={0: np.eye(2)})
     assert sym.k == 2 and type(sym.k) is int

@@ -126,7 +126,7 @@ def test_zero_pad_returns_a_vector_k_divides_itself_and_pads_a_copy_otherwise(dt
 
 @pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt, zero_pad])
 def test_every_entry_point_refuses_a_zero_block_size(fn):
-    with pytest.raises(ValueError, match=r"^block size must be positive, got 0$"):
+    with pytest.raises(ValueError, match=r"^block size must be at least 1, got 0$"):
         fn(np.ones(4) / 2.0, 0)
 
 
@@ -153,7 +153,7 @@ def test_zero_pad():
 
 @pytest.mark.parametrize("k", [0, -1, -3])
 def test_zero_pad_refuses_a_block_size_below_one(k):
-    with pytest.raises(ValueError, match=f"block size must be positive, got {k}"):
+    with pytest.raises(ValueError, match=f"block size must be at least 1, got {k}"):
         zero_pad(np.ones(6), k)
 
 
