@@ -35,9 +35,7 @@ def _parse_formats(raw, command: str) -> tuple[str, ...]:
     formats = tuple(f.strip() for f in _text("format", raw).split(",") if f.strip())
     if not formats:
         raise ValueError(f"no output format given; {command} writes {', '.join(FORMATS[command])}")
-    if unknown := sorted(set(formats) - set(FORMATS[command])):
-        raise ValueError(f"unknown output formats: {unknown}; {command} writes {', '.join(FORMATS[command])}")
-    return formats
+    return outputs.checked_formats(formats, FORMATS[command], command)
 
 
 def cmd_bands(args) -> int:
@@ -55,7 +53,11 @@ def cmd_bands(args) -> int:
         print(f"wrote {outdir / 'bands.svg'}")
     failures = symbols.check_assumptions(bs)["failures"]
     gaps = reconstruct.detect_gaps(bs, [], [])["gaps"]
-    print(f"band gaps: {', '.join(f'({lo:.6g}, {hi:.6g})' for lo, hi in gaps) or 'none'}")
+    if gaps:
+        pretty = ", ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in gaps)
+        print(f"band gaps: {pretty}")
+    else:
+        print("band gaps: none")
     if failures:
         print(f"warning: assumption checks failed: {'; '.join(failures)}")
     return EXIT_OK

@@ -185,7 +185,7 @@ def chain_capacitance(spacings) -> FiniteMatrix:
 
 def dimer_alternation(first: float, second: float, count: int) -> np.ndarray:
     """first, second, first, ...: entry i (1-based) is first for odd i and second for even i."""
-    return np.where(np.arange(count) % 2 == 0, float(first), float(second))
+    return np.where(np.arange(_count("spacing count", count, least=0)) % 2 == 0, float(first), float(second))
 
 
 def ssh_matrix(s1: float, s2: float, dimers_per_side: int) -> FiniteMatrix:
@@ -219,8 +219,8 @@ def dislocated_chain(s1: float, s2: float, d: float, dimers_per_side: int) -> Fi
 
 
 def center_index(n: int) -> int:
-    """Default defect placement, 1-based."""
-    return math.ceil(n / 2)
+    """Default defect placement, 1-based, in a chain of n >= 1 sites."""
+    return math.ceil(_count("size", n) / 2)
 
 
 @dataclass(frozen=True)

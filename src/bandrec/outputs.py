@@ -183,13 +183,20 @@ BUNDLE = (
 BUNDLE_FORMATS = tuple(dict.fromkeys(f for f, *_ in BUNDLE))  # csv, json, svg
 
 
+def checked_formats(formats, allowed, who: str):
+    """formats when each is one of allowed, else ValueError "unknown output formats: [...]; <who> writes <allowed>"."""
+    unknown = sorted(set(formats) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown output formats: {unknown}; {who} writes {', '.join(allowed)}")
+    return formats
+
+
 def write_bundle(result: ScenarioResult, outdir, formats=("csv", "json")) -> list[Path]:
     """Write the BUNDLE files of the given formats; those that need reference bands only when the run has them.
 
-    A format not in BUNDLE_FORMATS is refused before outdir is made; a bare string is read as its letters.
+    A format outside BUNDLE_FORMATS is refused (checked_formats) before outdir is made.
     """
-    if unknown := sorted(set(formats) - set(BUNDLE_FORMATS)):
-        raise ValueError(f"unknown output formats: {unknown}; write_bundle writes {', '.join(BUNDLE_FORMATS)}")
+    checked_formats(formats, BUNDLE_FORMATS, "write_bundle")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -142,9 +142,10 @@ def tridiagonal_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
     u_s^(q) = kappa sin(q s pi / (m+1)), returned sorted ascending.
     """
     m = _count("size", m)
-    s = q = np.arange(1, m + 1)
+    s = np.arange(1, m + 1)
     theta = s * np.pi / (m + 1)
     vals = a0 + 2.0 * a1 * np.cos(theta)
+    q = np.arange(1, m + 1)
     vecs = np.sin(np.outer(q, theta)) * np.sqrt(2.0 / (m + 1))
     order = np.argsort(vals, kind="stable")
     return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
@@ -160,7 +161,8 @@ def capacitance_eigenpairs_oracle(a0: float, a1: float, m: int) -> EigenDecompos
     m = _count("size", m)
     s = np.arange(m)
     vals = a0 + 2.0 * a1 * np.cos(s * np.pi / m)
-    vecs = np.cos(np.outer(s + 0.5, s * np.pi / m))  # row q - 1 for the site q = 1 .. m
+    q = np.arange(1, m + 1)
+    vecs = np.cos(np.outer(q - 0.5, s * np.pi / m))
     vecs /= np.linalg.norm(vecs, axis=0)
     order = np.argsort(vals, kind="stable")
     return EigenDecomposition(values=vals[order], vectors=vecs[:, order])

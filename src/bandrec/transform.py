@@ -57,7 +57,7 @@ def _number(what: str, value, kind: type):
 
 def _count(what: str, n, least: int = 1) -> int:
     """n as an int by _number's rule if at least least, else ValueError "<what> must be at least <least>, got <n>"."""
-    n = n if type(n) is int else _number(what, n, int)  # an int passes at once: zero_pad reads k per eigenvector
+    n = _number(what, n, int)
     if n < least:
         raise ValueError(f"{what} must be at least {least}, got {n}")
     return n

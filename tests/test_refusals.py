@@ -82,6 +82,9 @@ def skewed_times(c):
                  id="tridiagonal_eigenpairs_oracle-m0"),
     pytest.param(lambda: reconstruct.capacitance_eigenpairs_oracle(2.0, -1.0, 0), "size must be at least 1, got 0",
                  id="capacitance_eigenpairs_oracle-m0"),
+    pytest.param(lambda: matrices.dimer_alternation(1.0, 2.0, -1), "spacing count must be at least 0, got -1",
+                 id="dimer_alternation-count-1"),
+    pytest.param(lambda: matrices.center_index(0), "size must be at least 1, got 0", id="center_index-n0"),
     pytest.param(lambda: reconstruct.run_scenario({"scenario": "external_matrix"}),
                  "external_matrix scenario needs a 'matrix' path", id="run_scenario-external_matrix-no-matrix"),
 ])
@@ -112,6 +115,8 @@ COUNTS = {
     "dislocated_chain": ("dimers per side", 2, lambda v: matrices.dislocated_chain(1.0, 2.0, 4.0, v)),
     "dislocated_spacing_sequence": ("dimers per side", 2,
                                     lambda v: matrices.dislocated_spacing_sequence(1.0, 2.0, 4.0, v)),
+    "dimer_alternation": ("spacing count", 3, lambda v: matrices.dimer_alternation(1.0, 2.0, v)),
+    "center_index": ("size", 5, matrices.center_index),
     "compact_perturbation-index": ("index", 2, lambda v: matrices.compact_perturbation(CHAIN, v, 0.5)),
     "banded_truncation": ("band radius", 2, lambda v: symbols.banded_truncation(symbols.exponential_symbol(), v)),
     "band_functions": ("grid", 32, lambda v: symbols.band_functions(DIMER, v)),
