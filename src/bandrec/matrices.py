@@ -28,8 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symbols import HERMITIAN_RULE, HERMITIAN_TOL, Symbol, checked_spacings, complex_from_parts, relative_defect
-from .transform import _count, _number
+from .transform import UNIT_NORM_TOL, _count, _number
 
+# 1 + delta of compact_perturbation: the similarity's condition number max(1 + delta, 1 / (1 + delta)) times
+# the float64 eps, the rounding of bc_eigenvectors' closed-form norms, stays within UNIT_NORM_TOL
+DELTA_SCALE = (np.finfo(float).eps / UNIT_NORM_TOL, UNIT_NORM_TOL / np.finfo(float).eps)
 KINDS = ("toeplitz", "circulant", "capacitance1d", "chain", "ssh",
          "dislocated", "perturbed", "external")
 
@@ -254,17 +257,17 @@ def compact_perturbation(C: FiniteMatrix, index: int, delta: float) -> Perturbed
     """Scale row `index` (1-based) of C by 1 + delta.
 
     Requires a Hermitian C, since the symmetrized form is its Hermitian part
-    (A + A^H) / 2, A itself for an exactly Hermitian C, and a finite delta > -1
-    so the square-root similarity transform exists.  A tridiagonal C gives a
-    tridiagonal pair, scaled on its diagonals.
+    (A + A^H) / 2, A itself for an exactly Hermitian C, and 1 + delta in
+    DELTA_SCALE, so the similarity exists and maps eigenvectors back to unit
+    ones.  A tridiagonal C gives a tridiagonal pair, scaled on its diagonals.
     """
     if not C.hermitian:
         raise ValueError(f"compact_perturbation needs a Hermitian base matrix, one with {HERMITIAN_RULE}")
     n, index = C.n, _number("index", index, int)
     if not 1 <= index <= n:
         raise ValueError(f"index {index} out of range 1..{n}")
-    if not -1.0 < delta < math.inf:  # NaN included
-        raise ValueError(f"need -1 < delta < inf, got delta = {delta}")
+    if not DELTA_SCALE[0] <= 1.0 + delta <= DELTA_SCALE[1]:  # NaN included
+        raise ValueError(f"need {DELTA_SCALE[0]:.2g} <= 1 + delta <= {DELTA_SCALE[1]:.2g}, got delta = {delta}")
     r, s = np.ones(n), np.ones(n)  # the row scaling of B C and the two-sided one of B^1/2 C B^1/2
     r[index - 1], s[index - 1] = 1.0 + delta, math.sqrt(1.0 + delta)
     if C.diagonals is not None:

@@ -51,16 +51,21 @@ class EigenDecomposition:
 
 
 @functools.cache
-def _bundled_dstevd():
-    """LAPACKE_dstevd of numpy's bundled ILP64 OpenBLAS, or None where there is none.
-
-    numpy has already loaded the library, so binding it loads nothing new.
-    """
-    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
-                  .glob("libscipy_openblas64_*.so"))
+def _openblas():
+    """numpy's bundled ILP64 OpenBLAS, which numpy has already loaded, as a ctypes library; None where there is none."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
     try:
-        fn = ctypes.CDLL(str(libs[0])).scipy_LAPACKE_dstevd64_
-    except (IndexError, OSError, AttributeError):
+        return ctypes.CDLL(str(libs[0]))
+    except (IndexError, OSError):
+        return None
+
+
+@functools.cache
+def _bundled_dstevd():
+    """LAPACKE_dstevd of _openblas(), or None where there is none."""
+    try:
+        fn = _openblas().scipy_LAPACKE_dstevd64_
+    except AttributeError:  # no library (None), or one without the symbol
         return None
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
@@ -100,6 +105,8 @@ def hermitian_eigen(M: FiniteMatrix) -> EigenDecomposition:
     else:
         vals, vecs = np.linalg.eigh(M.data)
         vecs = np.asfortranarray(vecs)
+    if not np.isfinite(vals).all():  # O(n): entries near the float64 limit overflow in the eigenvalues
+        raise ValueError("hermitian_eigen found eigenvalues that overflow float64")
     for i in range(vals.size):
         vecs[:, i] = polarize(vecs[:, i])
     return EigenDecomposition(values=vals, vectors=vecs)

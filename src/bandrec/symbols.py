@@ -186,11 +186,11 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     are sorted ascending per grid point, eigenvectors are unit with their
     first component real and nonnegative (polarize; no output reads that
     phase), and derivatives come from central differences (one-sided at the
-    grid ends).  Evaluations must be Hermitian to 1e-10 relative to max|f|
-    (relative_defect).  The (m, k, k) stack of evaluations is diagonalised
-    by one eigh call and its m k eigenvectors are polarized by one polarize
-    call, which give the same values and vectors as one call per grid point
-    and per vector.
+    grid ends).  Evaluations must be finite and Hermitian to 1e-10 relative
+    to max|f| (relative_defect), and bands and derivatives finite.  The
+    (m, k, k) stack of evaluations is diagonalised by one eigh call and its
+    m k eigenvectors are polarized by one polarize call, which give the same
+    values and vectors as one call per grid point and per vector.
 
     The result is memoized on (m, sym.k, sym.offsets.tobytes(),
     sym.blocks.tobytes()), the bits it is computed from: an equal symbol at
@@ -204,7 +204,9 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
         _band_memo.move_to_end(key)
         return _band_memo[key]
     alphas = brillouin_sample(m)
-    evaluations = np.array([evaluate_symbol(sym, a) for a in alphas])
+    evaluations = np.array([evaluate_symbol(sym, a) for a in alphas])  # a sum that overflows is inf, unwarned
+    if not np.isfinite(evaluations).all():
+        raise ValueError(f"the symbol's samples on the {m}-point grid overflow float64")
     defect = relative_defect(evaluations - evaluations.conj().transpose(0, 2, 1),
                              float(np.max(np.abs(evaluations))))
     if defect > 1e-10:
@@ -212,8 +214,11 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     values, vectors = np.linalg.eigh(evaluations)
     vectors = polarize(vectors.transpose(1, 0, 2)).transpose(1, 0, 2)  # vector (j, p) runs along the middle axis
     values = values.T.copy()
-    bs = BandStructure(alphas=alphas, values=values, vectors=vectors,
-                       derivatives=np.gradient(values, 2.0 * np.pi / m, axis=1),
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        derivatives = np.gradient(values, 2.0 * np.pi / m, axis=1)
+    if not np.isfinite(derivatives).all():  # a band value that is not finite makes a derivative so too
+        raise ValueError(f"the symbol's bands or their slopes on the {m}-point grid overflow float64")
+    bs = BandStructure(alphas=alphas, values=values, vectors=vectors, derivatives=derivatives,
                        hermitian_defect=defect)
     _band_memo[key] = bs
     if len(_band_memo) > BAND_MEMO_SIZE:

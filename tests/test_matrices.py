@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bandrec import symbols
-from bandrec.spectra import hermitian_eigen
 from bandrec.matrices import (FiniteMatrix, capacitance_1d, center_index,
                               chain_capacitance, circulant_matrix, compact_perturbation,
                               dislocated_chain, dislocated_spacing_sequence, load_matrix,
@@ -14,14 +13,7 @@ MONOMER = symbols.nearest_neighbour_symbol(2.0, -1.0)
 DIMER = symbols.dimer_symbol(1.0, 2.0)
 
 
-def test_finite_matrix_validation():
-    with pytest.raises(ValueError):
-        FiniteMatrix(data=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="unknown matrix kind 'dense'"):
-        FiniteMatrix(data=np.eye(2), kind="dense")
-    with pytest.raises(ValueError, match=r"hermitian_eigen needs a Hermitian matrix, one with "
-                                         r"max\|A - A\^H\| <= 1e-12 \* max\|A\|$"):
-        hermitian_eigen(FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]])))
+def test_finite_matrix_data_is_read_only():
     m = FiniteMatrix(data=np.eye(2))
     with pytest.raises(ValueError):
         m.data[0, 0] = 5.0  # immutable after construction
@@ -31,8 +23,8 @@ def test_finite_matrix_validation():
 def test_finite_matrix_rejects_non_finite_entries(bad):
     data = np.eye(3, dtype=type(bad))
     data[1, 2] = bad
-    with pytest.raises(ValueError, match=r"1 non-finite \(NaN or inf\) entries, "
-                                         r"the first at row 2, column 3"):
+    with pytest.raises(ValueError, match=r"^matrix has 1 non-finite \(NaN or inf\) entries, "
+                                         r"the first at row 2, column 3$"):
         FiniteMatrix(data=data)
 
 
@@ -59,8 +51,8 @@ def test_the_hermitian_verdict_is_the_same_at_any_scale(upper, hermitian, c):
 def test_tridiagonal_form_rejects_non_finite_entries(diagonal, i, where, bad):
     diagonals = [np.full(4, 2.0), np.full(3, -1.0), np.full(3, -1.0)]
     diagonals[diagonal][i] = bad
-    with pytest.raises(ValueError, match=r"1 non-finite \(NaN or inf\) entries, "
-                                         r"the first at " + where):
+    with pytest.raises(ValueError, match=r"^matrix has 1 non-finite \(NaN or inf\) entries, "
+                                         rf"the first at {where}$"):
         FiniteMatrix(diagonals=diagonals)
 
 
@@ -179,13 +171,8 @@ def test_circulant_eigenvector_direct():
     assert np.linalg.norm(C.data @ omega - 2.0 * omega) < 1e-14
 
 
-def test_circulant_rejects_wraparound():
-    with pytest.raises(ValueError):
-        circulant_matrix(MONOMER, 2)
-    sym = symbols.banded_truncation(symbols.exponential_symbol(), 5)
-    with pytest.raises(ValueError):
-        circulant_matrix(sym, 10)
-    circulant_matrix(sym, 11)  # smallest legal size
+def test_circulant_takes_the_smallest_size_without_wraparound():
+    circulant_matrix(symbols.banded_truncation(symbols.exponential_symbol(), 5), 11)  # m = 10 wraps around
 
 
 def test_toeplitz_circulant_interior_agreement():
@@ -223,8 +210,6 @@ def test_chain_capacitance_spacings():
         ref[i, i] += inv
         ref[i + 1, i + 1] += inv
     assert np.array_equal(chain_capacitance(spacings).data, ref)
-    with pytest.raises(ValueError):
-        chain_capacitance([1.0, -2.0])
 
 
 def test_chain_capacitance_zero_row_sums():
@@ -262,22 +247,9 @@ def test_ssh_matrix_persymmetric():
         assert np.array_equal(M, M[::-1, ::-1].T)
 
 
-@pytest.mark.parametrize("build,args,message", [
-    (ssh_matrix, (0.0, 2.0, 3), "spacings must be positive"),
-    (ssh_matrix, (1.0, -2.0, 3), "spacings must be positive"),
-    (ssh_matrix, (1.0, 2.0, 0), "dimers per side must be at least 1, got 0"),
-    (dislocated_chain, (0.0, 2.0, 4.0, 3), "spacings must be positive"),
-    (dislocated_chain, (1.0, 2.0, 0.0, 3), "spacings must be positive"),
-    (dislocated_chain, (1.0, 2.0, 4.0, -1), "dimers per side must be at least 1, got -1"),
-])
-def test_dimer_builders_refuse_bad_input(build, args, message):
-    with pytest.raises(ValueError, match=message):
-        build(*args)
-
-
 @pytest.mark.parametrize("spacings", [[1.0, np.inf, 1.0], [1.0, -np.inf], [np.nan, 2.0]])
 def test_chain_capacitance_refuses_a_spacing_that_is_not_finite(spacings):
-    with pytest.raises(ValueError, match="spacings must be finite"):
+    with pytest.raises(ValueError, match="^spacings must be finite$"):
         chain_capacitance(spacings)
 
 
@@ -407,18 +379,9 @@ def test_compact_perturbation_gap_behaviour():
     FiniteMatrix(diagonals=([2.0, 2.0], [-1.0], [-0.5])),
 ], ids=["dense", "diagonals"])
 def test_compact_perturbation_refuses_a_base_that_is_not_hermitian(base):
-    with pytest.raises(ValueError, match="compact_perturbation needs a Hermitian base matrix"):
+    with pytest.raises(ValueError, match=r"^compact_perturbation needs a Hermitian base matrix, one with "
+                                         r"max\|A - A\^H\| <= 1e-12 \* max\|A\|$"):
         compact_perturbation(base, 1, 0.5)
-
-
-def test_compact_perturbation_errors():
-    C = chain_capacitance([1.0, 1.0])
-    with pytest.raises(ValueError):
-        compact_perturbation(C, 0, 0.5)
-    with pytest.raises(ValueError):
-        compact_perturbation(C, 4, 0.5)
-    with pytest.raises(ValueError):
-        compact_perturbation(C, 2, -1.0)
 
 
 def test_center_index():
@@ -454,26 +417,12 @@ def test_load_matrix_small_csv(tmp_path):
     assert np.array_equal(M.data, [[2, -1], [-1, 2]])
 
 
-def test_load_matrix_rejects_non_square(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1,2,3\n4,5,6\n")
-    with pytest.raises(ValueError):
-        load_matrix(path)
-
-
 def test_load_matrix_hermitian_flag_is_relative(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1000000.0,1e-11\n0,1000000.0\n")
     assert load_matrix(path).hermitian
     path.write_text("1000000.0,1.0\n0,1000000.0\n")
     assert not load_matrix(path).hermitian
-
-
-def test_load_matrix_rejects_non_finite(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("2,nan\nnan,2\n")
-    with pytest.raises(ValueError, match=r"2 non-finite \(NaN or inf\) entries"):
-        load_matrix(path)
 
 
 def test_load_matrix_json(tmp_path):

@@ -39,8 +39,8 @@ def run(request, tmp_path):
                                              ("svgcsv", ["c", "g", "s", "v"])])  # a bare string is its letters
 def test_write_bundle_refuses_a_format_it_has_no_writer_for(tmp_path, formats, unknown):
     result = run_scenario({"scenario": "ssh", "dimers_per_side": 2, "grid": 32})
-    with pytest.raises(ValueError, match=re.escape(f"unknown output formats: {unknown}; write_bundle writes "
-                                                   "csv, json, svg")):
+    with pytest.raises(ValueError, match="^" + re.escape(f"unknown output formats: {unknown}; write_bundle writes "
+                                                         "csv, json, svg") + "$"):
         outputs.write_bundle(result, tmp_path / "out", formats)
     assert not (tmp_path / "out").exists()
     assert cli.FORMATS["reconstruct"] == outputs.BUNDLE_FORMATS == ("csv", "json", "svg")

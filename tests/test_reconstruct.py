@@ -84,11 +84,6 @@ def test_reconstruct_bands_one_by_one_matrix():
     assert points.alpha_est[0] == 0.0 and points.lam[0] == 1.5
 
 
-def test_reconstruct_bands_rejects_bad_k():
-    with pytest.raises(ValueError):
-        reconstruct_bands(matrices.circulant_matrix(MONOMER, 8), 0)
-
-
 def test_reconstruct_bands_reads_an_integral_float_k_as_an_int():
     M = matrices.ssh_matrix(1.0, 2.0, 5)  # 21 sites: every vector is zero-padded to k = 2
     got, expected = reconstruct_bands(M, 2.0), reconstruct_bands(M, 2)
@@ -138,12 +133,6 @@ def test_ties_at_the_edge_margin_count_as_bulk_under_any_rounding(m):
     assert m != 16 or counts == [1, 1]  # the one mode at alpha = pi/2 = edge_margin = pi - edge_margin
 
 
-def test_compare_to_symbol_empty_points():
-    bands = symbols.band_functions(MONOMER, 64)
-    with pytest.raises(ValueError):
-        compare_to_symbol([], bands)
-
-
 def test_detect_gaps_monomer_none():
     bands = symbols.band_functions(MONOMER, 128)
     report = detect_gaps(bands, np.array([0.5, 1.0]), np.array([0.1, 0.2]))
@@ -185,12 +174,6 @@ def test_detect_gaps_trimer_two_gaps():
     for mode in report["gap_modes"]:
         assert any(lo < mode["lambda"] < hi for lo, hi in report["gaps"])
         assert mode["alpha_est"] == mode["lambda"] / 10
-
-
-def test_reconstruct_bands_propagates_eigensolver_error():
-    M = FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        reconstruct_bands(M, 1)
 
 
 def test_run_scenario_periodic_symbol_reports_tail():
@@ -308,18 +291,6 @@ def test_run_scenario_external_matrix(tmp_path):
                             "symbol": str(sym_path)})
     assert result2.bands is not None
     assert len(result2.gap_report["gap_modes"]) == 1
-
-
-def test_run_scenario_rejects_unknown():
-    with pytest.raises(ValueError):
-        run_scenario({"scenario": "warp_drive"})
-    with pytest.raises(ValueError):
-        run_scenario({})
-    with pytest.raises(ValueError, match=r"^dimers_per_side must be an integer, got \[3\]$"):
-        run_scenario({"scenario": "ssh", "dimers_per_side": [3]})
-    with pytest.raises(ValueError, match="^scenario 'ssh' does not read alpha, alpha_tilde, eta"):
-        run_scenario({"scenario": "ssh", "alpha": 1.5, "alpha_tilde": 1.0, "eta": 1.0,
-                      "beta1": -1.0, "beta2": -0.5})
 
 
 # A second value for every scenario parameter, each one the method can use.

@@ -125,6 +125,7 @@ def _unloadable(path):
                          ids=["oserror", "no_symbol"])
 def test_bundled_dstevd_is_none_where_the_library_gives_none(monkeypatch, cdll):
     monkeypatch.setattr(spectra.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(spectra, "_openblas", spectra._openblas.__wrapped__)  # a lookup as in a fresh process
     assert spectra._bundled_dstevd.__wrapped__() is None
 
 
@@ -155,12 +156,6 @@ def test_hermitian_eigen_reconstruction():
     assert np.all(np.diff(eig.values) >= 0)
 
 
-def test_hermitian_eigen_rejects_non_hermitian():
-    M = FiniteMatrix(data=np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        hermitian_eigen(M)
-
-
 def test_residual_exact_and_shifted():
     M = _random_hermitian(6, 2)
     eig = hermitian_eigen(M)
@@ -168,12 +163,6 @@ def test_residual_exact_and_shifted():
     assert residual(M, float(eig.values[3]), u) < 1e-9
     t = 0.37
     assert abs(residual(M, float(eig.values[3]) + t, u) - t) < 1e-12
-
-
-def test_residual_dimension_mismatch():
-    M = _random_hermitian(5, 3)
-    with pytest.raises(ValueError):
-        residual(M, 0.0, np.ones(4) / 2.0)
 
 
 @pytest.mark.parametrize("family", ["ssh", "compact_symmetrized"])
@@ -209,18 +198,6 @@ def test_residual_of_a_matrix_of_columns_matches_its_columns(family):
     shared = residual(M, 0.5, U)  # a scalar lam serves every column
     for i in range(7):
         assert abs(shared[i] - residual(M, 0.5, U[:, i])) <= 1e-14
-
-
-def test_residual_refuses_a_lam_of_the_wrong_shape():
-    M = _random_hermitian(6, 3)
-    U = np.eye(6)[:, :3]
-    for lam in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros((1, 3))):
-        with pytest.raises(ValueError, match="one value per column"):
-            residual(M, lam, U)
-    with pytest.raises(ValueError, match="one value per column"):
-        residual(M, np.zeros(1), U[:, 0])  # one vector takes a scalar
-    with pytest.raises(ValueError, match="expects unit vectors, got norm 2"):
-        residual(M, np.zeros(3), 2 * U)
 
 
 def test_residual_banded_truncation_bound():
@@ -279,12 +256,6 @@ def test_near_far_split_norm_identity():
         u_par, u_perp = near_far_split(eig, float(rng.normal()), float(rng.uniform(0.1, 2.0)), u)
         total = np.linalg.norm(u_par) ** 2 + np.linalg.norm(u_perp) ** 2
         assert abs(total - 1.0) < 1e-10
-
-
-def test_near_far_split_requires_positive_eps():
-    eig = hermitian_eigen(FiniteMatrix(data=np.eye(2)))
-    with pytest.raises(ValueError):
-        near_far_split(eig, 1.0, 0.0, np.array([1.0, 0.0]))
 
 
 def _window_masses(u, k, alpha0, delta):
@@ -348,7 +319,7 @@ def test_localization_metrics_of_a_matrix_match_its_columns(dtype):
         assert abs(sups[i] - mags.max()) <= 1e-15
         assert abs(iprs[i] - np.sum(mags ** 4)) <= 1e-15
     V[:, 4] *= 1.1
-    with pytest.raises(ValueError, match=r"expects unit vectors, got norm 1\.1"):
+    with pytest.raises(ValueError, match=r"^localization_metrics expects unit vectors, got norm 1\.1\d*$"):
         localization_metrics(V)
 
 

@@ -73,42 +73,20 @@ def test_evaluate_is_hermitian():
             assert np.max(np.abs(f - f.conj().T)) < 1e-12
 
 
-def test_symbol_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        Symbol(k=1, coeffs={0: [[1.0]], 1: [[1.0]], -1: [[2.0]]})
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
 def test_symbol_rejects_non_finite_coefficients(bad):
-    with pytest.raises(ValueError, match="offset -1 has non-finite"):
+    with pytest.raises(ValueError, match=r"^coefficient block at offset -1 has non-finite \(NaN or inf\) entries$"):
         Symbol(k=1, coeffs={0: [[2.0]], 1: [[-1.0]], -1: [[bad]]})
 
 
 def test_symbol_hermitian_test_is_relative_to_the_largest_coefficient():
     Symbol(k=1, coeffs={0: [[1e6]], 1: [[1.0 + 1e-11]], -1: [[1.0]]})
-    with pytest.raises(ValueError, match=r"relative defect 1e-06 \(tolerance 1e-12\)"):
+    with pytest.raises(ValueError, match=r"^non-Hermitian symbol: a_-1 != a_1\^\* with relative defect 1e-06 "
+                                         r"\(tolerance 1e-12\)$"):
         Symbol(k=1, coeffs={0: [[1e6]], 1: [[2.0]], -1: [[1.0]]})
-    with pytest.raises(ValueError, match="relative defect"):  # relative below unit scale too
+    with pytest.raises(ValueError, match=r"^non-Hermitian symbol: a_-1 != a_1\^\* with relative defect 1e-08 "
+                                         r"\(tolerance 1e-12\)$"):  # relative below unit scale too
         Symbol(k=1, coeffs={0: [[1e-3]], 1: [[1e-11]], -1: [[0.0]]})
-
-
-def test_symbol_rejects_asymmetric_support():
-    with pytest.raises(ValueError):
-        Symbol(k=1, coeffs={0: [[1.0]], 1: [[1.0]]})
-
-
-def test_symbol_rejects_wrong_block_shape():
-    with pytest.raises(ValueError):
-        Symbol(k=2, coeffs={0: [[1.0]]})
-
-
-def test_symbol_applies_the_integer_rule_to_k_and_offsets():
-    with pytest.raises(ValueError, match="offset s must be an integer, got 1.5"):
-        Symbol(k=1, coeffs={0: [[2.0]], 1.5: [[-1.0]], -1.5: [[-1.0]]})
-    with pytest.raises(ValueError, match="block size must be an integer, got True"):
-        Symbol(k=True, coeffs={0: [[2.0]]})
-    sym = Symbol(k=2.0, coeffs={0: np.eye(2)})
-    assert sym.k == 2 and type(sym.k) is int
 
 
 def test_band_functions_monomer_m16():
@@ -302,7 +280,8 @@ def scaled(sym, c):
 def test_the_coefficient_test_gives_one_verdict_and_message_at_any_scale(c):
     scaled(Symbol(k=1, coeffs={0: [[1.0]], 1: [[1.0 + 1e-13]], -1: [[1.0]]}), c)  # accepted at c as at 1
     outside = {0: [[1.0]], 1: [[1.0 + 1e-11]], -1: [[1.0]]}
-    with pytest.raises(ValueError) as unit:
+    with pytest.raises(ValueError, match=r"^non-Hermitian symbol: a_-1 != a_1\^\* with relative defect 1e-11 "
+                                         r"\(tolerance 1e-12\)$") as unit:
         Symbol(k=1, coeffs=outside)
     with pytest.raises(ValueError, match=f"^{re.escape(str(unit.value))}$"):
         Symbol(k=1, coeffs={s: c * np.array(b) for s, b in outside.items()})
@@ -433,13 +412,13 @@ def test_a_symbol_file_keeps_its_tail_bound(tmp_path):
 
 @pytest.mark.parametrize("bound", [-1e-3, float("inf"), float("nan")])
 def test_symbol_refuses_a_tail_bound_that_is_not_finite_and_nonnegative(bound):
-    with pytest.raises(ValueError, match="tail bound must be finite and nonnegative"):
+    with pytest.raises(ValueError, match=f"^tail bound must be finite and nonnegative, got {re.escape(str(bound))}$"):
         Symbol(k=1, coeffs={0: [[1.0]]}, tail_bound=bound)
 
 
 @pytest.mark.parametrize("bound", [True, "0.5"])
 def test_symbol_refuses_a_tail_bound_that_is_not_a_number(bound):
-    with pytest.raises(ValueError, match="tail_bound must be a number"):
+    with pytest.raises(ValueError, match=f"^tail_bound must be a number, got {re.escape(repr(bound))}$"):
         Symbol(k=1, coeffs={0: [[1.0]]}, tail_bound=bound)
 
 
@@ -460,15 +439,6 @@ def test_symbol_dict_format():
     assert d["k"] == 1
     assert {e["s"] for e in d["coeffs"]} == {-1, 0, 1}
     assert symbol_from_dict(json.loads(json.dumps(d))).support == [-1, 0, 1]
-
-
-def test_symbol_from_dict_rejects_garbage():
-    with pytest.raises(ValueError):
-        symbol_from_dict({"coeffs": "nope"})
-    with pytest.raises(ValueError, match=r"'im' has shape \(1, 1\) but 're' has shape \(2, 2\)"):
-        symbol_from_dict({"k": 2, "coeffs": [{"s": 0, "re": [[1, 0], [0, 1]], "im": [[0.0]]}]})
-    with pytest.raises(ValueError, match="no coefficient blocks"):
-        symbol_from_dict({"k": 10 ** 6, "coeffs": []})
 
 
 def test_exponential_tail_model():

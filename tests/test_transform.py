@@ -124,12 +124,6 @@ def test_zero_pad_returns_a_vector_k_divides_itself_and_pads_a_copy_otherwise(dt
         assert padded.size % k == 0 and np.array_equal(padded[:6], u) and not padded[6:].any()
 
 
-@pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt, zero_pad])
-def test_every_entry_point_refuses_a_zero_block_size(fn):
-    with pytest.raises(ValueError, match=r"^block size must be at least 1, got 0$"):
-        fn(np.ones(4) / 2.0, 0)
-
-
 @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (0,)], ids=["2x2", "3x1", "empty"])
 @pytest.mark.parametrize("fn", [discrete_quasiperiodicity, projection_profile, tfbt, zero_pad,
                                 lambda u, k: quasiperiodic_extension(u, 0.5, k)],
@@ -149,12 +143,6 @@ def test_zero_pad():
     w = np.array([3.0, 4.0])
     assert np.linalg.norm(zero_pad(w, 5)) == np.linalg.norm(w)
     assert zero_pad(w, 5).dtype == np.float64 and zero_pad(u, 4).dtype == np.complex128
-
-
-@pytest.mark.parametrize("k", [0, -1, -3])
-def test_zero_pad_refuses_a_block_size_below_one(k):
-    with pytest.raises(ValueError, match=f"block size must be at least 1, got {k}"):
-        zero_pad(np.ones(6), k)
 
 
 def test_tfbt_on_quasiperiodic_extension():
@@ -248,20 +236,15 @@ def test_discrete_quasiperiodicity_phase_invariant():
     assert 0.0 <= q0 <= np.pi
 
 
-def test_discrete_quasiperiodicity_rejects_non_unit():
-    with pytest.raises(ValueError):
-        discrete_quasiperiodicity(np.ones(4), 1)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-def test_unit_norm_tests_refuse_non_finite_vectors(bad):
+@pytest.mark.parametrize("bad,norm", [(np.nan, "nan"), (np.inf, "inf"), (complex(0.0, np.nan), "nan")])
+def test_unit_norm_tests_refuse_non_finite_vectors(bad, norm):
     u = np.array([0.6, 0.0, 0.8], dtype=complex)
     u[1] = bad
-    with pytest.raises(ValueError, match="expects a unit vector, got norm"):
+    with pytest.raises(ValueError, match="^discrete_quasiperiodicity expects a unit vector, got norm nan$"):  # nan for inf too
         discrete_quasiperiodicity(u, 1)
     V = np.eye(3, dtype=complex)
     V[:, 2] = u
-    with pytest.raises(ValueError, match="expects unit vectors, got norm"):
+    with pytest.raises(ValueError, match=f"^localization_metrics expects unit vectors, got norm {norm}$"):
         spectra.localization_metrics(V)
 
 
@@ -399,7 +382,8 @@ def test_polarize_takes_row_0_as_every_pivot(shape, dtype, kind):
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (2, 0, 4), ()])
 def test_polarize_refuses_an_empty_vector_or_stack(shape):
-    with pytest.raises(ValueError, match="polarize expects a nonempty vector or stack of vectors"):
+    with pytest.raises(ValueError, match=rf"^polarize expects a nonempty vector or stack of vectors, "
+                                         rf"got shape {re.escape(str(shape))}$"):
         polarize(np.zeros(shape))
 
 
