@@ -271,8 +271,9 @@ def run_scenario(config: dict) -> ScenarioResult:
     converted once to its type in PARAMS, so the recorded params are the
     ones used, derived ones included.  The reference bands come from the
     scenario's underlying periodic symbol where one exists and are sampled
-    before the eigensolve; bands that are not even in alpha are refused
-    there, since only |alpha| is recovered.  A grid that fails
+    before the eigensolve; bands that are not even in alpha, or not
+    monotone in |alpha| (symbols.slope_sign_change), are refused there,
+    since one |alpha| is recovered per eigenvector.  A grid that fails
     symbols.checked_grid is refused first, before any file is read.
     """
     cfg = dict(config)
@@ -295,6 +296,9 @@ def run_scenario(config: dict) -> ScenarioResult:
         if not even:
             raise ValueError(f"the reference bands are not even in alpha: max|lambda(alpha) - "
                              f"lambda(-alpha)| = {odd:g}, and only |alpha| is recovered")
+        flip = symbols.slope_sign_change(bands)
+        if flip:
+            raise ValueError(f"reference {flip}, and one |alpha| is recovered per eigenvector")
     points = reconstruct_bands(built, k)
     matrix = built.bc if isinstance(built, PerturbedPair) else built
 

@@ -238,14 +238,35 @@ def evenness(bs: BandStructure) -> tuple[float, bool]:
     return defect, relative_defect(defect, float(np.max(np.abs(bs.values)))) <= EVENNESS_TOL
 
 
+def slope_sign_change(bs: BandStructure) -> str | None:
+    """"band <p> is not monotone in |alpha|: its slope changes sign at alpha = <a>", or None when every band is.
+
+    p is the first band (1-based) whose sampled slope on (0, pi) changes sign,
+    and a the first grid point past the flip.  A slope counts only where
+    |lambda'| > VAN_DER_HOVE_TOL * max|lambda|, so a flat band's rounding
+    does not.  Such a band takes some of its values at two |alpha|, and the
+    transform recovers one |alpha| per eigenvector.
+    """
+    first = bs.m // 2 + 1  # alphas[first:] run 2 pi / m .. pi - 2 pi / m
+    slopes = bs.derivatives[:, first:]
+    signs = np.sign(slopes) * (np.abs(slopes) > VAN_DER_HOVE_TOL * float(np.max(np.abs(bs.values))))
+    for p, band in enumerate(signs):
+        flips = np.flatnonzero(band * band[np.argmax(band != 0)] < 0)  # against the first counted sign, if any
+        if flips.size:
+            return f"band {p + 1} is not monotone in |alpha|: its slope changes sign at alpha = " \
+                   f"{bs.alphas[first + flips[0]]:g}"
+    return None
+
+
 def check_assumptions(bs: BandStructure) -> dict:
-    """Check band-range disjointness, nonvanishing interior slopes, Hermitianness and evenness.
+    """Check band-range disjointness, nonvanishing interior slopes of one sign, Hermitianness and evenness.
 
     Returns {"bands_disjoint", "no_van_der_hove", "hermitian", "even",
     "min_band_separation" (None for one band), "min_interior_slope",
     "evenness_defect", "failures"}, failures empty exactly when all pass.
     Separations must exceed CROSSING_TOL, and slopes off the symmetry points alpha in {0, -pi}
-    (where any even band's derivative vanishes) VAN_DER_HOVE_TOL, each times max|lambda|.
+    (where any even band's derivative vanishes) VAN_DER_HOVE_TOL, each times max|lambda|;
+    no_van_der_hove also fails for a band whose slope changes sign (slope_sign_change).
     """
     scale = float(np.max(np.abs(bs.values)))
     ranges = bs.band_ranges()
@@ -254,15 +275,18 @@ def check_assumptions(bs: BandStructure) -> dict:
 
     interior = ~(np.isclose(bs.alphas, 0.0) | np.isclose(bs.alphas, -np.pi))
     min_slope = float(np.min(np.abs(bs.derivatives[:, interior])))
-    no_vdh = min_slope > VAN_DER_HOVE_TOL * scale
+    steep, flip = min_slope > VAN_DER_HOVE_TOL * scale, slope_sign_change(bs)
+    no_vdh = steep and flip is None
 
     hermitian = bs.hermitian_defect <= HERMITIAN_TOL
     even_defect, even = evenness(bs)
     failures = []
     if not bands_disjoint:
         failures.append(f"band ranges separated by only {min_sep:g}")
-    if not no_vdh:
+    if not steep:
         failures.append(f"interior slope as small as {min_slope:g}")
+    if flip:
+        failures.append(flip)
     if not hermitian:
         failures.append(f"hermitian defect {bs.hermitian_defect:g}")
     if not even:
@@ -353,11 +377,12 @@ def _text(name, value, inline=False):
 def _refuse_unread(obj, keys, reader: str) -> None:
     """ValueError unless obj is an object whose keys are all among keys, so a misspelt key is not skipped.
 
-    The one refusal of a key nothing reads: "<reader> does not read <keys>; it takes <keys>".
+    The one refusal of a key nothing reads: "<reader> does not read <keys>; it takes <keys>", each unread key
+    quoted by repr, so one holding a newline or a comma stays on the line and reads as one key.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{reader}: expected an object, got {type(obj).__name__}")
-    unread = [str(key) for key in obj if key not in keys]
+    unread = [repr(key) for key in obj if key not in keys]
     if unread:
         raise ValueError(f"{reader} does not read {', '.join(unread)}; it takes {', '.join(keys)}")
 

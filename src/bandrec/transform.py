@@ -2,20 +2,21 @@
 
 A vector (a nonempty 1-d array; _vector refuses any other shape) of length
 n is m = ceil(n/k) cells of k sites, the last completed by zeros
-(zero_pad).  One private kernel lays it out as u.reshape(m, k) and Fourier
-transforms along the cell axis: the column for site p is the DFT of the
-section p, p+k, p+2k, ...  The per-bin masses give the resonance strength
-at each sampled quasiperiodicity.  discrete_quasiperiodicity folds them
-onto the |alpha| bins 0 .. m // 2, finds the first bin of largest folded
-mass, and recovers an eigenvector's quasiperiodicity as the mass-weighted
-mean of |alpha_j| over the bins within m // 6 (about pi/3) of that peak.
+(zero_pad), laid out as u.reshape(m, k) and Fourier transformed along the
+cell axis: the column for site p is the DFT of the section p, p+k, p+2k, ...
+The per-bin masses give the resonance strength at each sampled
+quasiperiodicity.  discrete_quasiperiodicity folds them onto the |alpha|
+bins 0 .. m // 2, finds the first bin of largest folded mass, and recovers
+an eigenvector's quasiperiodicity as the mass-weighted mean of |alpha_j|
+over the bins within m // 6 (about pi/3) of that peak.
 
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
-(complex input stays complex128), and the kernel takes one rfft of a real
-vector, since bins j and m - j of a real section carry the same mass, and
-one fft of a complex one.  polarize makes the first component of a vector,
-or of each vector of a stack, real and nonnegative; that phase changes no
-projection mass, so nothing bandrec writes reads it.
+(complex input stays complex128).  discrete_quasiperiodicity takes one rfft
+of every vector: fft bins j and m - j of u = a + ib hold 2(|A_j|^2 + |B_j|^2),
+A and B the rfft bins of a and b, so a complex u reads as 2k real sites per
+cell.  polarize makes the first component of a vector, or of each vector of
+a stack, real and nonnegative; that phase changes no projection mass, so
+nothing bandrec writes reads it.
 
 _number is the one number rule: a Python or numpy integer or float, a whole one (2.0, not 2.5, NaN or inf)
 where an int is asked for, and no bool, string or complex; _count reads each size, grid and index by it.
@@ -85,16 +86,6 @@ def zero_pad(u, k: int) -> np.ndarray:
     return np.concatenate([u, np.zeros(k - r, dtype=u.dtype)])
 
 
-def _cell_dft(u: np.ndarray, k: int) -> np.ndarray:
-    """Unnormalised DFT along the cell axis of u.reshape(m, k), u already zero-padded, site p in column p.
-
-    A float64 u gives the (m // 2 + 1, k) rfft bins, a complex128 u all (m, k)
-    fft bins.
-    """
-    cells = u.reshape(-1, k)
-    return np.fft.rfft(cells, axis=0) if u.dtype.kind == "f" else np.fft.fft(cells, axis=0)
-
-
 def tfbt(u, k: int) -> np.ndarray:
     """Section map of zero_pad(u, k) followed by the unitary DFT: a (k, m) complex array, norm-preserving.
 
@@ -102,7 +93,7 @@ def tfbt(u, k: int) -> np.ndarray:
     p (entries p, p+k, p+2k, ...), so tfbt(v, 1)[0] is the DFT of v itself.
     """
     k = _count("block size", k)
-    t = _cell_dft(zero_pad(np.asarray(u, dtype=complex), k), k)
+    t = np.fft.fft(zero_pad(np.asarray(u, dtype=complex), k).reshape(-1, k), axis=0)
     return t.T / np.sqrt(t.shape[0])
 
 
@@ -134,30 +125,26 @@ def discrete_quasiperiodicity(u, k: int) -> float:
     """Mass-weighted mean of |alpha_j| over the bins within m // 6 (about pi/3) of the peak of the folded masses.
 
     Result lies in [0, pi].  u, of any length, is read as its m zero-padded
-    cells (zero_pad), and must be unit up to a small tolerance (eigensolver
-    rounding).  The masses come from the cell-layout kernel and are first
-    folded onto the |alpha| bins j = 0 .. m // 2, |alpha_j| = 2 pi j / m:
-    for complex input fft bins j and m - j add; for real input a rfft bin
-    0 < j < m/2 counts twice, for itself and its mirror m - j, which has the
-    same mass.  The peak is the first bin of largest folded mass, and the
-    window runs m // 6 bins either side of it, clipped to 0 .. m // 2.  A
-    finite section leaks mass into every bin, and a mean over all of them
-    is pulled towards pi/2; the window keeps the peak's neighbours only.
+    cells (zero_pad), a complex u as its real layout of 2k sites per cell,
+    and must be unit up to a small tolerance (eigensolver rounding).  The
+    masses come from one rfft along the cell axis and are folded onto the
+    |alpha| bins j = 0 .. m // 2, |alpha_j| = 2 pi j / m: a bin 0 < j < m/2
+    counts twice, for itself and its mirror m - j, which has the same mass.
+    The peak is the first bin of largest folded mass, and the window runs
+    m // 6 bins either side of it, clipped to 0 .. m // 2.  A finite section
+    leaks mass into every bin, and a mean over all of them is pulled towards
+    pi/2; the window keeps the peak's neighbours only.
     """
     k = _count("block size", k)
     u = zero_pad(u, k)
-    check_unit_norms(math.sqrt(np.vdot(u, u).real), "discrete_quasiperiodicity")
-    t = _cell_dft(u, k).view(float)  # re and im of each site's bin, side by side
-    masses = np.einsum("ij,ij->i", t, t)
     m = u.size // k
-    half, mirrored = m // 2, slice(1, (m + 1) // 2)  # bins 0 < j < m/2, the ones with a mirror m - j
-    if u.dtype.kind == "c":
-        masses[mirrored] += masses[:half:-1]
-        masses = masses[:half + 1]
-    else:
-        masses[mirrored] *= 2.0
+    x = np.ascontiguousarray(u).view(float)  # a complex column of a C-ordered array is copied to be viewed
+    check_unit_norms(math.sqrt(x.dot(x)), "discrete_quasiperiodicity")
+    t = np.fft.rfft(x.reshape(m, -1), axis=0).view(float)  # re and im of each site's bin, side by side
+    masses = np.einsum("ij,ij->i", t, t)
+    masses[1:(m + 1) // 2] *= 2.0  # bins 0 < j < m/2, the ones with a mirror m - j
     peak = int(masses.argmax())
-    lo, hi = max(peak - m // 6, 0), min(peak + m // 6, half) + 1
+    lo, hi = max(peak - m // 6, 0), min(peak + m // 6, m // 2) + 1
     window = masses[lo:hi]
     q = (2.0 * np.pi / m) * window.dot(np.arange(lo, hi, dtype=float)) / window.sum()
     return min(max(float(q), 0.0), np.pi)  # clamp 1-ulp rounding excursions

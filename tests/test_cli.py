@@ -118,6 +118,9 @@ MONOMER_OBJECT = symbols.symbol_to_dict(symbols.nearest_neighbour_symbol(2.0, -1
 # lambda(alpha) = (2 - 2 sin alpha) 1e-9: the odd symbol of the evenness test below at 1e-9 scale
 SMALL_ODD = ('{"k":1,"coeffs":[{"s":0,"re":[[2e-9]]},{"s":1,"re":[[0]],"im":[[1e-9]]},'
              '{"s":-1,"re":[[0]],"im":[[-1e-9]]}]}')
+# lambda(alpha) = 2 - 2 cos(alpha) + 1.2 cos(2 alpha), with an interior minimum at cos(alpha) = 1/2.4
+NOT_MONOTONE = '{"k":1,"coeffs":[{"s":0,"re":[[2]]},{"s":1,"re":[[-1]]},{"s":-1,"re":[[-1]]},' \
+    '{"s":2,"re":[[0.6]]},{"s":-2,"re":[[0.6]]}]}'
 HUGE_MONOMER = '{"k":1,"coeffs":[{"s":0,"re":[[1e308]]},{"s":1,"re":[[-1e308]]},{"s":-1,"re":[[-1e308]]}]}'
 MONOMER_CHAIN = matrices.capacitance_1d(2.0, -1.0, 80)
 SSH = ["reconstruct", "--scenario", "ssh"]
@@ -146,9 +149,11 @@ REFUSALS = [
           ("k-string", '{"k":"1","coeffs":[{"s":0,"re":[[2.0]]}]}', "block size must be an integer, got '1'"),
           ("offset-twice", '{"k":1,"coeffs":[{"s":0,"re":[[2.0]]},{"s":0,"re":[[3.0]]}]}', "offset 0 is given twice"),
           ("tail_bnd", '{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bnd":0.1}',
-           "symbol description does not read tail_bnd; it takes k, coeffs, tail_bound"),
+           "symbol description does not read 'tail_bnd'; it takes k, coeffs, tail_bound"),
+          ("newline-key", '{"k\\nx":1,"coeffs":[]}',  # the key's newline stays inside the one error line
+           "symbol description does not read 'k\\nx'; it takes k, coeffs, tail_bound"),
           ("imag", '{"k":1,"coeffs":[{"s":0,"re":[[2.0]],"imag":[[1.0]]}]}',
-           "coefficient block at offset 0 does not read imag; it takes s, re, im"),
+           "coefficient block at offset 0 does not read 'imag'; it takes s, re, im"),
           ("tail-bound-negative", '{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bound":-0.5}',
            "tail bound must be finite and nonnegative, got -0.5"),
           ("tail-bound-inf", '{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}],"tail_bound":Infinity}',
@@ -167,10 +172,10 @@ REFUSALS = [
             "the symbol's bands or their slopes on the 512-point grid overflow float64"),
     refusal("external-matrix-1e308", [*EXTERNAL, "big.csv"], "hermitian_eigen found eigenvalues that overflow float64",
             {"big.csv": "1e308,1e308\n1e308,1e308\n"}),
-    refusal("external-matrix-json-imag", [*EXTERNAL, "m.json"], "m.json does not read imag; it takes re, im",
+    refusal("external-matrix-json-imag", [*EXTERNAL, "m.json"], "m.json does not read 'imag'; it takes re, im",
             {"m.json": '{"re": [[2, 0], [0, 2]], "imag": [[0, 1], [-1, 0]]}'}),  # im misspelt
     refusal("transform-vector-json-imag", ["transform", "--vector", "m.json"],
-            "m.json does not read imag; it takes re, im", {"m.json": '{"re": [0.6, 0.8], "imag": [0, 0]}'}),
+            "m.json does not read 'imag'; it takes re, im", {"m.json": '{"re": [0.6, 0.8], "imag": [0, 0]}'}),
     refusal("external-matrix-json-no-re", [*EXTERNAL, "m.json"], "m.json: expected an object with an 're' array",
             {"m.json": '{"im": [[0.0]]}'}),
     refusal("external-matrix-json-im-shape", [*EXTERNAL, "m.json"],
@@ -220,19 +225,19 @@ REFUSALS = [
           ("s1-string", "reconstruct", {"scenario": "ssh", "s1": "1.5"}, "s1 must be a number, got '1.5'"),
       ]),
     refusal("ssh-m-delta-flags", [*SSH, "--m", "7", "--delta", "0.3"],
-            "scenario 'ssh' does not read m, delta; it takes s1, s2, dimers_per_side"),
+            "scenario 'ssh' does not read 'm', 'delta'; it takes s1, s2, dimers_per_side"),
     *(refusal(f"config-unread-{row_id}", [*argv, "--config", "cfg.json"], message, config(obj))
       for row_id, argv, obj, message in [
           ("dimers_per_sid", ["reconstruct"], {"scenario": "ssh", "dimers_per_sid": 500},
-           "scenario 'ssh' does not read dimers_per_sid; it takes s1, s2, dimers_per_side"),
+           "scenario 'ssh' does not read 'dimers_per_sid'; it takes s1, s2, dimers_per_side"),
           ("margin", ["reconstruct"], {"scenario": "ssh", "margin": 0.1},
-           "scenario 'ssh' does not read margin; it takes s1, s2, dimers_per_side"),
+           "scenario 'ssh' does not read 'margin'; it takes s1, s2, dimers_per_side"),
           ("d", ["reconstruct", "--scenario", "compact_defect"], {"d": 3.0},
-           "scenario 'compact_defect' does not read d; it takes s1, s2, n, delta, index"),
+           "scenario 'compact_defect' does not read 'd'; it takes s1, s2, n, delta, index"),
           ("grdi", ["bands"], {"symbol": "dimer", "grdi": 8},
-           "cfg.json: bands does not read grdi; it takes symbol, out, format, grid"),
+           "cfg.json: bands does not read 'grdi'; it takes symbol, out, format, grid"),
           ("transform-grid", ["transform", "--vector", "v.csv"], {"grid": 8},
-           "cfg.json: transform does not read grid; it takes vector, k, out"),
+           "cfg.json: transform does not read 'grid'; it takes vector, k, out"),
       ]),
     *(refusal(f"ssh-{row_id}", [*SSH, *flags], message) for row_id, flags, message in [
           ("s1-0", ["--s1", "0"], "spacings must be positive"), ("s2-0", ["--s2", "0"], "spacings must be positive"),
@@ -252,6 +257,10 @@ REFUSALS = [
             ["reconstruct", "--scenario", "periodic_symbol", "--m", "40", "--symbol", SMALL_ODD],
             "the reference bands are not even in alpha: max|lambda(alpha) - lambda(-alpha)| = 4e-09, "
             "and only |alpha| is recovered"),
+    refusal("periodic_symbol-not-monotone-0.6",
+            ["reconstruct", "--scenario", "periodic_symbol", "--m", "40", "--symbol", NOT_MONOTONE],
+            "reference band 1 is not monotone in |alpha|: its slope changes sign at alpha = 1.14128, "
+            "and one |alpha| is recovered per eigenvector"),
     refusal("transform-k0", ["transform", "--vector", "v.csv", "--k", "0"], "block size must be at least 1, got 0",
             {"v.csv": "1\n0\n"}),
     refusal("transform-nan", ["transform", "--vector", "v.csv"],
@@ -324,23 +333,31 @@ def test_bands_accepts_a_large_scale_hermitian_symbol(tmp_path):
     assert main(["bands", "--symbol", SCALED_SYMBOL, "--grid", "16", "--out", str(tmp_path)]) == 0
 
 
-def test_bands_warns_when_an_assumption_check_fails(tmp_path, capsys):
-    flat = '{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}]}'  # one constant band: zero slope everywhere
-    assert main(["bands", "--symbol", flat, "--grid", "16", "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        "warning: assumption checks failed: interior slope as small as 0")
+@pytest.mark.parametrize("symbol,failure", [
+    ('{"k":1,"coeffs":[{"s":0,"re":[[2.0]]}]}', "interior slope as small as 0"),  # one constant band
+    (NOT_MONOTONE, "band 1 is not monotone in |alpha|: its slope changes sign at alpha = 1.14128"),
+], ids=["flat", "not-monotone"])
+def test_bands_warns_when_an_assumption_check_fails(tmp_path, capsys, symbol, failure):
+    assert main(["bands", "--symbol", symbol, "--grid", "512", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"warning: assumption checks failed: {failure}"
 
 
-def test_reconstruct_refuses_bands_that_are_not_even(tmp_path, monkeypatch):
+@pytest.mark.parametrize("symbol,message", [
+    (symbols.Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]}),
+     "the reference bands are not even in alpha: max|lambda(alpha) - lambda(-alpha)| = 4, "
+     "and only |alpha| is recovered"),
+    (symbols.symbol_from_source(NOT_MONOTONE),
+     "reference band 1 is not monotone in |alpha|: its slope changes sign at alpha = 1.14128, "
+     "and one |alpha| is recovered per eigenvector"),
+], ids=["odd", "not-monotone"])
+def test_reconstruct_refuses_bands_it_cannot_read_before_the_eigensolve(tmp_path, monkeypatch, symbol, message):
     def no_eigensolve(matrix):
-        raise AssertionError("the eigensolve ran before the evenness check")
+        raise AssertionError("the eigensolve ran before the reference bands were checked")
 
     monkeypatch.setattr("bandrec.reconstruct.hermitian_eigen", no_eigensolve)
     monkeypatch.chdir(tmp_path)
-    symbols.save_symbol(symbols.Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]}), "odd.json")
-    assert_refused(["reconstruct", "--scenario", "periodic_symbol", "--m", "100", "--symbol", "odd.json"],
-                   "the reference bands are not even in alpha: max|lambda(alpha) - lambda(-alpha)| = 4, "
-                   "and only |alpha| is recovered")
+    symbols.save_symbol(symbol, "sym.json")
+    assert_refused(["reconstruct", "--scenario", "periodic_symbol", "--m", "100", "--symbol", "sym.json"], message)
 
 
 def _numbers(text):
@@ -593,7 +610,7 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     in_turn = [_run_into(argv, tmp_path / f"in-turn-{i}", capsys) for i, argv in enumerate(calls)]
     assert cli.build_parser() is parser and cli.build_parser.cache_info().currsize == 1
     assert [code for code, *_ in alone] == [0, 0, 0, 1, 0]
-    assert alone[3][2] == "error: scenario 'periodic_nn' does not read delta; it takes a0, a1, m\n"
+    assert alone[3][2] == "error: scenario 'periodic_nn' does not read 'delta'; it takes a0, a1, m\n"
     assert in_turn == alone
     assert alone[4] == alone[0] and len(alone[0][3]) == 5
 

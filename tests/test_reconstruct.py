@@ -315,7 +315,7 @@ def test_every_scenario_parameter_is_declared_and_read(tmp_path, scenario):
     """SCENARIOS and _scenario_setup agree: each declared parameter is read, nothing else is."""
     reads = SCENARIOS[scenario]
     foreign = next(name for name in PARAMS if name not in reads)
-    with pytest.raises(ValueError, match=f"^scenario '{scenario}' does not read {foreign}; "
+    with pytest.raises(ValueError, match=f"^scenario '{scenario}' does not read '{foreign}'; "
                                          f"it takes {', '.join(reads)}$"):
         run_scenario({"scenario": scenario, foreign: OTHER_VALUE[foreign]})
 

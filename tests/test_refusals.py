@@ -12,6 +12,9 @@ from bandrec import matrices, reconstruct, spectra, symbols, transform, verify
 MONOMER = symbols.nearest_neighbour_symbol(2.0, -1.0)
 DIMER = symbols.dimer_symbol(1.0, 2.0)
 HUGE_MONOMER = symbols.nearest_neighbour_symbol(1e308, -1e308)
+# lambda(alpha) = 2 - 2 cos(alpha) + 0.6 cos(2 alpha), whose slope changes sign at cos(alpha) = 1/1.2
+NOT_MONOTONE = symbols.symbol_to_dict(symbols.Symbol(k=1, coeffs={0: [[2.0]], 1: [[-1.0]], -1: [[-1.0]],
+                                                                  2: [[0.3]], -2: [[0.3]]}))
 # a_{-s} = a_s = 0.5e-12 i: each offset is within Symbol's tolerance, their sum at alpha = 0 is not
 SKEWED = symbols.Symbol(k=1, coeffs={0: [[1.0]], **{s: [[0.5e-12j]] for r in range(1, 61) for s in (r, -r)}})
 SKEWED_MESSAGE = "symbol evaluation departs from Hermitian by 1.2e-10 relative to max|f|"
@@ -159,8 +162,12 @@ def _file(name, text):
                  "dimers_per_side must be an integer, got [3]", id="run_scenario-dimers_per_side-list"),
     pytest.param(lambda: reconstruct.run_scenario({"scenario": "ssh", "alpha": 1.5, "alpha_tilde": 1.0, "eta": 1.0,
                                                    "beta1": -1.0, "beta2": -0.5}),
-                 "scenario 'ssh' does not read alpha, alpha_tilde, eta, beta1, beta2; it takes s1, s2, dimers_per_side",
+                 "scenario 'ssh' does not read 'alpha', 'alpha_tilde', 'eta', 'beta1', 'beta2'; "
+                 "it takes s1, s2, dimers_per_side",
                  id="run_scenario-ssh-foreign-keys"),
+    pytest.param(lambda: reconstruct.run_scenario({"scenario": "periodic_symbol", "m": 40, "symbol": NOT_MONOTONE}),
+                 "reference band 1 is not monotone in |alpha|: its slope changes sign at alpha = 0.589049, "
+                 "and one |alpha| is recovered per eigenvector", id="run_scenario-not-monotone-0.3"),
     pytest.param(lambda: verify.run_check("no.such.check"), "unknown check 'no.such.check'", id="run_check-unknown"),
     pytest.param(lambda: verify.run_checks(only="zzz"), "no checks match 'zzz'", id="run_checks-no-match"),
 ])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -269,6 +270,35 @@ def test_evenness(m):
     assert not report["even"] and report["failures"] and "not even" in "; ".join(report["failures"])
 
 
+def second_neighbour(c):
+    """lambda(alpha) = 2 - 2 cos(alpha) + 2 c cos(2 alpha), of slope 2 sin(alpha) (1 - 4 c cos(alpha))."""
+    return Symbol(k=1, coeffs={0: [[2.0]], 1: [[-1.0]], -1: [[-1.0]], 2: [[c]], -2: [[c]]})
+
+
+@pytest.mark.parametrize("c", [0.6, 0.3, 0.2, 0.1])
+def test_a_band_whose_slope_changes_sign_fails_no_van_der_hove(c):
+    # the slope changes sign at cos(alpha) = 1 / (4 c) for c > 1/4; every interior slope stays above tolerance
+    bs = band_functions(second_neighbour(c), 512)
+    report = check_assumptions(bs)
+    flip = symbols.slope_sign_change(bs)
+    assert report["no_van_der_hove"] == (c < 0.25) == (flip is None)
+    assert report["failures"] == ([flip] if flip else [])
+    if flip:
+        alpha = float(flip.removeprefix("band 1 is not monotone in |alpha|: its slope changes sign at alpha = "))
+        assert 0.0 < alpha - np.arccos(1.0 / (4.0 * c)) < 2.0 * np.pi / 512
+
+
+def test_the_rounding_of_a_flat_band_changes_no_sign():
+    # slopes of rounding size and of both signs, as eigh leaves a flat band (the bands 0 and 2 of [[1, z], [1/z, 1]])
+    slopes = 1e-14 * (-1.0) ** np.arange(64)[None, :]
+    flat = symbols.BandStructure(alphas=brillouin_sample(64), values=np.full((1, 64), 2.0),
+                                 vectors=np.ones((64, 1, 1), dtype=complex), derivatives=slopes)
+    assert symbols.slope_sign_change(flat) is None
+    steep = dataclasses.replace(flat, derivatives=1e9 * slopes)  # 1e-5, above the 2e-6 a slope must exceed
+    assert symbols.slope_sign_change(steep) == "band 1 is not monotone in |alpha|: its slope changes sign at " \
+        f"alpha = {2 * np.pi * 2 / 64:g}"
+
+
 SCALES = [2.0 ** -50, 2.0 ** 40]  # powers of two: every product and sum of the symbol scales bit for bit
 
 
@@ -287,10 +317,10 @@ def test_the_coefficient_test_gives_one_verdict_and_message_at_any_scale(c):
         Symbol(k=1, coeffs={s: c * np.array(b) for s, b in outside.items()})
 
 
-# the first three pass every test of check_assumptions; each of its four tests fails for one of the rest
+# the first three pass every test of check_assumptions; each of its four tests fails for some of the rest
 VERDICT_SYMBOLS = {
     "monomer": MONOMER, "dimer": dimer_symbol(1.0, 2.0), "exponential": exponential_symbol(), "odd": ODD,
-    "flat": Symbol(k=1, coeffs={0: [[2.0]]}),
+    "flat": Symbol(k=1, coeffs={0: [[2.0]]}), "not-monotone": second_neighbour(0.6),
     "crossing": Symbol(k=2, coeffs={0: np.diag([2.0, 2.0]), 1: np.diag([-1.0, -1.0]), -1: np.diag([-1.0, -1.0])}),
     "skew": Symbol(k=1, coeffs={0: [[2.0]], 1: [[-1.0 + 0.5e-12j]], -1: [[-1.0 + 0.5e-12j]],
                                 **{s: [[0.5e-12j]] for s in (2, -2, 3, -3)}}),

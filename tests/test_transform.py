@@ -240,7 +240,7 @@ def test_discrete_quasiperiodicity_phase_invariant():
 def test_unit_norm_tests_refuse_non_finite_vectors(bad, norm):
     u = np.array([0.6, 0.0, 0.8], dtype=complex)
     u[1] = bad
-    with pytest.raises(ValueError, match="^discrete_quasiperiodicity expects a unit vector, got norm nan$"):  # nan for inf too
+    with pytest.raises(ValueError, match=f"^discrete_quasiperiodicity expects a unit vector, got norm {norm}$"):
         discrete_quasiperiodicity(u, 1)
     V = np.eye(3, dtype=complex)
     V[:, 2] = u
