@@ -105,8 +105,9 @@ def cmd_transform(args) -> int:
     u = u / np.linalg.norm(u)  # so an ordinary vector keeps the bits of u / norm(u)
     if not u.imag.any():  # read_entries gives complex entries; a real vector takes the library's real path
         u = u.real
-    alphas, masses = transform.projection_profile(u, cfg.get("k", 1))
-    q = transform.discrete_quasiperiodicity(u, cfg.get("k", 1))
+    k = transform._count("block size", cfg.get("k", 1), most=u.size)  # a larger k pads u with k - n zeros
+    alphas, masses = transform.projection_profile(u, k)
+    q = transform.discrete_quasiperiodicity(u, k)
     outdir = Path(_text("out", cfg.get("out", ".")))
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "transform.csv"
@@ -176,7 +177,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

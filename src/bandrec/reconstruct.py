@@ -61,17 +61,15 @@ def reconstruct_bands(M, k: int) -> Points:
     M is a Hermitian FiniteMatrix or a PerturbedPair, in which case the
     Hermitian companion is diagonalised and eigenvectors are mapped back to
     the product form before analysis.  Each eigenvector is read as its
-    ceil(n/k) cells, zero-padded.  Points are ordered by eigenvalue, and
-    the localized flag here reflects the inverse-participation rule alone
-    (scenario runs refine it with gap membership).
+    ceil(n/k) cells, zero-padded, so k must be at most the matrix size n.
+    Points are ordered by eigenvalue, and the localized flag here reflects
+    the inverse-participation rule alone (scenario runs refine it with gap
+    membership).
     """
-    k = _count("block size", k)  # before the eigensolve
-    if isinstance(M, PerturbedPair):
-        eig = hermitian_eigen(M.symmetrized)
-        V = M.bc_eigenvectors(eig.vectors)
-    else:
-        eig = hermitian_eigen(M)
-        V = eig.vectors
+    hermitian = M.symmetrized if isinstance(M, PerturbedPair) else M
+    k = _count("block size", k, most=hermitian.n)  # before the eigensolve
+    eig = hermitian_eigen(hermitian)
+    V = M.bc_eigenvectors(eig.vectors) if hermitian is not M else eig.vectors
     alpha = np.array([discrete_quasiperiodicity(V[:, i], k) for i in range(eig.n)])
     sup, ipr = localization_metrics(V)
     return Points(alpha_est=alpha, lam=eig.values, sup_ratio=sup, ipr=ipr,
@@ -255,7 +253,7 @@ def _scenario_setup(name: str, p: dict):
         if "matrix" not in p:
             raise ValueError("external_matrix scenario needs a 'matrix' path")
         mat = matrices.load_matrix(p["matrix"])
-        sym = symbols.symbol_from_source(p["symbol"]) if p.get("symbol") else None
+        sym = symbols.symbol_from_source(p["symbol"]) if "symbol" in p else None  # "" and {} too
         k = p.setdefault("k", sym.k if sym is not None else 1)
         if sym is not None and k != sym.k:
             raise ValueError(f"k = {k} differs from the block size {sym.k} of the reference symbol")
@@ -271,9 +269,9 @@ def run_scenario(config: dict) -> ScenarioResult:
     converted once to its type in PARAMS, so the recorded params are the
     ones used, derived ones included.  The reference bands come from the
     scenario's underlying periodic symbol where one exists and are sampled
-    before the eigensolve; bands that are not even in alpha, or not
-    monotone in |alpha| (symbols.slope_sign_change), are refused there,
-    since one |alpha| is recovered per eigenvector.  A grid that fails
+    before the eigensolve; bands that symbols.check_assumptions finds not
+    even in alpha or not monotone in |alpha| are refused there, with its
+    failure notes, since one |alpha| is recovered per eigenvector.  A grid that fails
     symbols.checked_grid is refused first, before any file is read.
     """
     cfg = dict(config)
@@ -292,13 +290,10 @@ def run_scenario(config: dict) -> ScenarioResult:
     bands = None
     if sym is not None:  # before the eigensolve, so a new memo entry is not allocated above its n^2 buffers
         bands = symbols.band_functions(sym, grid)
-        odd, even = symbols.evenness(bands)
-        if not even:
-            raise ValueError(f"the reference bands are not even in alpha: max|lambda(alpha) - "
-                             f"lambda(-alpha)| = {odd:g}, and only |alpha| is recovered")
-        flip = symbols.slope_sign_change(bands)
-        if flip:
-            raise ValueError(f"reference {flip}, and one |alpha| is recovered per eigenvector")
+        report = symbols.check_assumptions(bands)
+        if not (report["even"] and report["monotone"]):
+            raise ValueError("the reference bands cannot be reconstructed, as one |alpha| is recovered per "
+                             f"eigenvector: {'; '.join(report['failures'])}")
     points = reconstruct_bands(built, k)
     matrix = built.bc if isinstance(built, PerturbedPair) else built
 

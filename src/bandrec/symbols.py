@@ -226,73 +226,51 @@ def band_functions(sym: Symbol, m: int) -> BandStructure:
     return bs
 
 
-def evenness(bs: BandStructure) -> tuple[float, bool]:
-    """(max_p max_j |lambda_p(alpha_j) - lambda_p(-alpha_j)|, whether it is within tolerance).
-
-    The tolerance is EVENNESS_TOL * max|lambda| (relative_defect).  The
-    transform recovers |alpha| only, so bands that are not even in alpha
-    cannot be reconstructed.  -alpha_j is grid point (-j) mod m.
-    """
-    mirror = -np.arange(bs.m) % bs.m
-    defect = float(np.max(np.abs(bs.values - bs.values[:, mirror])))
-    return defect, relative_defect(defect, float(np.max(np.abs(bs.values)))) <= EVENNESS_TOL
-
-
-def slope_sign_change(bs: BandStructure) -> str | None:
-    """"band <p> is not monotone in |alpha|: its slope changes sign at alpha = <a>", or None when every band is.
-
-    p is the first band (1-based) whose sampled slope on (0, pi) changes sign,
-    and a the first grid point past the flip.  A slope counts only where
-    |lambda'| > VAN_DER_HOVE_TOL * max|lambda|, so a flat band's rounding
-    does not.  Such a band takes some of its values at two |alpha|, and the
-    transform recovers one |alpha| per eigenvector.
-    """
-    first = bs.m // 2 + 1  # alphas[first:] run 2 pi / m .. pi - 2 pi / m
-    slopes = bs.derivatives[:, first:]
-    signs = np.sign(slopes) * (np.abs(slopes) > VAN_DER_HOVE_TOL * float(np.max(np.abs(bs.values))))
-    for p, band in enumerate(signs):
-        flips = np.flatnonzero(band * band[np.argmax(band != 0)] < 0)  # against the first counted sign, if any
-        if flips.size:
-            return f"band {p + 1} is not monotone in |alpha|: its slope changes sign at alpha = " \
-                   f"{bs.alphas[first + flips[0]]:g}"
-    return None
-
-
 def check_assumptions(bs: BandStructure) -> dict:
-    """Check band-range disjointness, nonvanishing interior slopes of one sign, Hermitianness and evenness.
+    """The one verdict on sampled bands: disjoint, steep and monotone in |alpha|, Hermitian and even in alpha.
 
-    Returns {"bands_disjoint", "no_van_der_hove", "hermitian", "even",
-    "min_band_separation" (None for one band), "min_interior_slope",
-    "evenness_defect", "failures"}, failures empty exactly when all pass.
-    Separations must exceed CROSSING_TOL, and slopes off the symmetry points alpha in {0, -pi}
-    (where any even band's derivative vanishes) VAN_DER_HOVE_TOL, each times max|lambda|;
-    no_van_der_hove also fails for a band whose slope changes sign (slope_sign_change).
+    Returns {"bands_disjoint", "no_van_der_hove", "hermitian", "even", "monotone",
+    "min_band_separation" (None for one band), "min_interior_slope", "evenness_defect", "failures"},
+    failures holding one note per failed test and empty exactly when all pass.  Each tolerance is times
+    max|lambda|: separations must exceed CROSSING_TOL, and the slopes off grid points 0 and m // 2
+    (alpha = -pi and 0, where any even band's derivative vanishes) VAN_DER_HOVE_TOL.  A band is monotone
+    when its slopes on (0, pi) above that tolerance have one sign, so a flat band's rounding changes none;
+    no_van_der_hove is steep and monotone.  The evenness defect is max|lambda(alpha_j) - lambda(-alpha_j)|,
+    -alpha_j being grid point m - j, and must stay within EVENNESS_TOL (relative_defect).  The transform
+    recovers one |alpha| per eigenvector, so run_scenario refuses bands that are not even or not monotone.
     """
     scale = float(np.max(np.abs(bs.values)))
     ranges = bs.band_ranges()
     min_sep = min((ranges[p + 1][0] - ranges[p][1] for p in range(len(ranges) - 1)), default=None)
     bands_disjoint = min_sep is None or min_sep > CROSSING_TOL * scale
 
-    interior = ~(np.isclose(bs.alphas, 0.0) | np.isclose(bs.alphas, -np.pi))
-    min_slope = float(np.min(np.abs(bs.derivatives[:, interior])))
-    steep, flip = min_slope > VAN_DER_HOVE_TOL * scale, slope_sign_change(bs)
-    no_vdh = steep and flip is None
+    half = bs.m // 2  # the one interior rule: alphas[0] = -pi and alphas[half] = 0 (checked_grid)
+    steepness = np.abs(bs.derivatives)
+    min_slope = float(min(steepness[:, 1:half].min(), steepness[:, half + 1:].min()))
+    steep = min_slope > VAN_DER_HOVE_TOL * scale
+    signs = np.sign(bs.derivatives[:, half + 1:]) * (steepness[:, half + 1:] > VAN_DER_HOVE_TOL * scale)
+    first = signs[np.arange(bs.k), np.argmax(signs != 0, axis=1)]  # each band's first counted sign on (0, pi), if any
+    flips = signs * first[:, None] < 0
+    monotone = not flips.any()
 
     hermitian = bs.hermitian_defect <= HERMITIAN_TOL
-    even_defect, even = evenness(bs)
+    even_defect = float(np.max(np.abs(bs.values[:, 1:half] - bs.values[:, :half:-1])))
+    even = relative_defect(even_defect, scale) <= EVENNESS_TOL
     failures = []
     if not bands_disjoint:
         failures.append(f"band ranges separated by only {min_sep:g}")
     if not steep:
         failures.append(f"interior slope as small as {min_slope:g}")
-    if flip:
-        failures.append(flip)
+    if not monotone:
+        p = int(np.argmax(flips.any(axis=1)))
+        failures.append(f"band {p + 1} is not monotone in |alpha|: its slope changes sign at alpha = "
+                        f"{bs.alphas[half + 1 + np.argmax(flips[p])]:g}")
     if not hermitian:
         failures.append(f"hermitian defect {bs.hermitian_defect:g}")
     if not even:
         failures.append(f"bands not even in alpha, max|lambda(alpha) - lambda(-alpha)| = {even_defect:g}")
-    return {"bands_disjoint": bands_disjoint, "no_van_der_hove": no_vdh, "hermitian": hermitian,
-            "even": even, "min_band_separation": min_sep, "min_interior_slope": min_slope,
+    return {"bands_disjoint": bands_disjoint, "no_van_der_hove": steep and monotone, "hermitian": hermitian,
+            "even": even, "monotone": monotone, "min_band_separation": min_sep, "min_interior_slope": min_slope,
             "evenness_defect": even_defect, "failures": failures}
 
 

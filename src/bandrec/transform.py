@@ -56,11 +56,16 @@ def _number(what: str, value, kind: type):
     raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
-def _count(what: str, n, least: int = 1) -> int:
-    """n as an int by _number's rule if at least least, else ValueError "<what> must be at least <least>, got <n>"."""
+def _count(what: str, n, least: int = 1, most: int | None = None) -> int:
+    """n as an int by _number's rule if in least .. most, else ValueError "<what> must be at least <least>, got <n>".
+
+    Above most, when given, the refusal is "<what> must be at most <most>, got <n>".
+    """
     n = _number(what, n, int)
     if n < least:
         raise ValueError(f"{what} must be at least {least}, got {n}")
+    if most is not None and n > most:
+        raise ValueError(f"{what} must be at most {most}, got {n}")
     return n
 
 

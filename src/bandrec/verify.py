@@ -115,7 +115,7 @@ def check_closed_form_bands(tol, rng):
     bs3 = symbols.band_functions(tri, 64)
     for p, d in enumerate((0.0, 5.0, 10.0)):
         worst = max(worst, float(np.max(np.abs(bs3.values[p] - (d - 2.0 * np.cos(bs3.alphas))))))
-    worst = max(worst, *(symbols.evenness(b)[0] for b in (bs, bs2, bs3)))
+    worst = max(worst, *(symbols.check_assumptions(b)["evenness_defect"] for b in (bs, bs2, bs3)))
     return worst <= tol["tol"], f"max deviation from closed forms/symmetry {worst:.2e}"
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -126,6 +127,9 @@ MONOMER_CHAIN = matrices.capacitance_1d(2.0, -1.0, 80)
 SSH = ["reconstruct", "--scenario", "ssh"]
 EXTERNAL = ["reconstruct", "--scenario", "external_matrix", "--matrix"]
 DELTA_RANGE = "need 2.2e-08 <= 1 + delta <= 4.5e+07, got delta ="
+UNREADABLE = "the reference bands cannot be reconstructed, as one |alpha| is recovered per eigenvector:"
+ODD_NOTES = "interior slope as small as 0; band 1 is not monotone in |alpha|: its slope changes sign at alpha = " \
+    "1.58307; bands not even in alpha, max|lambda(alpha) - lambda(-alpha)| ="
 # Every refusal of the CLI: exit 1 and one error line, or exit 2 for an argparse usage error.
 REFUSALS = [
     refusal("bands-format-json", ["bands", "--symbol", "dimer", "--format", "json"],
@@ -194,6 +198,18 @@ REFUSALS = [
     refusal("external-matrix-1e-13", [*EXTERNAL, "tiny.csv"],
             "hermitian_eigen needs a Hermitian matrix, one with max|A - A^H| <= 1e-12 * max|A|",
             {"tiny.csv": "0,1e-13\n0,0\n"}),
+    # a symbol given is read, even an empty one: these two once ran without one and wrote no bands
+    refusal("external-matrix-symbol-empty", [*EXTERNAL, "m.csv", "--symbol", ""],
+            "[Errno 2] No such file or directory: ''", {"m.csv": MONOMER_CHAIN}),
+    refusal("config-external-matrix-symbol-{}", ["reconstruct", "--config", "cfg.json"],
+            "malformed symbol description: 'k'",
+            {"cfg.json": json.dumps({"scenario": "external_matrix", "matrix": "m.csv", "symbol": {}}),
+             "m.csv": MONOMER_CHAIN}),
+    # a block size above the data's length would only pad zeros, k - n of them per vector, before any check
+    *(refusal(f"external-matrix-k{k}", [*EXTERNAL, "m.csv", "--k", str(k)], f"block size must be at most 80, got {k}",
+              {"m.csv": MONOMER_CHAIN}) for k in (81, 10 ** 12)),
+    *(refusal(f"transform-k{k}", ["transform", "--vector", "v.csv", "--k", str(k)],
+              f"block size must be at most 2, got {k}", {"v.csv": "1\n0\n"}) for k in (3, 10 ** 12)),
     *(refusal(f"external-matrix-{symbol}-k{k}", [*EXTERNAL, "m.csv", "--symbol", symbol, "--k", str(k)],
               f"k = {k} differs from the block size {2 if symbol == 'dimer' else 1} of the reference symbol",
               {"m.csv": MONOMER_CHAIN}) for symbol, k in [("monomer", 2), ("dimer", 1), ("dimer", 3)]),
@@ -255,12 +271,10 @@ REFUSALS = [
               f"{DELTA_RANGE} {float(delta)}") for delta in ("nan", "inf", "1e14", "-0.999999999")),
     refusal("periodic_symbol-odd-1e-9",
             ["reconstruct", "--scenario", "periodic_symbol", "--m", "40", "--symbol", SMALL_ODD],
-            "the reference bands are not even in alpha: max|lambda(alpha) - lambda(-alpha)| = 4e-09, "
-            "and only |alpha| is recovered"),
+            f"{UNREADABLE} {ODD_NOTES} 4e-09"),
     refusal("periodic_symbol-not-monotone-0.6",
             ["reconstruct", "--scenario", "periodic_symbol", "--m", "40", "--symbol", NOT_MONOTONE],
-            "reference band 1 is not monotone in |alpha|: its slope changes sign at alpha = 1.14128, "
-            "and one |alpha| is recovered per eigenvector"),
+            f"{UNREADABLE} band 1 is not monotone in |alpha|: its slope changes sign at alpha = 1.14128"),
     refusal("transform-k0", ["transform", "--vector", "v.csv", "--k", "0"], "block size must be at least 1, got 0",
             {"v.csv": "1\n0\n"}),
     refusal("transform-nan", ["transform", "--vector", "v.csv"],
@@ -343,12 +357,9 @@ def test_bands_warns_when_an_assumption_check_fails(tmp_path, capsys, symbol, fa
 
 
 @pytest.mark.parametrize("symbol,message", [
-    (symbols.Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]}),
-     "the reference bands are not even in alpha: max|lambda(alpha) - lambda(-alpha)| = 4, "
-     "and only |alpha| is recovered"),
+    (symbols.Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]}), f"{UNREADABLE} {ODD_NOTES} 4"),
     (symbols.symbol_from_source(NOT_MONOTONE),
-     "reference band 1 is not monotone in |alpha|: its slope changes sign at alpha = 1.14128, "
-     "and one |alpha| is recovered per eigenvector"),
+     f"{UNREADABLE} band 1 is not monotone in |alpha|: its slope changes sign at alpha = 1.14128"),
 ], ids=["odd", "not-monotone"])
 def test_reconstruct_refuses_bands_it_cannot_read_before_the_eigensolve(tmp_path, monkeypatch, symbol, message):
     def no_eigensolve(matrix):
@@ -713,6 +724,20 @@ def test_a_number_beyond_int64_exits_1_without_a_traceback(tmp_path, argv, messa
                           capture_output=True, text=True, env=env)
     assert (done.returncode, done.stderr, done.stdout) == (1, f"error: {message}\n", "")
     assert "Traceback" not in done.stderr and not out.exists()
+
+
+def test_an_allocation_the_host_refuses_exits_1_without_a_traceback(tmp_path):
+    # the 100000-block section asks for 149 GiB; under a 2 GiB address-space cap that fails up front on any
+    # overcommit setting, where an uncapped run might touch it all
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "bandrec.cli", "reconstruct", "--scenario", "periodic_symbol",
+                           "--m", "100000"], capture_output=True, text=True, env=env, cwd=tmp_path, preexec_fn=cap)
+    message = "Unable to allocate 149. GiB for an array with shape (100000, 1, 100000, 1) and data type complex128"
+    assert (done.returncode, done.stderr, done.stdout) == (1, f"error: {message}\n", "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_run_loads_scipy(tmp_path):

@@ -166,8 +166,9 @@ def _file(name, text):
                  "it takes s1, s2, dimers_per_side",
                  id="run_scenario-ssh-foreign-keys"),
     pytest.param(lambda: reconstruct.run_scenario({"scenario": "periodic_symbol", "m": 40, "symbol": NOT_MONOTONE}),
-                 "reference band 1 is not monotone in |alpha|: its slope changes sign at alpha = 0.589049, "
-                 "and one |alpha| is recovered per eigenvector", id="run_scenario-not-monotone-0.3"),
+                 "the reference bands cannot be reconstructed, as one |alpha| is recovered per eigenvector: "
+                 "band 1 is not monotone in |alpha|: its slope changes sign at alpha = 0.589049",
+                 id="run_scenario-not-monotone-0.3"),
     pytest.param(lambda: verify.run_check("no.such.check"), "unknown check 'no.such.check'", id="run_check-unknown"),
     pytest.param(lambda: verify.run_checks(only="zzz"), "no checks match 'zzz'", id="run_checks-no-match"),
 ])

@@ -7,7 +7,7 @@ import pytest
 
 from bandrec import symbols
 from bandrec.symbols import (BAND_MEMO_SIZE, Symbol, band_functions, banded_truncation, cell_chain_symbol,
-                             check_assumptions, dimer_symbol, evaluate_symbol, evenness,
+                             check_assumptions, dimer_symbol, evaluate_symbol,
                              exponential_symbol, load_symbol, nearest_neighbour_symbol,
                              save_symbol, symbol_difference_sup_norm, symbol_from_dict,
                              symbol_sup_norm, symbol_to_dict)
@@ -263,11 +263,12 @@ ODD = Symbol(k=1, coeffs={0: [[2.0]], 1: [[1j]], -1: [[-1j]]})
 @pytest.mark.parametrize("m", [16, 512])
 def test_evenness(m):
     for sym in (MONOMER, dimer_symbol(1.0, 2.0), exponential_symbol(), cell_chain_symbol([1.0, 2.0, 0.5])):
-        assert evenness(band_functions(sym, m)) == (0.0, True)
-    defect, even = evenness(band_functions(ODD, m))
-    assert defect > 3.9 and not even  # max_j |4 sin alpha_j|
+        report = check_assumptions(band_functions(sym, m))
+        assert (report["evenness_defect"], report["even"]) == (0.0, True)
     report = check_assumptions(band_functions(ODD, m))
-    assert not report["even"] and report["failures"] and "not even" in "; ".join(report["failures"])
+    assert report["evenness_defect"] > 3.9 and not report["even"]  # max_j |4 sin alpha_j|
+    assert report["failures"][-1] == \
+        f"bands not even in alpha, max|lambda(alpha) - lambda(-alpha)| = {report['evenness_defect']:g}"
 
 
 def second_neighbour(c):
@@ -280,10 +281,9 @@ def test_a_band_whose_slope_changes_sign_fails_no_van_der_hove(c):
     # the slope changes sign at cos(alpha) = 1 / (4 c) for c > 1/4; every interior slope stays above tolerance
     bs = band_functions(second_neighbour(c), 512)
     report = check_assumptions(bs)
-    flip = symbols.slope_sign_change(bs)
-    assert report["no_van_der_hove"] == (c < 0.25) == (flip is None)
-    assert report["failures"] == ([flip] if flip else [])
-    if flip:
+    assert report["no_van_der_hove"] == report["monotone"] == (c < 0.25)
+    assert len(report["failures"]) == (c > 0.25)
+    for flip in report["failures"]:
         alpha = float(flip.removeprefix("band 1 is not monotone in |alpha|: its slope changes sign at alpha = "))
         assert 0.0 < alpha - np.arccos(1.0 / (4.0 * c)) < 2.0 * np.pi / 512
 
@@ -293,10 +293,41 @@ def test_the_rounding_of_a_flat_band_changes_no_sign():
     slopes = 1e-14 * (-1.0) ** np.arange(64)[None, :]
     flat = symbols.BandStructure(alphas=brillouin_sample(64), values=np.full((1, 64), 2.0),
                                  vectors=np.ones((64, 1, 1), dtype=complex), derivatives=slopes)
-    assert symbols.slope_sign_change(flat) is None
+    report = check_assumptions(flat)
+    assert report["monotone"] and report["failures"] == ["interior slope as small as 1e-14"]
     steep = dataclasses.replace(flat, derivatives=1e9 * slopes)  # 1e-5, above the 2e-6 a slope must exceed
-    assert symbols.slope_sign_change(steep) == "band 1 is not monotone in |alpha|: its slope changes sign at " \
-        f"alpha = {2 * np.pi * 2 / 64:g}"
+    report = check_assumptions(steep)
+    assert not report["monotone"] and report["failures"] == [
+        f"band 1 is not monotone in |alpha|: its slope changes sign at alpha = {2 * np.pi * 2 / 64:g}"]
+
+
+def loop_slope_flip(bs):
+    """The monotone note by one loop per band and grid point, or None: the reference of check_assumptions' rule."""
+    floor = symbols.VAN_DER_HOVE_TOL * np.max(np.abs(bs.values))
+    for p in range(bs.k):
+        first = 0.0
+        for j in range(bs.m // 2 + 1, bs.m):  # alpha in (0, pi)
+            slope = bs.derivatives[p, j]
+            if abs(slope) > floor:
+                first = first or np.sign(slope)
+                if np.sign(slope) != first:
+                    return f"band {p + 1} is not monotone in |alpha|: its slope changes sign at alpha = " \
+                           f"{bs.alphas[j]:g}"
+    return None
+
+
+def test_the_monotone_note_names_the_first_band_whose_counted_slope_flips():
+    rng = np.random.default_rng(7)
+    flips = set()
+    for _ in range(200):  # three bands of max|lambda| 3, so slopes count above 3e-6
+        slopes = rng.choice([1.0, 1e-3, 1e-6, 0.0], size=(3, 32)) * rng.choice([1.0, 1.0, 1.0, -1.0], size=(3, 32))
+        bs = symbols.BandStructure(alphas=brillouin_sample(32), values=np.arange(1.0, 4.0)[:, None] * np.ones(32),
+                                   vectors=np.ones((32, 3, 3), dtype=complex), derivatives=slopes)
+        report, flip = check_assumptions(bs), loop_slope_flip(bs)
+        assert report["monotone"] == (flip is None)
+        assert [note for note in report["failures"] if "monotone" in note] == ([flip] if flip else [])
+        flips.add(flip and flip[:6])
+    assert flips == {None, "band 1", "band 2", "band 3"}
 
 
 SCALES = [2.0 ** -50, 2.0 ** 40]  # powers of two: every product and sum of the symbol scales bit for bit
@@ -317,7 +348,7 @@ def test_the_coefficient_test_gives_one_verdict_and_message_at_any_scale(c):
         Symbol(k=1, coeffs={s: c * np.array(b) for s, b in outside.items()})
 
 
-# the first three pass every test of check_assumptions; each of its four tests fails for some of the rest
+# the first three pass every test of check_assumptions; each of its five tests fails for some of the rest
 VERDICT_SYMBOLS = {
     "monomer": MONOMER, "dimer": dimer_symbol(1.0, 2.0), "exponential": exponential_symbol(), "odd": ODD,
     "flat": Symbol(k=1, coeffs={0: [[2.0]]}), "not-monotone": second_neighbour(0.6),
@@ -333,12 +364,31 @@ def test_band_verdicts_are_the_same_at_any_scale(name, c):
     unit = band_functions(VERDICT_SYMBOLS[name], 64)
     bs = band_functions(scaled(VERDICT_SYMBOLS[name], c), 64)
     assert np.array_equal(bs.values, c * unit.values) and bs.hermitian_defect == unit.hermitian_defect
-    assert evenness(bs) == (c * evenness(unit)[0], evenness(unit)[1])
     report, unit_report = check_assumptions(bs), check_assumptions(unit)
+    assert report["evenness_defect"] == c * unit_report["evenness_defect"]
     verdicts = [key for key, value in unit_report.items() if isinstance(value, bool)]
-    assert len(verdicts) == 4 and all(report[key] == unit_report[key] for key in verdicts)
+    assert len(verdicts) == 5 and all(report[key] == unit_report[key] for key in verdicts)
     assert len(report["failures"]) == len(unit_report["failures"])
     assert bool(report["failures"]) == (name not in ("monomer", "dimer", "exponential"))
+
+
+SLOPE_FLIP = "band 1 is not monotone in |alpha|: its slope changes sign at alpha ="
+# (even, monotone, failures) of each VERDICT_SYMBOLS entry at grid 64, every note whole
+VERDICTS_AT_64 = {
+    "monomer": (True, True, []), "dimer": (True, True, []), "exponential": (True, True, []),
+    "odd": (False, False, ["interior slope as small as 1.6963e-15", f"{SLOPE_FLIP} 1.66897",
+                           "bands not even in alpha, max|lambda(alpha) - lambda(-alpha)| = 4"]),
+    "flat": (True, True, ["interior slope as small as 0"]),
+    "not-monotone": (True, False, [f"{SLOPE_FLIP} 1.1781"]),
+    "crossing": (True, True, ["band ranges separated by only -4"]),
+    "skew": (True, True, ["hermitian defect 1.5e-12"]),
+}
+
+
+@pytest.mark.parametrize("name", VERDICT_SYMBOLS)
+def test_each_verdict_symbol_gets_exactly_its_failure_notes(name):
+    report = check_assumptions(band_functions(VERDICT_SYMBOLS[name], 64))
+    assert (report["even"], report["monotone"], report["failures"]) == VERDICTS_AT_64[name]
 
 
 def test_hermitian_tests_are_relative_to_the_symbol_scale():
@@ -350,8 +400,8 @@ def test_hermitian_tests_are_relative_to_the_symbol_scale():
 def test_check_assumptions_of_one_band_is_plain_json():
     report = check_assumptions(band_functions(MONOMER, 16))
     assert report["min_band_separation"] is None and report["bands_disjoint"]
-    assert set(report) == {"bands_disjoint", "no_van_der_hove", "hermitian", "even", "min_band_separation",
-                           "min_interior_slope", "evenness_defect", "failures"}
+    assert set(report) == {"bands_disjoint", "no_van_der_hove", "hermitian", "even", "monotone",
+                           "min_band_separation", "min_interior_slope", "evenness_defect", "failures"}
     assert json.loads(json.dumps(report, allow_nan=False)) == report
 
 
