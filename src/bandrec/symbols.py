@@ -164,7 +164,7 @@ class BandStructure:
         return [(float(v.min()), float(v.max())) for v in self.values]
 
     def values_at(self, alpha) -> np.ndarray:
-        """Piecewise-linear interpolation of every band at |alpha| in [0, pi].
+        """Piecewise-linear interpolation of every band at |alpha| in [0, pi]: the SVG's band curves.
 
         Uses lambda_p(alpha) = lambda_p(-alpha): the grid points 0 .. pi - 2 pi/m, closed at pi by
         the value at alphas[0] = -pi, give the 2 pi-periodic linear interpolant of the grid at |alpha|.

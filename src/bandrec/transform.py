@@ -5,18 +5,25 @@ n is m = ceil(n/k) cells of k sites, the last completed by zeros
 (zero_pad), laid out as u.reshape(m, k) and Fourier transformed along the
 cell axis: the column for site p is the DFT of the section p, p+k, p+2k, ...
 The per-bin masses give the resonance strength at each sampled
-quasiperiodicity.  discrete_quasiperiodicity folds them onto the |alpha|
-bins 0 .. m // 2, finds the first bin of largest folded mass, and recovers
-an eigenvector's quasiperiodicity as the mass-weighted mean of |alpha_j|
-over the bins within m // 6 (about pi/3) of that peak.
+quasiperiodicity.  discrete_quasiperiodicity reads an eigenvector's |alpha|
+off the bin grid, from the Bloch recurrence x(s+1) + x(s-1) = 2 cos(alpha) x(s)
+fitted to its cells.  Summed round the cells instead of over the interior
+ones, the fitted cosine is the mean of cos(alpha_j) under the masses
+(Parseval): a moment of the same transform, not a new one.  The fit is
+refitted once without the cells of largest residual (a defect, the ends).
+A vector it cannot read, fewer than 6 cells or a refit with |c| at or near
+1 or above, keeps the windowed peak: the masses folded onto the |alpha| bins
+0 .. m // 2 and their mean |alpha_j| over the bins within m // 6 (about
+pi/3) of the first bin of largest folded mass.
 
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
-(complex input stays complex128).  discrete_quasiperiodicity takes one rfft
-of every vector: fft bins j and m - j of u = a + ib hold 2(|A_j|^2 + |B_j|^2),
-A and B the rfft bins of a and b, so a complex u reads as 2k real sites per
-cell.  polarize makes the first component of a vector, or of each vector of
-a stack, real and nonnegative; that phase changes no projection mass, so
-nothing bandrec writes reads it.
+(complex input stays complex128).  discrete_quasiperiodicity reads a complex
+u = a + ib as 2k real sites per cell, a and b side by side: the fit's sums of
+Re(conj(x) y) are sums over those real sites, and fft bins j and m - j of u
+hold 2(|A_j|^2 + |B_j|^2), A and B the rfft bins of a and b, so one rfft
+serves the windowed peak of every vector.  polarize makes the first
+component of a vector, or of each vector of a stack, real and nonnegative;
+that phase changes no projection mass, so nothing bandrec writes reads it.
 
 _number is the one number rule: a Python or numpy integer or float, a whole one (2.0, not 2.5, NaN or inf)
 where an int is asked for, and no bool, string or complex; _count reads each size, grid and index by it.
@@ -30,6 +37,8 @@ import operator
 import numpy as np
 
 UNIT_NORM_TOL = 1e-8
+TRIMMED_CELLS = 3  # cells the Bloch refit drops: a defect and the two ends of a chain
+BLOCH_EDGE = 1e-6  # a refit with |c| >= 1 - BLOCH_EDGE keeps the windowed peak
 
 
 def brillouin_sample(m: int) -> np.ndarray:
@@ -82,13 +91,18 @@ def _float_or_complex(u) -> np.ndarray:
     return u.astype(complex if u.dtype.kind == "c" else float, copy=False)
 
 
-def zero_pad(u, k: int) -> np.ndarray:
-    """u as float64 or complex128, completed by zeros to a multiple of k: u itself when k divides it, else a copy."""
-    u, k = _vector(_float_or_complex(u)), _count("block size", k)
+def _padded(u, k: int) -> np.ndarray:
+    """zero_pad for a k already counted: tfbt and discrete_quasiperiodicity read k once per call."""
+    u = _vector(_float_or_complex(u))
     r = u.size % k
     if r == 0:
         return u
     return np.concatenate([u, np.zeros(k - r, dtype=u.dtype)])
+
+
+def zero_pad(u, k: int) -> np.ndarray:
+    """u as float64 or complex128, completed by zeros to a multiple of k: u itself when k divides it, else a copy."""
+    return _padded(u, _count("block size", k))
 
 
 def tfbt(u, k: int) -> np.ndarray:
@@ -98,7 +112,7 @@ def tfbt(u, k: int) -> np.ndarray:
     p (entries p, p+k, p+2k, ...), so tfbt(v, 1)[0] is the DFT of v itself.
     """
     k = _count("block size", k)
-    t = np.fft.fft(zero_pad(np.asarray(u, dtype=complex), k).reshape(-1, k), axis=0)
+    t = np.fft.fft(_padded(np.asarray(u, dtype=complex), k).reshape(-1, k), axis=0)
     return t.T / np.sqrt(t.shape[0])
 
 
@@ -127,25 +141,65 @@ def check_unit_norms(norms, what: str):
 
 
 def discrete_quasiperiodicity(u, k: int) -> float:
-    """Mass-weighted mean of |alpha_j| over the bins within m // 6 (about pi/3) of the peak of the folded masses.
+    """alpha in [0, pi] of the Bloch recurrence x(s+1) + x(s-1) = 2 cos(alpha) x(s) fitted to u's cells.
 
-    Result lies in [0, pi].  u, of any length, is read as its m zero-padded
-    cells (zero_pad), a complex u as its real layout of 2k sites per cell,
-    and must be unit up to a small tolerance (eigensolver rounding).  The
-    masses come from one rfft along the cell axis and are folded onto the
-    |alpha| bins j = 0 .. m // 2, |alpha_j| = 2 pi j / m: a bin 0 < j < m/2
-    counts twice, for itself and its mirror m - j, which has the same mass.
-    The peak is the first bin of largest folded mass, and the window runs
-    m // 6 bins either side of it, clipped to 0 .. m // 2.  A finite section
-    leaks mass into every bin, and a mean over all of them is pulled towards
-    pi/2; the window keeps the peak's neighbours only.
+    u, of any length, is read as its m zero-padded cells (zero_pad), a
+    complex u as its real layout of 2k sites per cell, and must be unit up
+    to a small tolerance (eigensolver rounding).  c = cos(alpha) is fitted
+    by least squares over every site and the interior cells s = 1 .. m - 2,
+    and refitted once without the TRIMMED_CELLS cells of largest residual
+    (_bloch_cosine); the result is arccos(c).  A vector of fewer than
+    2 * TRIMMED_CELLS cells, or one whose refit gives |c| >= 1 - BLOCH_EDGE
+    (a mode at alpha = 0 or pi, where arccos amplifies rounding, or an
+    evanescent one, |c| > 1), keeps the windowed peak (_windowed_peak).
     """
     k = _count("block size", k)
-    u = zero_pad(u, k)
+    u = _padded(u, k)
     m = u.size // k
     x = np.ascontiguousarray(u).view(float)  # a complex column of a C-ordered array is copied to be viewed
     check_unit_norms(math.sqrt(x.dot(x)), "discrete_quasiperiodicity")
-    t = np.fft.rfft(x.reshape(m, -1), axis=0).view(float)  # re and im of each site's bin, side by side
+    cells = x.reshape(m, -1)
+    c = _bloch_cosine(cells) if m >= 2 * TRIMMED_CELLS else None
+    return _windowed_peak(cells) if c is None else math.acos(c)
+
+
+def _bloch_cosine(x: np.ndarray) -> float | None:
+    """c of x(s+1) + x(s-1) = 2c x(s) on the (m, sites) layout x; None when the refit's |c| >= 1 - BLOCH_EDGE.
+
+    The fit is c = sum x(s) (x(s+1) + x(s-1)) / (2 sum x(s)^2) over every
+    site and the interior cells, the Bloch recurrence of a nearest-neighbour
+    chain, exact between its defects and edges.  The refit drops the
+    TRIMMED_CELLS cells of largest residual sum_p (x(s+1) + x(s-1) - 2c x(s))^2,
+    one step of least trimmed squares: a second step reads ssh and
+    dislocated chains to rounding too, at 1.6-1.7 times the cost per
+    vector.  A fit with no mass to fit on is None.
+    """
+    z, y = x[1:-1].copy(), x[2:] + x[:-2]  # z is zeroed in the trimmed cells below
+    zf, yf = z.ravel(), y.ravel()
+    den = 2.0 * zf.dot(zf)
+    if not den > 0.0:
+        return None
+    e = y - (2.0 * zf.dot(yf) / den) * z
+    drop = np.argpartition(np.einsum("ij,ij->i", e, e), -TRIMMED_CELLS)[-TRIMMED_CELLS:]
+    z[drop] = 0.0  # zeroed, not subtracted: a localized mode's kept mass is far below its total
+    num, den = float(zf.dot(yf)), 2.0 * float(zf.dot(zf))
+    return num / den if abs(num) < (1.0 - BLOCH_EDGE) * den else None
+
+
+def _windowed_peak(x: np.ndarray) -> float:
+    """Mass-weighted mean of |alpha_j| over the bins within m // 6 (about pi/3) of the peak of x's folded masses.
+
+    x is the (m, sites) real layout.  The masses come from one rfft along
+    the cell axis and are folded onto the |alpha| bins j = 0 .. m // 2,
+    |alpha_j| = 2 pi j / m: a bin 0 < j < m/2 counts twice, for itself and
+    its mirror m - j, which has the same mass.  The peak is the first bin of
+    largest folded mass, and the window runs m // 6 bins either side of it,
+    clipped to 0 .. m // 2.  A finite section leaks mass into every bin, and
+    a mean over all of them is pulled towards pi/2; the window keeps the
+    peak's neighbours only.
+    """
+    m = x.shape[0]
+    t = np.fft.rfft(x, axis=0).view(float)  # re and im of each site's bin, side by side
     masses = np.einsum("ij,ij->i", t, t)
     masses[1:(m + 1) // 2] *= 2.0  # bins 0 < j < m/2, the ones with a mirror m - j
     peak = int(masses.argmax())

@@ -152,7 +152,7 @@ def _file(name, text):
                  "discrete_quasiperiodicity expects a unit vector, got norm 2.0", id="discrete_quasiperiodicity-norm2"),
     *(pytest.param(lambda k=k: transform.zero_pad(np.ones(6), k), f"block size must be at least 1, got {k}",
                    id=f"zero_pad-k{k}") for k in (-1, -3)),
-    pytest.param(lambda: reconstruct.compare_to_symbol([], symbols.band_functions(MONOMER, 64)), "no points to compare",
+    pytest.param(lambda: reconstruct.compare_to_symbol([], MONOMER), "no points to compare",
                  id="compare_to_symbol-no-points"),
     pytest.param(lambda: reconstruct.run_scenario({"scenario": "warp_drive"}),
                  f"scenario must be one of {SCENARIO_NAMES}, got 'warp_drive'", id="run_scenario-warp_drive"),

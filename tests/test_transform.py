@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandrec import matrices, spectra, symbols
+from bandrec import matrices, reconstruct, spectra, symbols
 from bandrec.transform import (bin_alphas, brillouin_sample,
                                discrete_quasiperiodicity, polarize, projection_profile,
                                quasiperiodic_extension, tfbt, zero_pad)
@@ -268,23 +268,51 @@ def _windowed_peak_of_abs_alpha(u, k):
     return np.sum(2.0 * np.pi * bins[window] / m * folded[window]) / np.sum(folded[window])
 
 
+def _evanescent(rng, m, k, dtype):
+    """Unit up to eigensolver rounding: g q^s + h q^(m-1-s) per site, times (-1)^s half the time; random g, h and
+    0.2 < q < 0.8, so every cell obeys the Bloch recurrence with |c| = (q + 1/q) / 2 > 1."""
+    s, sign = np.arange(m)[:, None], rng.choice([-1.0, 1.0])
+    g, h = (rng.normal(size=(2, k)) + (1j * rng.normal(size=(2, k)) if dtype == complex else 0.0))
+    q = rng.uniform(0.2, 0.8)
+    u = ((g * q ** s + h * q ** (m - 1 - s)) * sign ** s).ravel()
+    return u * (1.0 + 1e-9 * rng.normal()) / np.linalg.norm(u)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_quasiperiodicity_is_the_windowed_peak_of_abs_alpha(k):
+    # the vectors the Bloch fit leaves to the windowed peak: fewer than 6 cells, or a refit with |c| >= 1 - 1e-6
     rng, rng_real = np.random.default_rng(23 + k), np.random.default_rng(230 + k)
-    for m in (*range(1, 30), 64, 255, 1000):
+    for m in range(1, 6):
         u = rng.normal(size=m * k) + 1j * rng.normal(size=m * k)
         u *= (1.0 + 1e-9 * rng.normal()) / np.linalg.norm(u)  # unit up to eigensolver rounding
         v = rng_real.normal(size=m * k)
         v *= (1.0 + 1e-9 * rng_real.normal()) / np.linalg.norm(v)
         for w in (u, v):
             assert abs(discrete_quasiperiodicity(w, k) - _windowed_peak_of_abs_alpha(w, k)) < 1e-14, (m, w.dtype)
+    for m in (*range(6, 30), 64, 255, 1000):
+        for w in (_evanescent(rng, m, k, complex), _evanescent(rng_real, m, k, float)):
+            assert abs(discrete_quasiperiodicity(w, k) - _windowed_peak_of_abs_alpha(w, k)) < 1e-14, (m, w.dtype)
 
 
 def test_quasiperiodicity_ignores_mass_outside_the_window_around_the_peak():
-    # bins 10 and 25 of m = 64 are 15 > 64 // 6 bins apart; the mean over all bins gave 2 pi 13 / 64 = 1.276
+    # a mode at alpha = 0 with 1e-7 of its mass at bin 25 of m = 64, 25 > 64 // 6 bins away: its refit reads
+    # c = 1 + 1.6e-5, so the windowed peak reads it; the mean over all bins gave 2 pi 25 / 64 * 1e-7 = 2.5e-7
     s = np.arange(64)
-    u = np.sqrt(0.8 / 32) * np.cos(2 * np.pi * 10 * s / 64) + np.sqrt(0.2 / 32) * np.cos(2 * np.pi * 25 * s / 64)
-    assert abs(discrete_quasiperiodicity(u, 1) - 2 * np.pi * 10 / 64) < 1e-15
+    u = np.sqrt((1.0 - 1e-7) / 64) + np.sqrt(1e-7 / 32) * np.cos(2 * np.pi * 25 * s / 64)
+    assert discrete_quasiperiodicity(u, 1) < 1e-15
+
+
+def test_an_off_grid_section_is_read_to_rounding():
+    # alpha = pi s / (m + 1) of the sine family lies between the bins 2 pi j / m; so does a dimer section's
+    for m in (41, 81, 161, 321):
+        oracle = reconstruct.tridiagonal_eigenpairs_oracle(2.0, -1.0, m)
+        q = [discrete_quasiperiodicity(oracle.vectors[:, i], 1) for i in range(m)]
+        assert np.max(np.abs(np.array(q) - np.pi * np.arange(1, m + 1) / (m + 1))) <= 1e-12, m
+    for m in (10, 31, 80, 161):
+        eig = spectra.hermitian_eigen(matrices.toeplitz_matrix(symbols.dimer_symbol(1.0, 2.0), m))
+        q = [discrete_quasiperiodicity(eig.vectors[:, i], 2) for i in range(eig.n)]
+        # the dimer bands 3/2 -+ |1 + e^{i alpha} / 2| give cos(alpha) = (lambda - 3/2)^2 - 5/4
+        assert np.max(np.abs(np.array(q) - np.arccos((eig.values - 1.5) ** 2 - 1.25))) <= 1e-12, m
 
 
 def test_polarize_pivot_rules():
