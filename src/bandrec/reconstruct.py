@@ -86,8 +86,10 @@ def compare_to_symbol(points: Points, sym: symbols.Symbol) -> dict:
     """Fill in band_error = min_p |lam - lambda_p(alpha_est)| and return the errors block of summary.json.
 
     lambda_p(alpha_est) are the eigenvalues of the symbol itself at each
-    point, f(e^{-i alpha_est}): one einsum over its offsets and one stacked
-    eigvalsh, equal to per-point eigvalsh bit for bit.  A BandStructure's
+    point, f(e^{i alpha_est}) as symbols.evaluate_symbol_at stacks them, in
+    one eigvalsh, equal to per-point eigvalsh bit for bit.  alpha_est is
+    |alpha|, which reads the band at alpha as well as at -alpha because
+    run_scenario refuses bands that are not even.  A BandStructure's
     interpolant would floor an exact alpha_est's error at its own,
     h^2/8 |lambda''|, 3e-5 at grid 512.
     The block is {"bulk": {count, max, mean, q90}, "localized": {count, max,
@@ -104,8 +106,8 @@ def compare_to_symbol(points: Points, sym: symbols.Symbol) -> dict:
         raise ValueError("no points to compare")
     edge_margin = 2.0 * np.pi * EDGE_EXCLUSION_BINS / math.ceil(len(points) / sym.k)
     a = points.alpha_est
-    f = np.einsum("ps,skl->pkl", np.exp(-1j * a[:, None] * sym.offsets), sym.blocks)  # f(e^{-i a}) per point
-    points.band_error = np.min(np.abs(np.linalg.eigvalsh(f) - points.lam[:, None]), axis=1)
+    bands = np.linalg.eigvalsh(symbols.evaluate_symbol_at(sym, a))  # (n, k): lambda_p(alpha_est) per point
+    points.band_error = np.min(np.abs(bands - points.lam[:, None]), axis=1)
     lo, hi = edge_margin * (1.0 - TIE_SLACK), np.pi - edge_margin * (1.0 - TIE_SLACK)
     bulk = points.band_error[~points.localized & (lo <= a) & (a <= hi)]
     return {"bulk": _statistics(bulk, max=np.max, mean=np.mean, q90=lambda e: np.quantile(e, 0.9)),

@@ -133,6 +133,11 @@ def evaluate_symbol(sym: Symbol, alpha: float) -> np.ndarray:
     return np.einsum("s,skl->kl", np.exp(1j * alpha * sym.offsets), sym.blocks)
 
 
+def evaluate_symbol_at(sym: Symbol, alphas: np.ndarray) -> np.ndarray:
+    """f(e^{i alpha}) at each of the 1-d alphas, shape (alphas.size, k, k); evaluate_symbol at each, bit for bit."""
+    return np.einsum("ps,skl->pkl", np.exp(1j * alphas[:, None] * sym.offsets), sym.blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class BandStructure:
     """Sampled bands: values[p, j] = lambda_{p+1}(alpha_j), ascending in p.

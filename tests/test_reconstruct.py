@@ -101,10 +101,10 @@ def test_compare_to_symbol_capacitance_m80():
     stats = compare_to_symbol(points, MONOMER)
     assert stats["edge_margin"] == 2 * np.pi * 4 / m
     # the Bloch fit reads the odd-index eigenvectors, which lie between the bins, as exactly as the even-index
-    # ones: the bulk max is measured 1.8e-15 here (4.1e-2 with the windowed peak alone, 7.0e-2 with the mean of
-    # |alpha| over every bin)
-    assert stats["bulk"]["max"] < 7.5e-2
-    assert np.max(points.band_error[::2]) < 1e-4
+    # ones: the bulk max and every point's error are measured 2.2e-15 here (the bulk max was 4.1e-2 with the
+    # windowed peak alone, 7.0e-2 with the mean of |alpha| over every bin)
+    assert stats["bulk"]["max"] < 1e-13
+    assert np.max(points.band_error) < 1e-13
 
 
 def test_compare_to_symbol_statistics_of_an_empty_set_are_none():
@@ -197,7 +197,7 @@ def test_run_scenario_periodic_nn():
     result = run_scenario({"scenario": "periodic_nn", "m": 80})
     assert result.k == 1 and result.matrix.n == 80
     assert len(result.points) == 80
-    assert result.stats["bulk"]["max"] < 7.5e-2
+    assert result.stats["bulk"]["max"] < 1e-13  # measured 2.2e-15
     assert result.gap_report["gap_modes"] == []
     summary = result.summary()
     assert summary["n_points"] == 80 and summary["n_gaps"] == 0

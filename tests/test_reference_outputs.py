@@ -11,12 +11,16 @@ intervals of the band structure it sampled, as it prints them.
 
 RTOL = 1e-12 is the rounding-order rule's own bound for a figure above
 rounding: a change that only reorders rounding keeps it within that bound.
-A figure at rounding, such as the bulk max of a chain without a defect,
-moves by its own size under any reorder, and the BLAS thread count reorders
-the eigensolve of the n >= 1001 runs.  So the record holds at the thread
-count it was written at, two OpenBLAS threads; at one thread the bulk max of
-compact_defect-n2000-delta-0.3 reads 1.33e-15 against 1.44e-15, and the bulk
-mean of compact_defect-n1001 moves by 1.3e-9 relative.
+A band error is a difference of two eigenvalues, |lambda - lambda_p|, so
+its rounding is absolute, eps times the run's largest |lambda|, however
+small the error itself: the bulk max of a chain without a defect sits at
+rounding and moves by its own size under any reorder, and the BLAS thread
+count reorders the eigensolve of the n >= 1001 runs.  So a figure of the
+errors block may also differ by ERROR_ULPS such roundings.  Written at two
+OpenBLAS threads, the record reads the same at four; at one thread the bulk
+max of compact_defect-n2000-delta-0.3 reads 1.33e-15 against 1.44e-15 (its
+mean 3.15e-16 against 3.09e-16), and the bulk mean of compact_defect-n1001
+moves by 7e-18, each less than one rounding of the run's largest |lambda|.
 
 An accuracy change, or an output that adds a recorded field, rewrites the
 record in the same change, so the record's diff shows what moved.  Each
@@ -35,6 +39,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bandrec import matrices, reconstruct, symbols
@@ -43,6 +48,7 @@ from test_cli import RERUNS
 
 RECORD = Path(__file__).with_name("reference_outputs.json")
 RTOL = 1e-12
+ERROR_ULPS = 4  # the errors block's absolute slack, in units of eps * max|lambda| of the run
 # The bulk max of each reconstruct run, above its measured value at OpenBLAS 1 and 2 threads alike.  The Bloch fit
 # reads a chain without a defect to rounding; a defect costs the one trimming step more cells than it drops.
 BULK_MAX = {
@@ -86,14 +92,14 @@ def run_entry(family: str) -> dict:
                         "errors": summary["errors"], "gaps": summary["gaps"]}}
 
 
-def assert_close(got, want, where):
-    """got equals want, a JSON value, with each float within RTOL of want's and everything else exact."""
+def assert_close(got, want, where, atol=0.0):
+    """got equals want, a JSON value, with each float within RTOL of want's or atol, and everything else exact."""
     if isinstance(want, float):
-        assert isinstance(got, float) and abs(got - want) <= RTOL * abs(want), (where, got, want)
+        assert isinstance(got, float) and abs(got - want) <= max(RTOL * abs(want), atol), (where, got, want)
     elif isinstance(want, (dict, list)):
         assert type(got) is type(want) and len(got) == len(want), (where, got, want)
         for key in (want if isinstance(want, dict) else range(len(want))):
-            assert_close(got[key], want[key], f"{where}[{key!r}]")
+            assert_close(got[key], want[key], f"{where}[{key!r}]", atol)
     else:
         assert type(got) is type(want) and got == want, (where, got, want)
 
@@ -108,6 +114,11 @@ def test_a_reference_run_matches_its_record(tmp_path, monkeypatch, family):
     monkeypatch.chdir(tmp_path)
     got, want = run_entry(family), json.loads(RECORD.read_text())[family]
     assert got["exact"] == want["exact"]
+    if "errors" in want["figures"]:
+        with open(Path(family, "points.csv"), newline="") as fh:
+            scale = max(abs(float(row["lambda"])) for row in csv.DictReader(fh))
+        atol = ERROR_ULPS * np.finfo(float).eps * scale
+        assert_close(got["figures"].pop("errors"), want["figures"].pop("errors"), f"{family}['errors']", atol)
     assert_close(got["figures"], want["figures"], family)
 
 

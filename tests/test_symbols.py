@@ -56,6 +56,15 @@ def test_evaluate_symbol_equals_the_offset_by_offset_sum_bit_for_bit(sym):
         assert np.array_equal(evaluate_symbol(sym, alpha), _evaluate_offset_by_offset(sym, alpha))
 
 
+@pytest.mark.parametrize("sym", [dimer_symbol(1.0, 2.0), cell_chain_symbol([1.0, 2.0, 0.5]), exponential_symbol(),
+                                 _complex_k2()], ids=["dimer", "trimer", "exponential", "complex"])
+def test_evaluate_symbol_at_stacks_evaluate_symbol_bit_for_bit(sym):
+    alphas = np.concatenate([brillouin_sample(512), np.random.default_rng(0).uniform(0.0, np.pi, 100)])
+    stacked = symbols.evaluate_symbol_at(sym, alphas)
+    assert stacked.shape == (alphas.size, sym.k, sym.k)
+    assert np.array_equal(stacked, np.array([evaluate_symbol(sym, alpha) for alpha in alphas]))
+
+
 @pytest.mark.parametrize("sym", [MONOMER, SPEC_DIMER, cell_chain_symbol([1.0, 2.0, 0.5]), exponential_symbol(),
                                  _complex_k2()], ids=["monomer", "dimer", "trimer", "exponential", "complex"])
 def test_band_functions_equals_one_eigh_per_grid_point_bit_for_bit(sym):
