@@ -278,7 +278,8 @@ def run_scenario(config: dict) -> ScenarioResult:
     ones used, derived ones included.  The reference bands come from the
     scenario's underlying periodic symbol where one exists and are sampled
     before the eigensolve; bands that symbols.check_assumptions finds not
-    even in alpha or not monotone in |alpha| are refused there, with its
+    even in alpha or not monotone in |alpha|, or whose ranges overlap by
+    more than CROSSING_TOL * max|lambda|, are refused there, with its
     failure notes, since one |alpha| is recovered per eigenvector.  The
     gaps come from those sampled bands, the errors from the symbol itself
     (compare_to_symbol).  A grid that fails symbols.checked_grid is refused
@@ -301,7 +302,9 @@ def run_scenario(config: dict) -> ScenarioResult:
     if sym is not None:  # before the eigensolve, so a new memo entry is not allocated above its n^2 buffers
         bands = symbols.band_functions(sym, grid)
         report = symbols.check_assumptions(bands)
-        if not (report["even"] and report["monotone"]):
+        sep = report["min_band_separation"]  # None for one band; 0 for touching bands, which still run
+        overlap = sep is not None and sep < -symbols.CROSSING_TOL * float(np.abs(bands.values).max())
+        if not (report["even"] and report["monotone"]) or overlap:
             raise ValueError("the reference bands cannot be reconstructed, as one |alpha| is recovered per "
                              f"eigenvector: {'; '.join(report['failures'])}")
     points = reconstruct_bands(built, k)

@@ -9,19 +9,17 @@ quasiperiodicity.  discrete_quasiperiodicity reads an eigenvector's |alpha|
 off the bin grid, from the Bloch recurrence x(s+1) + x(s-1) = 2 cos(alpha) x(s)
 fitted to its cells.  Summed round the cells instead of over the interior
 ones, the fitted cosine is the mean of cos(alpha_j) under the masses
-(Parseval): a moment of the same transform, not a new one.  The fit is
-refitted once without the cells of largest residual (a defect, the ends).
-A vector it cannot read, fewer than 6 cells or a refit with |c| at or near
-1 or above, keeps the windowed peak: the masses folded onto the |alpha| bins
-0 .. m // 2 and their mean |alpha_j| over the bins within m // 6 (about
-pi/3) of the first bin of largest folded mass.
+(Parseval): a moment of the same transform, not a new one.  From 6 cells
+up the fit is refitted once without the cells of largest residual (a
+defect, the ends).  A vector the fit cannot read as arccos(c), with |c| at
+or near 1 or above, snaps to alpha = 0 or pi by the sign of its lag-1
+correlation: an exact mode at alpha = 0 or pi, or an evanescent gap mode,
+whose complex quasiperiodicity has real part 0 or pi.
 
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
 (complex input stays complex128).  discrete_quasiperiodicity reads a complex
 u = a + ib as 2k real sites per cell, a and b side by side: the fit's sums of
-Re(conj(x) y) are sums over those real sites, and fft bins j and m - j of u
-hold 2(|A_j|^2 + |B_j|^2), A and B the rfft bins of a and b, so one rfft
-serves the windowed peak of every vector.  polarize makes the first
+Re(conj(x) y) are sums over those real sites.  polarize makes the first
 component of a vector, or of each vector of a stack, real and nonnegative;
 that phase changes no projection mass, so nothing bandrec writes reads it.
 
@@ -38,7 +36,7 @@ import numpy as np
 
 UNIT_NORM_TOL = 1e-8
 TRIMMED_CELLS = 3  # cells the Bloch refit drops: a defect and the two ends of a chain
-BLOCH_EDGE = 1e-6  # a refit with |c| >= 1 - BLOCH_EDGE keeps the windowed peak
+BLOCH_EDGE = 1e-6  # a fit with |c| >= 1 - BLOCH_EDGE snaps to alpha = 0 or pi
 
 
 def brillouin_sample(m: int) -> np.ndarray:
@@ -147,11 +145,12 @@ def discrete_quasiperiodicity(u, k: int) -> float:
     complex u as its real layout of 2k sites per cell, and must be unit up
     to a small tolerance (eigensolver rounding).  c = cos(alpha) is fitted
     by least squares over every site and the interior cells s = 1 .. m - 2,
-    and refitted once without the TRIMMED_CELLS cells of largest residual
-    (_bloch_cosine); the result is arccos(c).  A vector of fewer than
-    2 * TRIMMED_CELLS cells, or one whose refit gives |c| >= 1 - BLOCH_EDGE
-    (a mode at alpha = 0 or pi, where arccos amplifies rounding, or an
-    evanescent one, |c| > 1), keeps the windowed peak (_windowed_peak).
+    refitted once from 2 * TRIMMED_CELLS cells up (_bloch_cosine), and the
+    result is arccos(c) when |c| < 1 - BLOCH_EDGE.  Every other vector snaps
+    to 0 or pi by the sign of its lag-1 correlation sum_s x(s) x(s+1): one
+    of fewer than 3 cells or no interior mass, an exact mode at alpha = 0
+    or pi, where arccos amplifies rounding, and an evanescent one, |c| > 1,
+    whose quasiperiodicity is complex with real part 0 or pi.
     """
     k = _count("block size", k)
     u = _padded(u, k)
@@ -159,54 +158,35 @@ def discrete_quasiperiodicity(u, k: int) -> float:
     x = np.ascontiguousarray(u).view(float)  # a complex column of a C-ordered array is copied to be viewed
     check_unit_norms(math.sqrt(x.dot(x)), "discrete_quasiperiodicity")
     cells = x.reshape(m, -1)
-    c = _bloch_cosine(cells) if m >= 2 * TRIMMED_CELLS else None
-    return _windowed_peak(cells) if c is None else math.acos(c)
+    c = _bloch_cosine(cells)
+    if c is not None and abs(c) < 1.0 - BLOCH_EDGE:
+        return math.acos(c)
+    lag = cells.shape[1]  # sites per cell: x[lag:] is cell s + 1 against x[:-lag], cell s
+    return 0.0 if x[lag:].dot(x[:-lag]) >= 0.0 else math.pi
 
 
 def _bloch_cosine(x: np.ndarray) -> float | None:
-    """c of x(s+1) + x(s-1) = 2c x(s) on the (m, sites) layout x; None when the refit's |c| >= 1 - BLOCH_EDGE.
+    """c of x(s+1) + x(s-1) = 2c x(s) on the (m, sites) layout x; None with no interior mass to fit on.
 
     The fit is c = sum x(s) (x(s+1) + x(s-1)) / (2 sum x(s)^2) over every
     site and the interior cells, the Bloch recurrence of a nearest-neighbour
-    chain, exact between its defects and edges.  The refit drops the
-    TRIMMED_CELLS cells of largest residual sum_p (x(s+1) + x(s-1) - 2c x(s))^2,
-    one step of least trimmed squares: a second step reads ssh and
-    dislocated chains to rounding too, at 1.6-1.7 times the cost per
-    vector.  A fit with no mass to fit on is None.
+    chain, exact between its defects and edges.  From 2 * TRIMMED_CELLS
+    cells up, the refit drops the TRIMMED_CELLS cells of largest residual
+    sum_p (x(s+1) + x(s-1) - 2c x(s))^2, one step of least trimmed squares:
+    a second step reads ssh and dislocated chains to rounding too, at
+    1.6-1.7 times the cost per vector.
     """
     z, y = x[1:-1].copy(), x[2:] + x[:-2]  # z is zeroed in the trimmed cells below
     zf, yf = z.ravel(), y.ravel()
-    den = 2.0 * zf.dot(zf)
-    if not den > 0.0:
-        return None
-    e = y - (2.0 * zf.dot(yf) / den) * z
-    drop = np.argpartition(np.einsum("ij,ij->i", e, e), -TRIMMED_CELLS)[-TRIMMED_CELLS:]
-    z[drop] = 0.0  # zeroed, not subtracted: a localized mode's kept mass is far below its total
-    num, den = float(zf.dot(yf)), 2.0 * float(zf.dot(zf))
-    return num / den if abs(num) < (1.0 - BLOCH_EDGE) * den else None
-
-
-def _windowed_peak(x: np.ndarray) -> float:
-    """Mass-weighted mean of |alpha_j| over the bins within m // 6 (about pi/3) of the peak of x's folded masses.
-
-    x is the (m, sites) real layout.  The masses come from one rfft along
-    the cell axis and are folded onto the |alpha| bins j = 0 .. m // 2,
-    |alpha_j| = 2 pi j / m: a bin 0 < j < m/2 counts twice, for itself and
-    its mirror m - j, which has the same mass.  The peak is the first bin of
-    largest folded mass, and the window runs m // 6 bins either side of it,
-    clipped to 0 .. m // 2.  A finite section leaks mass into every bin, and
-    a mean over all of them is pulled towards pi/2; the window keeps the
-    peak's neighbours only.
-    """
-    m = x.shape[0]
-    t = np.fft.rfft(x, axis=0).view(float)  # re and im of each site's bin, side by side
-    masses = np.einsum("ij,ij->i", t, t)
-    masses[1:(m + 1) // 2] *= 2.0  # bins 0 < j < m/2, the ones with a mirror m - j
-    peak = int(masses.argmax())
-    lo, hi = max(peak - m // 6, 0), min(peak + m // 6, m // 2) + 1
-    window = masses[lo:hi]
-    q = (2.0 * np.pi / m) * window.dot(np.arange(lo, hi, dtype=float)) / window.sum()
-    return min(max(float(q), 0.0), np.pi)  # clamp 1-ulp rounding excursions
+    den = 2.0 * float(zf.dot(zf))
+    if x.shape[0] >= 2 * TRIMMED_CELLS and den > 0.0:
+        e = y - (2.0 * zf.dot(yf) / den) * z
+        r = np.einsum("ij,ij->i", e, e)
+        # zeroed, not subtracted: a localized mode's kept mass is far below its total; the slice from
+        # r.size - TRIMMED_CELLS, not -TRIMMED_CELLS, keeps TRIMMED_CELLS = 0 a fit with no trim
+        z[np.argpartition(r, -TRIMMED_CELLS)[r.size - TRIMMED_CELLS:]] = 0.0
+        den = 2.0 * float(zf.dot(zf))
+    return float(zf.dot(yf)) / den if den > 0.0 else None
 
 
 def polarize(u) -> np.ndarray:

@@ -122,6 +122,9 @@ SMALL_ODD = ('{"k":1,"coeffs":[{"s":0,"re":[[2e-9]]},{"s":1,"re":[[0]],"im":[[1e
 # lambda(alpha) = 2 - 2 cos(alpha) + 1.2 cos(2 alpha), with an interior minimum at cos(alpha) = 1/2.4
 NOT_MONOTONE = '{"k":1,"coeffs":[{"s":0,"re":[[2]]},{"s":1,"re":[[-1]]},{"s":-1,"re":[[-1]]},' \
     '{"s":2,"re":[[0.6]]},{"s":-2,"re":[[0.6]]}]}'
+# band ranges (-2.3, 2.0) and (-0.8, 2.1): even and monotone, but each eigenvector mixes a wave of each band
+OVERLAPPING = '{"k":2,"coeffs":[{"s":0,"re":[[0,0.3],[0.3,0.5]]},{"s":1,"re":[[-1,0.2],[0.1,-0.8]]},' \
+    '{"s":-1,"re":[[-1,0.1],[0.2,-0.8]]}]}'
 HUGE_MONOMER = '{"k":1,"coeffs":[{"s":0,"re":[[1e308]]},{"s":1,"re":[[-1e308]]},{"s":-1,"re":[[-1e308]]}]}'
 MONOMER_CHAIN = matrices.capacitance_1d(2.0, -1.0, 80)
 SSH = ["reconstruct", "--scenario", "ssh"]
@@ -275,6 +278,9 @@ REFUSALS = [
     refusal("periodic_symbol-not-monotone-0.6",
             ["reconstruct", "--scenario", "periodic_symbol", "--m", "40", "--symbol", NOT_MONOTONE],
             f"{UNREADABLE} band 1 is not monotone in |alpha|: its slope changes sign at alpha = 1.14128"),
+    refusal("periodic_symbol-overlapping",
+            ["reconstruct", "--scenario", "periodic_symbol", "--m", "40", "--symbol", OVERLAPPING],
+            f"{UNREADABLE} band ranges separated by only -2.8"),
     refusal("transform-k0", ["transform", "--vector", "v.csv", "--k", "0"], "block size must be at least 1, got 0",
             {"v.csv": "1\n0\n"}),
     refusal("transform-nan", ["transform", "--vector", "v.csv"],
@@ -651,7 +657,7 @@ def _normalised_entries(path):
 
 @pytest.mark.parametrize("seed,k", [(30, 1), (2, 2), (69, 3)])
 def test_transform_takes_the_real_path_for_a_real_vector(tmp_path, capsys, seed, k):
-    # at these inputs the complex fft path prints a different 15th digit than the real rfft one
+    # a file whose imaginary parts are all zero is read as the real vector it is
     vec = tmp_path / "vec.csv"
     vec.write_text("\n".join(repr(float(x)) for x in np.random.default_rng(seed).normal(size=40)) + "\n")
     assert main(["transform", "--vector", str(vec), "--k", str(k), "--out", str(tmp_path)]) == 0

@@ -210,8 +210,7 @@ def test_run_scenario_periodic_symbol_defaults():
 
 
 # The reference runs of the output contract, with the bulk max and q90 that the mean of |alpha_j| over every bin
-# gave; the windowed-peak rule may lower them and must not raise any.  A +-2 bin window raises compact_defect
-# --n 1001 to 2.07e-3.
+# gave; a recovery rule may lower them and must not raise any.
 MEAN_ABS_ALPHA_BULK = {
     "periodic_nn": ({"scenario": "periodic_nn"}, 0.07021476187975284, 0.06743697104047913),
     "periodic_nn-m200": ({"scenario": "periodic_nn", "m": 200}, 0.027863407529758244, 0.026509128714439244),
@@ -333,6 +332,23 @@ def test_every_scenario_parameter_is_declared_and_read(tmp_path, scenario):
     for name in reads:
         assert _outcome({"scenario": scenario, **explicit, name: others[name]}) != baseline, \
             f"{name} is not read"
+
+
+def test_the_edge_exclusion_keeps_an_evanescent_mode_above_the_bands_out_of_the_bulk():
+    # a sweep run whose mode above the top band edge (3.006) has an ipr 9.96 times the median, just under the
+    # localized flag's 10: it snaps to alpha = 0, and its band_error is its height above the band
+    result = run_scenario({"scenario": "compact_defect", "n": 40, "delta": 0.4718, "s1": 0.99954, "s2": 1.98990})
+    p = result.points
+    assert not p.localized[-1] and 9.9 < p.ipr[-1] / np.median(p.ipr) < 10.0
+    assert p.alpha_est[-1] == 0.0 and p.band_error[-1] > 0.3 and p.lam[-1] - 0.3 > result.bands.values.max()
+    assert result.stats["bulk"]["max"] < 1e-13  # measured 8.9e-16
+
+
+def test_touching_bands_are_not_refused_as_overlapping():
+    # the dimer with s1 = s2 is the monomer chain read in cells of two: its bands touch at alpha = pi
+    result = run_scenario({"scenario": "ssh", "s1": 1.0, "s2": 1.0})
+    assert symbols.check_assumptions(result.bands)["min_band_separation"] == 0.0
+    assert result.stats["bulk"]["max"] < 1e-13  # measured 2.2e-15
 
 
 def test_scenario_error_stats_exclude_localized():

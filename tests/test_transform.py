@@ -91,7 +91,7 @@ def test_a_one_cell_shift_multiplies_bin_j_by_its_phase(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_real_vector_puts_the_same_mass_in_bins_j_and_m_minus_j(k):
-    # the mirror that lets discrete_quasiperiodicity read a real vector from its rfft bins alone
+    # a real vector's sections have conjugate-symmetric DFTs: bin m - j mirrors bin j
     rng = np.random.default_rng(37 + k)
     for m in (1, 2, 5, 8, 33, 64):
         _, masses = projection_profile(rng.normal(size=m * k), k)
@@ -257,21 +257,22 @@ def test_projection_profile_sums_to_one():
     assert abs(masses.sum() - 1.0) < 1e-12
 
 
-def _windowed_peak_of_abs_alpha(u, k):
-    """Reference: projection_profile's masses folded onto the |alpha| bins min(j, m - j), then the mass-weighted
-    mean of |alpha_j| over the bins within m // 6 of the first bin of largest folded mass."""
-    masses = projection_profile(u, k)[1]
-    m = masses.size
-    folded = np.bincount(np.minimum(np.arange(m), m - np.arange(m)), weights=masses)
-    bins = np.arange(folded.size)
-    window = np.abs(bins - np.argmax(folded)) <= m // 6
-    return np.sum(2.0 * np.pi * bins[window] / m * folded[window]) / np.sum(folded[window])
+def _fit_or_snap(u, k):
+    """Reference below 6 cells: arccos(c) of the untrimmed Bloch fit over the interior cells when |c| < 1 - 1e-6,
+    else 0 or pi by the sign of the lag-1 correlation Re sum_s <u(s), u(s+1)> over the zero-padded cells."""
+    cells = zero_pad(u, k).reshape(-1, k)
+    z, y = cells[1:-1], cells[2:] + cells[:-2]
+    den = 2.0 * np.vdot(z, z).real
+    c = np.vdot(z, y).real / den if den > 0.0 else np.inf
+    if abs(c) < 1.0 - 1e-6:
+        return np.arccos(c)
+    return 0.0 if np.vdot(cells[:-1], cells[1:]).real >= 0.0 else np.pi
 
 
-def _evanescent(rng, m, k, dtype):
-    """Unit up to eigensolver rounding: g q^s + h q^(m-1-s) per site, times (-1)^s half the time; random g, h and
-    0.2 < q < 0.8, so every cell obeys the Bloch recurrence with |c| = (q + 1/q) / 2 > 1."""
-    s, sign = np.arange(m)[:, None], rng.choice([-1.0, 1.0])
+def _evanescent(rng, m, k, dtype, sign):
+    """Unit up to eigensolver rounding: g q^s + h q^(m-1-s) per site, times sign^s; random g, h and 0.2 < q < 0.8,
+    so every cell obeys the Bloch recurrence with c = sign (q + 1/q) / 2, |c| > 1."""
+    s = np.arange(m)[:, None]
     g, h = (rng.normal(size=(2, k)) + (1j * rng.normal(size=(2, k)) if dtype == complex else 0.0))
     q = rng.uniform(0.2, 0.8)
     u = ((g * q ** s + h * q ** (m - 1 - s)) * sign ** s).ravel()
@@ -279,8 +280,8 @@ def _evanescent(rng, m, k, dtype):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_quasiperiodicity_is_the_windowed_peak_of_abs_alpha(k):
-    # the vectors the Bloch fit leaves to the windowed peak: fewer than 6 cells, or a refit with |c| >= 1 - 1e-6
+def test_quasiperiodicity_snaps_to_0_or_pi_where_the_fit_cannot_read_it(k):
+    # fewer than 6 cells: the untrimmed fit, or the snap when it reads |c| >= 1 - 1e-6 or has no interior cell
     rng, rng_real = np.random.default_rng(23 + k), np.random.default_rng(230 + k)
     for m in range(1, 6):
         u = rng.normal(size=m * k) + 1j * rng.normal(size=m * k)
@@ -288,18 +289,20 @@ def test_quasiperiodicity_is_the_windowed_peak_of_abs_alpha(k):
         v = rng_real.normal(size=m * k)
         v *= (1.0 + 1e-9 * rng_real.normal()) / np.linalg.norm(v)
         for w in (u, v):
-            assert abs(discrete_quasiperiodicity(w, k) - _windowed_peak_of_abs_alpha(w, k)) < 1e-14, (m, w.dtype)
+            assert abs(discrete_quasiperiodicity(w, k) - _fit_or_snap(w, k)) < 1e-12, (m, w.dtype)
+    # an evanescent vector, a gap mode's complex Bloch wave, reads the real part of its quasiperiodicity
     for m in (*range(6, 30), 64, 255, 1000):
-        for w in (_evanescent(rng, m, k, complex), _evanescent(rng_real, m, k, float)):
-            assert abs(discrete_quasiperiodicity(w, k) - _windowed_peak_of_abs_alpha(w, k)) < 1e-14, (m, w.dtype)
+        for sign, alpha in ((1.0, 0.0), (-1.0, np.pi)):
+            for w in (_evanescent(rng, m, k, complex, sign), _evanescent(rng_real, m, k, float, sign)):
+                assert discrete_quasiperiodicity(w, k) == alpha, (m, w.dtype, sign)
 
 
-def test_quasiperiodicity_ignores_mass_outside_the_window_around_the_peak():
-    # a mode at alpha = 0 with 1e-7 of its mass at bin 25 of m = 64, 25 > 64 // 6 bins away: its refit reads
-    # c = 1 + 1.6e-5, so the windowed peak reads it; the mean over all bins gave 2 pi 25 / 64 * 1e-7 = 2.5e-7
+def test_a_mode_at_alpha_0_with_a_trace_of_far_mass_snaps_to_0():
+    # a mode at alpha = 0 with 1e-7 of its mass at bin 25 of m = 64: its refit reads c = 1 + 1.6e-5, so it snaps
+    # to 0; the mean of |alpha| over all bins gave 2 pi 25 / 64 * 1e-7 = 2.5e-7
     s = np.arange(64)
     u = np.sqrt((1.0 - 1e-7) / 64) + np.sqrt(1e-7 / 32) * np.cos(2 * np.pi * 25 * s / 64)
-    assert discrete_quasiperiodicity(u, 1) < 1e-15
+    assert discrete_quasiperiodicity(u, 1) == 0.0
 
 
 def test_an_off_grid_section_is_read_to_rounding():
