@@ -1,10 +1,10 @@
 """Band-structure reconstruction for finite resonator chains.
 
 The pipeline: build a finite chain matrix, diagonalise it, recover each
-eigenvector's quasiperiodicity from its section-wise Fourier masses, and
-compare the recovered (quasiperiodicity, eigenvalue) cloud against the
-bands of the underlying periodic symbol; localized in-gap defect modes
-show up as outliers.
+eigenvector's quasiperiodicity from the Bloch recurrence fitted to its
+cells, and compare the recovered (quasiperiodicity, eigenvalue) cloud
+against the bands of the underlying periodic symbol; localized defect
+modes are those whose fit is evanescent, decaying from cell to cell.
 """
 
 from .matrices import (FiniteMatrix, PerturbedPair, capacitance_1d, chain_capacitance,

@@ -77,7 +77,7 @@ def cmd_reconstruct(args) -> int:
             print(f"not written without a reference symbol (--symbol): {', '.join(skipped)}")
     if result.stats is not None and not result.stats["bulk"]["count"]:
         print(f"warning: the edge margin {result.stats['edge_margin']:.6g} ({reconstruct.EDGE_EXCLUSION_BINS} "
-              f"DFT bins from alpha = 0 and pi) leaves no bulk point; the points were not compared with the bands")
+              f"DFT bins from alpha = 0 and pi) leaves no bulk point; the bulk statistics are null")
     summary = result.summary()
     gap_modes = f"{summary['n_gap_modes']} gap mode(s), " if "n_gap_modes" in summary else ""
     print(f"{result.scenario}: {summary['n_points']} points, {gap_modes}{summary['n_localized']} localized")
@@ -107,7 +107,7 @@ def cmd_transform(args) -> int:
         u = u.real
     k = transform._count("block size", cfg.get("k", 1), most=u.size)  # a larger k pads u with k - n zeros
     alphas, masses = transform.projection_profile(u, k)
-    q = transform.discrete_quasiperiodicity(u, k)
+    q = transform.discrete_quasiperiodicity(u, k)[0]
     outdir = Path(_text("out", cfg.get("out", ".")))
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "transform.csv"

@@ -1,8 +1,8 @@
 """End-to-end band reconstruction pipelines.
 
-Take a finite chain matrix, eigendecompose it, recover a quasiperiodicity
-for every eigenvector from its projection masses, and assemble the
-reconstructed band diagram together with gap and localization reports.
+Take a finite chain matrix, eigendecompose it, fit the Bloch recurrence to
+every eigenvector's cells for its quasiperiodicity and localized flag, and
+assemble the reconstructed band diagram with gap and localization reports.
 Each report is the JSON object the run writes, built where it is
 computed: compare_to_symbol scores the points against the reference
 symbol itself and returns the errors block of summary.json (the
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import matrices, symbols
 from .matrices import FiniteMatrix, PerturbedPair
-from .spectra import EigenDecomposition, hermitian_eigen, localization_metrics, ipr_localized_flags
+from .spectra import EigenDecomposition, hermitian_eigen, localization_metrics
 from .symbols import _refuse_unread, _text
 from .transform import _count, _number, discrete_quasiperiodicity
 
@@ -40,9 +40,9 @@ TIE_SLACK = 1e-9  # relative widening of the bulk bounds, so exact ties at edge_
 class Points:
     """Per-eigenpair results as columns; row i is eigenpair i, ascending in lam.
 
-    alpha_est is the recovered quasiperiodicity, sup_ratio and ipr the
-    localization measures, and band_error stays None until compare_to_symbol
-    fills it.
+    alpha_est is the recovered quasiperiodicity, localized (see
+    reconstruct_bands), sup_ratio and ipr the localization measures, and
+    band_error stays None until compare_to_symbol fills it.
     """
 
     alpha_est: np.ndarray
@@ -63,18 +63,16 @@ def reconstruct_bands(M, k: int) -> Points:
     Hermitian companion is diagonalised and eigenvectors are mapped back to
     the product form before analysis.  Each eigenvector is read as its
     ceil(n/k) cells, zero-padded, so k must be at most the matrix size n.
-    Points are ordered by eigenvalue, and the localized flag here reflects
-    the inverse-participation rule alone (scenario runs refine it with gap
-    membership).
+    Points are ordered by eigenvalue, and localized is the evanescent flag
+    of discrete_quasiperiodicity alone (scenario runs add gap membership).
     """
     hermitian = M.symmetrized if isinstance(M, PerturbedPair) else M
     k = _count("block size", k, most=hermitian.n)  # before the eigensolve
     eig = hermitian_eigen(hermitian)
     V = M.bc_eigenvectors(eig.vectors) if hermitian is not M else eig.vectors
-    alpha = np.array([discrete_quasiperiodicity(V[:, i], k) for i in range(eig.n)])
+    alpha, localized = map(np.array, zip(*[discrete_quasiperiodicity(V[:, i], k) for i in range(eig.n)]))
     sup, ipr = localization_metrics(V)
-    return Points(alpha_est=alpha, lam=eig.values, sup_ratio=sup, ipr=ipr,
-                  localized=ipr_localized_flags(ipr))
+    return Points(alpha_est=alpha, lam=eig.values, sup_ratio=sup, ipr=ipr, localized=localized)
 
 
 def _statistics(errors: np.ndarray, **stats) -> dict:
@@ -313,6 +311,7 @@ def run_scenario(config: dict) -> ScenarioResult:
     gap_report = stats = None
     if bands is not None:
         gap_report = detect_gaps(bands, points.lam, points.alpha_est)
+        # a gap mode of a chain too short for the trimmed fit (ssh dimers_per_side 2) reads no evanescent fit
         points.localized[[g["index"] for g in gap_report["gap_modes"]]] = True
         stats = compare_to_symbol(points, sym)
     return ScenarioResult(scenario=name, params=params, k=k, matrix=matrix,

@@ -30,7 +30,6 @@ from .transform import check_unit_norms, polarize
 
 BLOCK_ENTRIES = 1 << 18  # most entries per block of a column-wise pass over a matrix: 2 MiB of float64
 DEGENERACY_REL_TOL = 1e-8
-IPR_LOCALIZATION_FACTOR = 10.0
 LAPACK_COL_MAJOR = 102  # matrix_layout value in lapacke.h
 
 
@@ -187,14 +186,6 @@ def localization_metrics(u):
     norm2, peak, quartic = moments.reshape(3, *u.shape[1:])
     check_unit_norms(np.sqrt(norm2), "localization_metrics")
     return np.sqrt(peak / norm2), quartic / (norm2 * norm2)
-
-
-def ipr_localized_flags(iprs) -> np.ndarray:
-    """Flag vectors whose inverse participation ratio exceeds 10x the spectrum median; iprs is a nonempty vector."""
-    iprs = np.asarray(iprs, dtype=float)
-    if iprs.ndim != 1 or not iprs.size:
-        raise ValueError(f"ipr_localized_flags expects a nonempty vector, got shape {iprs.shape}")
-    return iprs > IPR_LOCALIZATION_FACTOR * np.median(iprs)
 
 
 def degenerate_clusters(values, scale: float) -> list[list[int]]:

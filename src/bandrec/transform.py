@@ -14,7 +14,8 @@ up the fit is refitted once without the cells of largest residual (a
 defect, the ends).  A vector the fit cannot read as arccos(c), with |c| at
 or near 1 or above, snaps to alpha = 0 or pi by the sign of its lag-1
 correlation: an exact mode at alpha = 0 or pi, or an evanescent gap mode,
-whose complex quasiperiodicity has real part 0 or pi.
+whose complex quasiperiodicity has real part 0 or pi; the same |c| > 1
+flags it localized.
 
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
 (complex input stays complex128).  discrete_quasiperiodicity reads a complex
@@ -36,7 +37,7 @@ import numpy as np
 
 UNIT_NORM_TOL = 1e-8
 TRIMMED_CELLS = 3  # cells the Bloch refit drops: a defect and the two ends of a chain
-BLOCH_EDGE = 1e-6  # a fit with |c| >= 1 - BLOCH_EDGE snaps to alpha = 0 or pi
+BLOCH_EDGE = 1e-6  # a fit with |c| >= 1 - BLOCH_EDGE snaps to alpha = 0 or pi; |c| > 1 + BLOCH_EDGE is evanescent
 
 
 def brillouin_sample(m: int) -> np.ndarray:
@@ -138,19 +139,22 @@ def check_unit_norms(norms, what: str):
     return norms
 
 
-def discrete_quasiperiodicity(u, k: int) -> float:
-    """alpha in [0, pi] of the Bloch recurrence x(s+1) + x(s-1) = 2 cos(alpha) x(s) fitted to u's cells.
+def discrete_quasiperiodicity(u, k: int) -> tuple[float, bool]:
+    """(alpha, evanescent) of the Bloch recurrence x(s+1) + x(s-1) = 2 cos(alpha) x(s) fitted to u's cells.
 
     u, of any length, is read as its m zero-padded cells (zero_pad), a
     complex u as its real layout of 2k sites per cell, and must be unit up
     to a small tolerance (eigensolver rounding).  c = cos(alpha) is fitted
     by least squares over every site and the interior cells s = 1 .. m - 2,
-    refitted once from 2 * TRIMMED_CELLS cells up (_bloch_cosine), and the
-    result is arccos(c) when |c| < 1 - BLOCH_EDGE.  Every other vector snaps
-    to 0 or pi by the sign of its lag-1 correlation sum_s x(s) x(s+1): one
-    of fewer than 3 cells or no interior mass, an exact mode at alpha = 0
-    or pi, where arccos amplifies rounding, and an evanescent one, |c| > 1,
-    whose quasiperiodicity is complex with real part 0 or pi.
+    refitted once from 2 * TRIMMED_CELLS cells up (_bloch_cosine), and
+    alpha is arccos(c), in [0, pi], when |c| < 1 - BLOCH_EDGE.  Every other
+    vector snaps to 0 or pi by the sign of its lag-1 correlation
+    sum_s x(s) x(s+1): one of fewer than 3 cells or no interior mass, an
+    exact mode at alpha = 0 or pi, where arccos amplifies rounding, and an
+    evanescent one, |c| > 1, whose quasiperiodicity is complex with real
+    part 0 or pi.  evanescent, a localized mode, is |c| > 1 + BLOCH_EDGE of
+    the refitted c, a decay by e^{-kappa} per cell, cosh(kappa) = |c|; it is
+    False with no refit, whose plain fit can read a short chain's ends as decay.
     """
     k = _count("block size", k)
     u = _padded(u, k)
@@ -160,9 +164,10 @@ def discrete_quasiperiodicity(u, k: int) -> float:
     cells = x.reshape(m, -1)
     c = _bloch_cosine(cells)
     if c is not None and abs(c) < 1.0 - BLOCH_EDGE:
-        return math.acos(c)
+        return math.acos(c), False
+    evanescent = c is not None and abs(c) > 1.0 + BLOCH_EDGE and m >= 2 * TRIMMED_CELLS
     lag = cells.shape[1]  # sites per cell: x[lag:] is cell s + 1 against x[:-lag], cell s
-    return 0.0 if x[lag:].dot(x[:-lag]) >= 0.0 else math.pi
+    return (0.0 if x[lag:].dot(x[:-lag]) >= 0.0 else math.pi), evanescent
 
 
 def _bloch_cosine(x: np.ndarray) -> float | None:

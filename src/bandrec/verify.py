@@ -56,8 +56,8 @@ def check_linearity_phase(tol, rng):
         rhs = a * transform.tfbt(u, k) + b * transform.tfbt(v, k)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         w = u / np.linalg.norm(u)
-        q0 = transform.discrete_quasiperiodicity(w, k)
-        q1 = transform.discrete_quasiperiodicity(w * np.exp(1j * rng.uniform(0, 2 * np.pi)), k)
+        q0 = transform.discrete_quasiperiodicity(w, k)[0]
+        q1 = transform.discrete_quasiperiodicity(w * np.exp(1j * rng.uniform(0, 2 * np.pi)), k)[0]
         worst = max(worst, abs(q0 - q1))
     return worst <= tol["tol"], f"max linearity/phase defect {worst:.2e}"
 
@@ -78,7 +78,7 @@ def check_circulant_quasiperiodicity(tol, rng):
                 for p in range(sym.k):
                     v = transform.quasiperiodic_extension(vecs[:, p], alpha, m)
                     res = spectra.residual(C, vals[p], v)
-                    err = abs(transform.discrete_quasiperiodicity(v, sym.k) - abs(alpha))
+                    err = abs(transform.discrete_quasiperiodicity(v, sym.k)[0] - abs(alpha))
                     worst = max(worst, res, err)
                     if res > tol["tol"] or err > tol["tol"]:
                         bad.append(f"k={sym.k} m={m} alpha={alpha:.3f}: res={res:.1e} err={err:.1e}")
@@ -261,8 +261,8 @@ def check_rebase_invariance(tol, rng):
     C = matrices.circulant_matrix(symbols.nearest_neighbour_symbol(2.0, -1.0), 16)
     eig = spectra.hermitian_eigen(C)
     W = _rebased(eig, rng)
-    worst = max(abs(transform.discrete_quasiperiodicity(W[:, i], 1)
-                    - transform.discrete_quasiperiodicity(eig.vectors[:, i], 1)) for i in range(eig.n))
+    worst = max(abs(transform.discrete_quasiperiodicity(W[:, i], 1)[0]
+                    - transform.discrete_quasiperiodicity(eig.vectors[:, i], 1)[0]) for i in range(eig.n))
     return worst <= tol["tol"], f"max quasiperiodicity drift under re-basing {worst:.2e}"
 
 
@@ -279,7 +279,7 @@ def acceptance_01_circulant_exactness(tol, rng):
         targets = np.abs(transform.brillouin_sample(m))
         for vecs in (eig.vectors, _rebased(eig, rng)):
             for i in range(eig.n):
-                q = transform.discrete_quasiperiodicity(vecs[:, i], 1)
+                q = transform.discrete_quasiperiodicity(vecs[:, i], 1)[0]
                 lam_err = abs(eig.values[i] - (2.0 - 2.0 * np.cos(q)))
                 grid_err = float(np.min(np.abs(targets - q)))
                 worst = max(worst, lam_err, grid_err)
@@ -293,7 +293,7 @@ def acceptance_02_even_index_exactness(tol, rng):
     for m in (20, 40, 80):
         eig = reconstruct.capacitance_eigenpairs_oracle(2.0, -1.0, m)
         for s in range(2, m, 2):
-            q = transform.discrete_quasiperiodicity(eig.vectors[:, s], 1)
+            q = transform.discrete_quasiperiodicity(eig.vectors[:, s], 1)[0]
             worst = max(worst, abs(q - np.pi * s / m))
     return worst <= tol["tol"], f"max |Q - pi*s/m| over even indices {worst:.2e}"
 
@@ -306,7 +306,7 @@ def acceptance_03_odd_index_convergence(tol, rng):
         if s % 2 == 0:
             s += 1
         eig = reconstruct.tridiagonal_eigenpairs_oracle(2.0, -1.0, m)
-        q = transform.discrete_quasiperiodicity(eig.vectors[:, s - 1], 1)
+        q = transform.discrete_quasiperiodicity(eig.vectors[:, s - 1], 1)[0]
         errs.append(abs(q - np.pi * s / (m + 1)))
     return max(errs) <= tol["tol"], "|Q - pi*s/(m+1)| at m = 41, 81, 161, 321: " + ", ".join(f"{e:.1e}" for e in errs)
 

@@ -456,8 +456,13 @@ def test_reconstruct_warns_when_no_bulk_point_is_scored(tmp_path, capsys):
     assert main(["reconstruct", "--scenario", "ssh", "--dimers-per-side", "3", "--out", str(tmp_path / "a")]) == 0
     warning, summary = capsys.readouterr().out.splitlines()[-2:]
     assert warning == ("warning: the edge margin 3.59039 (4 DFT bins from alpha = 0 and pi) leaves no bulk point; "
-                       "the points were not compared with the bands")
+                       "the bulk statistics are null")
     assert summary == "ssh: 13 points, 1 gap mode(s), 1 localized"
+    # every point is still scored against the bands, and the localized statistics are written
+    errors = json.loads((tmp_path / "a" / "summary.json").read_text())["errors"]
+    assert errors["bulk"] == {"count": 0, "max": None, "mean": None, "q90": None}
+    assert errors["localized"]["count"] == 1 and errors["localized"]["max"] is not None
+    assert all(row["band_error"] for row in read_csv(tmp_path / "a" / "points.csv"))
     assert main(["reconstruct", "--scenario", "ssh", "--out", str(tmp_path / "b")]) == 0
     assert "warning" not in capsys.readouterr().out
 
@@ -480,9 +485,13 @@ def test_reconstruct_external_matrix(tmp_path):
     code = main(["reconstruct", "--scenario", "external_matrix", "--matrix", str(mat_path),
                  "--k", "2", "--out", str(out)])
     assert code == 0
-    assert len(read_csv(out / "points.csv")) == 21
+    rows = read_csv(out / "points.csv")
+    assert len(rows) == 21
     summary = json.loads((out / "summary.json").read_text())
     assert summary["matrix_kind"] == "external"
+    # with no symbol there is no gap search: the gap mode, row 10, is flagged by its evanescent Bloch fit alone
+    assert [row["index"] for row in rows if row["localized"] == "true"] == ["10"]
+    assert summary["n_localized"] == 1
 
 
 @pytest.mark.parametrize("flags,k,n_gap_modes", [
@@ -656,14 +665,16 @@ def _normalised_entries(path):
 
 
 @pytest.mark.parametrize("seed,k", [(30, 1), (2, 2), (69, 3)])
-def test_transform_takes_the_real_path_for_a_real_vector(tmp_path, capsys, seed, k):
-    # a file whose imaginary parts are all zero is read as the real vector it is
+def test_transform_takes_the_real_path_for_a_real_vector(tmp_path, capsys, monkeypatch, seed, k):
+    # a file whose imaginary parts are all zero reaches the library as the real vector it is: the real and the
+    # complex path print the same digits, so the test reads the dtype that the library is handed
     vec = tmp_path / "vec.csv"
     vec.write_text("\n".join(repr(float(x)) for x in np.random.default_rng(seed).normal(size=40)) + "\n")
+    fit, handed = transform.discrete_quasiperiodicity, []
+    monkeypatch.setattr(transform, "discrete_quasiperiodicity", lambda u, k: handed.append(u.dtype) or fit(u, k))
     assert main(["transform", "--vector", str(vec), "--k", str(k), "--out", str(tmp_path)]) == 0
-    u = transform.zero_pad(_normalised_entries(vec).real, k)
-    assert u.dtype == np.float64
-    expected = outputs.fmt(transform.discrete_quasiperiodicity(u, k))
+    assert handed == [np.float64]
+    expected = outputs.fmt(fit(transform.zero_pad(_normalised_entries(vec).real, k), k)[0])
     assert capsys.readouterr().out.splitlines()[-1] == f"recovered quasiperiodicity: {expected}"
 
 

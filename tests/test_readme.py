@@ -24,7 +24,7 @@ def test_readme_quick_start_runs_and_finds_the_stated_gap_mode():
     assert len(modes) == 1 and modes[0]["index"] == 40
     stated = re.search(r"# -> (\[\{.*?)\.\.\.", block.group(1))  # the printed prefix
     assert stated and repr(modes).startswith(stated.group(1))
-    assert 0.0 <= namespace["alpha"] <= math.pi
+    assert 0.0 <= namespace["alpha"] <= math.pi and namespace["evanescent"] is False
 
 
 def _cli_examples():

@@ -37,7 +37,7 @@ def test_tridiagonal_oracle_even_index_quasiperiodicity_is_read_to_rounding():
     # the sine family's alpha = pi s / (m + 1) lies off the m-point bin grid; the Bloch fit reads it exactly
     for m in (20, 40, 80):
         oracle = tridiagonal_eigenpairs_oracle(2.0, -1.0, m)
-        errs = [abs(transform.discrete_quasiperiodicity(oracle.vectors[:, s - 1], 1) - np.pi * s / (m + 1))
+        errs = [abs(transform.discrete_quasiperiodicity(oracle.vectors[:, s - 1], 1)[0] - np.pi * s / (m + 1))
                 for s in range(2, m + 1, 2)]
         assert max(errs) < 1e-13, m
 
@@ -58,7 +58,7 @@ def test_capacitance_oracle_even_index_exact():
     for m in (20, 40):
         oracle = capacitance_eigenpairs_oracle(2.0, -1.0, m)
         for s in range(2, m, 2):
-            q = transform.discrete_quasiperiodicity(oracle.vectors[:, s], 1)
+            q = transform.discrete_quasiperiodicity(oracle.vectors[:, s], 1)[0]
             assert abs(q - np.pi * s / m) < 1e-12
 
 
@@ -334,14 +334,26 @@ def test_every_scenario_parameter_is_declared_and_read(tmp_path, scenario):
             f"{name} is not read"
 
 
-def test_the_edge_exclusion_keeps_an_evanescent_mode_above_the_bands_out_of_the_bulk():
-    # a sweep run whose mode above the top band edge (3.006) has an ipr 9.96 times the median, just under the
-    # localized flag's 10: it snaps to alpha = 0, and its band_error is its height above the band
+def test_an_evanescent_mode_above_the_bands_is_localized_out_of_the_bulk():
+    # a sweep run whose mode above the top band edge (3.006), outside every gap, has an ipr only 9.96 times the
+    # median: its Bloch fit is evanescent, so it is localized; it snaps to alpha = 0, and its band_error is its
+    # height above the band
     result = run_scenario({"scenario": "compact_defect", "n": 40, "delta": 0.4718, "s1": 0.99954, "s2": 1.98990})
     p = result.points
-    assert not p.localized[-1] and 9.9 < p.ipr[-1] / np.median(p.ipr) < 10.0
+    assert p.localized[-1] and 9.9 < p.ipr[-1] / np.median(p.ipr) < 10.0
+    assert [g["index"] for g in result.gap_report["gap_modes"]] == [19]
     assert p.alpha_est[-1] == 0.0 and p.band_error[-1] > 0.3 and p.lam[-1] - 0.3 > result.bands.values.max()
+    assert result.stats["localized"]["max"] == p.band_error[-1]
     assert result.stats["bulk"]["max"] < 1e-13  # measured 8.9e-16
+
+
+@pytest.mark.parametrize("n", [12, 20, 40, 80])
+def test_compact_defect_flags_its_bound_state_above_the_top_band(n):
+    # the bound state at lambda = 3.4065, above the top band edge 3.0, has an ipr 3.2 to 5 times the median at
+    # n = 12 to 20; its Bloch fit is evanescent at every n
+    result = run_scenario({"scenario": "compact_defect", "n": n, "delta": 0.5})
+    p = result.points
+    assert p.localized[-1] and abs(p.lam[-1] - 3.4065) < 1e-3 and p.lam[-1] > result.bands.values.max()
 
 
 def test_touching_bands_are_not_refused_as_overlapping():

@@ -61,8 +61,6 @@ def _file(name, text):
                  id="localization_metrics-scalar"),
     pytest.param(lambda: spectra.residual(SSH, 0.0, np.ones((21, 2, 2)) / 21 ** 0.5), f"residual {COLUMNS} (21, 2, 2)",
                  id="residual-stack"),
-    pytest.param(lambda: spectra.ipr_localized_flags([]), "ipr_localized_flags expects a nonempty vector, got shape (0,)",
-                 id="ipr_localized_flags-empty"),
     *(pytest.param(lambda scale=scale: spectra.degenerate_clusters([1.0, 1.0, 2.0], scale),
                    f"scale must be finite and nonnegative, got {scale}", id=f"degenerate_clusters-scale{scale}")
       for scale in (float("nan"), float("inf"), -1.0)),

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from bandrec import cli, matrices, spectra, symbols, transform
-from bandrec.spectra import (degenerate_clusters, hermitian_eigen, ipr_localized_flags,
-                             localization_metrics, near_far_split, residual)
+from bandrec.spectra import degenerate_clusters, hermitian_eigen, localization_metrics, near_far_split, residual
 from bandrec.matrices import FiniteMatrix
 
 
@@ -331,12 +330,6 @@ def test_localization_ssh_gap_mode_stands_out():
     assert len(gap) == 1
     bulk_median = np.median(np.delete(sups, gap[0]))
     assert sups[gap[0]] > 3.0 * bulk_median
-
-
-def test_ipr_localized_flags():
-    iprs = [0.01] * 20 + [0.5]
-    flags = ipr_localized_flags(iprs)
-    assert flags[-1] and not np.any(flags[:-1])
 
 
 def test_degenerate_clusters():

@@ -215,23 +215,23 @@ def test_discrete_quasiperiodicity_on_extensions():
     for m, s in ((8, 1), (8, 3), (12, 5)):
         alpha = 2 * np.pi * s / m
         u = quasiperiodic_extension([1.0], alpha, m)
-        assert abs(discrete_quasiperiodicity(u, 1) - abs(alpha)) < 1e-12
+        assert abs(discrete_quasiperiodicity(u, 1)[0] - abs(alpha)) < 1e-12
         # any unit combination within the +-alpha eigenspace recovers |alpha|
         w = 0.6 * u + 0.8j * quasiperiodic_extension([1.0], -alpha, m)
-        assert abs(discrete_quasiperiodicity(w, 1) - abs(alpha)) < 1e-12
+        assert abs(discrete_quasiperiodicity(w, 1)[0] - abs(alpha)) < 1e-12
 
 
 def test_discrete_quasiperiodicity_constant_vector():
     u = np.ones(10) / np.sqrt(10)
-    assert discrete_quasiperiodicity(u, 1) < 1e-12
+    assert discrete_quasiperiodicity(u, 1)[0] < 1e-12
 
 
 def test_discrete_quasiperiodicity_phase_invariant():
     rng = np.random.default_rng(11)
     u = rng.normal(size=12) + 1j * rng.normal(size=12)
     u /= np.linalg.norm(u)
-    q0 = discrete_quasiperiodicity(u, 2)
-    q1 = discrete_quasiperiodicity(u * np.exp(0.7j), 2)
+    q0 = discrete_quasiperiodicity(u, 2)[0]
+    q1 = discrete_quasiperiodicity(u * np.exp(0.7j), 2)[0]
     assert abs(q0 - q1) < 1e-12
     assert 0.0 <= q0 <= np.pi
 
@@ -289,12 +289,29 @@ def test_quasiperiodicity_snaps_to_0_or_pi_where_the_fit_cannot_read_it(k):
         v = rng_real.normal(size=m * k)
         v *= (1.0 + 1e-9 * rng_real.normal()) / np.linalg.norm(v)
         for w in (u, v):
-            assert abs(discrete_quasiperiodicity(w, k) - _fit_or_snap(w, k)) < 1e-12, (m, w.dtype)
+            assert abs(discrete_quasiperiodicity(w, k)[0] - _fit_or_snap(w, k)) < 1e-12, (m, w.dtype)
     # an evanescent vector, a gap mode's complex Bloch wave, reads the real part of its quasiperiodicity
     for m in (*range(6, 30), 64, 255, 1000):
         for sign, alpha in ((1.0, 0.0), (-1.0, np.pi)):
             for w in (_evanescent(rng, m, k, complex, sign), _evanescent(rng_real, m, k, float, sign)):
-                assert discrete_quasiperiodicity(w, k) == alpha, (m, w.dtype, sign)
+                assert discrete_quasiperiodicity(w, k)[0] == alpha, (m, w.dtype, sign)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_an_evanescent_fit_is_flagged_from_6_cells_up(k):
+    rng = np.random.default_rng(40 + k)
+    cell = rng.normal(size=k) + 1j * rng.normal(size=k)
+    cell /= np.linalg.norm(cell)
+    for m in (3, 4, 5, 6, 7, 20, 101):
+        # a Bloch wave on the unit circle is not evanescent, at alpha = 0 and pi too, where |c| = 1 snaps
+        for alpha in (*brillouin_sample(m), np.pi, 1.234):
+            assert discrete_quasiperiodicity(quasiperiodic_extension(cell, alpha, m), k)[1] is False, (m, alpha)
+        # a cell vector times mu^s, |mu| < 1, obeys the recurrence with |c| = |mu + 1/mu| / 2 > 1; the plain fit of a
+        # chain of 3 to 5 cells reads the same |c| > 1 from its ends, so it is flagged only from 6 cells up
+        for mu, alpha in ((0.5, 0.0), (0.9, 0.0), (-0.5, np.pi), (-0.9, np.pi)):
+            u = np.kron(mu ** np.arange(m), cell)
+            for w in (u, u.real):
+                assert discrete_quasiperiodicity(w / np.linalg.norm(w), k) == (alpha, m >= 6), (m, mu, w.dtype)
 
 
 def test_a_mode_at_alpha_0_with_a_trace_of_far_mass_snaps_to_0():
@@ -302,18 +319,18 @@ def test_a_mode_at_alpha_0_with_a_trace_of_far_mass_snaps_to_0():
     # to 0; the mean of |alpha| over all bins gave 2 pi 25 / 64 * 1e-7 = 2.5e-7
     s = np.arange(64)
     u = np.sqrt((1.0 - 1e-7) / 64) + np.sqrt(1e-7 / 32) * np.cos(2 * np.pi * 25 * s / 64)
-    assert discrete_quasiperiodicity(u, 1) == 0.0
+    assert discrete_quasiperiodicity(u, 1)[0] == 0.0
 
 
 def test_an_off_grid_section_is_read_to_rounding():
     # alpha = pi s / (m + 1) of the sine family lies between the bins 2 pi j / m; so does a dimer section's
     for m in (41, 81, 161, 321):
         oracle = reconstruct.tridiagonal_eigenpairs_oracle(2.0, -1.0, m)
-        q = [discrete_quasiperiodicity(oracle.vectors[:, i], 1) for i in range(m)]
+        q = [discrete_quasiperiodicity(oracle.vectors[:, i], 1)[0] for i in range(m)]
         assert np.max(np.abs(np.array(q) - np.pi * np.arange(1, m + 1) / (m + 1))) <= 1e-12, m
     for m in (10, 31, 80, 161):
         eig = spectra.hermitian_eigen(matrices.toeplitz_matrix(symbols.dimer_symbol(1.0, 2.0), m))
-        q = [discrete_quasiperiodicity(eig.vectors[:, i], 2) for i in range(eig.n)]
+        q = [discrete_quasiperiodicity(eig.vectors[:, i], 2)[0] for i in range(eig.n)]
         # the dimer bands 3/2 -+ |1 + e^{i alpha} / 2| give cos(alpha) = (lambda - 3/2)^2 - 5/4
         assert np.max(np.abs(np.array(q) - np.arccos((eig.values - 1.5) ** 2 - 1.25))) <= 1e-12, m
 
@@ -336,7 +353,7 @@ def test_real_and_complex_input_give_the_same_quasiperiodicity(k):
         u = rng.normal(size=length)
         u = zero_pad(u / np.linalg.norm(u), k)
         assert u.dtype == np.float64
-        assert abs(discrete_quasiperiodicity(u, k) - discrete_quasiperiodicity(u.astype(complex), k)) < 1e-14
+        assert abs(discrete_quasiperiodicity(u, k)[0] - discrete_quasiperiodicity(u.astype(complex), k)[0]) < 1e-14
 
 
 def test_polarize_flips_a_real_vector_exactly():
@@ -438,8 +455,8 @@ def test_tfbt_keeps_unit_vectors_unit(m, k, seed):
 @given(m=st.integers(1, 24), k=st.integers(1, 3), seed=SEEDS, phase=st.floats(0.0, 2.0 * np.pi))
 def test_quasiperiodicity_ignores_a_global_phase(m, k, seed, phase):
     u = _unit_vector(seed, m * k)
-    q = discrete_quasiperiodicity(u, k)
-    assert abs(discrete_quasiperiodicity(np.exp(1j * phase) * u, k) - q) < 1e-12
+    q = discrete_quasiperiodicity(u, k)[0]
+    assert abs(discrete_quasiperiodicity(np.exp(1j * phase) * u, k)[0] - q) < 1e-12
 
 
 @PROPERTY
@@ -449,8 +466,8 @@ def test_quasiperiodicity_ignores_rebasing_inside_a_degenerate_cluster(m, dimer,
     eig = spectra.hermitian_eigen(matrices.circulant_matrix(sym, m))
     rng = np.random.default_rng(seed)
     for cluster in spectra.degenerate_clusters(eig.values, float(np.abs(eig.values).max())):
-        q = discrete_quasiperiodicity(eig.vectors[:, cluster[0]], sym.k)
+        q = discrete_quasiperiodicity(eig.vectors[:, cluster[0]], sym.k)[0]
         z = rng.normal(size=(len(cluster),) * 2) + 1j * rng.normal(size=(len(cluster),) * 2)
         rebased = eig.vectors[:, cluster] @ np.linalg.qr(z)[0]
         for c in range(len(cluster)):
-            assert abs(discrete_quasiperiodicity(rebased[:, c], sym.k) - q) < 1e-10
+            assert abs(discrete_quasiperiodicity(rebased[:, c], sym.k)[0] - q) < 1e-10
