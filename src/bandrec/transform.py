@@ -10,12 +10,13 @@ off the bin grid, from the Bloch recurrence x(s+1) + x(s-1) = 2 cos(alpha) x(s)
 fitted to its cells.  Summed round the cells instead of over the interior
 ones, the fitted cosine is the mean of cos(alpha_j) under the masses
 (Parseval): a moment of the same transform, not a new one.  From 6 cells
-up the fit is refitted once without the cells of largest residual (a
-defect, the ends).  A vector the fit cannot read as arccos(c), with |c| at
-or near 1 or above, snaps to alpha = 0 or pi by the sign of its lag-1
-correlation: an exact mode at alpha = 0 or pi, or an evanescent gap mode,
-whose complex quasiperiodicity has real part 0 or pi; the same |c| > 1
-flags it localized.
+up the fit is refitted without the cells of largest residual (a defect,
+the ends), in up to two steps of least trimmed squares.  A vector the fit
+cannot read as arccos(c), with |c| at or near 1 or above, snaps to
+alpha = 0 or pi by the sign of its lag-1 correlation: an exact mode at
+alpha = 0 or pi, or an evanescent gap mode, whose complex
+quasiperiodicity has real part 0 or pi; the same |c| > 1 flags it
+localized.
 
 Real vectors stay real: zero_pad and polarize keep a float64 input float64
 (complex input stays complex128).  discrete_quasiperiodicity reads a complex
@@ -36,7 +37,8 @@ import operator
 import numpy as np
 
 UNIT_NORM_TOL = 1e-8
-TRIMMED_CELLS = 3  # cells the Bloch refit drops: a defect and the two ends of a chain
+TRIMMED_CELLS = 3  # cells each Bloch refit drops: a defect and the two ends of a chain
+BLOCH_REFITS = 2  # trimmed refits of the Bloch fit; the second re-ranks the cells under the first's c
 BLOCH_EDGE = 1e-6  # a fit with |c| >= 1 - BLOCH_EDGE snaps to alpha = 0 or pi; |c| > 1 + BLOCH_EDGE is evanescent
 
 
@@ -146,9 +148,10 @@ def discrete_quasiperiodicity(u, k: int) -> tuple[float, bool]:
     complex u as its real layout of 2k sites per cell, and must be unit up
     to a small tolerance (eigensolver rounding).  c = cos(alpha) is fitted
     by least squares over every site and the interior cells s = 1 .. m - 2,
-    refitted once from 2 * TRIMMED_CELLS cells up (_bloch_cosine), and
-    alpha is arccos(c), in [0, pi], when |c| < 1 - BLOCH_EDGE.  Every other
-    vector snaps to 0 or pi by the sign of its lag-1 correlation
+    refitted without its worst cells from 2 * TRIMMED_CELLS cells up, up to
+    BLOCH_REFITS times (_bloch_cosine), and alpha is arccos(c), in [0, pi],
+    when |c| < 1 - BLOCH_EDGE.  Every other vector snaps to 0 or pi by the
+    sign of its lag-1 correlation
     sum_s x(s) x(s+1): one of fewer than 3 cells or no interior mass, an
     exact mode at alpha = 0 or pi, where arccos amplifies rounding, and an
     evanescent one, |c| > 1, whose quasiperiodicity is complex with real
@@ -176,36 +179,56 @@ def _bloch_cosine(x: np.ndarray) -> float | None:
     The fit is c = sum x(s) (x(s+1) + x(s-1)) / (2 sum x(s)^2) over every
     site and the interior cells, the Bloch recurrence of a nearest-neighbour
     chain, exact between its defects and edges.  From 2 * TRIMMED_CELLS
-    cells up, the refit drops the TRIMMED_CELLS cells of largest residual
-    sum_p (x(s+1) + x(s-1) - 2c x(s))^2, one step of least trimmed squares:
-    a second step reads ssh and dislocated chains to rounding too, at
-    1.6-1.7 times the cost per vector.
+    cells up it is refitted without the TRIMMED_CELLS cells of largest
+    residual sum_p (x(s+1) + x(s-1) - 2c x(s))^2, up to BLOCH_REFITS times:
+    the C-steps of least trimmed squares.  Each step ranks every interior
+    cell under the last c, and the steps stop early once the worst cells
+    are the ones already trimmed, since c is then already their fit.
     """
     z, y = x[1:-1].copy(), x[2:] + x[:-2]  # z is zeroed in the trimmed cells below
     zf, yf = z.ravel(), y.ravel()
     den = 2.0 * float(zf.dot(zf))
-    if x.shape[0] >= 2 * TRIMMED_CELLS and den > 0.0:
-        e = y - (2.0 * zf.dot(yf) / den) * z
-        r = np.einsum("ij,ij->i", e, e)
-        # zeroed, not subtracted: a localized mode's kept mass is far below its total; the slice from
-        # r.size - TRIMMED_CELLS, not -TRIMMED_CELLS, keeps TRIMMED_CELLS = 0 a fit with no trim
-        z[np.argpartition(r, -TRIMMED_CELLS)[r.size - TRIMMED_CELLS:]] = 0.0
-        den = 2.0 * float(zf.dot(zf))
-    return float(zf.dot(yf)) / den if den > 0.0 else None
+    if not den > 0.0:
+        return None
+    c = float(zf.dot(yf)) / den
+    if x.shape[0] < 2 * TRIMMED_CELLS:
+        return c
+    e, ones, trimmed = np.empty_like(y), np.ones(x.shape[1]), []
+    for _ in range(BLOCH_REFITS):
+        np.multiply(x[1:-1], 2.0 * c, out=e)  # the residual of every interior cell, trimmed ones too
+        np.subtract(y, e, out=e)
+        e *= e
+        r = e.dot(ones)
+        # the slice from r.size - TRIMMED_CELLS, not -TRIMMED_CELLS, keeps TRIMMED_CELLS = 0 a fit with no trim
+        worst = sorted(r.argpartition(-TRIMMED_CELLS)[r.size - TRIMMED_CELLS:].tolist())
+        if worst == trimmed:
+            break  # c is already the fit without these cells
+        for s in trimmed:
+            z[s] = x[s + 1]
+        for s in worst:
+            z[s] = 0.0  # zeroed, not subtracted: a localized mode's kept mass is far below its total
+        trimmed, den = worst, 2.0 * float(zf.dot(zf))
+        if not den > 0.0:
+            return None
+        c = float(zf.dot(yf)) / den
+    return c
 
 
 def polarize(u) -> np.ndarray:
     """Make the first component of a vector, or of each vector of a stack, real and nonnegative by a global phase.
 
     u is one vector or a stack whose vectors run along axis 0 (shape (n,),
-    (n, c), (n, a, b), ...), so row 0 holds every pivot.  A real vector
-    comes back as u or -u exactly, a complex one scaled by conj(u_0) / |u_0|.
+    (n, c), (n, a, b), ...), so row 0 holds every pivot.  The result is a
+    new array.  A real vector comes back as u or -u exactly, -u when
+    u_0 < 0 (not for -0.0 or NaN), a complex one scaled by conj(u_0) / |u_0|.
     A vector whose first component is zero comes back unchanged, and so does
     a complex one whose |u_0| is subnormal, too small to divide by.
     """
     u = _float_or_complex(u)
     if u.ndim == 0 or u.size == 0:
         raise ValueError(f"polarize expects a nonempty vector or stack of vectors, got shape {u.shape}")
+    if u.ndim == 1 and u.dtype.kind == "f":  # one real vector: a sign test, the product's bits for finite u
+        return -u if u[0] < 0.0 else u.copy()
     pivot = u[:1]  # keeps the leading axis: a (1, 1) u times a (1,) factor can differ in the last bit
     if u.dtype.kind == "f":
         return u * (1.0 - 2.0 * (pivot < 0.0))  # -1.0 or 1.0 per vector

@@ -18,9 +18,10 @@ rounding and moves by its own size under any reorder, and the BLAS thread
 count reorders the eigensolve of the n >= 1001 runs.  So a figure of the
 errors block may also differ by ERROR_ULPS such roundings.  Written at two
 OpenBLAS threads, the record reads the same at four; at one thread the bulk
-max of compact_defect-n2000-delta-0.3 reads 1.33e-15 against 1.44e-15 (its
-mean 3.15e-16 against 3.09e-16), and the bulk mean of compact_defect-n1001
-moves by 7e-18, each less than one rounding of the run's largest |lambda|.
+max of compact_defect-n2000-delta-0.3 reads 1.78e-15 against 1.44e-15 (its
+mean 3.16e-16 against 3.12e-16, its q90 7.2e-16 against 6.7e-16), and the
+bulk mean of compact_defect-n1001 moves by 5e-18, each less than one rounding
+of the run's largest |lambda|.
 
 An accuracy change, or an output that adds a recorded field, rewrites the
 record in the same change, so the record's diff shows what moved.  Each
@@ -49,23 +50,24 @@ from test_cli import RERUNS
 RECORD = Path(__file__).with_name("reference_outputs.json")
 RTOL = 1e-12
 ERROR_ULPS = 4  # the errors block's absolute slack, in units of eps * max|lambda| of the run
-# The bulk max of each reconstruct run, above its measured value at OpenBLAS 1 and 2 threads alike.  The Bloch fit
-# reads a chain without a defect to rounding; a defect costs the one trimming step more cells than it drops.
+# The bulk max of each reconstruct run, above its measured value at OpenBLAS 1 and 2 threads alike.  The Bloch fit,
+# with its second trimmed refit, reads every chain to rounding, a defect's too; the exponential symbol's bands are
+# not a nearest-neighbour chain's.
 BULK_MAX = {
     "periodic_nn": 1e-14,                          # measured 2.2e-15
     "periodic_symbol": 2e-12,                      # 1.08e-12: the exponential symbol's evanescent roots
     "ssh": 1e-14,                                  # 3.3e-16
-    "dislocated": 5e-4,                            # 3.73e-4
+    "dislocated": 1e-14,                           # 8.9e-16
     "compact_defect": 1e-14,                       # 1.3e-15
     "external_matrix": None,                       # no bulk point
     "periodic_nn-m200": 1e-14,                     # 2.2e-15
     "periodic_symbol-dimer": 1e-14,                # 1.3e-15
     "periodic_symbol-exponential-m40": 2e-12,      # 1.19e-12
-    "ssh-default": 2e-4,                           # 1.58e-4
-    "ssh-dps50-grid1024": 4e-5,                    # 2.84e-5
-    "compact_defect-delta-0.3": 1e-14,             # 1.1e-15
-    "compact_defect-n2000-delta-0.3": 1e-14,       # 1.3e-15 at one thread, 1.4e-15 at two
-    "compact_defect-n1001": 6e-7,                  # 4.19e-7
+    "ssh-default": 1e-14,                          # 8.9e-16
+    "ssh-dps50-grid1024": 1e-14,                   # 8.9e-16
+    "compact_defect-delta-0.3": 1e-14,             # 1.0e-15
+    "compact_defect-n2000-delta-0.3": 1e-14,       # 1.8e-15 at one thread, 1.4e-15 at two
+    "compact_defect-n1001": 1e-14,                 # 1.3e-15
 }
 
 

@@ -369,6 +369,19 @@ def test_polarize_flips_a_real_vector_exactly():
             assert v.tobytes() == u.tobytes()  # unchanged, sign bits included
 
 
+@pytest.mark.parametrize("pivot", [0.75, -0.75, 0.0, -0.0, 5e-324, -5e-324, np.nan])
+def test_polarize_returns_a_new_real_vector_equal_to_u_or_minus_u_bit_for_bit(pivot):
+    u = np.array([pivot, -2.0, 0.0, -0.0, 3.5e-310, 1.0])
+    before = u.copy()
+    v = polarize(u)
+    assert v.dtype == np.float64 and v is not u and not np.shares_memory(v, u)
+    v[:] = 7.0
+    assert u.tobytes() == before.tobytes()  # writing to the result leaves u as it was
+    assert polarize(u).tobytes() == (-u if pivot < 0.0 else u).tobytes()  # -0.0 and NaN pivots keep u
+    stack = np.stack([u, -u, np.roll(u, 1)], axis=1)
+    assert polarize(stack).tobytes() == np.stack([polarize(stack[:, c]) for c in range(3)], axis=1).tobytes()
+
+
 def _stack_with_awkward_pivots(shape, dtype, seed):
     """Random vectors along axis 0 of shape; every third has a first component with negative real part, a first
     component of magnitude about 1e-12, or no nonzero entry."""

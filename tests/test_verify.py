@@ -13,9 +13,14 @@ def test_unitarity_passes_at_its_registered_tolerance_and_fails_at_zero():
 @pytest.mark.parametrize("name", ["acceptance.05_ssh", "acceptance.06_dislocated",
                                   "acceptance.07a_compact_defect_negative"])
 def test_a_band_error_check_fails_without_the_bloch_refit(monkeypatch, name):
-    # the registered tolerances sit about ten times above each figure; the untrimmed fit reads 1.96e-2, 1.87e-2
-    # and 1.43e-2 on these three runs, so a recovery that loses its refit fails them
+    # the registered tolerances sit at a hundred ulps; the untrimmed fit reads 1.96e-2, 1.87e-2 and 1.43e-2 on
+    # these three runs, so a recovery that loses its refits fails them; one refit reads 05 and 06 at 1.58e-4 and
+    # 3.73e-4 (07a at rounding), so a recovery that loses the second refit fails those two
     assert verify.run_check(name).passed
+    if name != "acceptance.07a_compact_defect_negative":
+        monkeypatch.setattr(transform, "BLOCH_REFITS", 1)
+        result = verify.run_check(name)
+        assert not result.passed and "band error" in result.detail, result.detail
     monkeypatch.setattr(transform, "TRIMMED_CELLS", 0)
     result = verify.run_check(name)
     assert not result.passed and "band error" in result.detail, result.detail
