@@ -185,7 +185,8 @@ def _bloch_cosine(x: np.ndarray) -> float | None:
     cell under the last c, and the steps stop early once the worst cells
     are the ones already trimmed, since c is then already their fit.
     """
-    z, y = x[1:-1].copy(), x[2:] + x[:-2]  # z is zeroed in the trimmed cells below
+    mid = x[1:-1]
+    z, y = mid.copy(), x[2:] + x[:-2]  # z is zeroed in the trimmed cells below
     zf, yf = z.ravel(), y.ravel()
     den = 2.0 * float(zf.dot(zf))
     if not den > 0.0:
@@ -193,9 +194,9 @@ def _bloch_cosine(x: np.ndarray) -> float | None:
     c = float(zf.dot(yf)) / den
     if x.shape[0] < 2 * TRIMMED_CELLS:
         return c
-    e, ones, trimmed = np.empty_like(y), np.ones(x.shape[1]), []
+    e, ones, trimmed = None, np.ones(x.shape[1]), []
     for _ in range(BLOCH_REFITS):
-        np.multiply(x[1:-1], 2.0 * c, out=e)  # the residual of every interior cell, trimmed ones too
+        e = np.multiply(mid, 2.0 * c, out=e)  # the residual of every interior cell, trimmed ones too, in one buffer
         np.subtract(y, e, out=e)
         e *= e
         r = e.dot(ones)
@@ -204,7 +205,7 @@ def _bloch_cosine(x: np.ndarray) -> float | None:
         if worst == trimmed:
             break  # c is already the fit without these cells
         for s in trimmed:
-            z[s] = x[s + 1]
+            z[s] = mid[s]
         for s in worst:
             z[s] = 0.0  # zeroed, not subtracted: a localized mode's kept mass is far below its total
         trimmed, den = worst, 2.0 * float(zf.dot(zf))
@@ -227,11 +228,9 @@ def polarize(u) -> np.ndarray:
     u = _float_or_complex(u)
     if u.ndim == 0 or u.size == 0:
         raise ValueError(f"polarize expects a nonempty vector or stack of vectors, got shape {u.shape}")
-    if u.ndim == 1 and u.dtype.kind == "f":  # one real vector: a sign test, the product's bits for finite u
-        return -u if u[0] < 0.0 else u.copy()
     pivot = u[:1]  # keeps the leading axis: a (1, 1) u times a (1,) factor can differ in the last bit
     if u.dtype.kind == "f":
-        return u * (1.0 - 2.0 * (pivot < 0.0))  # -1.0 or 1.0 per vector
+        return np.where(pivot < 0.0, -u, u)
     size = np.hypot(pivot.real, pivot.imag)  # correctly rounded |pivot|; np.abs can differ in the last bit
     keep = size < np.finfo(float).tiny
     return np.where(keep, u, u * (pivot.conjugate() / np.where(keep, 1.0, size)))

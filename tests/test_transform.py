@@ -371,13 +371,13 @@ def test_polarize_flips_a_real_vector_exactly():
 
 @pytest.mark.parametrize("pivot", [0.75, -0.75, 0.0, -0.0, 5e-324, -5e-324, np.nan])
 def test_polarize_returns_a_new_real_vector_equal_to_u_or_minus_u_bit_for_bit(pivot):
-    u = np.array([pivot, -2.0, 0.0, -0.0, 3.5e-310, 1.0])
+    u = np.array([pivot, -2.0, 0.0, -0.0, 3.5e-310, 1.0, -np.inf, np.nan])
     before = u.copy()
     v = polarize(u)
     assert v.dtype == np.float64 and v is not u and not np.shares_memory(v, u)
     v[:] = 7.0
     assert u.tobytes() == before.tobytes()  # writing to the result leaves u as it was
-    assert polarize(u).tobytes() == (-u if pivot < 0.0 else u).tobytes()  # -0.0 and NaN pivots keep u
+    assert polarize(u).tobytes() == (-u if pivot < 0.0 else u).tobytes()  # -0.0 and NaN pivots keep u; -u flips NaN too
     stack = np.stack([u, -u, np.roll(u, 1)], axis=1)
     assert polarize(stack).tobytes() == np.stack([polarize(stack[:, c]) for c in range(3)], axis=1).tobytes()
 
